@@ -16,8 +16,9 @@ use approxhadoop_core::multistage::{
 };
 use approxhadoop_core::spec::{ApproxSpec, ErrorTarget, PilotSpec};
 use approxhadoop_core::target::{SharedApproxState, TargetErrorCoordinator};
-use approxhadoop_runtime::engine::{run_job_with_coordinator, JobConfig};
+use approxhadoop_runtime::engine::{run_job_with_session, JobConfig};
 use approxhadoop_runtime::input::VecSource;
+use approxhadoop_runtime::{JobId, JobSession};
 use approxhadoop_stats::dist::{cached_two_sided_critical_value, ContinuousDistribution, Normal};
 use approxhadoop_stats::multistage::{ClusterObservation, TwoStageEstimator};
 use rand::rngs::StdRng;
@@ -119,7 +120,7 @@ fn run_target(
     )
     .with_margin(margin);
     let wave1 = coordinator.wave1_count();
-    let job = run_job_with_coordinator(
+    let job = run_job_with_session(
         &input,
         &mapper,
         |_| {
@@ -133,6 +134,7 @@ fn run_target(
         },
         config,
         &mut coordinator,
+        &JobSession::new(JobId(0)),
     )
     .expect("target job");
     let bound = job

@@ -16,7 +16,7 @@
 //! ```text
 //! loadgen [--slots N] [--jobs N] [--rate JOBS_PER_SEC]
 //!         [--blocks N] [--entries N] [--max-drop R] [--min-sample R]
-//!         [--p99-target SECS] [--controller aimd|slo] [--slo-bound B]
+//!         [--p99-target SECS] [--slo-bound B]
 //!         [--seed N]
 //!         [--find-max-tps [--slo-p99 SECS] [--slo-tolerance F]
 //!          [--start-rate R] [--jobs-per-step N] [--max-steps N]
@@ -63,9 +63,6 @@ fn parse_args(config: &mut LoadConfig, search: &mut SearchArgs) -> Result<(), St
             "--p99-target" => {
                 config.p99_target_secs =
                     value()?.parse().map_err(|e| format!("--p99-target: {e}"))?
-            }
-            "--controller" => {
-                config.mode = value()?.parse()?;
             }
             "--slo-bound" => {
                 config.max_relative_bound =

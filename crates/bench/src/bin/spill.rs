@@ -28,7 +28,7 @@ use std::sync::Arc;
 use approxhadoop_bench::{header, reps, timed, Summary};
 use approxhadoop_obs::Obs;
 use approxhadoop_runtime::engine::{run_job_process, JobConfig, WorkerSpec};
-use approxhadoop_runtime::input::VecSource;
+use approxhadoop_runtime::input::{InputSource, VecSource};
 use approxhadoop_runtime::reducer::GroupedReducer;
 use approxhadoop_runtime::{FixedCoordinator, JobId, JobSession};
 
@@ -84,7 +84,8 @@ fn run_budget(
         obs: Some(Arc::clone(&obs)),
         ..Default::default()
     };
-    let mut coordinator = FixedCoordinator::new(blocks.len(), 1.0, 0.0, 0);
+    let mut coordinator =
+        FixedCoordinator::for_job(&input.splits(), &config).expect("precise default config");
     let session = JobSession::new(JobId(1));
     let (secs, result) = timed(|| {
         run_job_process(

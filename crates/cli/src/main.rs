@@ -79,9 +79,6 @@ USAGE:
         --blocks N           map tasks per job (default 32)
         --entries N          records per map (default 800)
         --p99-target SECS    admission p99 latency target (default 0.4)
-        --controller MODE    admission feedback law: slo (default, the
-                             SLO-driven dual controller) or aimd (the
-                             legacy additive-increase loop)
         --slo-bound B        accuracy SLO: worst relative interval
                              half-width the controller holds (e.g. 0.05);
                              omit for latency-only control
@@ -117,9 +114,8 @@ USAGE:
       it hill-climbs the offered arrival rate (double until the SLO
       breaks, then binary refinement) to the maximum sustainable TPS
       at the stated SLO, detects underpowered-generator saturation,
-      measures the SLO and AIMD controllers at the knee with the same
-      seeds, and prints a SaturationReport as JSON (exit 2 if no
-      stable operating point exists).
+      and prints a SaturationReport as JSON (exit 2 if no stable
+      operating point exists).
       search options:
         --slo-p99 SECS       latency SLO held during the search
                              (default: --p99-target)
@@ -131,7 +127,6 @@ USAGE:
         --max-steps N        step budget (default 12)
         --precision F        stop once the bracket narrows to this
                              fraction of the knee (default 0.15)
-        --no-knee-compare    skip the at-the-knee SLO-vs-AIMD phase
         --smoke              seconds-scale search for CI (tiny jobs,
                              6 jobs/step, 7 steps)
 ";

@@ -141,14 +141,6 @@ fn backend(args: &Args) -> Result<Backend, UsageError> {
     }
 }
 
-/// `--controller aimd|slo` (default: the SLO-driven dual controller).
-fn controller_mode(args: &Args) -> Result<approxhadoop_server::ControllerMode, UsageError> {
-    args.get("controller")
-        .unwrap_or("slo")
-        .parse()
-        .map_err(UsageError)
-}
-
 /// `--slo-bound B`: the accuracy half of the SLO (worst relative
 /// interval half-width), e.g. `0.05` for ±5%.
 fn slo_bound(args: &Args) -> Result<Option<f64>, UsageError> {
@@ -237,18 +229,12 @@ fn run_join(
     use approxhadoop_runtime::control::DatasetRatios;
     use approxhadoop_workloads::join;
 
-    let ratios = match spec {
-        ApproxSpec::Precise => DatasetRatios::precise(),
-        ApproxSpec::Ratios {
-            drop_ratio,
-            sampling_ratio,
-        } => DatasetRatios {
-            sampling_ratio,
-            drop_ratio,
-        },
-        ApproxSpec::Target { .. } => {
-            return Err(UsageError("join supports --drop/--sample only".into()))
-        }
+    let (drop_ratio, sampling_ratio) = spec
+        .fixed_ratios()
+        .ok_or_else(|| UsageError("join supports --drop/--sample only".into()))?;
+    let ratios = DatasetRatios {
+        sampling_ratio,
+        drop_ratio,
     };
     let seed = args.get_parsed("seed", 0u64)?;
     let sc = scale(args)?;
@@ -407,18 +393,9 @@ pub fn run_app(args: &Args) -> Result<(), UsageError> {
             top,
         ),
         "mentions-per-paragraph" => {
-            let (drop, sample) = match spec {
-                ApproxSpec::Precise => (0.0, 1.0),
-                ApproxSpec::Ratios {
-                    drop_ratio,
-                    sampling_ratio,
-                } => (drop_ratio, sampling_ratio),
-                ApproxSpec::Target { .. } => {
-                    return Err(UsageError(
-                        "mentions-per-paragraph supports --drop/--sample only".into(),
-                    ))
-                }
-            };
+            let (drop, sample) = spec.fixed_ratios().ok_or_else(|| {
+                UsageError("mentions-per-paragraph supports --drop/--sample only".into())
+            })?;
             let r = apps::mentions_per_paragraph(&dump, drop, sample, config).map_err(fail)?;
             print_outputs(&r, top);
         }
@@ -455,13 +432,9 @@ pub fn run_app(args: &Args) -> Result<(), UsageError> {
             );
         }
         "kmeans" => {
-            let sample = match spec {
-                ApproxSpec::Precise => 1.0,
-                ApproxSpec::Ratios { sampling_ratio, .. } => sampling_ratio,
-                ApproxSpec::Target { .. } => {
-                    return Err(UsageError("kmeans supports --sample only".into()))
-                }
-            };
+            let (_, sample) = spec
+                .fixed_ratios()
+                .ok_or_else(|| UsageError("kmeans supports --sample only".into()))?;
             let data = DocVectors {
                 points: 10_000 * sc.mult,
                 points_per_block: 2_000,
@@ -597,7 +570,6 @@ pub fn serve(args: &Args) -> Result<(), UsageError> {
     let admission = AdmissionConfig {
         p99_target_secs: p99_target,
         max_relative_bound: slo_bound(args)?,
-        mode: controller_mode(args)?,
         ..Default::default()
     };
     // With sinks the service publishes into the CLI's observability
@@ -776,7 +748,6 @@ pub fn loadtest(args: &Args) -> Result<(), UsageError> {
         min_sampling_ratio: args.get_parsed("min-sample", defaults.min_sampling_ratio)?,
         p99_target_secs: args.get_parsed("p99-target", defaults.p99_target_secs)?,
         max_relative_bound: slo_bound(args)?,
-        mode: controller_mode(args)?,
         seed: args.get_parsed("seed", defaults.seed)?,
         process_workers: match backend(args)? {
             Backend::Threads | Backend::Pool => 0,
@@ -818,7 +789,6 @@ pub fn loadtest(args: &Args) -> Result<(), UsageError> {
             max_steps: args
                 .get_parsed("max-steps", if smoke { 7 } else { sat_defaults.max_steps })?,
             precision: args.get_parsed("precision", sat_defaults.precision)?,
-            compare_at_knee: !args.flag("no-knee-compare"),
         };
         eprintln!(
             "loadtest --find-max-tps: SLO p99<={}s{}; ramp from {}/s, {} jobs/step, {} steps max",

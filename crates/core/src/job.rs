@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use approxhadoop_ipc::Wire;
 use approxhadoop_runtime::engine::{
-    run_job, run_job_process, run_job_with_coordinator, JobConfig, WorkerSpec,
+    run_job, run_job_process, run_job_with_session, JobConfig, JobResult, WorkerSpec,
 };
 use approxhadoop_runtime::input::InputSource;
 use approxhadoop_runtime::metrics::JobMetrics;
 use approxhadoop_runtime::types::Key;
-use approxhadoop_runtime::{FixedCoordinator, JobId, JobSession};
+use approxhadoop_runtime::{Coordinator, FixedCoordinator, JobId, JobSession};
 use approxhadoop_stats::Interval;
 
 use crate::extreme::{Extreme, ExtremeMapper, ExtremeOutput, ExtremeReducer};
@@ -102,109 +102,22 @@ where
         self
     }
 
-    /// Runs the job on `input`.
+    /// Runs the job on `input`, on job-private threads.
     pub fn run<S>(self, input: &S) -> Result<ApproxResult<(K, Interval)>>
     where
         S: InputSource<Item = I>,
     {
-        self.spec.validate()?;
-        let total = input.splits().len();
-        if total == 0 {
-            return Err(CoreError::invalid("input has no splits"));
-        }
-        let confidence = self.spec.confidence();
-        let agg = self.agg;
         let mapper = MultiStageMapper::new(self.map_fn);
-        let mut config = self.config;
-        let distinct_sink: crate::multistage::DistinctSink =
-            Arc::new(parking_lot::Mutex::new(vec![None; config.reduce_tasks]));
-
-        let job = match self.spec {
-            ApproxSpec::Precise => {
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                    },
-                    config,
-                )?
-            }
-            ApproxSpec::Ratios {
-                drop_ratio,
-                sampling_ratio,
-            } => {
-                config.sampling_ratio = sampling_ratio;
-                config.drop_ratio = drop_ratio;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                    },
-                    config,
-                )?
-            }
-            ApproxSpec::Target {
-                target,
-                confidence,
-                pilot,
-            } => {
-                let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
-                let mut coordinator = TargetErrorCoordinator::new(
-                    total,
-                    target,
-                    confidence,
-                    config.map_slots,
-                    pilot,
-                    Arc::clone(&shared),
-                );
-                let report_absolute = matches!(target, ErrorTarget::Absolute(_));
-                let check_every = (total / 50).max(1);
-                let freeze_threshold = Some(match target {
-                    ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-                });
-                let min_maps_before_freeze = coordinator.wave1_count();
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job_with_coordinator(
-                    input,
-                    &mapper,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                            .with_monitor(BoundMonitor {
-                                shared: Arc::clone(&shared),
-                                report_absolute,
-                                check_every,
-                                freeze_threshold,
-                                min_maps_before_freeze,
-                            })
-                    },
-                    config,
-                    &mut coordinator,
-                )?
-            }
-        };
-        let mut outputs = job.outputs;
-        outputs.sort_by(|a, b| a.0.cmp(&b.0));
-        // Keys are hash-partitioned: the global distinct-key estimate is
-        // the sum over reducer partitions (all must have reported).
-        let slots = distinct_sink.lock();
-        let distinct_keys_estimate = if slots.iter().all(|s| s.is_some()) {
-            Some(slots.iter().map(|s| s.unwrap_or(0.0)).sum())
-        } else {
-            None
-        };
-        Ok(ApproxResult {
-            outputs,
-            metrics: job.metrics,
-            distinct_keys_estimate,
-        })
+        run_aggregation(
+            self.agg,
+            self.spec,
+            self.config,
+            input,
+            |make_reducer, config, coordinator| {
+                let session = JobSession::new(JobId(0));
+                run_job_with_session(input, &mapper, make_reducer, config, coordinator, &session)
+            },
+        )
     }
 
     /// Runs the job on the **process backend**: map attempts execute in
@@ -227,99 +140,105 @@ where
         I: Wire,
         K: Wire,
     {
-        self.spec.validate()?;
-        let total = input.splits().len();
-        if total == 0 {
-            return Err(CoreError::invalid("input has no splits"));
-        }
-        let confidence = self.spec.confidence();
-        let agg = self.agg;
-        let mut config = self.config;
-        let distinct_sink: crate::multistage::DistinctSink =
-            Arc::new(parking_lot::Mutex::new(vec![None; config.reduce_tasks]));
-        let session = JobSession::new(JobId(0));
-
-        let job = match self.spec {
-            ApproxSpec::Precise | ApproxSpec::Ratios { .. } => {
-                let (drop_ratio, sampling_ratio) = match self.spec {
-                    ApproxSpec::Ratios {
-                        drop_ratio,
-                        sampling_ratio,
-                    } => (drop_ratio, sampling_ratio),
-                    _ => (0.0, 1.0),
-                };
-                config.sampling_ratio = sampling_ratio;
-                config.drop_ratio = drop_ratio;
-                let mut coordinator =
-                    FixedCoordinator::new(total, sampling_ratio, drop_ratio, config.seed);
-                run_job_process(
-                    input,
-                    worker,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                    },
-                    config,
-                    &mut coordinator,
-                    &session,
-                )?
-            }
-            ApproxSpec::Target {
-                target,
-                confidence,
-                pilot,
-            } => {
-                let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
-                let mut coordinator = TargetErrorCoordinator::new(
-                    total,
-                    target,
-                    confidence,
-                    config.map_slots,
-                    pilot,
-                    Arc::clone(&shared),
-                );
-                let report_absolute = matches!(target, ErrorTarget::Absolute(_));
-                let check_every = (total / 50).max(1);
-                let freeze_threshold = Some(match target {
-                    ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-                });
-                let min_maps_before_freeze = coordinator.wave1_count();
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job_process(
-                    input,
-                    worker,
-                    |_| {
-                        MultiStageReducer::<K>::new(agg, confidence)
-                            .with_distinct_sink(Arc::clone(&distinct_sink))
-                            .with_monitor(BoundMonitor {
-                                shared: Arc::clone(&shared),
-                                report_absolute,
-                                check_every,
-                                freeze_threshold,
-                                min_maps_before_freeze,
-                            })
-                    },
-                    config,
-                    &mut coordinator,
-                    &session,
-                )?
-            }
-        };
-        let mut outputs = job.outputs;
-        outputs.sort_by(|a, b| a.0.cmp(&b.0));
-        let slots = distinct_sink.lock();
-        let distinct_keys_estimate = if slots.iter().all(|s| s.is_some()) {
-            Some(slots.iter().map(|s| s.unwrap_or(0.0)).sum())
-        } else {
-            None
-        };
-        Ok(ApproxResult {
-            outputs,
-            metrics: job.metrics,
-            distinct_keys_estimate,
-        })
+        run_aggregation(
+            self.agg,
+            self.spec,
+            self.config,
+            input,
+            |make_reducer, config, coordinator| {
+                let session = JobSession::new(JobId(0));
+                run_job_process(input, worker, make_reducer, config, coordinator, &session)
+            },
+        )
     }
+}
+
+/// The reducer factory [`run_aggregation`] hands to its engine call.
+type MakeReducer<'a, K> = dyn Fn(usize) -> MultiStageReducer<K> + Sync + 'a;
+
+/// The one body behind [`AggregationJob::run`] and
+/// [`AggregationJob::run_on_workers`]: validates the spec, builds the
+/// policy it names (fixed ratios, or the target-error controller with
+/// its reduce-side bound monitor), lets `engine` run the job on whichever
+/// backend the caller chose, and assembles the sorted result.
+fn run_aggregation<S, K, E>(
+    agg: Aggregation,
+    spec: ApproxSpec,
+    mut config: JobConfig,
+    input: &S,
+    engine: E,
+) -> Result<ApproxResult<(K, Interval)>>
+where
+    S: InputSource,
+    K: Key,
+    E: FnOnce(
+        &MakeReducer<'_, K>,
+        JobConfig,
+        &mut dyn Coordinator,
+    ) -> approxhadoop_runtime::Result<JobResult<(K, Interval)>>,
+{
+    spec.validate()?;
+    let splits = input.splits();
+    let total = splits.len();
+    if total == 0 {
+        return Err(CoreError::invalid("input has no splits"));
+    }
+    let confidence = spec.confidence();
+    let distinct_sink: crate::multistage::DistinctSink =
+        Arc::new(parking_lot::Mutex::new(vec![None; config.reduce_tasks]));
+    let base_reducer = || {
+        MultiStageReducer::<K>::new(agg, confidence).with_distinct_sink(Arc::clone(&distinct_sink))
+    };
+    (config.drop_ratio, config.sampling_ratio) = spec.fixed_ratios().unwrap_or((0.0, 1.0));
+
+    let job = if let ApproxSpec::Target { target, pilot, .. } = spec {
+        let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
+        let mut coordinator = TargetErrorCoordinator::new(
+            total,
+            target,
+            confidence,
+            config.map_slots,
+            pilot,
+            Arc::clone(&shared),
+        );
+        let report_absolute = matches!(target, ErrorTarget::Absolute(_));
+        let check_every = (total / 50).max(1);
+        let freeze_threshold = Some(match target {
+            ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
+        });
+        let min_maps_before_freeze = coordinator.wave1_count();
+        engine(
+            &|_| {
+                base_reducer().with_monitor(BoundMonitor {
+                    shared: Arc::clone(&shared),
+                    report_absolute,
+                    check_every,
+                    freeze_threshold,
+                    min_maps_before_freeze,
+                })
+            },
+            config,
+            &mut coordinator,
+        )?
+    } else {
+        let mut coordinator = FixedCoordinator::for_job(&splits, &config)?;
+        engine(&|_| base_reducer(), config, &mut coordinator)?
+    };
+    let mut outputs = job.outputs;
+    outputs.sort_by(|a, b| a.0.cmp(&b.0));
+    // Keys are hash-partitioned: the global distinct-key estimate is
+    // the sum over reducer partitions (all must have reported).
+    let slots = distinct_sink.lock();
+    let distinct_keys_estimate = if slots.iter().all(|s| s.is_some()) {
+        Some(slots.iter().map(|s| s.unwrap_or(0.0)).sum())
+    } else {
+        None
+    };
+    Ok(ApproxResult {
+        outputs,
+        metrics: job.metrics,
+        distinct_keys_estimate,
+    })
 }
 
 /// Builder for extreme-value jobs (min / max) with GEV error bounds.
@@ -408,55 +327,34 @@ where
         let mapper = ExtremeMapper::new(kind, self.map_fn);
         let mut config = self.config;
         config.reduce_tasks = 1;
-
-        let job = match self.spec {
-            ApproxSpec::Precise => {
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| ExtremeReducer::new(kind, 0.95).with_percentile(percentile),
-                    config,
-                )?
-            }
-            ApproxSpec::Ratios {
-                drop_ratio,
-                sampling_ratio,
-            } => {
-                config.sampling_ratio = sampling_ratio;
-                config.drop_ratio = drop_ratio;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| ExtremeReducer::new(kind, 0.95).with_percentile(percentile),
-                    config,
-                )?
-            }
+        // A target job schedules every map; its reducer stops the job
+        // once the GEV interval meets the target.
+        (config.drop_ratio, config.sampling_ratio) = self.spec.fixed_ratios().unwrap_or((0.0, 1.0));
+        let target = match self.spec {
             ApproxSpec::Target {
-                target,
-                confidence,
-                pilot: _,
-            } => {
-                let ErrorTarget::Relative(rel) = target else {
-                    return Err(CoreError::invalid(
-                        "extreme-value jobs support relative targets only",
-                    ));
-                };
-                config.sampling_ratio = 1.0;
-                config.drop_ratio = 0.0;
-                run_job(
-                    input,
-                    &mapper,
-                    |_| {
-                        ExtremeReducer::new(kind, confidence)
-                            .with_percentile(percentile)
-                            .with_target(rel)
-                    },
-                    config,
-                )?
+                target: ErrorTarget::Relative(rel),
+                ..
+            } => Some(rel),
+            ApproxSpec::Target { .. } => {
+                return Err(CoreError::invalid(
+                    "extreme-value jobs support relative targets only",
+                ))
             }
+            _ => None,
         };
+        let confidence = self.spec.confidence();
+        let job = run_job(
+            input,
+            &mapper,
+            |_| {
+                let reducer = ExtremeReducer::new(kind, confidence).with_percentile(percentile);
+                match target {
+                    Some(rel) => reducer.with_target(rel),
+                    None => reducer,
+                }
+            },
+            config,
+        )?;
         Ok(ApproxResult {
             outputs: job.outputs,
             metrics: job.metrics,
@@ -531,17 +429,10 @@ where
         let confidence = self.spec.confidence();
         let mapper = crate::ratio::RatioMapper::new(self.map_fn);
         let mut config = self.config;
-        let (drop_ratio, sampling_ratio) = match self.spec {
-            ApproxSpec::Precise => (0.0, 1.0),
-            ApproxSpec::Ratios {
-                drop_ratio,
-                sampling_ratio,
-            } => (drop_ratio, sampling_ratio),
-            ApproxSpec::Target { .. } => {
-                return Err(CoreError::invalid(
-                    "ratio jobs support Precise and Ratios specs only",
-                ))
-            }
+        let Some((drop_ratio, sampling_ratio)) = self.spec.fixed_ratios() else {
+            return Err(CoreError::invalid(
+                "ratio jobs support Precise and Ratios specs only",
+            ));
         };
         config.drop_ratio = drop_ratio;
         config.sampling_ratio = sampling_ratio;

@@ -129,6 +129,22 @@ impl ApproxSpec {
         }
     }
 
+    /// The `(drop_ratio, sampling_ratio)` pair a fixed-ratio job runs
+    /// at: the user's for [`ApproxSpec::Ratios`], `(0.0, 1.0)` for
+    /// [`ApproxSpec::Precise`]. `None` for [`ApproxSpec::Target`], where
+    /// the controller picks the ratios while the job runs (and the
+    /// engine configuration stays precise).
+    pub fn fixed_ratios(&self) -> Option<(f64, f64)> {
+        match *self {
+            ApproxSpec::Precise => Some((0.0, 1.0)),
+            ApproxSpec::Ratios {
+                drop_ratio,
+                sampling_ratio,
+            } => Some((drop_ratio, sampling_ratio)),
+            ApproxSpec::Target { .. } => None,
+        }
+    }
+
     /// Validates every field.
     pub fn validate(&self) -> Result<()> {
         match self {
@@ -229,6 +245,16 @@ mod tests {
     #[should_panic]
     fn with_pilot_requires_target() {
         let _ = ApproxSpec::Precise.with_pilot(PilotSpec::default());
+    }
+
+    #[test]
+    fn fixed_ratios_per_mode() {
+        assert_eq!(ApproxSpec::Precise.fixed_ratios(), Some((0.0, 1.0)));
+        assert_eq!(
+            ApproxSpec::ratios(0.25, 0.1).fixed_ratios(),
+            Some((0.25, 0.1))
+        );
+        assert_eq!(ApproxSpec::target(0.01, 0.95).fixed_ratios(), None);
     }
 
     #[test]

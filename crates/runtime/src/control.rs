@@ -17,6 +17,7 @@ use rand::SeedableRng;
 
 use approxhadoop_stats::sampling::choose_indices;
 
+use crate::engine::JobConfig;
 use crate::input::SplitMeta;
 use crate::metrics::MapStats;
 use crate::types::TaskId;
@@ -131,62 +132,6 @@ pub trait Coordinator: Send {
     }
 }
 
-/// The default policy: a fixed sampling ratio for every task plus an
-/// exact fraction of randomly pre-selected dropped tasks — the paper's
-/// "user-specified dropping/sampling ratios" mode.
-#[derive(Debug, Clone)]
-pub struct FixedCoordinator {
-    sampling_ratio: f64,
-    dropped: Vec<bool>,
-}
-
-impl FixedCoordinator {
-    /// Creates a policy for `total_tasks` tasks that drops
-    /// `floor(drop_ratio · total)` random tasks and samples the rest at
-    /// `sampling_ratio`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < sampling_ratio <= 1` and `0 <= drop_ratio < 1`.
-    pub fn new(total_tasks: usize, sampling_ratio: f64, drop_ratio: f64, seed: u64) -> Self {
-        assert!(
-            sampling_ratio > 0.0 && sampling_ratio <= 1.0,
-            "sampling_ratio must lie in (0, 1], got {sampling_ratio}"
-        );
-        assert!(
-            (0.0..1.0).contains(&drop_ratio),
-            "drop_ratio must lie in [0, 1), got {drop_ratio}"
-        );
-        let mut dropped = vec![false; total_tasks];
-        let k = (drop_ratio * total_tasks as f64).floor() as usize;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xD20F_F00D);
-        for i in choose_indices(&mut rng, total_tasks, k) {
-            dropped[i] = true;
-        }
-        FixedCoordinator {
-            sampling_ratio,
-            dropped,
-        }
-    }
-
-    /// The number of tasks this policy will drop.
-    pub fn planned_drops(&self) -> usize {
-        self.dropped.iter().filter(|&&d| d).count()
-    }
-}
-
-impl Coordinator for FixedCoordinator {
-    fn directive(&mut self, task: TaskId, _meta: &SplitMeta) -> MapDirective {
-        if self.dropped.get(task.0).copied().unwrap_or(false) {
-            MapDirective::Drop
-        } else {
-            MapDirective::Run {
-                sampling_ratio: self.sampling_ratio,
-            }
-        }
-    }
-}
-
 /// Per-dataset approximation ratios of a multi-input job: dataset `d`
 /// runs with `datasets[d]`'s sampling/drop ratios, independent of every
 /// other dataset. A join can sample its fact table aggressively while
@@ -227,67 +172,111 @@ impl DatasetRatios {
     }
 }
 
-/// [`FixedCoordinator`]'s multi-input sibling: per-dataset fixed ratios,
-/// with the exact-count drop selection performed **within each dataset's
-/// own task set**. Dropping `floor(drop_ratio_d · N_d)` clusters of
-/// dataset `d` — never of a co-scheduled dataset — is what keeps the
-/// per-dataset `N_d (N_d - n_d)` variance terms (Eq. 1–3) and
-/// degrade-to-drop accounting honest when a job reads several inputs.
+/// The fixed policy — the paper's "user-specified dropping/sampling
+/// ratios" mode: every task runs at a sampling ratio decided up front,
+/// except an exact fraction of randomly pre-selected tasks, which drop.
+///
+/// A multi-input job carries one ratio pair per dataset, and the
+/// exact-count drop selection happens **within each dataset's own task
+/// set**. Dropping `floor(drop_ratio_d · N_d)` clusters of dataset `d` —
+/// never of a co-scheduled dataset — is what keeps the per-dataset
+/// `N_d (N_d - n_d)` variance terms (Eq. 1–3) and degrade-to-drop
+/// accounting honest when a job reads several inputs.
 #[derive(Debug, Clone)]
-pub struct DatasetFixedCoordinator {
+pub struct FixedCoordinator {
     /// Per-task sampling ratio (indexed by global task id).
     sampling_ratios: Vec<f64>,
     /// Per-task drop flag (indexed by global task id).
     dropped: Vec<bool>,
 }
 
-impl DatasetFixedCoordinator {
-    /// Builds the policy from the job's split table and per-dataset
-    /// ratios; `ratios[d]` governs every split tagged
-    /// [`DatasetId`](crate::input::DatasetId)`(d)`.
+impl FixedCoordinator {
+    /// Creates a single-input policy for `total_tasks` tasks that drops
+    /// `floor(drop_ratio · total)` random tasks and samples the rest at
+    /// `sampling_ratio`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < sampling_ratio <= 1` and `0 <= drop_ratio < 1`.
+    pub fn new(total_tasks: usize, sampling_ratio: f64, drop_ratio: f64, seed: u64) -> Self {
+        let ratios = DatasetRatios {
+            sampling_ratio,
+            drop_ratio,
+        };
+        Self::single_input(total_tasks, ratios, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the policy a job's configuration asks for, over the job's
+    /// split table. With `config.datasets` empty the job is single-input:
+    /// the job-wide `sampling_ratio`/`drop_ratio` pair governs every
+    /// split, exactly as [`FixedCoordinator::new`] would. Otherwise
+    /// `config.datasets[d]` governs every split tagged
+    /// [`DatasetId`](crate::input::DatasetId)`(d)`, each dataset drawing
+    /// its drops from its own seed stream.
+    ///
     /// Rejects (rather than panics on) out-of-range ratios and splits
-    /// referring to datasets missing from the table, so a malformed
-    /// multi-input spec fails the job cleanly.
-    pub fn new(splits: &[SplitMeta], ratios: &[DatasetRatios], seed: u64) -> crate::Result<Self> {
-        for r in ratios {
-            r.validate()?;
+    /// referring to datasets missing from the table, so a malformed spec
+    /// fails the job cleanly.
+    pub fn for_job(splits: &[SplitMeta], config: &JobConfig) -> crate::Result<Self> {
+        if config.datasets.is_empty() {
+            let ratios = DatasetRatios {
+                sampling_ratio: config.sampling_ratio,
+                drop_ratio: config.drop_ratio,
+            };
+            return Self::single_input(splits.len(), ratios, config.seed);
         }
-        let mut per_dataset: Vec<Vec<usize>> = vec![Vec::new(); ratios.len()];
+        let mut policy = Self::precise(splits.len());
+        let mut per_dataset: Vec<Vec<usize>> = vec![Vec::new(); config.datasets.len()];
         for s in splits {
-            let d = s.dataset.0 as usize;
-            let Some(tasks) = per_dataset.get_mut(d) else {
+            let Some(tasks) = per_dataset.get_mut(s.dataset.0 as usize) else {
                 return Err(RuntimeError::invalid(format!(
                     "split {} is tagged {}, but the job declares only {} dataset(s)",
                     s.index,
                     s.dataset,
-                    ratios.len()
+                    config.datasets.len()
                 )));
             };
             tasks.push(s.index);
         }
-        let mut sampling_ratios = vec![1.0; splits.len()];
-        let mut dropped = vec![false; splits.len()];
         for (d, tasks) in per_dataset.iter().enumerate() {
-            let r = ratios[d];
-            for &t in tasks {
-                sampling_ratios[t] = r.sampling_ratio;
-            }
-            // Independent drop draw per dataset: the same xor-mixed seed
-            // family as FixedCoordinator, further mixed with the dataset
+            // The single-input seed family, further mixed with the dataset
             // id so each dataset's selection is its own deterministic
             // stream.
-            let k = (r.drop_ratio * tasks.len() as f64).floor() as usize;
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ 0xD20F_F00D ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            for i in choose_indices(&mut rng, tasks.len(), k) {
-                dropped[tasks[i]] = true;
-            }
+            let stream = (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            policy.assign(tasks, config.datasets[d], config.seed ^ stream)?;
         }
-        Ok(DatasetFixedCoordinator {
-            sampling_ratios,
-            dropped,
-        })
+        Ok(policy)
+    }
+
+    /// One implicit dataset spanning every task.
+    fn single_input(total_tasks: usize, ratios: DatasetRatios, seed: u64) -> crate::Result<Self> {
+        let mut policy = Self::precise(total_tasks);
+        let all: Vec<usize> = (0..total_tasks).collect();
+        policy.assign(&all, ratios, seed)?;
+        Ok(policy)
+    }
+
+    fn precise(total_tasks: usize) -> Self {
+        FixedCoordinator {
+            sampling_ratios: vec![1.0; total_tasks],
+            dropped: vec![false; total_tasks],
+        }
+    }
+
+    /// Applies `ratios` to `tasks`: all of them sample at the given
+    /// ratio and an exact `floor(drop_ratio · tasks.len())` of them,
+    /// drawn from `seed`'s stream, drop.
+    fn assign(&mut self, tasks: &[usize], ratios: DatasetRatios, seed: u64) -> crate::Result<()> {
+        ratios.validate()?;
+        for &t in tasks {
+            self.sampling_ratios[t] = ratios.sampling_ratio;
+        }
+        let k = (ratios.drop_ratio * tasks.len() as f64).floor() as usize;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD20F_F00D);
+        for i in choose_indices(&mut rng, tasks.len(), k) {
+            self.dropped[tasks[i]] = true;
+        }
+        Ok(())
     }
 
     /// The number of tasks this policy will drop, across all datasets.
@@ -296,7 +285,7 @@ impl DatasetFixedCoordinator {
     }
 }
 
-impl Coordinator for DatasetFixedCoordinator {
+impl Coordinator for FixedCoordinator {
     fn directive(&mut self, task: TaskId, _meta: &SplitMeta) -> MapDirective {
         if self.dropped.get(task.0).copied().unwrap_or(false) {
             MapDirective::Drop
@@ -436,6 +425,15 @@ mod tests {
         FixedCoordinator::new(10, 1.0, 1.0, 1);
     }
 
+    /// The job configuration of a multi-input job with these ratios.
+    fn tagged_config(ratios: &[DatasetRatios], seed: u64) -> JobConfig {
+        JobConfig {
+            datasets: ratios.to_vec(),
+            seed,
+            ..Default::default()
+        }
+    }
+
     fn tagged_splits(counts: &[usize]) -> Vec<SplitMeta> {
         let mut splits = Vec::new();
         for (d, &n) in counts.iter().enumerate() {
@@ -462,7 +460,7 @@ mod tests {
             },
             DatasetRatios::precise(),
         ];
-        let mut c = DatasetFixedCoordinator::new(&splits, &ratios, 7).unwrap();
+        let mut c = FixedCoordinator::for_job(&splits, &tagged_config(&ratios, 7)).unwrap();
         assert_eq!(c.planned_drops(), 20, "half of dataset 0 only");
         let mut drops_by_dataset = [0usize; 2];
         for s in &splits {
@@ -496,7 +494,7 @@ mod tests {
             },
         ];
         let pick = |seed| {
-            let mut c = DatasetFixedCoordinator::new(&splits, &ratios, seed).unwrap();
+            let mut c = FixedCoordinator::for_job(&splits, &tagged_config(&ratios, seed)).unwrap();
             splits
                 .iter()
                 .map(|s| matches!(c.directive(TaskId(s.index), s), MapDirective::Drop))
@@ -515,7 +513,7 @@ mod tests {
         let splits = tagged_splits(&[4, 4]);
         // Split tagged beyond the declared dataset table.
         assert!(matches!(
-            DatasetFixedCoordinator::new(&splits, &[DatasetRatios::precise()], 0),
+            FixedCoordinator::for_job(&splits, &tagged_config(&[DatasetRatios::precise()], 0)),
             Err(RuntimeError::InvalidJob { .. })
         ));
         // Out-of-range ratios.
@@ -529,7 +527,65 @@ mod tests {
                 drop_ratio: 1.0,
             },
         ] {
-            assert!(DatasetFixedCoordinator::new(&splits, &[bad, bad], 0).is_err());
+            assert!(FixedCoordinator::for_job(&splits, &tagged_config(&[bad, bad], 0)).is_err());
+        }
+    }
+
+    /// Indices `policy` drops over `splits`.
+    fn dropped_tasks(mut policy: FixedCoordinator, splits: &[SplitMeta]) -> Vec<usize> {
+        splits
+            .iter()
+            .filter(|s| matches!(policy.directive(TaskId(s.index), s), MapDirective::Drop))
+            .map(|s| s.index)
+            .collect()
+    }
+
+    /// Drop sets at drop ratio 0.25 captured from the two coordinator
+    /// types this one replaced (a single-input one and a per-dataset
+    /// one): a job's seed must keep selecting the same clusters, or
+    /// every recorded result shifts.
+    #[test]
+    fn drop_sets_match_the_pre_unification_goldens() {
+        #[rustfmt::skip]
+        let golden: [(u64, [&[usize]; 3]); 3] = [
+            (0, [
+                &[6, 9, 10, 17, 19],
+                &[6, 10, 13, 16, 17, 18, 26, 30, 31, 33, 34, 44, 47, 52, 53, 61, 67, 72, 74, 78, 82],
+                &[6, 14, 16, 25, 29, 30, 32, 33, 38, 40, 45, 49, 56, 57, 63, 65, 66, 69, 72, 77, 82, 84],
+            ]),
+            (7, [
+                &[0, 4, 7, 9, 16],
+                &[4, 8, 12, 13, 17, 22, 24, 30, 36, 45, 47, 49, 51, 55, 57, 59, 61, 66, 71, 72, 75],
+                &[3, 6, 15, 21, 22, 23, 27, 31, 32, 40, 44, 54, 55, 57, 58, 60, 62, 66, 76, 79, 81, 85],
+            ]),
+            (42, [
+                &[1, 3, 7, 8, 11],
+                &[1, 8, 9, 11, 14, 17, 18, 20, 23, 32, 42, 43, 59, 61, 68, 69, 71, 79, 80, 82, 83],
+                &[0, 10, 21, 24, 25, 27, 29, 35, 39, 45, 48, 50, 55, 58, 61, 63, 65, 66, 72, 74, 82, 87],
+            ]),
+        ];
+        let ratios = DatasetRatios {
+            sampling_ratio: 0.5,
+            drop_ratio: 0.25,
+        };
+        for (seed, [single_20, single_84, two_datasets]) in golden {
+            for (tasks, expect) in [(20, single_20), (84, single_84)] {
+                let splits = tagged_splits(&[tasks]);
+                let config = JobConfig {
+                    sampling_ratio: ratios.sampling_ratio,
+                    drop_ratio: ratios.drop_ratio,
+                    seed,
+                    ..Default::default()
+                };
+                let via_config = FixedCoordinator::for_job(&splits, &config).unwrap();
+                assert_eq!(dropped_tasks(via_config, &splits), expect, "seed {seed}");
+                let direct = FixedCoordinator::new(tasks, 0.5, 0.25, seed);
+                assert_eq!(dropped_tasks(direct, &splits), expect, "seed {seed}");
+            }
+            let splits = tagged_splits(&[84, 4]);
+            let tagged =
+                FixedCoordinator::for_job(&splits, &tagged_config(&[ratios; 2], seed)).unwrap();
+            assert_eq!(dropped_tasks(tagged, &splits), two_datasets, "seed {seed}");
         }
     }
 }

@@ -209,7 +209,6 @@ where
 /// Runs a job on job-private scoped threads: spawns reducers and task
 /// trackers, drives the [`JobTracker`] against a [`ScopedExecutor`],
 /// then joins everything and finalises.
-#[allow(clippy::too_many_arguments)] // internal driver: job + session + obs identity
 pub(crate) fn run_scoped<S, M, R, FR>(
     input: &S,
     mapper: &M,
@@ -218,8 +217,6 @@ pub(crate) fn run_scoped<S, M, R, FR>(
     coordinator: &mut dyn Coordinator,
     session: &JobSession,
     clock: &dyn Clock,
-    obs_pid: u64,
-    obs_label: &str,
 ) -> Result<JobResult<R::Output>>
 where
     S: InputSource,
@@ -251,6 +248,7 @@ where
     let make_reducer = &make_reducer;
     let splits = &splits;
     let config = &config;
+    let label = session.job.to_string();
     let scope_result = crossbeam::thread::scope(|s| {
         // ---- reduce tasks ----
         let mut reducer_handles = Vec::new();
@@ -286,7 +284,15 @@ where
             reducer_txs,
         };
         let mut tracker = JobTracker::new(
-            config, splits, &control, session, clock, topology, start, obs_pid, obs_label,
+            config,
+            splits,
+            &control,
+            session,
+            clock,
+            topology,
+            start,
+            session.job.0 + 2,
+            &label,
         );
         tracker.run_loop(&mut executor, coordinator);
 

@@ -17,8 +17,11 @@
 //! * `clock` — the time source scheduling decisions consult, swapped
 //!   for a fake in deterministic tests.
 //!
-//! The public entry points below are thin wrappers that validate the
-//! [`JobConfig`], pick a backend and hand everything to the tracker.
+//! The public entry points below are thin wrappers, one per backend, all
+//! shaped `(job parts, config, &mut dyn Coordinator, &JobSession)`: they
+//! validate the [`JobConfig`] and hand everything to the tracker. The
+//! approximation policy is a value the caller builds; [`run_job`] is the
+//! convenience that builds the fixed one.
 
 mod attempt;
 mod clock;
@@ -209,8 +212,10 @@ pub struct JobResult<O> {
     pub metrics: JobMetrics,
 }
 
-/// Runs a job with the default fixed-ratio policy derived from
-/// `config.sampling_ratio` / `config.drop_ratio` — the paper's
+/// Runs a job with the fixed policy its configuration asks for
+/// ([`FixedCoordinator::for_job`]: `config.sampling_ratio` /
+/// `config.drop_ratio`, or `config.datasets` for a multi-input job) on
+/// the scoped backend, under a fresh [`JobSession`] — the paper's
 /// "user-specified dropping/sampling ratios" mode.
 pub fn run_job<S, M, R, FR>(
     input: &S,
@@ -225,64 +230,26 @@ where
     FR: Fn(usize) -> R + Sync,
 {
     config.validate()?;
-    let splits = input.splits();
-    if splits.is_empty() {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    if config.datasets.is_empty() {
-        let mut coordinator = FixedCoordinator::new(
-            splits.len(),
-            config.sampling_ratio,
-            config.drop_ratio,
-            config.seed,
-        );
-        run_job_with_coordinator(input, mapper, make_reducer, config, &mut coordinator)
-    } else {
-        // Multi-input job: per-dataset ratios, with drop selection
-        // performed within each dataset's own task set.
-        let mut coordinator =
-            crate::control::DatasetFixedCoordinator::new(&splits, &config.datasets, config.seed)?;
-        run_job_with_coordinator(input, mapper, make_reducer, config, &mut coordinator)
-    }
-}
-
-/// Runs a job under an explicit [`Coordinator`] policy (used by the
-/// target-error-bound controller in `approxhadoop-core`).
-pub fn run_job_with_coordinator<S, M, R, FR>(
-    input: &S,
-    mapper: &M,
-    make_reducer: FR,
-    config: JobConfig,
-    coordinator: &mut dyn Coordinator,
-) -> Result<JobResult<R::Output>>
-where
-    S: InputSource,
-    M: Mapper<Item = S::Item>,
-    R: Reducer<Key = M::Key, Value = M::Value>,
-    FR: Fn(usize) -> R + Sync,
-{
-    config.validate()?;
+    let mut coordinator = FixedCoordinator::for_job(&input.splits(), &config)?;
     let session = JobSession::new(JobId(0));
-    executor::run_scoped(
+    run_job_with_session(
         input,
         mapper,
         make_reducer,
         config,
-        coordinator,
+        &mut coordinator,
         &session,
-        &SystemClock,
-        1,
-        "run_job",
     )
 }
 
-/// Runs a job on the scoped backend under a caller-owned [`JobSession`]:
-/// like [`run_job_with_coordinator`], plus cancellation (the job fails
-/// with [`RuntimeError::Cancelled`]), an optional deadline (remaining
-/// maps are dropped and the job completes **approximately**, flagged via
+/// Runs a job on the scoped backend — job-private task-tracker threads —
+/// under an explicit [`Coordinator`] policy and a caller-owned
+/// [`JobSession`]. The session adds cancellation (the job fails with
+/// [`RuntimeError::Cancelled`]), an optional deadline (remaining maps are
+/// dropped and the job completes **approximately**, flagged via
 /// [`JobMetrics::deadline_hit`]) and a stream of [`JobEvent`] progress
-/// events — the same session semantics [`run_job_on_pool`] offers, on
-/// job-private threads.
+/// events; a caller that wants none of them passes a fresh
+/// `JobSession::new(JobId(0))`.
 ///
 /// [`JobEvent`]: crate::event::JobEvent
 pub fn run_job_with_session<S, M, R, FR>(
@@ -300,7 +267,6 @@ where
     FR: Fn(usize) -> R + Sync,
 {
     config.validate()?;
-    let label = session.job.to_string();
     executor::run_scoped(
         input,
         mapper,
@@ -309,27 +275,19 @@ where
         coordinator,
         session,
         &SystemClock,
-        session.job.0 + 2,
-        &label,
     )
 }
 
 /// Runs a job on a shared [`SlotPool`] instead of job-private
 /// task-tracker threads — the service-mode entry point.
 ///
-/// Differences from [`run_job_with_coordinator`]:
+/// Same coordinator and session semantics as [`run_job_with_session`],
+/// with these differences:
 ///
 /// * map attempts execute on `pool` slots shared with other concurrent
 ///   jobs, queued under `tenant` for weighted fair sharing; the job's
 ///   own `config.map_slots` caps *its* attempts in flight, while the
 ///   pool caps how many actually run at once across all jobs;
-/// * the per-job handle in `session` adds cancellation (job fails with
-///   [`RuntimeError::Cancelled`]), a deadline (remaining maps are
-///   dropped and the job completes **approximately**, flagged via
-///   [`JobMetrics::deadline_hit`]) and a stream of
-///   [`JobEvent::Wave`](crate::event::JobEvent::Wave) /
-///   [`JobEvent::Estimate`](crate::event::JobEvent::Estimate) progress
-///   events;
 /// * simulated data locality and speculative execution do not apply —
 ///   the pool is one shared cluster, not per-job virtual servers.
 ///

@@ -240,8 +240,6 @@ fn speculative_execution_completes_correctly() {
         &mut coordinator,
         &session,
         &*clock,
-        1,
-        "run_job",
     )
     .unwrap();
     assert_eq!(result.outputs, vec![400]);
@@ -282,8 +280,6 @@ fn cancellation_via_session_aborts_scoped_job() {
         &mut coordinator,
         &session,
         &super::super::clock::SystemClock,
-        1,
-        "run_job",
     );
     assert!(matches!(result, Err(crate::RuntimeError::Cancelled)));
 }

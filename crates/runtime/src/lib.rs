@@ -7,9 +7,9 @@
 //!   block, **in random order** (required by the cluster-sampling
 //!   theory), on a fixed number of map slots. The scheduler is a single
 //!   backend-agnostic state machine; *where* attempts run is a pluggable
-//!   executor — job-private task-tracker threads ([`engine::run_job`],
-//!   [`engine::run_job_with_coordinator`], [`engine::run_job_with_session`]),
-//!   a shared, weighted-fair [`pool::SlotPool`]
+//!   executor — job-private task-tracker threads
+//!   ([`engine::run_job_with_session`], or [`engine::run_job`] for the
+//!   fixed policy under a fresh session), a shared, weighted-fair [`pool::SlotPool`]
 //!   ([`engine::run_job_on_pool`], service mode), or separate worker
 //!   **processes** with a spill-capable shuffle
 //!   ([`engine::run_job_process`], [`engine::process`]);
@@ -91,12 +91,10 @@ pub use combine::{
     CombineTable, Combined, Combiner, FnCombiner, MaxCombiner, MinCombiner, PairSumCombiner,
     SumCombiner,
 };
-pub use control::{
-    Coordinator, DatasetFixedCoordinator, DatasetRatios, FixedCoordinator, JobControl, MapDirective,
-};
+pub use control::{Coordinator, DatasetRatios, FixedCoordinator, JobControl, MapDirective};
 pub use engine::{
-    run_job, run_job_on_pool, run_job_process, run_job_with_coordinator, run_job_with_session,
-    Executor, JobConfig, JobResult, RecvOutcome, WorkItem, WorkerMsg, WorkerSpec,
+    run_job, run_job_on_pool, run_job_process, run_job_with_session, Executor, JobConfig,
+    JobResult, RecvOutcome, WorkItem, WorkerMsg, WorkerSpec,
 };
 pub use error::RuntimeError;
 pub use event::{CancelHandle, JobEvent, JobId, JobSession};

@@ -23,8 +23,7 @@ use approxhadoop_runtime::mapper::{FnMapper, MapTaskContext, MultiMapper, Tagged
 use approxhadoop_runtime::pool::SlotPool;
 use approxhadoop_runtime::reducer::GroupedReducer;
 use approxhadoop_runtime::{
-    DatasetFixedCoordinator, DatasetRatios, FaultPlan, FaultPolicy, FixedCoordinator, JobEvent,
-    JobId, JobSession,
+    DatasetRatios, FaultPlan, FaultPolicy, FixedCoordinator, JobEvent, JobId, JobSession,
 };
 
 /// The worker binary holding this suite's registered jobs, built by
@@ -288,8 +287,13 @@ fn tagged_ratios() -> [DatasetRatios; 2] {
     ]
 }
 
-fn tagged_coordinator(seed: u64) -> DatasetFixedCoordinator {
-    DatasetFixedCoordinator::new(&tagged_input().splits(), &tagged_ratios(), seed).unwrap()
+fn tagged_coordinator(seed: u64) -> FixedCoordinator {
+    let config = JobConfig {
+        datasets: tagged_ratios().to_vec(),
+        seed,
+        ..Default::default()
+    };
+    FixedCoordinator::for_job(&tagged_input().splits(), &config).unwrap()
 }
 
 fn run_tagged_scoped(seed: u64) -> Run {

@@ -10,28 +10,22 @@
 //! degrades a job beyond what its submitter signed up for, and precise
 //! jobs stay precise.
 //!
-//! Two feedback laws are available (see [`ControllerMode`]):
-//!
-//! * **[`ControllerMode::Aimd`]** — the legacy loop: additive increase
-//!   per overloaded observation, multiplicative decrease per healthy
-//!   one. Simple, but blind to *how far* the service is from its goal:
-//!   it sawtooths around the target, shedding degrade the instant one
-//!   observation looks healthy and re-violating a moment later.
-//! * **[`ControllerMode::Slo`]** (default) — a dual controller in the
-//!   style of saturation-seeking load-test controllers: a
-//!   **latency/goodput loop** pushes the degrade factor up
-//!   proportionally to how far p99 sits past the SLO (and on backlog),
-//!   decays it only when there is clear headroom, and *holds* inside
-//!   the band in between — settling at the knee instead of
-//!   oscillating; and a **windowed error loop** tracks the fraction of
-//!   recent jobs that violated the SLO (latency over target, or an
-//!   achieved interval wider than [`AdmissionConfig::max_relative_bound`])
-//!   and both trips the overload detector when the violation rate
-//!   exceeds its tolerance and lowers a *ceiling* on the degrade factor
-//!   when jobs come back with intervals wider than the accuracy SLO.
-//!   The two loops together hold a stated SLO — "p99 ≤ 400ms and worst
-//!   relative interval width ≤ 5%" — by trading approximation budget
-//!   against load in both directions.
+//! The feedback law is a dual controller in the style of
+//! saturation-seeking load-test controllers: a **latency/goodput loop**
+//! pushes the degrade factor up proportionally to how far p99 sits past
+//! the SLO (and on backlog), decays it only when there is clear
+//! headroom, and *holds* inside the band in between — settling at the
+//! knee instead of oscillating; and a **windowed error loop** tracks the
+//! fraction of recent jobs that violated the SLO (latency over target,
+//! or an achieved interval wider than
+//! [`AdmissionConfig::max_relative_bound`]) and both trips the overload
+//! detector when the violation rate exceeds its tolerance and lowers a
+//! *ceiling* on the degrade factor when jobs come back with intervals
+//! wider than the accuracy SLO. The two loops together hold a stated SLO
+//! — "p99 ≤ 400ms and worst relative interval width ≤ 5%" — by trading
+//! approximation budget against load in both directions. (It replaced a
+//! plain AIMD loop on raw p99, which sawtoothed around the target;
+//! EXPERIMENTS.md records the comparison at the knee.)
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -118,30 +112,6 @@ impl ApproxBudget {
     }
 }
 
-/// Which feedback law drives the degrade factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
-pub enum ControllerMode {
-    /// Legacy additive-increase/multiplicative-decrease loop on raw p99
-    /// (kept as the comparison baseline for the load generator).
-    Aimd,
-    /// SLO-driven dual controller: proportional latency loop plus a
-    /// windowed error loop with an accuracy ceiling.
-    #[default]
-    Slo,
-}
-
-impl std::str::FromStr for ControllerMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "aimd" => Ok(ControllerMode::Aimd),
-            "slo" => Ok(ControllerMode::Slo),
-            other => Err(format!("unknown controller mode `{other}` (aimd|slo)")),
-        }
-    }
-}
-
 /// Controller tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
@@ -159,25 +129,22 @@ pub struct AdmissionConfig {
     /// Completed-job latencies kept in the sliding window.
     pub window: usize,
     /// Base additive increase applied to the degrade factor per
-    /// overloaded observation. In [`ControllerMode::Slo`] the step is
-    /// scaled up proportionally to how far p99 sits past the target.
+    /// overloaded observation; the step is scaled up proportionally to
+    /// how far p99 sits past the target.
     pub increase_step: f64,
     /// Multiplicative decrease applied per clear-headroom observation.
     pub decrease_factor: f64,
     /// Fraction of windowed completions allowed over the latency SLO
-    /// before the error loop trips the overload detector
-    /// ([`ControllerMode::Slo`] only).
+    /// before the error loop trips the overload detector.
     pub violation_tolerance: f64,
     /// p99 below `hold_band × p99_target_secs` counts as clear headroom
     /// (degrade decays); between the band and the target the controller
-    /// holds at the knee ([`ControllerMode::Slo`] only).
+    /// holds at the knee.
     pub hold_band: f64,
     /// At most this many recent [`DegradeDecision`]s are retained (ring
     /// buffer); the lifetime total is always available via
     /// [`AdmissionController::decisions_total`].
     pub decisions_cap: usize,
-    /// The feedback law (see [`ControllerMode`]).
-    pub mode: ControllerMode,
     /// Master switch: when `false`, every job is admitted at its base
     /// ratios (the no-controller baseline the load generator compares
     /// against).
@@ -196,7 +163,6 @@ impl Default for AdmissionConfig {
             violation_tolerance: 0.05,
             hold_band: 0.7,
             decisions_cap: 1024,
-            mode: ControllerMode::default(),
             enabled: true,
         }
     }
@@ -277,8 +243,8 @@ struct ControllerState {
     degraded_maps: u64,
 }
 
-/// The feedback loop: records completed-job latencies (and, in SLO
-/// mode, achieved error bounds), compares them against the stated SLO,
+/// The feedback loop: records completed-job latencies and achieved
+/// error bounds, compares them against the stated SLO,
 /// and exposes the degrade factor used at admission.
 #[derive(Debug)]
 pub struct AdmissionController {
@@ -326,7 +292,7 @@ impl AdmissionController {
     /// Records one completed job's end-to-end latency, the pool backlog
     /// observed at completion, and (if the job reported one) its worst
     /// achieved relative interval half-width, then updates the degrade
-    /// factor under the configured [`ControllerMode`].
+    /// factor.
     pub fn on_job_outcome(
         &self,
         latency_secs: f64,
@@ -349,102 +315,73 @@ impl AdmissionController {
         }
         let target = self.config.p99_target_secs;
         let p99 = state.window.percentile(0.99);
-        match self.config.mode {
-            ControllerMode::Aimd => {
-                let overloaded =
-                    p99.is_some_and(|p| p > target) || queue_depth > self.config.queue_threshold;
-                if overloaded {
-                    state.overloaded_observations += 1;
-                    state.degrade = (state.degrade + self.config.increase_step).min(1.0);
-                } else {
-                    state.degrade *= self.config.decrease_factor;
-                    if state.degrade < 1e-3 {
-                        state.degrade = 0.0;
-                    }
-                }
-                if let Some(obs) = &self.obs {
-                    if overloaded {
-                        obs.registry
-                            .counter("admission_overloaded_total", &[])
-                            .inc();
-                    }
-                }
-            }
-            ControllerMode::Slo => {
-                // Error loop, part 1: windowed latency-SLO violation rate.
-                let violated = latency > target;
-                state.violations.push_back(violated);
-                state.violation_count += violated as usize;
-                while state.violations.len() > self.config.window {
-                    let old = state.violations.pop_front().expect("non-empty");
-                    state.violation_count -= old as usize;
-                }
-                let error_rate =
-                    state.violation_count as f64 / state.violations.len().max(1) as f64;
+        // Error loop, part 1: windowed latency-SLO violation rate.
+        let violated = latency > target;
+        state.violations.push_back(violated);
+        state.violation_count += violated as usize;
+        while state.violations.len() > self.config.window {
+            let old = state.violations.pop_front().expect("non-empty");
+            state.violation_count -= old as usize;
+        }
+        let error_rate = state.violation_count as f64 / state.violations.len().max(1) as f64;
 
-                // Error loop, part 2: the accuracy ceiling. An achieved
-                // interval wider than the accuracy SLO means admission
-                // spent more approximation than the SLO allows — pull
-                // the ceiling below the current degrade so the latency
-                // loop has to back off; bounds within the SLO let the
-                // ceiling recover.
-                if let (Some(max_bound), Some(bound)) =
-                    (self.config.max_relative_bound, achieved_bound)
-                {
-                    if bound > max_bound {
-                        state.accuracy_violations += 1;
-                        state.ceiling = (state.ceiling.min(state.degrade) * 0.75).max(0.0);
-                        if let Some(obs) = &self.obs {
-                            obs.registry
-                                .counter("admission_accuracy_violations_total", &[])
-                                .inc();
-                        }
-                    } else {
-                        state.ceiling = (state.ceiling + 0.05).min(1.0);
-                    }
-                }
-
-                // Latency/goodput loop: proportional push past the SLO,
-                // decay only with clear headroom, hold at the knee.
-                let over_target = p99.is_some_and(|p| p > target);
-                let overloaded = over_target
-                    || queue_depth > self.config.queue_threshold
-                    || error_rate > self.config.violation_tolerance;
-                if overloaded {
-                    state.overloaded_observations += 1;
-                    let severity = p99
-                        .map(|p| ((p / target.max(1e-9)) - 1.0).clamp(0.0, 2.0))
-                        .unwrap_or(0.0);
-                    state.degrade += self.config.increase_step * (1.0 + severity);
-                    if let Some(obs) = &self.obs {
-                        obs.registry
-                            .counter("admission_overloaded_total", &[])
-                            .inc();
-                    }
-                } else if p99.is_some_and(|p| p < self.config.hold_band * target)
-                    && error_rate <= self.config.violation_tolerance * 0.5
-                {
-                    state.degrade *= self.config.decrease_factor;
-                } else {
-                    // Near the knee: probe gently downward instead of
-                    // shedding the whole factor and re-violating.
-                    state.degrade *= 0.98;
-                }
-                state.degrade = state.degrade.clamp(0.0, state.ceiling);
-                if state.degrade < 1e-3 {
-                    state.degrade = 0.0;
-                }
+        // Error loop, part 2: the accuracy ceiling. An achieved
+        // interval wider than the accuracy SLO means admission
+        // spent more approximation than the SLO allows — pull
+        // the ceiling below the current degrade so the latency
+        // loop has to back off; bounds within the SLO let the
+        // ceiling recover.
+        if let (Some(max_bound), Some(bound)) = (self.config.max_relative_bound, achieved_bound) {
+            if bound > max_bound {
+                state.accuracy_violations += 1;
+                state.ceiling = (state.ceiling.min(state.degrade) * 0.75).max(0.0);
                 if let Some(obs) = &self.obs {
                     obs.registry
-                        .gauge("admission_error_rate", &[])
-                        .set(error_rate);
-                    obs.registry
-                        .gauge("admission_degrade_ceiling", &[])
-                        .set(state.ceiling);
+                        .counter("admission_accuracy_violations_total", &[])
+                        .inc();
                 }
+            } else {
+                state.ceiling = (state.ceiling + 0.05).min(1.0);
             }
         }
+
+        // Latency/goodput loop: proportional push past the SLO,
+        // decay only with clear headroom, hold at the knee.
+        let over_target = p99.is_some_and(|p| p > target);
+        let overloaded = over_target
+            || queue_depth > self.config.queue_threshold
+            || error_rate > self.config.violation_tolerance;
+        if overloaded {
+            state.overloaded_observations += 1;
+            let severity = p99
+                .map(|p| ((p / target.max(1e-9)) - 1.0).clamp(0.0, 2.0))
+                .unwrap_or(0.0);
+            state.degrade += self.config.increase_step * (1.0 + severity);
+            if let Some(obs) = &self.obs {
+                obs.registry
+                    .counter("admission_overloaded_total", &[])
+                    .inc();
+            }
+        } else if p99.is_some_and(|p| p < self.config.hold_band * target)
+            && error_rate <= self.config.violation_tolerance * 0.5
+        {
+            state.degrade *= self.config.decrease_factor;
+        } else {
+            // Near the knee: probe gently downward instead of
+            // shedding the whole factor and re-violating.
+            state.degrade *= 0.98;
+        }
+        state.degrade = state.degrade.clamp(0.0, state.ceiling);
+        if state.degrade < 1e-3 {
+            state.degrade = 0.0;
+        }
         if let Some(obs) = &self.obs {
+            obs.registry
+                .gauge("admission_error_rate", &[])
+                .set(error_rate);
+            obs.registry
+                .gauge("admission_degrade_ceiling", &[])
+                .set(state.ceiling);
             if let Some(p) = p99 {
                 obs.registry.gauge("admission_p99_secs", &[]).set(p);
                 obs.registry
@@ -483,10 +420,8 @@ impl AdmissionController {
         let mut state = self.state.lock();
         if self.config.enabled && queue_depth > self.config.queue_threshold {
             state.overloaded_observations += 1;
-            state.degrade = (state.degrade + self.config.increase_step).min(1.0);
-            if self.config.mode == ControllerMode::Slo {
-                state.degrade = state.degrade.min(state.ceiling);
-            }
+            // The accuracy ceiling never exceeds 1.
+            state.degrade = (state.degrade + self.config.increase_step).min(state.ceiling);
             if let Some(obs) = &self.obs {
                 // Keep the Prometheus counter in step with
                 // `overloaded_observations`: completion-path overloads
@@ -608,7 +543,7 @@ impl AdmissionController {
     }
 
     /// Fraction of windowed completions that violated the latency SLO
-    /// ([`ControllerMode::Slo`] only; `0` otherwise).
+    /// (`0` before the first completion).
     pub fn error_rate(&self) -> f64 {
         let state = self.state.lock();
         if state.violations.is_empty() {
@@ -677,51 +612,41 @@ mod tests {
 
     #[test]
     fn degrade_rises_under_overload_and_decays_when_healthy() {
-        for mode in [ControllerMode::Aimd, ControllerMode::Slo] {
-            let c = AdmissionController::new(AdmissionConfig {
-                p99_target_secs: 0.5,
-                queue_threshold: 10,
-                mode,
-                ..Default::default()
-            });
-            assert_eq!(c.degrade(), 0.0);
-            // Slow completions push p99 over target → increase.
-            for _ in 0..3 {
-                c.on_job_complete(2.0, 0);
-            }
-            let high = c.degrade();
-            assert!(
-                high >= 0.5,
-                "degrade should build up, got {high} ({mode:?})"
-            );
-            assert!(c.overloaded_observations() >= 3);
-            // Fast completions can't fix p99 while slow samples dominate
-            // the window — backlog-free fast completions only help once
-            // the window turns over. Simulate a fresh healthy window.
-            let healthy = AdmissionController::new(AdmissionConfig {
-                p99_target_secs: 0.5,
-                mode,
-                ..Default::default()
-            });
-            for _ in 0..5 {
-                healthy.on_job_complete(0.1, 0);
-            }
-            assert_eq!(healthy.degrade(), 0.0);
+        let c = AdmissionController::new(AdmissionConfig {
+            p99_target_secs: 0.5,
+            queue_threshold: 10,
+            ..Default::default()
+        });
+        assert_eq!(c.degrade(), 0.0);
+        // Slow completions push p99 over target → increase.
+        for _ in 0..3 {
+            c.on_job_complete(2.0, 0);
         }
+        let high = c.degrade();
+        assert!(high >= 0.5, "degrade should build up, got {high}");
+        assert!(c.overloaded_observations() >= 3);
+        // Fast completions can't fix p99 while slow samples dominate
+        // the window — backlog-free fast completions only help once
+        // the window turns over. Simulate a fresh healthy window.
+        let healthy = AdmissionController::new(AdmissionConfig {
+            p99_target_secs: 0.5,
+            ..Default::default()
+        });
+        for _ in 0..5 {
+            healthy.on_job_complete(0.1, 0);
+        }
+        assert_eq!(healthy.degrade(), 0.0);
     }
 
     #[test]
     fn queue_depth_alone_triggers_overload() {
-        for mode in [ControllerMode::Aimd, ControllerMode::Slo] {
-            let c = AdmissionController::new(AdmissionConfig {
-                p99_target_secs: 10.0,
-                queue_threshold: 4,
-                mode,
-                ..Default::default()
-            });
-            c.on_job_complete(0.01, 100);
-            assert!(c.degrade() > 0.0, "({mode:?})");
-        }
+        let c = AdmissionController::new(AdmissionConfig {
+            p99_target_secs: 10.0,
+            queue_threshold: 4,
+            ..Default::default()
+        });
+        c.on_job_complete(0.01, 100);
+        assert!(c.degrade() > 0.0);
     }
 
     #[test]
@@ -824,69 +749,37 @@ mod tests {
     }
 
     #[test]
-    fn slo_controller_holds_at_the_knee_instead_of_sawtoothing() {
-        // Latency sits between the hold band and the target: AIMD decays
-        // towards zero (each observation looks "healthy"), the SLO
-        // controller holds the factor (gentle probe only).
-        let config = AdmissionConfig {
+    fn controller_holds_at_the_knee_instead_of_sawtoothing() {
+        // Latency sits between the hold band and the target: the
+        // controller holds the factor (gentle probe only) instead of
+        // shedding it on every healthy-looking observation.
+        let c = AdmissionController::new(AdmissionConfig {
             p99_target_secs: 1.0,
             hold_band: 0.7,
+            queue_threshold: 1,
             ..Default::default()
-        };
-        let aimd = AdmissionController::new(AdmissionConfig {
-            mode: ControllerMode::Aimd,
-            ..config
         });
-        let slo = AdmissionController::new(AdmissionConfig {
-            mode: ControllerMode::Slo,
-            ..config
-        });
-        // Build some degrade in both.
-        for _ in 0..3 {
-            aimd.on_job_complete(2.0, 0);
-            slo.on_job_complete(2.0, 0);
-        }
-        // Completions just under the SLO; window still carries the slow
-        // samples, so p99 stays over target for a while. Drain with
-        // fresh controllers instead: seed degrade via backlog, then
-        // observe at-the-knee latencies.
-        let aimd = AdmissionController::new(AdmissionConfig {
-            mode: ControllerMode::Aimd,
-            queue_threshold: 1,
-            ..config
-        });
-        let slo = AdmissionController::new(AdmissionConfig {
-            mode: ControllerMode::Slo,
-            queue_threshold: 1,
-            ..config
-        });
+        // Seed degrade via backlog, then observe at-the-knee latencies.
         let b = ApproxBudget::up_to(0.8, 0.25);
         for j in 0..3 {
-            aimd.admit(j, &b, 10);
-            slo.admit(j, &b, 10);
+            c.admit(j, &b, 10);
         }
-        let seeded = slo.degrade();
+        let seeded = c.degrade();
         assert!(seeded >= 0.5);
         // 0.9s latencies: under the 1.0s target, above the 0.7 band.
         for _ in 0..10 {
-            aimd.on_job_complete(0.9, 0);
-            slo.on_job_complete(0.9, 0);
+            c.on_job_complete(0.9, 0);
         }
         assert!(
-            aimd.degrade() < 0.05,
-            "AIMD sheds the factor on healthy observations, got {}",
-            aimd.degrade()
-        );
-        assert!(
-            slo.degrade() > 0.7 * seeded,
-            "SLO controller must hold near the knee, got {} from {seeded}",
-            slo.degrade()
+            c.degrade() > 0.7 * seeded,
+            "controller must hold near the knee, got {} from {seeded}",
+            c.degrade()
         );
         // Clear headroom does decay it.
         for _ in 0..80 {
-            slo.on_job_complete(0.1, 0);
+            c.on_job_complete(0.1, 0);
         }
-        assert!(slo.degrade() < 0.1, "headroom must decay the factor");
+        assert!(c.degrade() < 0.1, "headroom must decay the factor");
     }
 
     #[test]

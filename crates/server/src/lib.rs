@@ -16,8 +16,9 @@
 //!   backlog builds, the service does not reject or queue-forever —
 //!   it **degrades** new jobs (raises their drop ratio, lowers their
 //!   sampling ratio) inside the [`admission::ApproxBudget`] each caller
-//!   declared. An AIMD loop moves the degrade factor up under overload
-//!   and decays it when the service is healthy.
+//!   declared. An SLO-holding dual controller moves the degrade factor
+//!   up under overload, holds it at the knee, and decays it when the
+//!   service has clear headroom.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -50,8 +51,6 @@ pub mod admission;
 pub mod loadgen;
 pub mod service;
 
-pub use admission::{
-    AdmissionConfig, AdmissionController, ApproxBudget, ControllerMode, DegradeDecision,
-};
+pub use admission::{AdmissionConfig, AdmissionController, ApproxBudget, DegradeDecision};
 pub use loadgen::{LoadConfig, LoadReport, SatConfig, SaturationReport, SloSpec};
 pub use service::{ErrorGoal, JobHandle, JobService, JobSpec};

@@ -19,8 +19,7 @@
 //! breaks, then binary refinement of the bracket — to find the
 //! service's maximum sustainable TPS at that SLO (the knee), detecting
 //! when the *generator* rather than the service saturates
-//! (scheduled-vs-actual submission lag), and finally measures the
-//! SLO-mode and AIMD-mode controllers at the knee with the same seeds.
+//! (scheduled-vs-actual submission lag).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -38,9 +37,7 @@ use approxhadoop_workloads::wikilog::{LogEntry, WikiLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::admission::{
-    percentile, AdmissionConfig, ApproxBudget, ControllerMode, DegradeDecision,
-};
+use crate::admission::{percentile, AdmissionConfig, ApproxBudget, DegradeDecision};
 use crate::service::{JobService, JobSpec};
 
 /// Knobs of one load-generation run.
@@ -65,9 +62,6 @@ pub struct LoadConfig {
     /// The controller's accuracy SLO: worst relative interval
     /// half-width it tries to stay under (`None` = latency only).
     pub max_relative_bound: Option<f64>,
-    /// The feedback law for the controlled phase (the baseline phase
-    /// always runs with the controller disabled).
-    pub mode: ControllerMode,
     /// Base seed for arrivals and per-job data/sampling.
     pub seed: u64,
     /// `0` (the default) runs jobs on the shared thread pool; a
@@ -89,7 +83,6 @@ impl Default for LoadConfig {
             min_sampling_ratio: 0.25,
             p99_target_secs: 0.4,
             max_relative_bound: None,
-            mode: ControllerMode::Slo,
             seed: 0,
             process_workers: 0,
         }
@@ -151,6 +144,11 @@ pub struct PhaseReport {
     pub mean_latency_secs: f64,
     /// Most jobs simultaneously in flight.
     pub peak_concurrency: usize,
+    /// Jobs that were rejected at submission or failed while running.
+    /// They appear in no latency statistic and not in `jobs`; a load
+    /// test that injects faults or overloads a backend reports them
+    /// here instead of aborting.
+    pub failed_jobs: usize,
     /// Arrival rate the generator actually achieved, jobs/second over
     /// the submission span. Falling visibly short of the configured
     /// rate means the generator saturated before the service did.
@@ -239,7 +237,6 @@ pub fn run_phase_with_obs(
             // completion.
             queue_threshold: config.slots,
             increase_step: 0.35,
-            mode: config.mode,
             enabled: controller_enabled,
             ..Default::default()
         },
@@ -264,6 +261,7 @@ pub fn run_phase_with_obs(
             std::thread::sleep(wait);
         }
         let submit_lag = (start.elapsed().as_secs_f64() - arrival).max(0.0);
+        lag_sum += submit_lag;
         let log = WikiLog {
             days: 1,
             entries_per_block: config.entries_per_block,
@@ -299,25 +297,20 @@ pub fn run_phase_with_obs(
         let handle = if config.process_workers > 0 {
             let worker = WorkerSpec::sibling("approx-worker", "wikilog-project-bytes")
                 .expect("worker binary installed next to the load generator");
-            service
-                .submit_process(spec, Arc::new(log.source()), worker, make_reducer)
-                .expect("valid loadgen spec")
+            service.submit_process(spec, Arc::new(log.source()), worker, make_reducer)
         } else {
-            service
-                .submit(
-                    spec,
-                    Arc::new(log.source()),
-                    Arc::new(MultiStageMapper::new(
-                        |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
-                            emit(e.project, e.bytes as f64)
-                        },
-                    )),
-                    make_reducer,
-                )
-                .expect("valid loadgen spec")
+            service.submit(
+                spec,
+                Arc::new(log.source()),
+                Arc::new(MultiStageMapper::new(
+                    |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.project, e.bytes as f64),
+                )),
+                make_reducer,
+            )
         };
-        lag_sum += submit_lag;
         last_submit_secs = start.elapsed().as_secs_f64();
+        // A rejected submission is a failed job, not a dead load test.
+        let Ok(handle) = handle else { continue };
         let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         peak.fetch_max(now, Ordering::SeqCst);
 
@@ -334,7 +327,8 @@ pub fn run_phase_with_obs(
                     let result = handle.wait();
                     let latency = submitted.elapsed().as_secs_f64();
                     in_flight.fetch_sub(1, Ordering::SeqCst);
-                    let mut result = result.expect("loadgen job failed");
+                    // A failed job sends no outcome; the phase counts it.
+                    let Ok(mut result) = result else { return };
                     let _ = done_tx.send(JobOutcome {
                         job: id.0,
                         name,
@@ -357,7 +351,8 @@ pub fn run_phase_with_obs(
     }
     drop(done_tx);
     for w in waiters {
-        w.join().expect("waiter panicked");
+        // A waiter that panicked sent no outcome: one more failed job.
+        let _ = w.join();
     }
     let makespan = start.elapsed().as_secs_f64();
     let jobs: Vec<JobOutcome> = done_rx.try_iter().collect();
@@ -372,8 +367,9 @@ pub fn run_phase_with_obs(
         p99_latency_secs: percentile(&latencies, 0.99).unwrap_or(0.0),
         mean_latency_secs: mean,
         peak_concurrency: peak.load(Ordering::SeqCst),
-        achieved_arrival_rate: jobs.len() as f64 / last_submit_secs.max(1e-9),
-        mean_submit_lag_secs: lag_sum / jobs.len().max(1) as f64,
+        failed_jobs: config.jobs - jobs.len(),
+        achieved_arrival_rate: config.jobs as f64 / last_submit_secs.max(1e-9),
+        mean_submit_lag_secs: lag_sum / config.jobs.max(1) as f64,
         overloaded_observations: service.controller().overloaded_observations(),
         decisions: service.controller().decisions(),
         decisions_total: service.controller().decisions_total(),
@@ -451,9 +447,6 @@ pub struct SatConfig {
     /// Refinement stops once the bracket narrows to this fraction of
     /// the passing rate.
     pub precision: f64,
-    /// Also measure an AIMD-mode and an SLO-mode step at the knee
-    /// (same seeds) for the controller comparison.
-    pub compare_at_knee: bool,
 }
 
 impl Default for SatConfig {
@@ -465,7 +458,6 @@ impl Default for SatConfig {
             jobs_per_step: 12,
             max_steps: 12,
             precision: 0.15,
-            compare_at_knee: true,
         }
     }
 }
@@ -477,8 +469,6 @@ pub enum SearchPhase {
     Ramp,
     /// Binary refinement inside the `[passing, failing]` bracket.
     Refine,
-    /// Post-search comparison step at the knee.
-    Knee,
 }
 
 /// One measured operating point.
@@ -486,8 +476,6 @@ pub enum SearchPhase {
 pub struct StepMeasurement {
     /// Search stage this step ran under.
     pub phase: SearchPhase,
-    /// Controller mode the step's service ran.
-    pub mode: ControllerMode,
     /// Offered (scheduled) arrival rate, jobs/second.
     pub offered_rate: f64,
     /// Arrival rate the generator actually achieved.
@@ -496,7 +484,8 @@ pub struct StepMeasurement {
     pub throughput_jobs_per_sec: f64,
     /// p99 job latency, seconds.
     pub p99_latency_secs: f64,
-    /// Fraction of jobs over the latency SLO.
+    /// Fraction of jobs over the latency SLO (a failed job counts as
+    /// over it).
     pub violation_rate: f64,
     /// Worst relative bound across the step's jobs, if any reported.
     pub worst_relative_bound: Option<f64>,
@@ -528,11 +517,6 @@ pub struct SaturationReport {
     /// Whether the ramp stopped because the generator, not the
     /// service, saturated.
     pub generator_saturated: bool,
-    /// SLO-mode measurement at the knee (when `compare_at_knee`).
-    pub at_knee_slo: Option<StepMeasurement>,
-    /// AIMD-mode measurement at the knee with the same seeds — the
-    /// fixed-schedule baseline the dual controller is judged against.
-    pub at_knee_aimd: Option<StepMeasurement>,
 }
 
 /// Threshold below which `achieved/offered` marks the generator as the
@@ -542,7 +526,6 @@ const GENERATOR_SATURATION_FRACTION: f64 = 0.85;
 /// Judges one completed phase against the SLO.
 fn judge_step(
     phase: SearchPhase,
-    mode: ControllerMode,
     offered_rate: f64,
     slo: &SloSpec,
     report: &PhaseReport,
@@ -551,8 +534,9 @@ fn judge_step(
         .jobs
         .iter()
         .filter(|o| o.latency_secs > slo.p99_secs)
-        .count();
-    let violation_rate = violations as f64 / report.jobs.len().max(1) as f64;
+        .count()
+        + report.failed_jobs;
+    let violation_rate = violations as f64 / (report.jobs.len() + report.failed_jobs).max(1) as f64;
     let worst_bound = report
         .jobs
         .iter()
@@ -573,7 +557,6 @@ fn judge_step(
         report.achieved_arrival_rate < GENERATOR_SATURATION_FRACTION * offered_rate;
     StepMeasurement {
         phase,
-        mode,
         offered_rate,
         achieved_rate: report.achieved_arrival_rate,
         throughput_jobs_per_sec: report.throughput_jobs_per_sec,
@@ -588,11 +571,11 @@ fn judge_step(
 
 /// The search skeleton with a pluggable step runner, so the hill-climb
 /// logic is testable against a synthetic service with a known knee.
-/// `measure` receives `(offered_rate, phase, mode)` and returns the
-/// measured operating point.
+/// `measure` receives `(offered_rate, phase)` and returns the measured
+/// operating point.
 pub fn find_max_tps_with<F>(cfg: &SatConfig, mut measure: F) -> SaturationReport
 where
-    F: FnMut(f64, SearchPhase, ControllerMode) -> StepMeasurement,
+    F: FnMut(f64, SearchPhase) -> StepMeasurement,
 {
     let mut steps: Vec<StepMeasurement> = Vec::new();
     let mut best_pass: Option<StepMeasurement> = None;
@@ -604,7 +587,7 @@ where
     // generator saturates, or the step budget runs out.
     let mut rate = cfg.start_rate.max(1e-3);
     while steps.len() < cfg.max_steps {
-        let m = measure(rate, SearchPhase::Ramp, cfg.base.mode);
+        let m = measure(rate, SearchPhase::Ramp);
         let passed = m.slo_met;
         let gen_sat = m.generator_saturated;
         steps.push(m.clone());
@@ -628,7 +611,7 @@ where
     if let (Some(mut lo_r), Some(mut hi_r)) = (lo, hi) {
         while steps.len() < cfg.max_steps && (hi_r - lo_r) > cfg.precision * lo_r {
             let mid = 0.5 * (lo_r + hi_r);
-            let m = measure(mid, SearchPhase::Refine, cfg.base.mode);
+            let m = measure(mid, SearchPhase::Refine);
             let passed = m.slo_met;
             steps.push(m.clone());
             if passed {
@@ -648,17 +631,6 @@ where
         .unwrap_or(0.0);
     let converged = best_pass.is_some();
 
-    // Phase 3 — the controller comparison at the knee: same rate, same
-    // seeds, SLO mode versus the AIMD baseline.
-    let (at_knee_slo, at_knee_aimd) = if cfg.compare_at_knee && converged {
-        (
-            Some(measure(knee_rate, SearchPhase::Knee, ControllerMode::Slo)),
-            Some(measure(knee_rate, SearchPhase::Knee, ControllerMode::Aimd)),
-        )
-    } else {
-        (None, None)
-    };
-
     SaturationReport {
         config: *cfg,
         steps,
@@ -666,35 +638,31 @@ where
         max_sustainable_tps,
         converged,
         generator_saturated,
-        at_knee_slo,
-        at_knee_aimd,
     }
 }
 
 /// Runs the saturation search against the real [`JobService`] on the
 /// synthetic wikilog workload, publishing search state into `obs`
-/// (`loadtest_target_tps`, `loadtest_search_phase` — 0 ramp / 1 refine
-/// / 2 knee — and `loadtest_knee_tps`).
+/// (`loadtest_target_tps`, `loadtest_search_phase` — 0 ramp / 1 refine —
+/// and `loadtest_knee_tps`).
 pub fn find_max_tps_with_obs(cfg: &SatConfig, obs: Arc<Obs>) -> SaturationReport {
-    let report = find_max_tps_with(cfg, |rate, phase, mode| {
+    let report = find_max_tps_with(cfg, |rate, phase| {
         obs.registry.gauge("loadtest_target_tps", &[]).set(rate);
         obs.registry
             .gauge("loadtest_search_phase", &[])
             .set(match phase {
                 SearchPhase::Ramp => 0.0,
                 SearchPhase::Refine => 1.0,
-                SearchPhase::Knee => 2.0,
             });
         let step_config = LoadConfig {
             arrival_rate: rate,
             jobs: cfg.jobs_per_step,
             p99_target_secs: cfg.slo.p99_secs,
             max_relative_bound: cfg.slo.max_relative_bound,
-            mode,
             ..cfg.base
         };
         let phase_report = run_phase_with_obs(&step_config, true, Arc::clone(&obs));
-        judge_step(phase, mode, rate, &cfg.slo, &phase_report)
+        judge_step(phase, rate, &cfg.slo, &phase_report)
     });
     obs.registry
         .gauge("loadtest_knee_tps", &[])
@@ -725,17 +693,10 @@ mod tests {
 
     /// Synthetic service: holds the SLO up to `knee` offered jobs/s,
     /// violates above it; the generator cannot exceed `gen_limit`.
-    fn synthetic_step(
-        rate: f64,
-        phase: SearchPhase,
-        mode: ControllerMode,
-        knee: f64,
-        gen_limit: f64,
-    ) -> StepMeasurement {
+    fn synthetic_step(rate: f64, phase: SearchPhase, knee: f64, gen_limit: f64) -> StepMeasurement {
         let achieved = rate.min(gen_limit);
         StepMeasurement {
             phase,
-            mode,
             offered_rate: rate,
             achieved_rate: achieved,
             throughput_jobs_per_sec: achieved.min(knee),
@@ -756,8 +717,7 @@ mod tests {
             precision: 0.1,
             ..Default::default()
         };
-        let report =
-            find_max_tps_with(&cfg, |r, p, m| synthetic_step(r, p, m, 10.0, f64::INFINITY));
+        let report = find_max_tps_with(&cfg, |r, p| synthetic_step(r, p, 10.0, f64::INFINITY));
         assert!(report.converged);
         assert!(!report.generator_saturated);
         // The knee is found within the configured precision and never
@@ -770,7 +730,7 @@ mod tests {
         );
         assert!(report.max_sustainable_tps > 0.0);
         // The ramp comes first, refinement after; both respect the
-        // step budget (knee-comparison steps are stored separately).
+        // step budget.
         assert!(report.steps.len() <= cfg.max_steps);
         let first_refine = report
             .steps
@@ -780,13 +740,6 @@ mod tests {
         assert!(report.steps[..first_refine]
             .iter()
             .all(|s| s.phase == SearchPhase::Ramp));
-        // The knee comparison ran both controllers at the same rate.
-        let slo = report.at_knee_slo.expect("slo knee step");
-        let aimd = report.at_knee_aimd.expect("aimd knee step");
-        assert_eq!(slo.mode, ControllerMode::Slo);
-        assert_eq!(aimd.mode, ControllerMode::Aimd);
-        assert_eq!(slo.offered_rate, aimd.offered_rate);
-        assert_eq!(slo.offered_rate, report.knee_rate);
     }
 
     #[test]
@@ -799,7 +752,7 @@ mod tests {
         // Service knee at 10 jobs/s but the generator tops out at 3:
         // the search must stop at the last honest measurement instead
         // of crediting the service with rates it never saw.
-        let report = find_max_tps_with(&cfg, |r, p, m| synthetic_step(r, p, m, 10.0, 3.0));
+        let report = find_max_tps_with(&cfg, |r, p| synthetic_step(r, p, 10.0, 3.0));
         assert!(report.converged);
         assert!(report.generator_saturated);
         assert!(
@@ -817,12 +770,10 @@ mod tests {
             ..Default::default()
         };
         // Even the starting rate violates the SLO.
-        let report =
-            find_max_tps_with(&cfg, |r, p, m| synthetic_step(r, p, m, 0.25, f64::INFINITY));
+        let report = find_max_tps_with(&cfg, |r, p| synthetic_step(r, p, 0.25, f64::INFINITY));
         assert!(!report.converged);
         assert_eq!(report.knee_rate, 0.0);
         assert_eq!(report.max_sustainable_tps, 0.0);
-        assert!(report.at_knee_slo.is_none() && report.at_knee_aimd.is_none());
     }
 
     #[test]
@@ -834,8 +785,8 @@ mod tests {
         };
         // SLO never breaks: the ramp must stop at the budget with the
         // best measured rate rather than doubling forever.
-        let report = find_max_tps_with(&cfg, |r, p, m| {
-            synthetic_step(r, p, m, f64::INFINITY, f64::INFINITY)
+        let report = find_max_tps_with(&cfg, |r, p| {
+            synthetic_step(r, p, f64::INFINITY, f64::INFINITY)
         });
         assert!(report.converged);
         assert_eq!(report.steps.len(), 3);
@@ -846,6 +797,7 @@ mod tests {
     fn phase_report_accounts_for_every_job() {
         let report = run_phase(&tiny(), true);
         assert_eq!(report.jobs.len(), 4);
+        assert_eq!(report.failed_jobs, 0);
         assert_eq!(report.decisions.len(), 4);
         assert!(report.throughput_jobs_per_sec > 0.0);
         assert!(report.p99_latency_secs >= report.p50_latency_secs);
@@ -853,6 +805,24 @@ mod tests {
             assert_eq!(o.total_maps, 8);
             assert_eq!(o.executed_maps + o.dropped_maps, 8);
         }
+    }
+
+    #[test]
+    fn failed_jobs_are_counted_instead_of_killing_the_phase() {
+        // A budget the service rejects: every submission fails, and the
+        // phase still reports — with the failures counted, kept out of
+        // the latency statistics, and held against the SLO.
+        let config = LoadConfig {
+            max_drop_ratio: 1.5,
+            ..tiny()
+        };
+        let report = run_phase(&config, true);
+        assert_eq!(report.failed_jobs, 4);
+        assert!(report.jobs.is_empty());
+        assert_eq!(report.p99_latency_secs, 0.0);
+        let step = judge_step(SearchPhase::Ramp, 200.0, &SloSpec::default(), &report);
+        assert_eq!(step.violation_rate, 1.0);
+        assert!(!step.slo_met, "a step whose jobs all failed holds no SLO");
     }
 
     #[test]

@@ -27,13 +27,11 @@ use approxhadoop_runtime::event::{CancelHandle, JobEvent, JobId, JobSession};
 use approxhadoop_runtime::input::InputSource;
 use approxhadoop_runtime::mapper::Mapper;
 use approxhadoop_runtime::metrics::JobMetrics;
-use approxhadoop_runtime::pool::SlotPool;
+use approxhadoop_runtime::pool::{SlotPool, TenantId};
 use approxhadoop_runtime::reducer::Reducer;
-use approxhadoop_runtime::{
-    DatasetFixedCoordinator, DatasetRatios, FaultPlan, FaultPolicy, FixedCoordinator, RuntimeError,
-};
+use approxhadoop_runtime::{DatasetRatios, FaultPlan, FaultPolicy, FixedCoordinator, RuntimeError};
 
-use crate::admission::{AdmissionConfig, AdmissionController, ApproxBudget};
+use crate::admission::{AdmissionConfig, AdmissionController, ApproxBudget, DegradeDecision};
 
 /// The worst *final* relative error bound across the job's reducers, if
 /// any reported a finite one — the accuracy signal fed back into the
@@ -327,152 +325,23 @@ impl JobService {
         FR: Fn(usize) -> R + Send + 'static,
     {
         spec.budget.validate().map_err(RuntimeError::invalid)?;
-        if !(spec.weight > 0.0 && spec.weight.is_finite()) {
-            return Err(RuntimeError::invalid(format!(
-                "weight must be positive and finite, got {}",
-                spec.weight
-            )));
-        }
-        // Validate the engine configuration before allocating a job id,
-        // so rejected submissions are invisible (no id, no tracker
-        // thread, no admission-controller state). Only the sampling and
-        // drop ratios are decided later, by the admission controller,
-        // which produces them within valid range by construction.
-        let provisional = JobConfig {
-            map_slots: spec.map_slots,
-            servers: 1,
-            reduce_tasks: spec.reduce_tasks,
-            sampling_ratio: 1.0,
-            drop_ratio: 0.0,
-            seed: spec.seed,
-            combining: true,
-            speculative: false,
-            straggler_factor: 2.0,
-            fault_plan: spec.fault_plan.clone(),
-            fault_policy: FaultPolicy {
-                max_task_retries: spec.max_task_retries,
-                degrade_to_drop: spec.max_task_retries > 0,
-                max_degraded_bound: spec.max_degraded_bound,
-                ..Default::default()
-            },
-            obs: Some(Arc::clone(&self.obs)),
-            workers: spec.workers,
-            shuffle_mem_bytes: spec.shuffle_mem_bytes,
-            spill_dir: None,
-            flight_dir: None,
-            datasets: spec.datasets.clone(),
-        };
-        provisional.validate()?;
-        let id = JobId(self.next_job.fetch_add(1, Ordering::SeqCst));
-        let decision = self
-            .controller
-            .admit(id.0, &spec.budget, self.pool.queued());
-        let config = JobConfig {
-            sampling_ratio: decision.sampling_ratio,
-            drop_ratio: decision.drop_ratio,
-            ..provisional
-        };
-
-        let (event_tx, event_rx) = unbounded();
-        let mut session = JobSession::new(id).with_events(event_tx);
-        if let Some(d) = spec.deadline {
-            session = session.with_deadline(Instant::now() + d);
-        }
-        let cancel = session.cancel_handle();
-        session.emit(JobEvent::Queued { job: id });
-
-        let (result_tx, result_rx) = unbounded();
-        let pool = Arc::clone(&self.pool);
-        let controller = Arc::clone(&self.controller);
-        let submitted = Instant::now();
+        let config = self.engine_config(&spec)?;
+        let (id, decision) = self.admit(&spec.budget);
         let weight = spec.weight;
-        let seed = spec.seed;
-        std::thread::Builder::new()
-            .name(format!("tracker-{id}"))
-            .spawn(move || {
-                let tenant = pool.register_tenant(weight);
-                let splits = input.splits();
-                let outcome = if splits.is_empty() {
-                    Err(RuntimeError::invalid("input has no splits"))
-                } else if config.datasets.is_empty() {
-                    let mut coordinator = FixedCoordinator::new(
-                        splits.len(),
-                        config.sampling_ratio,
-                        config.drop_ratio,
-                        seed,
-                    );
-                    run_job_on_pool(
-                        input,
-                        mapper,
-                        make_reducer,
-                        config,
-                        &mut coordinator,
-                        &pool,
-                        tenant,
-                        &session,
-                    )
-                } else {
-                    // A multi-input job: per-dataset ratios, validated
-                    // against the tagged input's actual dataset count.
-                    match DatasetFixedCoordinator::new(&splits, &config.datasets, seed) {
-                        Ok(mut coordinator) => run_job_on_pool(
-                            input,
-                            mapper,
-                            make_reducer,
-                            config,
-                            &mut coordinator,
-                            &pool,
-                            tenant,
-                            &session,
-                        ),
-                        Err(e) => Err(e),
-                    }
-                };
-                pool.unregister_tenant(tenant);
-                // Cancelled jobs say nothing about service health; all
-                // other completions (and failures) feed the controller,
-                // including the achieved error bound when the job's
-                // reducers reported one (the accuracy half of the SLO).
-                if !matches!(outcome, Err(RuntimeError::Cancelled)) {
-                    let bound = outcome
-                        .as_ref()
-                        .ok()
-                        .and_then(|r| worst_final_bound(&r.metrics));
-                    controller.on_job_outcome(
-                        submitted.elapsed().as_secs_f64(),
-                        pool.queued(),
-                        bound,
-                    );
-                }
-                if let Ok(r) = &outcome {
-                    let m = &r.metrics;
-                    if m.failed_maps > 0 || m.retried_maps > 0 || m.degraded_to_drop > 0 {
-                        controller.on_job_faults(m.failed_maps, m.retried_maps, m.degraded_to_drop);
-                    }
-                }
-                match &outcome {
-                    Ok(r) => session.emit(JobEvent::Done {
-                        job: id,
-                        wall_secs: r.metrics.wall_secs,
-                    }),
-                    Err(e) => session.emit(JobEvent::Failed {
-                        job: id,
-                        reason: e.to_string(),
-                    }),
-                }
-                let _ = result_tx.send(outcome);
+        self.launch(spec, id, decision, config, move |config, pool, session| {
+            as_tenant(pool, weight, |tenant| {
+                let mut coordinator = FixedCoordinator::for_job(&input.splits(), &config)?;
+                run_job_on_pool(
+                    input,
+                    mapper,
+                    make_reducer,
+                    config,
+                    &mut coordinator,
+                    pool,
+                    tenant,
+                    session,
+                )
             })
-            .expect("spawn job tracker thread");
-
-        Ok(JobHandle {
-            id,
-            name: spec.name,
-            degrade: decision.degrade,
-            drop_ratio: decision.drop_ratio,
-            sampling_ratio: decision.sampling_ratio,
-            events: event_rx,
-            cancel,
-            result: result_rx,
         })
     }
 
@@ -520,135 +389,36 @@ impl JobService {
                 "target-error jobs are single-input (spec.datasets must be empty)",
             ));
         }
-        if !(spec.weight > 0.0 && spec.weight.is_finite()) {
-            return Err(RuntimeError::invalid(format!(
-                "weight must be positive and finite, got {}",
-                spec.weight
-            )));
-        }
-        // The coordinator decides per-task sampling and the drop point;
-        // the engine config stays precise.
-        let config = JobConfig {
-            map_slots: spec.map_slots,
-            servers: 1,
-            reduce_tasks: spec.reduce_tasks,
-            sampling_ratio: 1.0,
-            drop_ratio: 0.0,
-            seed: spec.seed,
-            combining: true,
-            speculative: false,
-            straggler_factor: 2.0,
-            fault_plan: spec.fault_plan.clone(),
-            fault_policy: FaultPolicy {
-                max_task_retries: spec.max_task_retries,
-                degrade_to_drop: spec.max_task_retries > 0,
-                max_degraded_bound: spec.max_degraded_bound,
-                ..Default::default()
-            },
-            obs: Some(Arc::clone(&self.obs)),
-            workers: spec.workers,
-            shuffle_mem_bytes: spec.shuffle_mem_bytes,
-            spill_dir: None,
-            flight_dir: None,
-            datasets: Vec::new(),
-        };
-        config.validate()?;
-        let id = JobId(self.next_job.fetch_add(1, Ordering::SeqCst));
-        // Goal jobs carry no ratio budget; the decision still records
-        // the degrade factor, which relaxes the goal within the caller's
-        // allowance.
-        let decision = self
-            .controller
-            .admit(id.0, &ApproxBudget::precise(), self.pool.queued());
-        let effective_target = goal.relaxed(decision.degrade);
-
-        let (event_tx, event_rx) = unbounded();
-        let mut session = JobSession::new(id).with_events(event_tx);
-        if let Some(d) = spec.deadline {
-            session = session.with_deadline(Instant::now() + d);
-        }
-        let cancel = session.cancel_handle();
-        session.emit(JobEvent::Queued { job: id });
-
-        let (result_tx, result_rx) = unbounded();
-        let pool = Arc::clone(&self.pool);
-        let controller = Arc::clone(&self.controller);
-        let submitted = Instant::now();
+        let config = self.engine_config(&spec)?;
+        // Goal jobs carry no ratio budget — the coordinator decides
+        // per-task sampling and the drop point, so the engine config
+        // stays precise — but the decision still records the degrade
+        // factor, which relaxes the goal within the caller's allowance.
+        let (id, decision) = self.admit(&ApproxBudget::precise());
+        let target = goal.relaxed(decision.degrade);
         let weight = spec.weight;
-        let wave_size = spec.map_slots;
-        let reduce_tasks = spec.reduce_tasks;
-        let pilot = goal.pilot;
-        let confidence = goal.confidence;
-        std::thread::Builder::new()
-            .name(format!("tracker-{id}"))
-            .spawn(move || {
-                let tenant = pool.register_tenant(weight);
-                let total = input.splits().len();
-                let outcome = if total == 0 {
-                    Err(RuntimeError::invalid("input has no splits"))
-                } else {
-                    let shared = Arc::new(SharedApproxState::new(reduce_tasks));
-                    let mut coordinator = TargetErrorCoordinator::new(
-                        total,
-                        effective_target,
-                        confidence,
-                        wave_size,
-                        pilot,
-                        Arc::clone(&shared),
-                    );
-                    let reducer_shared = Arc::clone(&shared);
-                    run_job_on_pool(
-                        input,
-                        mapper,
-                        move |partition| make_reducer(partition, &reducer_shared),
-                        config,
-                        &mut coordinator,
-                        &pool,
-                        tenant,
-                        &session,
-                    )
-                };
-                pool.unregister_tenant(tenant);
-                if !matches!(outcome, Err(RuntimeError::Cancelled)) {
-                    let bound = outcome
-                        .as_ref()
-                        .ok()
-                        .and_then(|r| worst_final_bound(&r.metrics));
-                    controller.on_job_outcome(
-                        submitted.elapsed().as_secs_f64(),
-                        pool.queued(),
-                        bound,
-                    );
-                }
-                if let Ok(r) = &outcome {
-                    let m = &r.metrics;
-                    if m.failed_maps > 0 || m.retried_maps > 0 || m.degraded_to_drop > 0 {
-                        controller.on_job_faults(m.failed_maps, m.retried_maps, m.degraded_to_drop);
-                    }
-                }
-                match &outcome {
-                    Ok(r) => session.emit(JobEvent::Done {
-                        job: id,
-                        wall_secs: r.metrics.wall_secs,
-                    }),
-                    Err(e) => session.emit(JobEvent::Failed {
-                        job: id,
-                        reason: e.to_string(),
-                    }),
-                }
-                let _ = result_tx.send(outcome);
+        self.launch(spec, id, decision, config, move |config, pool, session| {
+            as_tenant(pool, weight, |tenant| {
+                let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
+                let mut coordinator = TargetErrorCoordinator::new(
+                    input.splits().len(),
+                    target,
+                    goal.confidence,
+                    config.map_slots,
+                    goal.pilot,
+                    Arc::clone(&shared),
+                );
+                run_job_on_pool(
+                    input,
+                    mapper,
+                    move |partition| make_reducer(partition, &shared),
+                    config,
+                    &mut coordinator,
+                    pool,
+                    tenant,
+                    session,
+                )
             })
-            .expect("spawn job tracker thread");
-
-        Ok(JobHandle {
-            id,
-            name: spec.name,
-            degrade: decision.degrade,
-            drop_ratio: decision.drop_ratio,
-            sampling_ratio: decision.sampling_ratio,
-            events: event_rx,
-            cancel,
-            result: result_rx,
         })
     }
 
@@ -680,22 +450,39 @@ impl JobService {
         FR: Fn(usize) -> R + Send + Sync + 'static,
     {
         spec.budget.validate().map_err(RuntimeError::invalid)?;
+        let config = self.engine_config(&spec)?;
+        let (id, decision) = self.admit(&spec.budget);
+        self.launch(spec, id, decision, config, move |config, _pool, session| {
+            let mut coordinator = FixedCoordinator::for_job(&input.splits(), &config)?;
+            run_job_process(
+                input.as_ref(),
+                &worker,
+                make_reducer,
+                config,
+                &mut coordinator,
+                session,
+            )
+        })
+    }
+
+    /// The one `JobSpec → JobConfig` conversion, checked: the engine
+    /// configuration `spec` asks for, at precise ratios ([`launch`]
+    /// fills in the admitted ones). Runs before a job id is allocated,
+    /// so rejected submissions are invisible (no id, no tracker thread,
+    /// no admission-controller state).
+    ///
+    /// [`launch`]: JobService::launch
+    fn engine_config(&self, spec: &JobSpec) -> Result<JobConfig, RuntimeError> {
         if !(spec.weight > 0.0 && spec.weight.is_finite()) {
             return Err(RuntimeError::invalid(format!(
                 "weight must be positive and finite, got {}",
                 spec.weight
             )));
         }
-        let provisional = JobConfig {
+        let config = JobConfig {
             map_slots: spec.map_slots,
-            servers: 1,
             reduce_tasks: spec.reduce_tasks,
-            sampling_ratio: 1.0,
-            drop_ratio: 0.0,
             seed: spec.seed,
-            combining: true,
-            speculative: false,
-            straggler_factor: 2.0,
             fault_plan: spec.fault_plan.clone(),
             fault_policy: FaultPolicy {
                 max_task_retries: spec.max_task_retries,
@@ -706,20 +493,42 @@ impl JobService {
             obs: Some(Arc::clone(&self.obs)),
             workers: spec.workers,
             shuffle_mem_bytes: spec.shuffle_mem_bytes,
-            spill_dir: None,
-            flight_dir: None,
             datasets: spec.datasets.clone(),
+            ..JobConfig::default()
         };
-        provisional.validate()?;
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// Allocates the next job id and takes its admission decision
+    /// against `budget` at the pool's current backlog.
+    fn admit(&self, budget: &ApproxBudget) -> (JobId, DegradeDecision) {
         let id = JobId(self.next_job.fetch_add(1, Ordering::SeqCst));
-        let decision = self
-            .controller
-            .admit(id.0, &spec.budget, self.pool.queued());
-        let config = JobConfig {
-            sampling_ratio: decision.sampling_ratio,
-            drop_ratio: decision.drop_ratio,
-            ..provisional
-        };
+        (id, self.controller.admit(id.0, budget, self.pool.queued()))
+    }
+
+    /// The one launch routine behind every `submit*`: applies the
+    /// admitted ratios, opens the job's session (event stream, deadline,
+    /// cancellation), and starts the tracker thread, which calls `run` —
+    /// the caller's choice of engine entry point and policy — then feeds
+    /// the outcome to the admission controller, emits `Done`/`Failed`
+    /// and hands the result to the [`JobHandle`].
+    fn launch<O, F>(
+        &self,
+        spec: JobSpec,
+        id: JobId,
+        decision: DegradeDecision,
+        mut config: JobConfig,
+        run: F,
+    ) -> Result<JobHandle<O>, RuntimeError>
+    where
+        O: Send + 'static,
+        F: FnOnce(JobConfig, &SlotPool, &JobSession) -> Result<JobResult<O>, RuntimeError>
+            + Send
+            + 'static,
+    {
+        config.sampling_ratio = decision.sampling_ratio;
+        config.drop_ratio = decision.drop_ratio;
 
         let (event_tx, event_rx) = unbounded();
         let mut session = JobSession::new(id).with_events(event_tx);
@@ -730,50 +539,21 @@ impl JobService {
         session.emit(JobEvent::Queued { job: id });
 
         let (result_tx, result_rx) = unbounded();
-        let controller = Arc::clone(&self.controller);
         let pool = Arc::clone(&self.pool);
+        let controller = Arc::clone(&self.controller);
         let submitted = Instant::now();
-        let seed = spec.seed;
         std::thread::Builder::new()
             .name(format!("tracker-{id}"))
             .spawn(move || {
-                let splits = input.splits();
-                let outcome = if splits.is_empty() {
-                    Err(RuntimeError::invalid("input has no splits"))
-                } else if config.datasets.is_empty() {
-                    let mut coordinator = FixedCoordinator::new(
-                        splits.len(),
-                        config.sampling_ratio,
-                        config.drop_ratio,
-                        seed,
-                    );
-                    run_job_process(
-                        input.as_ref(),
-                        &worker,
-                        make_reducer,
-                        config,
-                        &mut coordinator,
-                        &session,
-                    )
-                } else {
-                    match DatasetFixedCoordinator::new(&splits, &config.datasets, seed) {
-                        Ok(mut coordinator) => run_job_process(
-                            input.as_ref(),
-                            &worker,
-                            make_reducer,
-                            config,
-                            &mut coordinator,
-                            &session,
-                        ),
-                        Err(e) => Err(e),
-                    }
-                };
+                let outcome = run(config, &pool, &session);
+                // Cancelled jobs say nothing about service health; all
+                // other completions (and failures) feed the controller,
+                // including the achieved error bound when the job's
+                // reducers reported one (the accuracy half of the SLO).
+                // Process jobs run beside the shared pool, not on it,
+                // but in a mixed fleet a backed-up pool is still an
+                // overload signal their completions should carry.
                 if !matches!(outcome, Err(RuntimeError::Cancelled)) {
-                    // Process jobs run beside the shared pool, not on
-                    // it, but in a mixed fleet a backed-up pool is still
-                    // an overload signal this completion should carry —
-                    // a hard-coded depth of 0 blinded the controller to
-                    // it under `--backend process`.
                     let bound = outcome
                         .as_ref()
                         .ok()
@@ -802,7 +582,11 @@ impl JobService {
                 }
                 let _ = result_tx.send(outcome);
             })
-            .expect("spawn job tracker thread");
+            // The job already holds an id and an admission decision, but
+            // never ran: it reports nothing to the controller.
+            .map_err(|e| RuntimeError::TaskPanicked {
+                what: format!("job tracker thread for {id} (cannot spawn: {e})"),
+            })?;
 
         Ok(JobHandle {
             id,
@@ -815,6 +599,14 @@ impl JobService {
             result: result_rx,
         })
     }
+}
+
+/// Runs `job` as a tenant of `pool` at fair-share `weight`.
+fn as_tenant<T>(pool: &SlotPool, weight: f64, job: impl FnOnce(TenantId) -> T) -> T {
+    let tenant = pool.register_tenant(weight);
+    let out = job(tenant);
+    pool.unregister_tenant(tenant);
+    out
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ fn prometheus_snapshot_covers_pool_admission_and_bounds() {
         "pool_dispatched_total",
         "pool_wait_secs",
         "pool_vtime_skew",
-        // Admission: AIMD window, latency distribution, decisions.
+        // Admission: latency window, latency distribution, decisions.
         "admission_decisions_total",
         "admission_job_latency_secs",
         "admission_window_len",

@@ -40,7 +40,7 @@ use approxhadoop_core::keystat::KeyStat;
 use approxhadoop_core::Result;
 use approxhadoop_ipc::{Decoder, Wire, WireError};
 use approxhadoop_obs::{Counter, Obs};
-use approxhadoop_runtime::control::{DatasetFixedCoordinator, DatasetRatios};
+use approxhadoop_runtime::control::{DatasetRatios, FixedCoordinator};
 use approxhadoop_runtime::engine::{
     run_job, run_job_on_pool, run_job_process, JobConfig, JobResult, WorkerSpec,
 };
@@ -740,8 +740,7 @@ pub fn join_category_traffic_pooled(
         ..config
     };
     let source = w.source()?;
-    let splits = source.splits();
-    let mut coordinator = DatasetFixedCoordinator::new(&splits, &config.datasets, config.seed)?;
+    let mut coordinator = FixedCoordinator::for_job(&source.splits(), &config)?;
     let pool = SlotPool::new(pool_slots.max(1));
     let tenant = pool.register_tenant(1.0);
     let session = JobSession::new(JobId(0));
@@ -779,8 +778,7 @@ pub fn join_category_traffic_process(
     };
     let spec = WorkerSpec::new(&worker.bin, JOIN_JOB).with_params(w.catalog.to_bytes());
     let source = w.source()?;
-    let splits = source.splits();
-    let mut coordinator = DatasetFixedCoordinator::new(&splits, &config.datasets, config.seed)?;
+    let mut coordinator = FixedCoordinator::for_job(&source.splits(), &config)?;
     let session = JobSession::new(JobId(0));
     let result = run_job_process(
         &source,

@@ -15,11 +15,12 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use approxhadoop::core::job::AggregationJob;
 use approxhadoop::core::multistage::{Aggregation, MultiStageMapper, MultiStageReducer};
+use approxhadoop::core::spec::ApproxSpec;
 use approxhadoop::runtime::control::{Coordinator, JobControl, MapDirective};
 use approxhadoop::runtime::engine::{
-    run_job_on_pool, run_job_process, run_job_with_coordinator, run_job_with_session, JobConfig,
-    WorkerSpec,
+    run_job_on_pool, run_job_process, run_job_with_session, JobConfig, WorkerSpec,
 };
 use approxhadoop::runtime::fault::{FaultDecision, FaultPlan, FaultPolicy};
 use approxhadoop::runtime::input::{SplitMeta, VecSource};
@@ -116,14 +117,51 @@ fn multistage_intervals_are_identical_across_backends() {
         let mut c3 = FixedCoordinator::new(n_blocks, 0.6, 0.25, seed);
         let s3 = JobSession::new(JobId(7));
         let processed = run_job_process(
-            &VecSource::new(blocks),
+            &VecSource::new(blocks.clone()),
             &spec,
             |_| MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95),
-            JobConfig { workers: 1, ..cfg },
+            JobConfig {
+                workers: 1,
+                ..cfg.clone()
+            },
             &mut c3,
             &s3,
         )
         .unwrap();
+
+        // The builder on top: `AggregationJob::run` (threads) and
+        // `run_on_workers` (processes) share one body, so every spec —
+        // including the target-error controller with its reduce-side
+        // bound monitor — must hand back bit-equal intervals. The target
+        // is far too tight to meet, so the controller runs every map
+        // precisely and the outcome does not depend on map timings.
+        let input = VecSource::new(blocks);
+        for approx in [
+            ApproxSpec::Precise,
+            ApproxSpec::ratios(0.25, 0.6),
+            ApproxSpec::target(1e-9, 0.95),
+        ] {
+            let job = || {
+                AggregationJob::sum(ms_map).spec(approx).config(JobConfig {
+                    workers: 1,
+                    ..cfg.clone()
+                })
+            };
+            let threads = job().run(&input).unwrap();
+            let workers = job().run_on_workers(&input, &spec).unwrap();
+            assert_eq!(
+                threads.outputs, workers.outputs,
+                "seed {seed}, {approx:?}: builder intervals diverged between backends"
+            );
+            assert_eq!(
+                threads.metrics.dropped_maps, workers.metrics.dropped_maps,
+                "seed {seed}, {approx:?}"
+            );
+            assert_eq!(
+                threads.distinct_keys_estimate, workers.distinct_keys_estimate,
+                "seed {seed}, {approx:?}"
+            );
+        }
 
         let mut a: Vec<(u8, Interval)> = scoped.outputs;
         let mut b: Vec<(u8, Interval)> = pooled.outputs;
@@ -364,7 +402,7 @@ fn mixed_loss_modes_widen_exactly_like_deliberate_drops() {
             completions: 0,
             stop_after: 20,
         };
-        let a = run_job_with_coordinator(
+        let a = run_job_with_session(
             &VecSource::new(blocks.clone()),
             &MultiStageMapper::new(map_fn),
             |_| MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95),
@@ -381,6 +419,7 @@ fn mixed_loss_modes_widen_exactly_like_deliberate_drops() {
                 ..Default::default()
             },
             &mut coord_a,
+            &JobSession::new(JobId(0)),
         )
         .unwrap();
         let ma = &a.metrics;
@@ -409,7 +448,7 @@ fn mixed_loss_modes_widen_exactly_like_deliberate_drops() {
 
         // Run B: a clean job deliberately dropping exactly the same set.
         let mut coord_b = SetDropCoordinator { drop: lost.clone() };
-        let b = run_job_with_coordinator(
+        let b = run_job_with_session(
             &VecSource::new(blocks.clone()),
             &MultiStageMapper::new(move |item: &(usize, f64), emit: &mut dyn FnMut(u8, f64)| {
                 emit(0, item.1)
@@ -422,6 +461,7 @@ fn mixed_loss_modes_widen_exactly_like_deliberate_drops() {
                 ..Default::default()
             },
             &mut coord_b,
+            &JobSession::new(JobId(0)),
         )
         .unwrap();
         let mb = &b.metrics;

@@ -1,11 +1,20 @@
 //! One map attempt: the unit of work a scheduler dispatches to an
-//! executor, and the worker-side code that runs it.
+//! executor, and the one body that runs it on every backend.
 //!
 //! Attempts are deliberately generic-free on the control path: a
 //! [`WorkItem`] describes *what* to run (task, attempt number, sampling
 //! ratio, read seed, kill flag, fault plan) and a [`WorkerMsg`] reports
 //! *how it went*, so the [`super::scheduler::JobTracker`] never touches
 //! the job's key/value types.
+//!
+//! This module owns `run_attempt`, the only implementation of "run one
+//! map attempt": kill checks, fault injection, panic containment, the
+//! read clock, hashing and partitioning of every emission, and the
+//! `(M_i, m_i)` counts the estimators consume. It is generic over the
+//! two things that differ between backends — the closure that opens the
+//! record stream and the `EmitSink` pairs go to. Its callers own only
+//! their transport: `run_map_attempt` (here) ships an in-process arena
+//! over channels; `process::registry` drains a spill buffer into frames.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -14,11 +23,11 @@ use std::time::Instant;
 use crossbeam::channel::Sender;
 
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::input::{DatasetId, InputSource};
+use crate::input::{DatasetId, InputSource, SplitStream};
 use crate::mapper::{MapTaskContext, Mapper};
 use crate::metrics::MapStats;
-use crate::reducer::{MapOutputMeta, ReduceEvent};
-use crate::types::{Partitioner, TaskId};
+use crate::reducer::ReduceEvent;
+use crate::types::{fx_hash, Key, Partitioner, TaskId};
 use crate::RuntimeError;
 
 use super::shuffle;
@@ -126,27 +135,106 @@ pub(crate) fn read_seed(job_seed: u64, task: usize) -> u64 {
     job_seed ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Executes one map attempt on a worker (task-tracker thread or pool
-/// slot): honors the kill flag, injects configured faults, streams the
-/// sampled split through the mapper (with optional map-side combining),
-/// ships one pre-partitioned batch per reducer, and reports the outcome.
-pub(crate) fn run_map_attempt<S, M>(
-    input: &S,
+/// Where a map attempt's pairs go: the in-process arena
+/// ([`shuffle::BufferSink`]) or the worker's spill-capable buffer
+/// (`process::spill::SpillShuffle`). `hash` is the key's
+/// [`fx_hash`], already reduced to `partition` by the attempt body.
+pub(crate) trait EmitSink<K, V> {
+    /// Buffers one pair; an error fails the attempt.
+    fn emit(&mut self, partition: usize, hash: u64, key: K, value: V) -> Result<(), String>;
+}
+
+/// How [`run_attempt`] ended.
+pub(crate) enum AttemptOutcome {
+    /// The kill flag was seen, before launch or between two records.
+    Killed,
+    /// Injected fault, failed read, panicking user code or a sink error.
+    Failed(RuntimeError),
+    /// Every record was mapped and every pair reached the sink.
+    Mapped(Mapped),
+}
+
+/// What a fully mapped attempt measured; its caller ships the sink's
+/// contents and reports [`Mapped::stats`].
+pub(crate) struct Mapped {
+    /// `M_i` — records in the task's split.
+    pub(crate) total_records: u64,
+    /// `m_i` — records the stream yielded after sampling.
+    pub(crate) sampled_records: u64,
+    /// Pairs the user code emitted.
+    pub(crate) emitted: u64,
+    /// Stream construction plus the batched lazy reads.
+    pub(crate) read_secs: f64,
+    /// Phase boundaries: read start, stream open, end of `end_task`.
+    pub(crate) started: Instant,
+    pub(crate) opened: Instant,
+    pub(crate) mapped: Instant,
+}
+
+impl Mapped {
+    /// The attempt's statistics once its caller knows how many pairs it
+    /// shipped and when it stopped the attempt's clock.
+    pub(crate) fn stats(&self, work: &WorkItem, shuffled: u64, duration_secs: f64) -> MapStats {
+        MapStats {
+            task: work.task,
+            dataset: work.dataset,
+            total_records: self.total_records,
+            sampled_records: self.sampled_records,
+            emitted: self.emitted,
+            shuffled,
+            duration_secs,
+            read_secs: self.read_secs,
+        }
+    }
+}
+
+/// Per-attempt emission state: counts every pair, hashes its key once
+/// (shared by the partitioner and the sink's combine probe) and hands it
+/// to the sink until the sink first fails.
+struct Router<'a, S> {
+    sink: &'a mut S,
+    partitioner: Partitioner,
+    emitted: u64,
+    sink_err: Option<String>,
+}
+
+impl<S> Router<'_, S> {
+    #[inline]
+    fn emit<K: Key, V>(&mut self, key: K, value: V)
+    where
+        S: EmitSink<K, V>,
+    {
+        self.emitted += 1;
+        let h = fx_hash(&key);
+        let p = self.partitioner.partition_of_hash(h);
+        if self.sink_err.is_none() {
+            if let Err(e) = self.sink.emit(p, h, key, value) {
+                self.sink_err = Some(e);
+            }
+        }
+    }
+}
+
+/// Runs one map attempt — the only implementation, shared by every
+/// backend: honours the kill flag (before launch and between records),
+/// injects the configured faults, opens the record stream, contains
+/// panics in user code, and routes every emission of `map` and
+/// `end_task` into `sink` over `partitions` reduce partitions. Backends
+/// differ only in `open` (where records come from) and `sink` (where
+/// pairs go); shipping the sink and reporting are the caller's.
+pub(crate) fn run_attempt<'s, M, S>(
     mapper: &M,
     work: &WorkItem,
-    reducer_txs: &[Sender<ReduceEvent<M::Key, M::Value>>],
-    msg_tx: &Sender<WorkerMsg>,
-    bufs: &mut shuffle::MapBuffers<M::Key, M::Value>,
-) where
-    S: InputSource,
-    M: Mapper<Item = S::Item>,
+    partitions: usize,
+    open: impl FnOnce() -> crate::Result<SplitStream<'s, M::Item>>,
+    sink: &mut S,
+) -> AttemptOutcome
+where
+    M: Mapper,
+    S: EmitSink<M::Key, M::Value>,
 {
     if work.kill.load(Ordering::SeqCst) {
-        let _ = msg_tx.send(WorkerMsg::Killed {
-            task: work.task,
-            attempt: work.attempt,
-        });
-        return;
+        return AttemptOutcome::Killed;
     }
     let decision = work
         .fault
@@ -154,70 +242,43 @@ pub(crate) fn run_map_attempt<S, M>(
         .map(|f| f.decide(work.task.0, work.attempt))
         .unwrap_or(FaultDecision::None);
     if decision == FaultDecision::IoError {
-        let _ = msg_tx.send(WorkerMsg::Failed {
-            task: work.task,
-            attempt: work.attempt,
-            error: RuntimeError::InjectedFault {
-                what: format!("input read of {} (attempt {})", work.task, work.attempt),
-            },
+        return AttemptOutcome::Failed(RuntimeError::InjectedFault {
+            what: format!("input read of {} (attempt {})", work.task, work.attempt),
         });
-        return;
     }
-    let t0 = Instant::now();
-    // Clone-free read path: the source yields records lazily (precise
-    // reads iterate blocks in place; sampled reads materialise only the
-    // sample) instead of handing back a fully cloned vector.
-    let mut stream = match input.stream_split(work.task.0, work.sampling_ratio, work.seed) {
+    let started = Instant::now();
+    let mut stream = match open() {
         Ok(s) => s,
-        Err(e) => {
-            let _ = msg_tx.send(WorkerMsg::Failed {
-                task: work.task,
-                attempt: work.attempt,
-                error: e,
-            });
-            return;
-        }
+        Err(e) => return AttemptOutcome::Failed(e),
     };
-    // Stream construction is only the first slice of read time; the lazy
-    // reads themselves are timed batch-by-batch in the loop below.
-    let construct_secs = t0.elapsed().as_secs_f64();
-    let total_records = stream.total;
-    let sampled_records = stream.sampled;
-    let num_reducers = reducer_txs.len();
-    let combiner = if work.combining {
-        mapper.combiner()
-    } else {
-        None
+    // Stream construction is only the first slice of read time; lazy
+    // reads are timed batch-by-batch in the loop below.
+    let opened = Instant::now();
+    let (total_records, sampled_records) = (stream.total, stream.sampled);
+    let mut router = Router {
+        sink,
+        partitioner: Partitioner::new(partitions),
+        emitted: 0,
+        sink_err: None,
     };
-    bufs.reset(num_reducers);
-    let partitioner = Partitioner::new(num_reducers);
-    // User map code may panic; contain it so the JobTracker can fail the
-    // job cleanly instead of losing a worker thread (and hanging). The
-    // arena buffers are safe to reuse after a panic: `reset` discards
-    // any partial state at the start of the next attempt.
+    // User map code may panic; contain it so the tracker can retry or
+    // fail the job cleanly instead of losing a worker. Sinks are safe to
+    // reuse or drop afterwards: partial state is discarded either way.
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if decision == FaultDecision::MapPanic {
             panic!("injected map panic in {}", work.task);
         }
-        // Raw path: one pre-sized Vec of pairs per reducer. Combining
-        // path: one hash-fold table per reducer, sorted once per batch
-        // at ship time (so batch order — and with it the whole job —
-        // stays deterministic).
-        let raw = &mut bufs.raw;
-        let combined = &mut bufs.combined;
-        let mut emitted = 0u64;
-        let mut read_secs = construct_secs;
-        let ctx = MapTaskContext {
+        let mut read_secs = (opened - started).as_secs_f64();
+        let mut state = mapper.begin_task(&MapTaskContext {
             task: work.task,
             dataset: work.dataset,
             sampling_ratio: work.sampling_ratio,
             attempt: work.attempt,
-        };
-        let mut state = mapper.begin_task(&ctx);
+        });
         let mut killed = false;
-        let mut batch: Vec<S::Item> = Vec::with_capacity(READ_BATCH);
+        let mut batch: Vec<M::Item> = Vec::with_capacity(READ_BATCH);
         let mut exhausted = false;
-        while !exhausted && !killed {
+        while !exhausted && !killed && router.sink_err.is_none() {
             let rt = Instant::now();
             while batch.len() < READ_BATCH {
                 match stream.next() {
@@ -234,79 +295,94 @@ pub(crate) fn run_map_attempt<S, M>(
                     killed = true;
                     break;
                 }
-                mapper.map(&mut state, item, &mut |k, v| {
-                    emitted += 1;
-                    // One hash per pair, shared by the partitioner and
-                    // the combine-table probe.
-                    let h = crate::types::fx_hash(&k);
-                    let p = partitioner.partition_of_hash(h);
-                    crate::combine::route_emission(combiner, raw, combined, p, h, k, v);
-                });
+                if router.sink_err.is_some() {
+                    break;
+                }
+                mapper.map(&mut state, item, &mut |k, v| router.emit(k, v));
             }
         }
-        if !killed {
-            mapper.end_task(state, &mut |k, v| {
-                emitted += 1;
-                let h = crate::types::fx_hash(&k);
-                let p = partitioner.partition_of_hash(h);
-                crate::combine::route_emission(combiner, raw, combined, p, h, k, v);
-            });
+        if !killed && router.sink_err.is_none() {
+            mapper.end_task(state, &mut |k, v| router.emit(k, v));
         }
-        (emitted, killed, read_secs)
+        (killed, read_secs)
     }));
-    let (emitted, killed, read_secs) = match run {
-        Ok(r) => r,
-        Err(_) => {
-            let _ = msg_tx.send(WorkerMsg::Failed {
-                task: work.task,
-                attempt: work.attempt,
-                error: RuntimeError::TaskPanicked {
-                    what: format!("user map code in {}", work.task),
-                },
-            });
-            return;
-        }
-    };
-    if killed {
-        let _ = msg_tx.send(WorkerMsg::Killed {
-            task: work.task,
-            attempt: work.attempt,
-        });
-        return;
+    match run {
+        Err(_) => AttemptOutcome::Failed(RuntimeError::TaskPanicked {
+            what: format!("user map code in {}", work.task),
+        }),
+        Ok((true, _)) => AttemptOutcome::Killed,
+        Ok((false, read_secs)) => match router.sink_err {
+            Some(display) => AttemptOutcome::Failed(RuntimeError::Remote { display }),
+            None => AttemptOutcome::Mapped(Mapped {
+                total_records,
+                sampled_records,
+                emitted: router.emitted,
+                read_secs,
+                started,
+                opened,
+                mapped: Instant::now(),
+            }),
+        },
     }
-    let duration_secs = t0.elapsed().as_secs_f64();
-    let meta = MapOutputMeta {
-        task: work.task,
-        dataset: work.dataset,
-        total_records,
-        sampled_records,
-        duration_secs,
-    };
-    let shuffled = shuffle::ship_outputs(reducer_txs, meta, combiner.is_some(), bufs);
-    let stats = MapStats {
-        task: work.task,
-        dataset: work.dataset,
-        total_records,
-        sampled_records,
-        emitted,
-        shuffled,
-        duration_secs,
-        read_secs,
-    };
-    let _ = msg_tx.send(WorkerMsg::Completed {
-        stats,
-        attempt: work.attempt,
-        spans: Vec::new(),
+}
+
+/// The in-process caller of [`run_attempt`] (task-tracker thread or pool
+/// slot): streams the split from `input` into the thread's arena, ships
+/// one pre-partitioned batch per reducer and reports a [`WorkerMsg`].
+pub(crate) fn run_map_attempt<S, M>(
+    input: &S,
+    mapper: &M,
+    work: &WorkItem,
+    reducer_txs: &[Sender<ReduceEvent<M::Key, M::Value>>],
+    msg_tx: &Sender<WorkerMsg>,
+    bufs: &mut shuffle::MapBuffers<M::Key, M::Value>,
+) where
+    S: InputSource,
+    M: Mapper<Item = S::Item>,
+{
+    let combiner = mapper.combiner().filter(|_| work.combining);
+    bufs.reset(reducer_txs.len());
+    let outcome = run_attempt(
+        mapper,
+        work,
+        reducer_txs.len(),
+        || input.stream_split(work.task.0, work.sampling_ratio, work.seed),
+        &mut shuffle::BufferSink {
+            combiner,
+            bufs: &mut *bufs,
+        },
+    );
+    let (task, attempt) = (work.task, work.attempt);
+    let _ = msg_tx.send(match outcome {
+        AttemptOutcome::Killed => WorkerMsg::Killed { task, attempt },
+        AttemptOutcome::Failed(error) => WorkerMsg::Failed {
+            task,
+            attempt,
+            error,
+        },
+        AttemptOutcome::Mapped(m) => {
+            let mut stats = m.stats(work, 0, m.started.elapsed().as_secs_f64());
+            let meta = shuffle::meta_of(&stats);
+            stats.shuffled = shuffle::ship_outputs(reducer_txs, meta, combiner.is_some(), bufs);
+            WorkerMsg::Completed {
+                stats,
+                attempt,
+                spans: Vec::new(),
+            }
+        }
     });
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use super::super::process::spill::SpillShuffle;
     use super::super::{run_job, JobConfig};
+    use super::*;
     use crate::input::{SampledItems, SplitMeta, VecSource};
-    use crate::mapper::{FnMapper, Mapper};
+    use crate::mapper::FnMapper;
     use crate::reducer::{GroupedReducer, MapOutputMeta, ReduceContext, Reducer};
-    use crate::RuntimeError;
 
     #[test]
     fn read_seed_is_stable_per_task() {
@@ -416,92 +492,256 @@ mod tests {
         assert_eq!(result.outputs, vec![6]);
     }
 
-    /// A source whose stream is lazy and slow: each `next()` costs real
-    /// time, none of it spent at stream construction — the shape that
-    /// used to be invisible to `read_secs`.
-    struct SlowStreamSource {
-        items: u64,
-        per_item: std::time::Duration,
+    /// Emits `(item % 3, item)` per record and `(99, records seen)` from
+    /// `end_task`; panics on `panic_at`, raises `kill` while mapping
+    /// `kill_at`.
+    struct TableMapper {
+        panic_at: Option<u32>,
+        kill_at: Option<u32>,
+        kill: Arc<AtomicBool>,
     }
 
-    impl crate::input::InputSource for SlowStreamSource {
-        type Item = u64;
-
-        fn splits(&self) -> Vec<SplitMeta> {
-            vec![SplitMeta {
-                index: 0,
-                dataset: Default::default(),
-                records: self.items,
-                bytes: 0,
-                locations: vec![],
-            }]
+    impl Mapper for TableMapper {
+        type Item = u32;
+        type Key = u32;
+        type Value = u64;
+        type TaskState = u64;
+        fn begin_task(&self, _c: &crate::mapper::MapTaskContext) -> u64 {
+            0
         }
-
-        fn read_split(&self, _i: usize, _r: f64, _s: u64) -> crate::Result<SampledItems<u64>> {
-            unreachable!("the attempt path streams")
+        fn map(&self, seen: &mut u64, item: u32, emit: &mut dyn FnMut(u32, u64)) {
+            assert!(self.panic_at != Some(item), "poisoned item");
+            if self.kill_at == Some(item) {
+                self.kill.store(true, Ordering::SeqCst);
+            }
+            *seen += 1;
+            emit(item % 3, u64::from(item));
         }
-
-        fn stream_split(
-            &self,
-            _index: usize,
-            _ratio: f64,
-            _seed: u64,
-        ) -> crate::Result<crate::input::SplitStream<'_, u64>> {
-            let per_item = self.per_item;
-            let iter = (0..self.items).inspect(move |_| std::thread::sleep(per_item));
-            Ok(crate::input::SplitStream::new(self.items, self.items, iter))
+        fn end_task(&self, seen: u64, emit: &mut dyn FnMut(u32, u64)) {
+            emit(99, seen);
         }
     }
 
-    /// Regression for the read-timing misattribution: `stream_split` is
-    /// lazy, so timing only its construction booked essentially zero
-    /// read time and inflated compute time by the same amount. The
-    /// batched timer must attribute per-`next()` read work to
-    /// `read_secs`.
-    #[test]
-    fn read_secs_covers_lazy_stream_reads() {
-        use crossbeam::channel::unbounded;
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+    /// Passes `left` emissions through to `inner`, then fails.
+    struct FailAfter<S> {
+        inner: S,
+        left: u64,
+    }
 
-        let per_item = std::time::Duration::from_millis(2);
-        let items = 10u64;
-        let input = SlowStreamSource { items, per_item };
-        let mapper = FnMapper::new(|i: &u64, emit: &mut dyn FnMut(u8, u64)| emit(0, *i));
-        let (reduce_tx, _reduce_rx) = unbounded();
-        let (msg_tx, msg_rx) = unbounded();
-        let work = super::WorkItem {
-            task: crate::types::TaskId(0),
-            dataset: Default::default(),
-            attempt: 0,
+    impl<K, V, S: EmitSink<K, V>> EmitSink<K, V> for FailAfter<S> {
+        fn emit(&mut self, p: usize, h: u64, k: K, v: V) -> Result<(), String> {
+            if self.left == 0 {
+                return Err("sink refused the pair".into());
+            }
+            self.left -= 1;
+            self.inner.emit(p, h, k, v)
+        }
+    }
+
+    #[derive(Default)]
+    struct Case {
+        name: &'static str,
+        kill_before: bool,
+        kill_at: Option<u32>,
+        fault: Option<FaultPlan>,
+        panic_at: Option<u32>,
+        sink_fails_after: Option<u64>,
+        /// Each `next()` of the stream sleeps this long — none of it at
+        /// stream construction, the shape a construction-only read clock
+        /// books as zero read time.
+        per_item: Duration,
+        /// `Err(rendered outcome)` or `Ok((total, sampled, emitted))`.
+        expect: Option<std::result::Result<(u64, u64, u64), &'static str>>,
+    }
+
+    /// What one run of the body produced, in comparable form: the
+    /// outcome, the pairs the sink held per partition, and the read and
+    /// map-phase clocks.
+    type Observed = (
+        std::result::Result<(u64, u64, u64), String>,
+        Vec<(usize, u32, u64)>,
+        f64,
+        f64,
+    );
+
+    const RECORDS: u32 = 10;
+    const PARTITIONS: usize = 2;
+
+    fn observe(case: &Case, spill: bool) -> Observed {
+        let kill = Arc::new(AtomicBool::new(case.kill_before));
+        let mapper = TableMapper {
+            panic_at: case.panic_at,
+            kill_at: case.kill_at,
+            kill: Arc::clone(&kill),
+        };
+        let work = WorkItem {
+            task: TaskId(4),
+            dataset: DatasetId(0),
+            attempt: 1,
             sampling_ratio: 1.0,
             seed: 0,
-            kill: Arc::new(AtomicBool::new(false)),
-            fault: None,
+            kill,
+            fault: case.fault.clone().map(Arc::new),
             combining: false,
             span: 0,
         };
-        let mut bufs = super::shuffle::MapBuffers::new();
-        super::run_map_attempt(&input, &mapper, &work, &[reduce_tx], &msg_tx, &mut bufs);
-
-        let super::WorkerMsg::Completed { stats, .. } = msg_rx.recv().unwrap() else {
-            panic!("attempt must complete");
+        let per_item = case.per_item;
+        let open = || {
+            let iter = (0..RECORDS).inspect(move |_| std::thread::sleep(per_item));
+            Ok(SplitStream::new(RECORDS.into(), RECORDS.into(), iter))
         };
-        // 10 items * 2 ms lives inside `next()`; allow generous slack for
-        // coarse sleep granularity, but well above the ~0 the old
-        // construction-only measurement would report.
-        let floor = (items as f64) * per_item.as_secs_f64() * 0.75;
-        assert!(
-            stats.read_secs >= floor,
-            "read_secs {} must cover lazy read work (floor {floor})",
-            stats.read_secs
-        );
-        assert!(
-            stats.read_secs <= stats.duration_secs,
-            "read_secs {} cannot exceed attempt duration {}",
-            stats.read_secs,
-            stats.duration_secs
-        );
+        let left = case.sink_fails_after.unwrap_or(u64::MAX);
+        let mut pairs = Vec::new();
+        let outcome = if spill {
+            let dir = std::env::temp_dir().join(format!(
+                "approxhadoop-attempt-table-{}-{}",
+                std::process::id(),
+                case.name.replace(' ', "-")
+            ));
+            let mut sink = FailAfter {
+                inner: SpillShuffle::new(PARTITIONS, None, 1, dir),
+                left,
+            };
+            let outcome = run_attempt(&mapper, &work, PARTITIONS, open, &mut sink);
+            if matches!(outcome, AttemptOutcome::Mapped(_)) {
+                sink.inner
+                    .drain(|p, k, v| {
+                        pairs.push((p, k, v));
+                        Ok(())
+                    })
+                    .unwrap();
+            }
+            outcome
+        } else {
+            let mut bufs = shuffle::MapBuffers::new();
+            bufs.reset(PARTITIONS);
+            let mut sink = FailAfter {
+                inner: shuffle::BufferSink {
+                    combiner: None,
+                    bufs: &mut bufs,
+                },
+                left,
+            };
+            let outcome = run_attempt(&mapper, &work, PARTITIONS, open, &mut sink);
+            if matches!(outcome, AttemptOutcome::Mapped(_)) {
+                for (p, raw) in bufs.raw.iter().enumerate() {
+                    pairs.extend(raw.iter().map(|&(k, v)| (p, k, v)));
+                }
+            }
+            outcome
+        };
+        match outcome {
+            AttemptOutcome::Killed => (Err("Killed".into()), pairs, 0.0, 0.0),
+            AttemptOutcome::Failed(e) => (Err(format!("{e:?}")), pairs, 0.0, 0.0),
+            AttemptOutcome::Mapped(m) => (
+                Ok((m.total_records, m.sampled_records, m.emitted)),
+                pairs,
+                m.read_secs,
+                (m.mapped - m.started).as_secs_f64(),
+            ),
+        }
+    }
+
+    /// Every way an attempt can end, on both sinks — the in-process
+    /// arena and the worker's spill buffer at a 1-byte budget (one run
+    /// file per emission): same outcome, same error text, same counts,
+    /// same pairs in the same order.
+    #[test]
+    fn attempt_body_outcomes_are_identical_on_both_sinks() {
+        let all = u64::from(RECORDS);
+        let per_item = Duration::from_millis(2);
+        let cases = [
+            Case {
+                name: "kill set before launch",
+                kill_before: true,
+                expect: Some(Err("Killed")),
+                ..Default::default()
+            },
+            Case {
+                name: "kill raised mid-stream",
+                kill_at: Some(3),
+                expect: Some(Err("Killed")),
+                ..Default::default()
+            },
+            Case {
+                name: "IoError fault",
+                fault: Some(FaultPlan {
+                    map_io_error_prob: 1.0,
+                    ..Default::default()
+                }),
+                expect: Some(Err(
+                    "InjectedFault { what: \"input read of map_000004 (attempt 1)\" }",
+                )),
+                ..Default::default()
+            },
+            Case {
+                name: "MapPanic fault",
+                fault: Some(FaultPlan {
+                    map_panic_prob: 1.0,
+                    ..Default::default()
+                }),
+                expect: Some(Err(
+                    "TaskPanicked { what: \"user map code in map_000004\" }",
+                )),
+                ..Default::default()
+            },
+            Case {
+                name: "panicking user map",
+                panic_at: Some(5),
+                expect: Some(Err(
+                    "TaskPanicked { what: \"user map code in map_000004\" }",
+                )),
+                ..Default::default()
+            },
+            Case {
+                name: "sink fails on the 4th emission",
+                sink_fails_after: Some(3),
+                expect: Some(Err("Remote { display: \"sink refused the pair\" }")),
+                ..Default::default()
+            },
+            Case {
+                name: "clean run with an end_task emission",
+                expect: Some(Ok((all, all, all + 1))),
+                ..Default::default()
+            },
+            Case {
+                name: "slow lazy stream",
+                per_item,
+                expect: Some(Ok((all, all, all + 1))),
+                ..Default::default()
+            },
+        ];
+        for case in &cases {
+            let (outcome, pairs, read_secs, phase_secs) = observe(case, false);
+            let (spill_outcome, spill_pairs, spill_read_secs, spill_phase_secs) =
+                observe(case, true);
+            let expect = case.expect.expect("every row states its outcome");
+            assert_eq!(outcome, expect.map_err(String::from), "{}", case.name);
+            assert_eq!(spill_outcome, outcome, "{}: sinks disagree", case.name);
+            assert_eq!(
+                spill_pairs, pairs,
+                "{}: sinks hold different pairs",
+                case.name
+            );
+            if outcome.is_ok() {
+                assert_eq!(pairs.len() as u64, all + 1, "{}", case.name);
+                assert_eq!(
+                    pairs
+                        .iter()
+                        .filter(|&&(_, k, v)| (k, v) == (99, all))
+                        .count(),
+                    1
+                );
+            }
+            // The batched read clock must cover the per-`next()` work of
+            // a lazy stream (generous slack for coarse sleeps) and can
+            // never exceed the phases it is part of.
+            let floor = f64::from(RECORDS) * case.per_item.as_secs_f64() * 0.75;
+            for (read, phases) in [(read_secs, phase_secs), (spill_read_secs, spill_phase_secs)] {
+                assert!(read >= floor, "{}: read_secs {read} < {floor}", case.name);
+                assert!(read <= phases, "{}: read_secs {read} > {phases}", case.name);
+            }
+        }
     }
 
     /// Stateful end_task emission arrives even when items were sampled

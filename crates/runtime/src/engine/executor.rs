@@ -1,5 +1,5 @@
 //! Execution backends: *how* map attempts run, with zero scheduling
-//! authority.
+//! authority — and the one job driver every backend runs under.
 //!
 //! An [`Executor`] owns the worker side of a job — threads or pool
 //! slots, the shuffle senders, the worker message channel — and exposes
@@ -7,20 +7,26 @@
 //! an attempt, receive outcomes, and broadcast drop notifications. All
 //! decisions (what to run, where, when to kill) stay in the tracker.
 //!
-//! Two backends exist: [`ScopedExecutor`] runs attempts on job-private
-//! task-tracker threads spread over simulated servers (data locality,
-//! speculation and blacklisting apply), and [`PoolExecutor`] submits
-//! attempts to a shared [`SlotPool`] (one virtual server; the pool
-//! arbitrates slots across jobs).
+//! This module owns `drive`, the only job driver: input check,
+//! `JobControl`, reducer channels and threads, the tracker loop,
+//! executor shutdown, reducer join and `finish`. A backend is a
+//! `Topology` plus a closure that builds its executor inside the
+//! driver's thread scope. The two in-process backends live here and
+//! share one executor type: `run_scoped` spawns job-private task-tracker
+//! threads spread over simulated servers (data locality, speculation and
+//! blacklisting apply); `run_pooled` submits attempts to a shared
+//! [`SlotPool`] (one virtual server; the pool arbitrates slots across
+//! jobs). The process backend's closure is in [`super::process`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::thread::Scope;
 
 use crate::control::{Coordinator, JobControl};
 use crate::event::JobSession;
-use crate::input::InputSource;
+use crate::input::{InputSource, SplitMeta};
 use crate::mapper::Mapper;
 use crate::pool::{SlotPool, TenantId};
 use crate::reducer::{ReduceEvent, Reducer};
@@ -118,23 +124,28 @@ pub trait Executor {
     /// Blocks up to `timeout` for one worker message.
     fn recv(&mut self, timeout: Duration) -> RecvOutcome;
     /// Drains one already-queued worker message, if any.
-    fn try_recv(&mut self) -> Option<WorkerMsg>;
+    fn try_recv(&mut self) -> Option<WorkerMsg> {
+        match self.recv(Duration::ZERO) {
+            RecvOutcome::Msg(msg) => Some(msg),
+            _ => None,
+        }
+    }
     /// Tells every reducer that `task` will never deliver output.
     fn notify_drop(&mut self, task: usize);
 }
 
-/// Backend over job-private task-tracker threads (one channel per
-/// simulated server; workers round-robin across them).
-struct ScopedExecutor<K: Key, V: Value> {
-    task_txs: Vec<Sender<WorkItem>>,
+/// The in-process backends' executor: attempts leave through `dispatch`
+/// (a send on the server's task channel, or a submission to the shared
+/// [`SlotPool`]), outcomes come back on one message channel.
+struct LocalExecutor<K: Key, V: Value, D> {
+    dispatch: D,
     msg_rx: Receiver<WorkerMsg>,
     reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
 }
 
-impl<K: Key, V: Value> Executor for ScopedExecutor<K, V> {
+impl<K: Key, V: Value, D: FnMut(usize, WorkItem) -> bool> Executor for LocalExecutor<K, V, D> {
     fn dispatch(&mut self, server: usize, work: WorkItem) -> bool {
-        let _ = self.task_txs[server].send(work);
-        true
+        (self.dispatch)(server, work)
     }
 
     fn recv(&mut self, timeout: Duration) -> RecvOutcome {
@@ -145,70 +156,97 @@ impl<K: Key, V: Value> Executor for ScopedExecutor<K, V> {
         }
     }
 
-    fn try_recv(&mut self) -> Option<WorkerMsg> {
-        self.msg_rx.try_recv().ok()
-    }
-
     fn notify_drop(&mut self, task: usize) {
         shuffle::broadcast_drop(&self.reducer_txs, task);
     }
 }
 
-/// Backend over a shared [`SlotPool`]: each attempt is boxed and queued
-/// under the job's tenant; the pool decides when it actually runs.
-struct PoolExecutor<'p, S, M: Mapper> {
-    input: Arc<S>,
-    mapper: Arc<M>,
-    pool: &'p SlotPool,
-    tenant: TenantId,
-    msg_tx: Sender<WorkerMsg>,
-    msg_rx: Receiver<WorkerMsg>,
-    reducer_txs: Vec<Sender<ReduceEvent<M::Key, M::Value>>>,
-}
-
-impl<S, M> Executor for PoolExecutor<'_, S, M>
+/// The one job driver, shared by every backend: rejects empty inputs,
+/// spawns the reduce tasks, lets the backend `build` its [`Executor`]
+/// (handing it the scope to spawn workers into and the reducer senders
+/// it owns from then on), drives the [`JobTracker`] against it, shuts
+/// the executor down, joins the reducers and finalises.
+///
+/// Reducers are constructed on the calling thread and moved into scoped
+/// threads. A `build` that fails has dropped the senders it was given,
+/// so the reducers drain out and the scope joins them before the error
+/// returns.
+#[allow(clippy::too_many_arguments)] // internal driver: the full job context
+pub(crate) fn drive<'env, R, E>(
+    splits: Vec<SplitMeta>,
+    make_reducer: impl Fn(usize) -> R,
+    config: &JobConfig,
+    topology: Topology,
+    coordinator: &mut dyn Coordinator,
+    session: &JobSession,
+    clock: &dyn Clock,
+    build: impl for<'scope> FnOnce(
+        &Scope<'scope, 'env>,
+        Vec<Sender<ReduceEvent<R::Key, R::Value>>>,
+        &[SplitMeta],
+    ) -> Result<E>,
+) -> Result<JobResult<R::Output>>
 where
-    S: InputSource + 'static,
-    M: Mapper<Item = S::Item> + 'static,
+    R: Reducer + 'env,
+    E: Executor,
 {
-    fn dispatch(&mut self, _server: usize, work: WorkItem) -> bool {
-        let input = Arc::clone(&self.input);
-        let mapper = Arc::clone(&self.mapper);
-        let attempt_txs = self.reducer_txs.clone();
-        let msg_tx = self.msg_tx.clone();
-        self.pool.submit(
-            self.tenant,
-            Box::new(move || {
-                // Pool slots are shared across jobs with different
-                // key/value types, so the buffers live per attempt here;
-                // the scoped and process backends reuse theirs.
-                let mut bufs = shuffle::MapBuffers::new();
-                run_map_attempt(&*input, &*mapper, &work, &attempt_txs, &msg_tx, &mut bufs);
-            }),
-        )
+    let total = splits.len();
+    if total == 0 {
+        return Err(RuntimeError::invalid("input has no splits"));
     }
+    let start = Instant::now();
+    let control = Arc::new(JobControl::new(config.reduce_tasks));
+    let (reducer_txs, reducer_rxs) = shuffle::reducer_channels(config.reduce_tasks);
+    let label = session.job.to_string();
+    let job = crossbeam::thread::scope(|s| {
+        let reducers: Vec<_> = reducer_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(r, rx)| {
+                let (reducer, control) = (make_reducer(r), Arc::clone(&control));
+                s.spawn(move |_| shuffle::drain_reduce_events(reducer, rx, r, total, control))
+            })
+            .collect();
+        let mut executor = build(s, reducer_txs, &splits)?;
+        let mut tracker = JobTracker::new(
+            config,
+            &splits,
+            &control,
+            session,
+            clock,
+            topology,
+            start,
+            session.job.0 + 2,
+            &label,
+        );
+        tracker.run_loop(&mut executor, coordinator);
 
-    fn recv(&mut self, timeout: Duration) -> RecvOutcome {
-        match self.msg_rx.recv_timeout(timeout) {
-            Ok(msg) => RecvOutcome::Msg(msg),
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::Timeout,
-            // Unreachable in practice: this executor holds `msg_tx`.
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
+        // Shut down: the executor stops its workers (closing the task
+        // channels, or reaping the worker processes) and releases the
+        // last reducer senders, so the reducers can finish.
+        drop(executor);
+
+        let mut outputs = Vec::new();
+        let mut panicked = false;
+        for h in reducers {
+            match h.join() {
+                Ok(out) => outputs.extend(out),
+                Err(_) => panicked = true,
+            }
         }
-    }
-
-    fn try_recv(&mut self) -> Option<WorkerMsg> {
-        self.msg_rx.try_recv().ok()
-    }
-
-    fn notify_drop(&mut self, task: usize) {
-        shuffle::broadcast_drop(&self.reducer_txs, task);
-    }
+        tracker
+            .finish(panicked)
+            .map(|metrics| JobResult { outputs, metrics })
+    });
+    job.unwrap_or_else(|_| {
+        Err(RuntimeError::TaskPanicked {
+            what: "task tracker".into(),
+        })
+    })
 }
 
-/// Runs a job on job-private scoped threads: spawns reducers and task
-/// trackers, drives the [`JobTracker`] against a [`ScopedExecutor`],
-/// then joins everything and finalises.
+/// The scoped backend: job-private task-tracker threads spread over
+/// simulated servers, one task channel per server.
 pub(crate) fn run_scoped<S, M, R, FR>(
     input: &S,
     mapper: &M,
@@ -222,109 +260,51 @@ where
     S: InputSource,
     M: Mapper<Item = S::Item>,
     R: Reducer<Key = M::Key, Value = M::Value>,
-    FR: Fn(usize) -> R + Sync,
+    FR: Fn(usize) -> R,
 {
-    let splits = input.splits();
-    let total = splits.len();
-    if total == 0 {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    let start = Instant::now();
-    let control = Arc::new(JobControl::new(config.reduce_tasks));
     let topology = Topology::scoped(&config);
     let servers = topology.servers();
-
-    let mut task_txs: Vec<Sender<WorkItem>> = Vec::with_capacity(servers);
-    let mut task_rxs = Vec::with_capacity(servers);
-    for _ in 0..servers {
-        let (tx, rx) = unbounded::<WorkItem>();
-        task_txs.push(tx);
-        task_rxs.push(rx);
-    }
-    let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
-    let (reducer_txs, reducer_rxs) =
-        shuffle::reducer_channels::<M::Key, M::Value>(config.reduce_tasks);
-
-    let make_reducer = &make_reducer;
-    let splits = &splits;
-    let config = &config;
-    let label = session.job.to_string();
-    let scope_result = crossbeam::thread::scope(|s| {
-        // ---- reduce tasks ----
-        let mut reducer_handles = Vec::new();
-        for (r, rx) in reducer_rxs.into_iter().enumerate() {
-            let control = Arc::clone(&control);
-            reducer_handles.push(s.spawn(move |_| {
-                shuffle::drain_reduce_events(make_reducer(r), rx, r, total, control)
-            }));
-        }
-
-        // ---- task trackers (map slots, spread across servers) ----
-        for w in 0..config.map_slots {
-            let task_rx = task_rxs[w % servers].clone();
-            let msg_tx = msg_tx.clone();
-            let reducer_txs = reducer_txs.clone();
-            s.spawn(move |_| {
-                // One arena per task-tracker thread, reused across every
-                // attempt it runs: combine tables keep their hash-table
-                // allocations, raw pair vectors start pre-sized.
-                let mut bufs = shuffle::MapBuffers::new();
-                for work in task_rx.iter() {
-                    run_map_attempt(input, mapper, &work, &reducer_txs, &msg_tx, &mut bufs);
-                }
-            });
-        }
-        drop(task_rxs);
-        drop(msg_tx);
-
-        // ---- the scheduler ----
-        let mut executor = ScopedExecutor {
-            task_txs,
-            msg_rx,
-            reducer_txs,
-        };
-        let mut tracker = JobTracker::new(
-            config,
-            splits,
-            &control,
-            session,
-            clock,
-            topology,
-            start,
-            session.job.0 + 2,
-            &label,
-        );
-        tracker.run_loop(&mut executor, coordinator);
-
-        // Shut down: close the dispatch channels (workers exit after
-        // draining), then release our reducer senders so reducers can
-        // finish once the last worker exits.
-        drop(executor);
-
-        let mut outputs = Vec::new();
-        let mut panicked = false;
-        for h in reducer_handles {
-            match h.join() {
-                Ok(out) => outputs.extend(out),
-                Err(_) => panicked = true,
+    let map_slots = config.map_slots;
+    drive(
+        input.splits(),
+        make_reducer,
+        &config,
+        topology,
+        coordinator,
+        session,
+        clock,
+        |s, reducer_txs, _| {
+            let (task_txs, task_rxs): (Vec<_>, Vec<_>) =
+                (0..servers).map(|_| unbounded::<WorkItem>()).unzip();
+            let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
+            for w in 0..map_slots {
+                let task_rx = task_rxs[w % servers].clone();
+                let msg_tx = msg_tx.clone();
+                let reducer_txs = reducer_txs.clone();
+                s.spawn(move |_| {
+                    // One arena per task-tracker thread, reused across every
+                    // attempt it runs: combine tables keep their hash-table
+                    // allocations, raw pair vectors start pre-sized.
+                    let mut bufs = shuffle::MapBuffers::new();
+                    for work in task_rx.iter() {
+                        run_map_attempt(input, mapper, &work, &reducer_txs, &msg_tx, &mut bufs);
+                    }
+                });
             }
-        }
-        tracker
-            .finish(panicked)
-            .map(|metrics| JobResult { outputs, metrics })
-    });
-
-    match scope_result {
-        Ok(job) => job,
-        Err(_) => Err(RuntimeError::TaskPanicked {
-            what: "task tracker".into(),
-        }),
-    }
+            Ok(LocalExecutor {
+                dispatch: move |server: usize, work| {
+                    let _ = task_txs[server].send(work);
+                    true
+                },
+                msg_rx,
+                reducer_txs,
+            })
+        },
+    )
 }
 
-/// Runs a job against a shared [`SlotPool`]: spawns reducer threads,
-/// drives the [`JobTracker`] against a [`PoolExecutor`] on the calling
-/// thread, then joins everything and finalises.
+/// The pool backend: each attempt is boxed and queued on the shared
+/// [`SlotPool`] under the job's tenant; the pool decides when it runs.
 #[allow(clippy::too_many_arguments)] // internal driver: job + pool + session
 pub(crate) fn run_pooled<S, M, R, FR>(
     input: Arc<S>,
@@ -340,71 +320,51 @@ pub(crate) fn run_pooled<S, M, R, FR>(
 where
     S: InputSource + 'static,
     M: Mapper<Item = S::Item> + 'static,
-    R: Reducer<Key = M::Key, Value = M::Value> + Send + 'static,
-    R::Output: Send + 'static,
+    R: Reducer<Key = M::Key, Value = M::Value>,
     FR: Fn(usize) -> R,
 {
-    let splits = input.splits();
-    let total = splits.len();
-    if total == 0 {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    let start = Instant::now();
-    let control = Arc::new(JobControl::new(config.reduce_tasks));
-
-    let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
-    let (reducer_txs, reducer_rxs) =
-        shuffle::reducer_channels::<M::Key, M::Value>(config.reduce_tasks);
-    let mut reducer_handles = Vec::new();
-    for (r, rx) in reducer_rxs.into_iter().enumerate() {
-        let control = Arc::clone(&control);
-        let reducer = make_reducer(r);
-        reducer_handles.push(std::thread::spawn(move || {
-            shuffle::drain_reduce_events(reducer, rx, r, total, control)
-        }));
-    }
-
-    // ---- the scheduler (runs on the calling thread) ----
-    let topology = Topology::pooled(&config);
-    let label = session.job.to_string();
-    let mut tracker = JobTracker::new(
+    drive(
+        input.splits(),
+        make_reducer,
         &config,
-        &splits,
-        &control,
+        Topology::pooled(&config),
+        coordinator,
         session,
         clock,
-        topology,
-        start,
-        session.job.0 + 2,
-        &label,
-    );
-    let mut executor = PoolExecutor {
-        input,
-        mapper,
-        pool,
-        tenant,
-        msg_tx,
-        msg_rx,
-        reducer_txs,
-    };
-    tracker.run_loop(&mut executor, coordinator);
-
-    // Shut down: every submitted attempt has reported (the tracker only
-    // exits once no closure still holds a reducer sender), so dropping
-    // our senders lets the reducers drain and finish.
-    drop(executor);
-
-    let mut outputs = Vec::new();
-    let mut panicked = false;
-    for h in reducer_handles {
-        match h.join() {
-            Ok(out) => outputs.extend(out),
-            Err(_) => panicked = true,
-        }
-    }
-    tracker
-        .finish(panicked)
-        .map(|metrics| JobResult { outputs, metrics })
+        |_, reducer_txs, _| {
+            // The executor keeps one `msg_tx`, so its channel never
+            // closes; the tracker exits once every submitted attempt has
+            // reported, when no closure still holds a reducer sender.
+            let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
+            let attempt_txs = reducer_txs.clone();
+            Ok(LocalExecutor {
+                dispatch: move |_server, work| {
+                    let input = Arc::clone(&input);
+                    let mapper = Arc::clone(&mapper);
+                    let attempt_txs = attempt_txs.clone();
+                    let msg_tx = msg_tx.clone();
+                    pool.submit(
+                        tenant,
+                        Box::new(move || {
+                            // Pool slots are shared across jobs with different
+                            // key/value types, so the buffers live per attempt.
+                            let mut bufs = shuffle::MapBuffers::new();
+                            run_map_attempt(
+                                &*input,
+                                &*mapper,
+                                &work,
+                                &attempt_txs,
+                                &msg_tx,
+                                &mut bufs,
+                            );
+                        }),
+                    )
+                },
+                msg_rx,
+                reducer_txs,
+            })
+        },
+    )
 }
 
 #[cfg(test)]

@@ -8,10 +8,12 @@
 //!   dropping, mid-flight kills, speculative execution, bounded retry
 //!   with backoff and blacklisting, degrade-to-drop plus its error
 //!   budget, wave accounting and event/telemetry emission.
-//! * `executor` — the `Executor` trait and its two backends: scoped
+//! * `executor` — the `Executor` trait, the one job driver every
+//!   backend runs under, and the two in-process backends: scoped
 //!   task-tracker threads (job-private simulated servers) and the
 //!   shared [`crate::pool::SlotPool`] (service mode).
-//! * `attempt` — the worker-side body of one map attempt.
+//! * `attempt` — the one body of a map attempt, shared by every
+//!   backend, generic over its record source and its pair sink.
 //! * `shuffle` — per-reducer channels, batch shipping, drop
 //!   broadcasts and the reduce-side drain loop.
 //! * `clock` — the time source scheduling decisions consult, swapped

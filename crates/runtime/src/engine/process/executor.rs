@@ -28,7 +28,7 @@ use approxhadoop_ipc::{read_frame, write_frame, Decoder, FrameError, Wire};
 use approxhadoop_obs::{Counter, CounterDelta, Obs};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use crate::reducer::{MapOutputMeta, ReduceEvent};
+use crate::reducer::ReduceEvent;
 use crate::types::{Key, TaskId, Value};
 use crate::RuntimeError;
 
@@ -43,6 +43,8 @@ use super::wire::{FromWorker, ToWorker, WireWorkItem};
 /// pre-registered here so `/metrics` renders them at 0 before the
 /// first spill.
 pub(super) struct ProcObs {
+    /// The parent context worker counter deltas merge into.
+    parent: Arc<Obs>,
     frames_tx: Arc<Counter>,
     bytes_tx: Arc<Counter>,
     frames_rx: Arc<Counter>,
@@ -51,11 +53,12 @@ pub(super) struct ProcObs {
 }
 
 impl ProcObs {
-    pub(super) fn new(obs: &Obs, label: &str) -> Self {
+    pub(super) fn new(obs: &Arc<Obs>, label: &str) -> Self {
         let c = |name: &str| obs.registry.counter(name, &[("job", label)]);
         c("approx_process_spill_runs_total");
         c("approx_process_spill_bytes_total");
         ProcObs {
+            parent: Arc::clone(obs),
             frames_tx: c("approx_process_frames_tx_total"),
             bytes_tx: c("approx_process_bytes_tx_total"),
             frames_rx: c("approx_process_frames_rx_total"),
@@ -217,10 +220,8 @@ pub(super) struct ProcessExecutor<K: Key + Wire, V: Value + Wire> {
     span_stash: HashMap<(u64, u32), Vec<RemoteSpan>>,
     pending: VecDeque<WorkerMsg>,
     reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
+    /// `Some` exactly when the job spec carries a telemetry label.
     obs: Option<ProcObs>,
-    /// Parent registry worker counter deltas merge into; `Some` exactly
-    /// when the job spec carries a telemetry label.
-    merge_into: Option<Arc<Obs>>,
 }
 
 impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
@@ -230,7 +231,6 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
         workers: usize,
         reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
         obs: Option<ProcObs>,
-        merge_into: Option<Arc<Obs>>,
     ) -> crate::Result<Self> {
         let (ev_tx, ev_rx) = unbounded();
         let mut handles = Vec::with_capacity(workers);
@@ -261,7 +261,6 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
             pending: VecDeque::new(),
             reducer_txs,
             obs,
-            merge_into,
         })
     }
 
@@ -302,19 +301,28 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
         }
     }
 
+    /// Ends an attempt that will deliver no output: forgets its stashed
+    /// chunks and spans and queues `msg` as its terminal message. A no-op
+    /// for attempts already terminated.
+    fn abandon(&mut self, key: (u64, u32), msg: WorkerMsg) {
+        if self.inflight.remove(&key).is_some() {
+            self.stash.remove(&key);
+            self.span_stash.remove(&key);
+            self.pending.push_back(msg);
+        }
+    }
+
     /// Synthesizes a [`RuntimeError::WorkerLost`] failure for an
     /// attempt whose worker can no longer report it.
     fn fail_attempt(&mut self, key: (u64, u32), what: String) {
-        if self.inflight.remove(&key).is_none() {
-            return;
-        }
-        self.stash.remove(&key);
-        self.span_stash.remove(&key);
-        self.pending.push_back(WorkerMsg::Failed {
-            task: TaskId(key.0 as usize),
-            attempt: key.1,
-            error: RuntimeError::WorkerLost { what },
-        });
+        self.abandon(
+            key,
+            WorkerMsg::Failed {
+                task: TaskId(key.0 as usize),
+                attempt: key.1,
+                error: RuntimeError::WorkerLost { what },
+            },
+        );
     }
 
     /// Forwards freshly raised kill flags as `Kill` frames. Sound
@@ -416,7 +424,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                 spill_runs: _,
                 spill_bytes: _,
             } => {
-                let key = (stats.task, attempt);
+                let key = (stats.task.0 as u64, attempt);
                 if self.inflight.remove(&key).is_none() {
                     return;
                 }
@@ -425,14 +433,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                     .stash
                     .remove(&key)
                     .unwrap_or_else(|| (0..partitions).map(|_| Vec::new()).collect());
-                let stats: crate::metrics::MapStats = stats.into();
-                let meta = MapOutputMeta {
-                    task: stats.task,
-                    dataset: stats.dataset,
-                    total_records: stats.total_records,
-                    sampled_records: stats.sampled_records,
-                    duration_secs: stats.duration_secs,
-                };
+                let meta = shuffle::meta_of(&stats);
                 // One MapOutput per reducer even when the batch is
                 // empty — identical to `shuffle::ship_outputs`.
                 for (p, pairs) in parts.into_iter().enumerate() {
@@ -445,35 +446,25 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                     spans,
                 });
             }
-            FromWorker::Killed { task, attempt } => {
-                let key = (task, attempt);
-                if self.inflight.remove(&key).is_none() {
-                    return;
-                }
-                self.stash.remove(&key);
-                self.span_stash.remove(&key);
-                self.pending.push_back(WorkerMsg::Killed {
+            FromWorker::Killed { task, attempt } => self.abandon(
+                (task, attempt),
+                WorkerMsg::Killed {
                     task: TaskId(task as usize),
                     attempt,
-                });
-            }
+                },
+            ),
             FromWorker::Failed {
                 task,
                 attempt,
                 error,
-            } => {
-                let key = (task, attempt);
-                if self.inflight.remove(&key).is_none() {
-                    return;
-                }
-                self.stash.remove(&key);
-                self.span_stash.remove(&key);
-                self.pending.push_back(WorkerMsg::Failed {
+            } => self.abandon(
+                (task, attempt),
+                WorkerMsg::Failed {
                     task: TaskId(task as usize),
                     attempt,
                     error: error.into_error(),
-                });
-            }
+                },
+            ),
             FromWorker::Telemetry {
                 task,
                 attempt,
@@ -484,7 +475,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                 if !self.inflight.contains_key(&key) {
                     return;
                 }
-                let Some(obs) = &self.merge_into else { return };
+                let Some(obs) = &self.obs else { return };
                 // Counters merge immediately — a live /metrics scrape
                 // should reflect worker activity without waiting for the
                 // tracker to consume the attempt's Completed message.
@@ -496,7 +487,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                         delta,
                     })
                     .collect();
-                obs.registry.merge_delta(&deltas);
+                obs.parent.registry.merge_delta(&deltas);
                 // Spans wait for Done: they ride on the Completed message
                 // so the tracker can graft them under the attempt's span.
                 self.span_stash
@@ -562,19 +553,6 @@ impl<K: Key + Wire, V: Value + Wire> Executor for ProcessExecutor<K, V> {
                 Err(RecvTimeoutError::Timeout) => return RecvOutcome::Timeout,
                 // Unreachable in practice: this executor holds `ev_tx`.
                 Err(RecvTimeoutError::Disconnected) => return RecvOutcome::Closed,
-            }
-        }
-    }
-
-    fn try_recv(&mut self) -> Option<WorkerMsg> {
-        self.forward_kills();
-        loop {
-            if let Some(msg) = self.pending.pop_front() {
-                return Some(msg);
-            }
-            match self.ev_rx.try_recv() {
-                Ok(ev) => self.handle(ev),
-                Err(_) => return None,
             }
         }
     }

@@ -30,6 +30,17 @@
 //! [`JobRegistry`] and the parent sends a [`WorkerSpec`] naming one of
 //! them plus an opaque params blob.
 //!
+//! # Who owns what
+//!
+//! [`run_job_process`] contributes to the engine's one job driver
+//! (`engine::executor::drive`) only what is this backend's own: the
+//! one-slot-per-worker topology and a closure that creates the scratch
+//! directory, writes the spool, encodes the job frame and spawns the
+//! `ProcessExecutor`. Reducers, the tracker loop, shutdown order and
+//! finalisation are the driver's. Likewise the worker runs the engine's
+//! one attempt body; `registry` adds the spool source, the spill sink
+//! and the frames.
+//!
 //! # Failure semantics
 //!
 //! A worker that crashes (abort, OOM-kill, `kill -9`) surfaces as pipe
@@ -44,29 +55,25 @@ pub mod wire;
 
 mod executor;
 mod registry;
-mod spill;
+pub(super) mod spill;
 
 pub use registry::{worker_main, worker_obs, JobRegistry};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use approxhadoop_dfs::{BlockId, FileStoreWriter};
 use approxhadoop_ipc::Wire;
 
-use crate::control::{Coordinator, JobControl};
+use crate::control::Coordinator;
 use crate::event::JobSession;
 use crate::input::InputSource;
 use crate::reducer::Reducer;
 use crate::types::{Key, Value};
 use crate::{Result, RuntimeError};
 
-use super::clock::{Clock, SystemClock};
-use super::executor::Topology;
-use super::scheduler::JobTracker;
-use super::shuffle;
+use super::clock::SystemClock;
+use super::executor::{drive, Topology};
 use super::{JobConfig, JobResult};
 
 use executor::{ProcObs, ProcessExecutor};
@@ -164,17 +171,70 @@ where
     FR: Fn(usize) -> R + Sync,
 {
     config.validate()?;
+    // Created by the build closure, dropped when this function returns —
+    // after the driver has dropped the executor and reaped the workers.
+    let mut scratch_guard = None;
     let label = session.job.to_string();
-    run_process(
-        input,
-        spec,
+    let topology = Topology {
+        capacity: vec![1; config.workers],
+        placement: true,
+    };
+    drive(
+        input.splits(),
         make_reducer,
-        config,
+        &config,
+        topology,
         coordinator,
         session,
         &SystemClock,
-        session.job.0 + 2,
-        &label,
+        |_, reducer_txs, splits| {
+            // Scratch space for the spool and the workers' spill runs.
+            let scratch = config
+                .spill_dir
+                .clone()
+                .unwrap_or_else(std::env::temp_dir)
+                .join(format!(
+                    "approxhadoop-job-{}-{}-{}",
+                    std::process::id(),
+                    session.job.0,
+                    SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed),
+                ));
+            std::fs::create_dir_all(&scratch).map_err(|e| {
+                RuntimeError::invalid(format!(
+                    "cannot create scratch dir {}: {e}",
+                    scratch.display()
+                ))
+            })?;
+            scratch_guard = Some(ScratchGuard(scratch.clone()));
+            let spool = scratch.join("input.spool");
+            write_spool(input, splits.len(), &spool)?;
+
+            let job_frame = ToWorker::Job(WorkerJobSpec {
+                job: spec.job.clone(),
+                params: spec.params.clone(),
+                spool: spool.to_string_lossy().into_owned(),
+                num_reducers: config.reduce_tasks as u32,
+                shuffle_mem_bytes: config.shuffle_mem_bytes as u64,
+                spill_dir: scratch.join("spill").to_string_lossy().into_owned(),
+                // A non-empty label switches worker-side telemetry on:
+                // workers run their own registry/tracer and piggyback
+                // deltas on the frame stream.
+                telemetry_label: config
+                    .obs
+                    .as_ref()
+                    .map(|_| label.clone())
+                    .unwrap_or_default(),
+                datasets: dataset_table(splits),
+            })
+            .to_bytes();
+            ProcessExecutor::new(
+                &spec.bin,
+                job_frame,
+                config.workers,
+                reducer_txs,
+                config.obs.as_ref().map(|o| ProcObs::new(o, &label)),
+            )
+        },
     )
 }
 
@@ -182,8 +242,7 @@ where
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Owns the job's scratch directory (input spool + worker spill runs)
-/// and removes it on drop — after the workers are reaped, since the
-/// guard is created before the executor.
+/// and removes it on drop, which must come after the workers are reaped.
 struct ScratchGuard(PathBuf);
 
 impl Drop for ScratchGuard {
@@ -240,152 +299,4 @@ where
     }
     writer.finish()?;
     Ok(())
-}
-
-/// The process-backend driver: spool the input, spawn reducers and the
-/// worker fleet, drive the [`JobTracker`] against a `ProcessExecutor`,
-/// then reap everything and finalise.
-#[allow(clippy::too_many_arguments)] // internal driver: job + session + obs identity
-fn run_process<S, R, FR>(
-    input: &S,
-    spec: &WorkerSpec,
-    make_reducer: FR,
-    config: JobConfig,
-    coordinator: &mut dyn Coordinator,
-    session: &JobSession,
-    clock: &dyn Clock,
-    obs_pid: u64,
-    obs_label: &str,
-) -> Result<JobResult<R::Output>>
-where
-    S: InputSource,
-    S::Item: Wire,
-    R: Reducer,
-    R::Key: Key + Wire,
-    R::Value: Value + Wire,
-    FR: Fn(usize) -> R + Sync,
-{
-    let splits = input.splits();
-    let total = splits.len();
-    if total == 0 {
-        return Err(RuntimeError::invalid("input has no splits"));
-    }
-    let start = Instant::now();
-
-    // Scratch space for the spool and the workers' spill runs. The
-    // guard is created before the executor so removal happens only
-    // after every worker is reaped.
-    let scratch = config
-        .spill_dir
-        .clone()
-        .unwrap_or_else(std::env::temp_dir)
-        .join(format!(
-            "approxhadoop-job-{}-{}-{}",
-            std::process::id(),
-            session.job.0,
-            SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
-    std::fs::create_dir_all(&scratch).map_err(|e| {
-        RuntimeError::invalid(format!(
-            "cannot create scratch dir {}: {e}",
-            scratch.display()
-        ))
-    })?;
-    let _scratch_guard = ScratchGuard(scratch.clone());
-    let spool = scratch.join("input.spool");
-    write_spool(input, total, &spool)?;
-
-    let job_frame = ToWorker::Job(WorkerJobSpec {
-        job: spec.job.clone(),
-        params: spec.params.clone(),
-        spool: spool.to_string_lossy().into_owned(),
-        num_reducers: config.reduce_tasks as u32,
-        shuffle_mem_bytes: config.shuffle_mem_bytes as u64,
-        spill_dir: scratch.join("spill").to_string_lossy().into_owned(),
-        // A non-empty label switches worker-side telemetry on: workers
-        // run their own registry/tracer and piggyback deltas on the
-        // frame stream.
-        telemetry_label: config
-            .obs
-            .as_ref()
-            .map(|_| obs_label.to_string())
-            .unwrap_or_default(),
-        datasets: dataset_table(&splits),
-    })
-    .to_bytes();
-
-    let control = Arc::new(JobControl::new(config.reduce_tasks));
-    let topology = Topology {
-        capacity: vec![1; config.workers],
-        placement: true,
-    };
-    let (reducer_txs, reducer_rxs) =
-        shuffle::reducer_channels::<R::Key, R::Value>(config.reduce_tasks);
-    let obs = config.obs.as_ref().map(|o| ProcObs::new(o, obs_label));
-
-    let make_reducer = &make_reducer;
-    let splits = &splits;
-    let config = &config;
-    let scope_result = crossbeam::thread::scope(|s| {
-        // ---- reduce tasks ----
-        let mut reducer_handles = Vec::new();
-        for (r, rx) in reducer_rxs.into_iter().enumerate() {
-            let control = Arc::clone(&control);
-            reducer_handles.push(s.spawn(move |_| {
-                shuffle::drain_reduce_events(make_reducer(r), rx, r, total, control)
-            }));
-        }
-        let join_reducers =
-            |handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, Vec<R::Output>>>| {
-                let mut outputs = Vec::new();
-                let mut panicked = false;
-                for h in handles {
-                    match h.join() {
-                        Ok(out) => outputs.extend(out),
-                        Err(_) => panicked = true,
-                    }
-                }
-                (outputs, panicked)
-            };
-
-        // ---- the worker fleet ----
-        // A failed spawn drops the reducer senders held by `new`, so the
-        // reducers drain out before the error propagates.
-        let mut executor = match ProcessExecutor::<R::Key, R::Value>::new(
-            &spec.bin,
-            job_frame,
-            config.workers,
-            reducer_txs,
-            obs,
-            config.obs.clone(),
-        ) {
-            Ok(e) => e,
-            Err(e) => {
-                join_reducers(reducer_handles);
-                return Err(e);
-            }
-        };
-
-        // ---- the scheduler ----
-        let mut tracker = JobTracker::new(
-            config, splits, &control, session, clock, topology, start, obs_pid, obs_label,
-        );
-        tracker.run_loop(&mut executor, coordinator);
-
-        // Shut down: reap the workers (Shutdown → SIGTERM → SIGKILL,
-        // always waited) and release the reducer senders they fed.
-        drop(executor);
-
-        let (outputs, panicked) = join_reducers(reducer_handles);
-        tracker
-            .finish(panicked)
-            .map(|metrics| JobResult { outputs, metrics })
-    });
-
-    match scope_result {
-        Ok(job) => job,
-        Err(_) => Err(RuntimeError::TaskPanicked {
-            what: "task tracker".into(),
-        }),
-    }
 }

@@ -9,25 +9,33 @@
 //! must agree on the item/key/value `Wire` encodings — in practice the
 //! worker binary lives in the same crate as the code submitting the
 //! job, so the types are literally shared.
+//!
+//! A registered job runs the engine's shared attempt body
+//! (`engine::attempt::run_attempt`) over its spool block and a
+//! [`SpillShuffle`]. This module owns only what is the worker's alone:
+//! the dataset-table admission check, opening a spool block as a record
+//! stream, worker spans and counters, the `Telemetry` frame, and
+//! chunking the drained shuffle into `Output` frames.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use approxhadoop_dfs::{BlockId, FileStore};
 use approxhadoop_ipc::{read_frame, write_frame, Decoder, Wire};
-use approxhadoop_obs::{DeltaCursor, Obs};
+use approxhadoop_obs::{Counter, DeltaCursor, Obs};
 
-use crate::fault::FaultDecision;
-use crate::input::{sample_systematic_indices, DatasetId};
-use crate::mapper::{MapTaskContext, Mapper};
-use crate::types::{fx_hash, Partitioner, TaskId};
+use crate::engine::attempt::{run_attempt, AttemptOutcome, WorkItem};
+use crate::input::{sample_systematic_indices, DatasetId, SplitStream};
+use crate::mapper::Mapper;
+use crate::types::TaskId;
+use crate::RuntimeError;
 
 use super::spill::SpillShuffle;
-use super::wire::{FromWorker, ToWorker, WireJobError, WireMapStats, WireWorkItem, WorkerJobSpec};
+use super::wire::{FromWorker, ToWorker, WireJobError, WireWorkItem, WorkerJobSpec};
 
 /// Kill flags of in-flight attempts, shared with the frame-reader
 /// thread and keyed by `(task, attempt)`.
@@ -36,27 +44,11 @@ type KillMap = Arc<Mutex<HashMap<(u64, u32), Arc<AtomicBool>>>>;
 /// Map-output chunks are flushed to the pipe at roughly this size.
 const CHUNK_BYTES: usize = 1 << 20;
 
-/// The per-job environment a worker builds from its
-/// [`WorkerJobSpec`](super::wire::WorkerJobSpec).
+/// The per-job environment a worker builds from its [`WorkerJobSpec`].
 struct WorkerEnv {
     spool: FileStore,
-    num_reducers: usize,
-    shuffle_mem_bytes: usize,
-    spill_dir: PathBuf,
-    datasets: Vec<(u32, u64)>,
+    spec: WorkerJobSpec,
     telemetry: Option<WorkerTelemetry>,
-}
-
-impl WorkerEnv {
-    /// Whether a work item tagged `dataset` is admitted by the job
-    /// spec's dataset table (an empty table admits only dataset 0).
-    fn admits_dataset(&self, dataset: u32) -> bool {
-        if self.datasets.is_empty() {
-            dataset == 0
-        } else {
-            self.datasets.iter().any(|&(d, _)| d == dataset)
-        }
-    }
 }
 
 /// The worker's own observability context, present when the job spec
@@ -67,6 +59,12 @@ struct WorkerTelemetry {
     obs: Arc<Obs>,
     cursor: Mutex<DeltaCursor>,
     label: String,
+}
+
+impl WorkerTelemetry {
+    fn counter(&self, name: &str) -> Arc<Counter> {
+        self.obs.registry.counter(name, &[("job", &self.label)])
+    }
 }
 
 /// The worker process's single observability context.
@@ -88,8 +86,7 @@ trait RunnableJob: Send + Sync {
     fn run_attempt(
         &self,
         env: &WorkerEnv,
-        work: &WireWorkItem,
-        kill: &AtomicBool,
+        work: &WorkItem,
         send: &mut dyn FnMut(FromWorker) -> std::io::Result<()>,
     ) -> std::io::Result<()>;
 }
@@ -165,270 +162,127 @@ where
     M::Key: Wire,
     M::Value: Wire,
 {
-    /// Replicates `run_map_attempt` exactly — same fault decisions, same
-    /// kill points, same panic containment, same metadata — with the
-    /// shuffle buffer swapped for the spill-capable one and outputs
-    /// shipped as chunked frames instead of channel sends.
+    /// The worker-side caller of [`run_attempt`]: the record source is
+    /// the attempt's spool block, the sink a [`SpillShuffle`], and the
+    /// outcome leaves as frames — chunked `Output`, `Telemetry`, `Done`.
+    /// Everything here is the process backend's own; the attempt itself
+    /// (kill points, faults, panic containment, counts) is the shared body.
     fn run_attempt(
         &self,
         env: &WorkerEnv,
-        work: &WireWorkItem,
-        kill: &AtomicBool,
+        work: &WorkItem,
         send: &mut dyn FnMut(FromWorker) -> std::io::Result<()>,
     ) -> std::io::Result<()> {
-        let task = TaskId(work.task as usize);
+        let (task, attempt) = (work.task.0 as u64, work.attempt);
         let fail = |send: &mut dyn FnMut(FromWorker) -> std::io::Result<()>,
-                    error: WireJobError| {
+                    error: &RuntimeError| {
             send(FromWorker::Failed {
-                task: work.task,
-                attempt: work.attempt,
-                error,
+                task,
+                attempt,
+                error: WireJobError::from_error(error),
             })
         };
-        if kill.load(Ordering::SeqCst) {
-            return send(FromWorker::Killed {
-                task: work.task,
-                attempt: work.attempt,
-            });
-        }
         // A work item tagged with a dataset the job spec never declared
         // means the parent and worker disagree about the dataset table.
         // That is a job error, not a worker crash: fail the attempt so
-        // the parent's retry/degrade machinery sees it, instead of
-        // aborting the process mid-job.
-        if !env.admits_dataset(work.dataset) {
-            return fail(
-                send,
-                WireJobError {
-                    kind: 2,
-                    what: format!(
-                        "work item for {task} tagged {} but the job spec's dataset table does not admit it",
-                        DatasetId(work.dataset)
-                    ),
-                },
+        // the parent's retry/degrade machinery sees it.
+        if !env.spec.admits_dataset(work.dataset.0) {
+            let display = format!(
+                "work item for {} tagged {} but the job spec's dataset table does not admit it",
+                work.task, work.dataset
             );
+            return fail(send, &RuntimeError::Remote { display });
         }
-        // Telemetry setup: stamp the attempt's epoch in the local
+        // Telemetry setup: stamp the attempt's epoch on the local
         // tracer's clock and discard spans left over from attempts that
-        // failed before reporting (their kill/fail paths skip the
-        // Telemetry frame), so nothing is misattributed.
-        let attempt_epoch_us = env.telemetry.as_ref().map(|t| {
+        // ended without a Telemetry frame, so nothing is misattributed.
+        let telemetry = env.telemetry.as_ref().map(|t| {
             let _ = t.obs.tracer.drain();
-            t.obs
-                .registry
-                .counter("approx_worker_attempts_total", &[("job", &t.label)])
-                .inc();
-            t.obs.tracer.now_us()
+            t.counter("approx_worker_attempts_total").inc();
+            (t, t.obs.tracer.now_us(), Instant::now())
         });
-        let span = |name: &str, from_us: u64| {
-            if let (Some(t), Some(_)) = (&env.telemetry, attempt_epoch_us) {
-                let now = t.obs.tracer.now_us();
-                t.obs.tracer.complete(
-                    name,
-                    "worker",
-                    from_us,
-                    now.saturating_sub(from_us).max(1),
-                    0,
-                    0,
-                    None,
-                    vec![],
-                );
-            }
-        };
-        let tracer_now = || {
-            env.telemetry
-                .as_ref()
-                .map(|t| t.obs.tracer.now_us())
-                .unwrap_or(0)
-        };
-        let decision = work
-            .fault
-            .as_ref()
-            .map(|f| f.decide(work.task as usize, work.attempt))
-            .unwrap_or(FaultDecision::None);
-        if decision == FaultDecision::IoError {
-            return fail(
-                send,
-                WireJobError {
-                    kind: 0,
-                    what: format!("input read of {} (attempt {})", task, work.attempt),
-                },
+        let partitions = env.spec.num_reducers as usize;
+        let mut shuffle = SpillShuffle::new(
+            partitions,
+            self.mapper.combiner().filter(|_| work.combining),
+            env.spec.shuffle_mem_bytes as usize,
+            Path::new(&env.spec.spill_dir).join(format!("attempt-{task}-{attempt}")),
+        );
+        if let Some((t, ..)) = telemetry {
+            shuffle = shuffle.with_counters(
+                t.counter("approx_process_spill_runs_total"),
+                t.counter("approx_process_spill_bytes_total"),
             );
         }
-        let t0 = Instant::now();
-        let read_from_us = tracer_now();
-        let (items, total_records) = match read_block(&env.spool, work) {
-            Ok(r) => r,
-            Err(what) => return fail(send, WireJobError { kind: 2, what }),
+        let open =
+            || read_block(&env.spool, work).map_err(|display| RuntimeError::Remote { display });
+        let mapped = match run_attempt(&self.mapper, work, partitions, open, &mut shuffle) {
+            AttemptOutcome::Killed => return send(FromWorker::Killed { task, attempt }),
+            AttemptOutcome::Failed(e) => return fail(send, &e),
+            AttemptOutcome::Mapped(m) => m,
         };
-        span("read block", read_from_us);
-        let read_secs = t0.elapsed().as_secs_f64();
-        let sampled_records = items.len() as u64;
-        if let Some(t) = &env.telemetry {
-            t.obs
-                .registry
-                .counter("approx_worker_records_total", &[("job", &t.label)])
-                .add(sampled_records);
-        }
-        let num_reducers = env.num_reducers;
-        let combiner = if work.combining {
-            self.mapper.combiner()
-        } else {
-            None
-        };
-        let spill_dir = env
-            .spill_dir
-            .join(format!("attempt-{}-{}", work.task, work.attempt));
-        let spill_counters = env.telemetry.as_ref().map(|t| {
-            (
-                t.obs
-                    .registry
-                    .counter("approx_process_spill_runs_total", &[("job", &t.label)]),
-                t.obs
-                    .registry
-                    .counter("approx_process_spill_bytes_total", &[("job", &t.label)]),
-            )
-        });
-        let map_from_us = tracer_now();
-        let partitioner = Partitioner::new(num_reducers);
-        // Same containment as the in-process attempt body: user map code
-        // may panic, and the injected MapPanic fault panics on purpose.
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if decision == FaultDecision::MapPanic {
-                panic!("injected map panic in {task}");
-            }
-            let mut shuffle =
-                SpillShuffle::new(num_reducers, combiner, env.shuffle_mem_bytes, spill_dir);
-            if let Some((runs, bytes)) = &spill_counters {
-                shuffle = shuffle.with_counters(Arc::clone(runs), Arc::clone(bytes));
-            }
-            let mut emitted = 0u64;
-            let mut spill_err: Option<String> = None;
-            let ctx = MapTaskContext {
-                task,
-                dataset: DatasetId(work.dataset),
-                sampling_ratio: work.sampling_ratio,
-                attempt: work.attempt,
-            };
-            let mut state = self.mapper.begin_task(&ctx);
-            let mut killed = false;
-            for item in items {
-                if kill.load(Ordering::Relaxed) {
-                    killed = true;
-                    break;
-                }
-                if spill_err.is_some() {
-                    break;
-                }
-                self.mapper.map(&mut state, item, &mut |k, v| {
-                    emitted += 1;
-                    let h = fx_hash(&k);
-                    let p = partitioner.partition_of_hash(h);
-                    if spill_err.is_none() {
-                        if let Err(e) = shuffle.emit(p, h, k, v) {
-                            spill_err = Some(e);
-                        }
-                    }
-                });
-            }
-            if !killed && spill_err.is_none() {
-                self.mapper.end_task(state, &mut |k, v| {
-                    emitted += 1;
-                    let h = fx_hash(&k);
-                    let p = partitioner.partition_of_hash(h);
-                    if spill_err.is_none() {
-                        if let Err(e) = shuffle.emit(p, h, k, v) {
-                            spill_err = Some(e);
-                        }
-                    }
-                });
-            }
-            (shuffle, emitted, killed, spill_err)
-        }));
-        let (mut shuffle, emitted, killed, spill_err) = match run {
-            Ok(r) => r,
-            Err(_) => {
-                return fail(
-                    send,
-                    WireJobError {
-                        kind: 1,
-                        what: format!("user map code in {task}"),
-                    },
-                );
-            }
-        };
-        if killed {
-            return send(FromWorker::Killed {
-                task: work.task,
-                attempt: work.attempt,
-            });
-        }
-        if let Some(what) = spill_err {
-            return fail(send, WireJobError { kind: 2, what });
-        }
-        span("map+combine", map_from_us);
-        let drain_from_us = tracer_now();
         // Drain the (possibly spilled) buffer into chunked Output
-        // frames: one partition at a time, flushing ~1 MiB of encoded
-        // pairs per frame so a huge shuffle never materialises in the
-        // worker.
+        // frames: one partition at a time, ~1 MiB of encoded pairs per
+        // frame, so a huge shuffle never materialises in the worker.
         let mut shuffled = 0u64;
         let mut chunk: Vec<u8> = Vec::new();
         let mut chunk_partition = 0usize;
         let mut io_err: Option<std::io::Error> = None;
-        let drained = shuffle.drain(|p, k, v| {
-            if p != chunk_partition && !chunk.is_empty() {
-                let pairs = std::mem::take(&mut chunk);
-                if let Err(e) = send(FromWorker::Output {
-                    task: work.task,
-                    attempt: work.attempt,
-                    partition: chunk_partition as u32,
-                    pairs,
-                }) {
-                    io_err = Some(e);
-                    return Err("pipe closed".into());
+        let mut flush = |partition: usize, pairs: Vec<u8>| {
+            send(FromWorker::Output {
+                task,
+                attempt,
+                partition: partition as u32,
+                pairs,
+            })
+            .map_err(|e| {
+                io_err = Some(e);
+                "pipe closed".to_string()
+            })
+        };
+        let drained = shuffle
+            .drain(|p, k, v| {
+                if !chunk.is_empty() && (p != chunk_partition || chunk.len() >= CHUNK_BYTES) {
+                    flush(chunk_partition, std::mem::take(&mut chunk))?;
                 }
-            }
-            chunk_partition = p;
-            k.encode(&mut chunk);
-            v.encode(&mut chunk);
-            shuffled += 1;
-            if chunk.len() >= CHUNK_BYTES {
-                let pairs = std::mem::take(&mut chunk);
-                if let Err(e) = send(FromWorker::Output {
-                    task: work.task,
-                    attempt: work.attempt,
-                    partition: p as u32,
-                    pairs,
-                }) {
-                    io_err = Some(e);
-                    return Err("pipe closed".into());
+                chunk_partition = p;
+                k.encode(&mut chunk);
+                v.encode(&mut chunk);
+                shuffled += 1;
+                Ok(())
+            })
+            .and_then(|report| {
+                if !chunk.is_empty() {
+                    flush(chunk_partition, std::mem::take(&mut chunk))?;
                 }
-            }
-            Ok(())
-        });
+                Ok(report)
+            });
         if let Some(e) = io_err {
             return Err(e);
         }
         let report = match drained {
             Ok(r) => r,
-            Err(what) => return fail(send, WireJobError { kind: 2, what }),
+            Err(display) => return fail(send, &RuntimeError::Remote { display }),
         };
-        if !chunk.is_empty() {
-            send(FromWorker::Output {
-                task: work.task,
-                attempt: work.attempt,
-                partition: chunk_partition as u32,
-                pairs: chunk,
-            })?;
-        }
-        span("drain shuffle", drain_from_us);
         // Telemetry rides between the last Output chunk and the Done
-        // frame; span timestamps are re-based to the attempt epoch so
-        // the parent can graft them into the task-attempt span's window
-        // regardless of clock skew.
-        if let Some(tel) = &env.telemetry {
-            let epoch = attempt_epoch_us.unwrap_or(0);
+        // frame. The three phase spans come from the instants the shared
+        // body returned, placed on the tracer's clock via the epoch pair;
+        // every span leaves relative to the epoch so the parent can graft
+        // it into the task-attempt span's window regardless of clock skew.
+        if let Some((tel, epoch_us, epoch)) = telemetry {
+            tel.counter("approx_worker_records_total")
+                .add(mapped.sampled_records);
+            for (name, from, to) in [
+                ("read block", mapped.started, mapped.opened),
+                ("map+combine", mapped.opened, mapped.mapped),
+                ("drain shuffle", mapped.mapped, Instant::now()),
+            ] {
+                let ts_us = epoch_us + (from - epoch).as_micros() as u64;
+                let dur_us = ((to - from).as_micros() as u64).max(1);
+                tel.obs
+                    .tracer
+                    .complete(name, "worker", ts_us, dur_us, 0, 0, None, vec![]);
+            }
             let counters = tel
                 .obs
                 .registry
@@ -442,69 +296,72 @@ where
                 .drain()
                 .into_iter()
                 .filter(|e| e.phase == 'X')
-                .map(|e| (e.name, e.category, e.ts_us.saturating_sub(epoch), e.dur_us))
+                .map(|e| {
+                    (
+                        e.name,
+                        e.category,
+                        e.ts_us.saturating_sub(epoch_us),
+                        e.dur_us,
+                    )
+                })
                 .collect();
             send(FromWorker::Telemetry {
-                task: work.task,
-                attempt: work.attempt,
+                task,
+                attempt,
                 counters,
                 spans,
             })?;
         }
         send(FromWorker::Done {
-            attempt: work.attempt,
-            stats: WireMapStats {
-                task: work.task,
-                dataset: work.dataset,
-                total_records,
-                sampled_records,
-                emitted,
-                shuffled,
-                duration_secs: t0.elapsed().as_secs_f64(),
-                read_secs,
-            },
+            attempt,
+            stats: mapped.stats(work, shuffled, mapped.started.elapsed().as_secs_f64()),
             spill_runs: report.runs,
             spill_bytes: report.bytes,
         })
     }
 }
 
-/// Decodes the attempt's block from the spool and applies systematic
-/// sampling with the same `(total, ratio, seed)` draw as the in-process
-/// input sources, so every backend processes the identical sample.
-fn read_block<I: Wire + Clone>(
+/// Opens the attempt's spool block as the same [`SplitStream`] the
+/// in-process sources yield: decodes it eagerly and applies systematic
+/// sampling with the same `(total, ratio, seed)` draw, so every backend
+/// processes the identical sample.
+fn read_block<I: Wire + Clone + Send + 'static>(
     spool: &FileStore,
-    work: &WireWorkItem,
-) -> Result<(Vec<I>, u64), String> {
-    let id = BlockId(work.task);
+    work: &WorkItem,
+) -> Result<SplitStream<'static, I>, String> {
+    let id = BlockId(work.task.0 as u64);
     let buf = spool
         .slice(id)
-        .ok_or_else(|| format!("spool has no block for task {}", work.task))?;
+        .ok_or_else(|| format!("spool has no block for task {}", id.0))?;
     let total = spool
         .records(id)
-        .ok_or_else(|| format!("spool has no record count for task {}", work.task))?;
+        .ok_or_else(|| format!("spool has no record count for task {}", id.0))?;
     let mut d = Decoder::new(buf);
-    let mut items = Vec::with_capacity(total as usize);
+    // `total` comes from the file's header: every record encodes to at
+    // least one byte, so the block's length bounds what a corrupt count
+    // may reserve.
+    let mut items = Vec::with_capacity(total.min(buf.len() as u64) as usize);
     for _ in 0..total {
         items.push(I::decode(&mut d).map_err(|e| format!("spool block corrupt: {e}"))?);
     }
     d.finish()
         .map_err(|e| format!("spool block has trailing bytes: {e}"))?;
-    match sample_systematic_indices(total as usize, work.sampling_ratio, work.seed) {
-        None => Ok((items, total)),
-        Some(idx) => {
-            let sampled = idx
-                .into_iter()
-                .map(|i| {
-                    items
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| format!("sample index {i} out of range"))
-                })
-                .collect::<Result<Vec<I>, String>>()?;
-            Ok((sampled, total))
-        }
+    if let Some(idx) = sample_systematic_indices(total as usize, work.sampling_ratio, work.seed) {
+        items = idx
+            .into_iter()
+            .map(|i| {
+                items
+                    .get(i)
+                    .cloned()
+                    .ok_or_else(|| format!("sample index {i} out of range"))
+            })
+            .collect::<Result<_, _>>()?;
     }
+    Ok(SplitStream::new(
+        total,
+        items.len() as u64,
+        items.into_iter(),
+    ))
 }
 
 /// Runs the worker frame loop against the process's stdin/stdout until
@@ -525,6 +382,22 @@ pub fn worker_main(registry: JobRegistry) -> ! {
         BufWriter::new(std::io::stdout()),
     );
     std::process::exit(code)
+}
+
+/// The worker-side [`WorkItem`] of a `Work` frame: the wire fields plus
+/// the local flag that the attempt's `Kill` frame raises.
+fn local_work(w: WireWorkItem, kill: Arc<AtomicBool>) -> WorkItem {
+    WorkItem {
+        task: TaskId(w.task as usize),
+        dataset: DatasetId(w.dataset),
+        attempt: w.attempt,
+        sampling_ratio: w.sampling_ratio,
+        seed: w.seed,
+        kill,
+        fault: w.fault.map(Arc::new),
+        combining: w.combining,
+        span: w.span,
+    }
 }
 
 /// The loop behind [`worker_main`], testable over arbitrary streams.
@@ -561,19 +434,12 @@ where
     };
     let env = WorkerEnv {
         spool,
-        num_reducers: spec.num_reducers as usize,
-        shuffle_mem_bytes: spec.shuffle_mem_bytes as usize,
-        spill_dir: PathBuf::from(&spec.spill_dir),
-        datasets: spec.datasets.clone(),
-        telemetry: if spec.telemetry_label.is_empty() {
-            None
-        } else {
-            Some(WorkerTelemetry {
-                obs: worker_obs(),
-                cursor: Mutex::new(DeltaCursor::new()),
-                label: spec.telemetry_label.clone(),
-            })
-        },
+        telemetry: (!spec.telemetry_label.is_empty()).then(|| WorkerTelemetry {
+            obs: worker_obs(),
+            cursor: Mutex::new(DeltaCursor::new()),
+            label: spec.telemetry_label.clone(),
+        }),
+        spec,
     };
 
     let writer = Arc::new(Mutex::new(writer));
@@ -592,7 +458,7 @@ where
     // pipe EOF exit the process immediately — the parent has already
     // discarded this worker's in-flight work.
     let kills: KillMap = Arc::new(Mutex::new(HashMap::new()));
-    let (work_tx, work_rx) = std::sync::mpsc::channel::<(WireWorkItem, Arc<AtomicBool>)>();
+    let (work_tx, work_rx) = std::sync::mpsc::channel::<WorkItem>();
     let reader_kills = Arc::clone(&kills);
     std::thread::spawn(move || loop {
         match read_frame(&mut reader) {
@@ -603,7 +469,7 @@ where
                         .lock()
                         .expect("kills poisoned")
                         .insert((work.task, work.attempt), Arc::clone(&kill));
-                    if work_tx.send((work, kill)).is_err() {
+                    if work_tx.send(local_work(work, kill)).is_err() {
                         std::process::exit(1);
                     }
                 }
@@ -630,9 +496,9 @@ where
         }
     });
 
-    for (work, kill) in work_rx {
-        let key = (work.task, work.attempt);
-        let result = job.run_attempt(&env, &work, &kill, &mut |fw| send_frame(&fw));
+    for work in work_rx {
+        let key = (work.task.0 as u64, work.attempt);
+        let result = job.run_attempt(&env, &work, &mut |fw| send_frame(&fw));
         kills.lock().expect("kills poisoned").remove(&key);
         if result.is_err() {
             // The parent end of the pipe is gone; nothing left to serve.
@@ -659,6 +525,170 @@ mod tests {
         assert!(!r.contains("other"));
         assert!(r.build("count", &[]).is_ok());
         assert!(r.build("other", &[]).is_err());
+    }
+
+    /// One direction of an in-memory pipe: whole writes travel over a
+    /// channel, reads block until the next one arrives.
+    struct PipeEnd {
+        tx: Option<std::sync::mpsc::Sender<Vec<u8>>>,
+        rx: Option<std::sync::mpsc::Receiver<Vec<u8>>>,
+        buf: std::collections::VecDeque<u8>,
+    }
+
+    fn pipe() -> (PipeEnd, PipeEnd) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let end = |tx, rx| PipeEnd {
+            tx,
+            rx,
+            buf: Default::default(),
+        };
+        (end(Some(tx), None), end(None, Some(rx)))
+    }
+
+    impl Write for PipeEnd {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            let tx = self.tx.as_ref().expect("write end");
+            tx.send(bytes.to_vec())
+                .map_err(|_| std::io::ErrorKind::BrokenPipe)?;
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for PipeEnd {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            while self.buf.is_empty() {
+                match self.rx.as_ref().expect("read end").recv() {
+                    Ok(bytes) => self.buf.extend(bytes),
+                    Err(_) => return Ok(0),
+                }
+            }
+            let n = out.len().min(self.buf.len());
+            for (o, b) in out.iter_mut().zip(self.buf.drain(..n)) {
+                *o = b;
+            }
+            Ok(n)
+        }
+    }
+
+    /// A corrupt spool block fails its attempt — `Failed { kind: 2 }`
+    /// with the decoder's reason — and nothing else: the worker neither
+    /// panics nor aborts on the advertised record count, and serves the
+    /// next `Work` frame normally.
+    #[test]
+    fn corrupt_spool_blocks_fail_the_attempt_not_the_worker() {
+        let dir = std::env::temp_dir().join(format!(
+            "approxhadoop-worker-loop-test-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spool = dir.join("input.spool");
+        let mut good = Vec::new();
+        for v in [1u32, 2, 3] {
+            v.encode(&mut good);
+        }
+        let mut w = approxhadoop_dfs::FileStoreWriter::create(&spool).unwrap();
+        // Truncated mid-record: three records advertised, 2½ present.
+        w.append(BlockId(0), 3, &good[..10]).unwrap();
+        // Trailing bytes: two records advertised, three present.
+        w.append(BlockId(1), 2, &good).unwrap();
+        // A record count no block of this size can hold.
+        w.append(BlockId(2), u64::MAX, &good).unwrap();
+        w.append(BlockId(3), 3, &good).unwrap();
+        w.finish().unwrap();
+
+        let mut registry = JobRegistry::new();
+        registry.register("count", |_p: &[u8]| {
+            Ok(FnMapper::new(|v: &u32, emit: &mut dyn FnMut(u8, u64)| {
+                emit((*v % 2) as u8, 1)
+            }))
+        });
+        // The loop serves until its input closes, and a closed input
+        // exits the *process*. So the write end is leaked up front — not
+        // even a failing assertion below may close it — and the loop's
+        // threads stay blocked on it until the test binary ends.
+        let (to_worker, worker_stdin) = pipe();
+        let to_worker = Box::leak(Box::new(to_worker));
+        let (worker_stdout, mut from_worker) = pipe();
+        std::thread::spawn(move || worker_loop(registry, worker_stdin, worker_stdout));
+        let mut send = |frame: ToWorker| write_frame(to_worker, &frame.to_bytes()).unwrap();
+        let mut recv = || FromWorker::from_bytes(&read_frame(&mut from_worker).unwrap().unwrap());
+        send(ToWorker::Job(WorkerJobSpec {
+            job: "count".into(),
+            params: Vec::new(),
+            spool: spool.to_string_lossy().into_owned(),
+            num_reducers: 1,
+            shuffle_mem_bytes: 1 << 20,
+            spill_dir: dir.join("spill").to_string_lossy().into_owned(),
+            telemetry_label: String::new(),
+            datasets: Vec::new(),
+        }));
+        assert_eq!(recv().unwrap(), FromWorker::Ready);
+
+        for (task, reason) in [
+            (0, "spool block corrupt"),
+            (1, "spool block has trailing bytes"),
+            (2, "spool block corrupt"),
+        ] {
+            send(ToWorker::Work(WireWorkItem {
+                task,
+                dataset: 0,
+                attempt: 0,
+                sampling_ratio: 1.0,
+                seed: 0,
+                combining: false,
+                fault: None,
+                span: 0,
+            }));
+            match recv().unwrap() {
+                FromWorker::Failed {
+                    task: t,
+                    attempt: 0,
+                    error: WireJobError { kind: 2, what },
+                } if t == task => assert!(what.starts_with(reason), "task {task}: {what}"),
+                other => panic!("task {task}: expected Failed {{ kind: 2 }}, got {other:?}"),
+            }
+        }
+
+        send(ToWorker::Work(WireWorkItem {
+            task: 3,
+            dataset: 0,
+            attempt: 0,
+            sampling_ratio: 1.0,
+            seed: 0,
+            combining: false,
+            fault: None,
+            span: 0,
+        }));
+        let mut pairs = Vec::new();
+        [1u8, 0, 1].iter().for_each(|k| {
+            k.encode(&mut pairs);
+            1u64.encode(&mut pairs);
+        });
+        assert_eq!(
+            recv().unwrap(),
+            FromWorker::Output {
+                task: 3,
+                attempt: 0,
+                partition: 0,
+                pairs
+            }
+        );
+        match recv().unwrap() {
+            FromWorker::Done {
+                attempt: 0, stats, ..
+            } => {
+                assert_eq!((stats.task, stats.total_records), (TaskId(3), 3));
+                assert_eq!(
+                    (stats.sampled_records, stats.emitted, stats.shuffled),
+                    (3, 3, 3)
+                );
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use approxhadoop_ipc::{Decoder, Wire};
 use approxhadoop_obs::Counter;
 
 use crate::combine::{CombineTable, Combiner};
+use crate::engine::attempt::EmitSink;
 use crate::types::{Key, Value};
 
 /// What one attempt spilled, reported back to the parent for the
@@ -131,32 +132,6 @@ impl<'c, K: Key + Wire, V: Value + Wire> SpillShuffle<'c, K, V> {
     pub(crate) fn with_counters(mut self, runs: Arc<Counter>, bytes: Arc<Counter>) -> Self {
         self.counters = Some((runs, bytes));
         self
-    }
-
-    /// Routes one emission into partition `p` (whose key hashes to
-    /// `hash` under [`fx_hash`](crate::types::fx_hash)), spilling if the
-    /// budget is exceeded. The cost charged is the pair's encoded size —
-    /// on the combining path this is conservative (folding into an
-    /// existing key grows memory far less), which only makes spills
-    /// earlier, never later.
-    pub(crate) fn emit(&mut self, p: usize, hash: u64, key: K, value: V) -> Result<(), String> {
-        self.scratch.clear();
-        key.encode(&mut self.scratch);
-        value.encode(&mut self.scratch);
-        self.mem_bytes += self.scratch.len();
-        crate::combine::route_emission(
-            self.combiner,
-            &mut self.raw,
-            &mut self.combined,
-            p,
-            hash,
-            key,
-            value,
-        );
-        if self.mem_bytes > self.budget {
-            self.spill()?;
-        }
-        Ok(())
     }
 
     /// Writes everything buffered as one run file and clears the buffer.
@@ -278,6 +253,35 @@ impl<'c, K: Key + Wire, V: Value + Wire> SpillShuffle<'c, K, V> {
             let _ = fs::remove_dir(&self.dir);
         }
         self.cleaned = true;
+    }
+}
+
+/// The worker's [`EmitSink`]: a failed spill fails the attempt.
+impl<K: Key + Wire, V: Value + Wire> EmitSink<K, V> for SpillShuffle<'_, K, V> {
+    /// Routes one emission into partition `p` (whose key hashes to
+    /// `hash` under [`fx_hash`](crate::types::fx_hash)), spilling if the
+    /// budget is exceeded. The cost charged is the pair's encoded size —
+    /// on the combining path this is conservative (folding into an
+    /// existing key grows memory far less), which only makes spills
+    /// earlier, never later.
+    fn emit(&mut self, p: usize, hash: u64, key: K, value: V) -> Result<(), String> {
+        self.scratch.clear();
+        key.encode(&mut self.scratch);
+        value.encode(&mut self.scratch);
+        self.mem_bytes += self.scratch.len();
+        crate::combine::route_emission(
+            self.combiner,
+            &mut self.raw,
+            &mut self.combined,
+            p,
+            hash,
+            key,
+            value,
+        );
+        if self.mem_bytes > self.budget {
+            self.spill()?;
+        }
+        Ok(())
     }
 }
 

@@ -16,6 +16,7 @@
 use approxhadoop_ipc::{Decoder, Wire, WireError};
 
 use crate::fault::FaultPlan;
+use crate::input::DatasetId;
 use crate::metrics::MapStats;
 use crate::types::TaskId;
 use crate::RuntimeError;
@@ -218,46 +219,12 @@ impl Wire for ToWorker {
     }
 }
 
-/// [`MapStats`] in wire form.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireMapStats {
-    /// Map task index.
-    pub task: u64,
-    /// Dataset tag of the task's split.
-    pub dataset: u32,
-    /// `M_i` — total records in the task's block.
-    pub total_records: u64,
-    /// `m_i` — records processed after sampling.
-    pub sampled_records: u64,
-    /// Pairs emitted by the map function (pre-combining).
-    pub emitted: u64,
-    /// Pairs shipped to reducers (post-combining).
-    pub shuffled: u64,
-    /// Wall-clock duration of the attempt in seconds.
-    pub duration_secs: f64,
-    /// Portion spent reading the block in seconds.
-    pub read_secs: f64,
-}
-
-impl From<WireMapStats> for MapStats {
-    fn from(w: WireMapStats) -> Self {
-        MapStats {
-            task: TaskId(w.task as usize),
-            dataset: crate::input::DatasetId(w.dataset),
-            total_records: w.total_records,
-            sampled_records: w.sampled_records,
-            emitted: w.emitted,
-            shuffled: w.shuffled,
-            duration_secs: w.duration_secs,
-            read_secs: w.read_secs,
-        }
-    }
-}
-
-impl Wire for WireMapStats {
+/// Wire form of [`MapStats`]: `task` as `u64`, `dataset` as `u32`, the
+/// rest as declared.
+impl Wire for MapStats {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.task.encode(out);
-        self.dataset.encode(out);
+        (self.task.0 as u64).encode(out);
+        self.dataset.0.encode(out);
         self.total_records.encode(out);
         self.sampled_records.encode(out);
         self.emitted.encode(out);
@@ -267,9 +234,9 @@ impl Wire for WireMapStats {
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(WireMapStats {
-            task: Wire::decode(d)?,
-            dataset: Wire::decode(d)?,
+        Ok(MapStats {
+            task: TaskId(u64::decode(d)? as usize),
+            dataset: DatasetId(Wire::decode(d)?),
             total_records: Wire::decode(d)?,
             sampled_records: Wire::decode(d)?,
             emitted: Wire::decode(d)?,
@@ -379,7 +346,7 @@ pub enum FromWorker {
         /// Attempt number that completed.
         attempt: u32,
         /// Execution statistics.
-        stats: WireMapStats,
+        stats: MapStats,
         /// Spill runs written while buffering this attempt's output.
         spill_runs: u64,
         /// Total bytes of spill runs written.
@@ -541,6 +508,38 @@ mod tests {
         };
         let back = WireWorkItem::from_bytes(&ToWorker::Work(w.clone()).to_bytes()[1..]).unwrap();
         assert_eq!(back, w);
+    }
+
+    /// The `Done` frame's bytes, captured before `MapStats` took over
+    /// its own wire form from the `WireMapStats` mirror struct: the
+    /// layout must never move under a worker built from another commit.
+    #[test]
+    fn done_frame_bytes_are_pinned() {
+        let done = FromWorker::Done {
+            attempt: 3,
+            stats: MapStats {
+                task: TaskId(0x0102_0304_0506_0708),
+                dataset: DatasetId(9),
+                total_records: 1000,
+                sampled_records: 250,
+                emitted: 777,
+                shuffled: 55,
+                duration_secs: 1.5,
+                read_secs: 0.25,
+            },
+            spill_runs: 4,
+            spill_bytes: 65536,
+        };
+        #[rustfmt::skip]
+        let golden: [u8; 81] = [
+            2, 3, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1, 9, 0, 0, 0,
+            232, 3, 0, 0, 0, 0, 0, 0, 250, 0, 0, 0, 0, 0, 0, 0,
+            9, 3, 0, 0, 0, 0, 0, 0, 55, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 248, 63, 0, 0, 0, 0, 0, 0, 208, 63,
+            4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(done.to_bytes(), golden);
+        assert_eq!(FromWorker::from_bytes(&golden).unwrap(), done);
     }
 
     #[test]

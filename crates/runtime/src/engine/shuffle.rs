@@ -1,8 +1,9 @@
 //! Shuffle plumbing shared by every execution backend: per-reducer
-//! channels, pre-partitioned batch shipping, drop notifications, and the
+//! channels, the in-process map-output arena and its sink,
+//! pre-partitioned batch shipping, drop notifications, and the
 //! reduce-side drain loop.
 //!
-//! Both executors route map outputs through the same channel fabric, so
+//! Every executor routes map outputs through the same channel fabric, so
 //! the shuffle contract — one deduplicated `MapOutput`/`MapDropped`
 //! event per task per reducer — lives in exactly one place.
 
@@ -10,10 +11,13 @@ use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::combine::CombineTable;
+use crate::combine::{route_emission, CombineTable, Combiner};
 use crate::control::JobControl;
+use crate::metrics::MapStats;
 use crate::reducer::{DedupState, MapOutputMeta, ReduceContext, ReduceEvent, Reducer};
 use crate::types::{Key, TaskId, Value};
+
+use super::attempt::EmitSink;
 
 /// Arena-reused per-reducer output buffers for map attempts.
 ///
@@ -64,6 +68,23 @@ impl<K: Key, V: Value> MapBuffers<K, V> {
     }
 }
 
+/// One attempt's view of a thread's [`MapBuffers`] — the in-process
+/// [`EmitSink`]: folds into the combine tables when the job combines,
+/// appends to the raw vectors otherwise. Never fails.
+pub(crate) struct BufferSink<'a, K: Key, V: Value> {
+    pub(crate) combiner: Option<&'a dyn Combiner<K, V>>,
+    pub(crate) bufs: &'a mut MapBuffers<K, V>,
+}
+
+impl<K: Key, V: Value> EmitSink<K, V> for BufferSink<'_, K, V> {
+    #[inline]
+    fn emit(&mut self, partition: usize, hash: u64, key: K, value: V) -> Result<(), String> {
+        let MapBuffers { raw, combined, .. } = &mut *self.bufs;
+        route_emission(self.combiner, raw, combined, partition, hash, key, value);
+        Ok(())
+    }
+}
+
 /// Creates one unbounded channel per reduce task.
 #[allow(clippy::type_complexity)] // a (senders, receivers) pair, nothing deeper
 pub(crate) fn reducer_channels<K: Key, V: Value>(
@@ -88,6 +109,18 @@ pub(crate) fn reducer_channels<K: Key, V: Value>(
 pub(crate) fn broadcast_drop<K: Key, V: Value>(txs: &[Sender<ReduceEvent<K, V>>], task: usize) {
     for tx in txs {
         let _ = tx.send(ReduceEvent::MapDropped { task: TaskId(task) });
+    }
+}
+
+/// The shuffle metadata of a completed attempt — the `(M_i, m_i)` the
+/// estimators consume, taken from the one [`MapStats`] it reports.
+pub(crate) fn meta_of(stats: &MapStats) -> MapOutputMeta {
+    MapOutputMeta {
+        task: stats.task,
+        dataset: stats.dataset,
+        total_records: stats.total_records,
+        sampled_records: stats.sampled_records,
+        duration_secs: stats.duration_secs,
     }
 }
 

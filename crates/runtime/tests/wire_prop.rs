@@ -7,9 +7,11 @@ use std::time::Duration;
 
 use approxhadoop_ipc::{Wire, WireError};
 use approxhadoop_runtime::engine::process::wire::{
-    FromWorker, ToWorker, WireJobError, WireMapStats, WireWorkItem, WorkerJobSpec,
+    FromWorker, ToWorker, WireJobError, WireWorkItem, WorkerJobSpec,
 };
-use approxhadoop_runtime::FaultPlan;
+use approxhadoop_runtime::input::DatasetId;
+use approxhadoop_runtime::metrics::MapStats;
+use approxhadoop_runtime::{FaultPlan, TaskId};
 use proptest::prelude::*;
 
 /// Builds the sampling-and-faults work item the strategies below vary.
@@ -119,9 +121,9 @@ proptest! {
                                              spill_bytes in 0u64..1_000_000_000) {
         let f = FromWorker::Done {
             attempt: 3,
-            stats: WireMapStats {
-                task,
-                dataset,
+            stats: MapStats {
+                task: TaskId(task as usize),
+                dataset: DatasetId(dataset),
                 total_records: total,
                 sampled_records: sampled,
                 emitted: sampled * 2,

@@ -504,8 +504,13 @@ mod tests {
         assert!(result.metrics.effective_sampling_ratio() < 0.3);
     }
 
+    /// Bound and coverage only. Whether the engine run also *saves work*
+    /// depends on thread timing — 60 maps of 300 `f64`s can all finish
+    /// before the first reducer report arrives, and the coordinator
+    /// rightly keeps the precise first-wave policy while statistics are
+    /// not ready — so that is asserted by the synchronous test below.
     #[test]
-    fn target_mode_meets_bound_and_saves_work() {
+    fn target_mode_meets_bound() {
         let blocks = make_blocks(60, 300, 3);
         let truth = sum_blocks(&blocks);
         let input = VecSource::new(blocks);
@@ -530,10 +535,92 @@ mod tests {
             iv.estimate,
             iv.half_width
         );
+    }
+
+    /// The same job with ordering controlled: the coordinator and the
+    /// monitoring reducer `run_aggregation` builds, driven on one thread
+    /// so every map output is absorbed before the next directive.
+    #[test]
+    fn target_mode_saves_work_when_reports_keep_pace() {
+        use crate::keystat::KeyStat;
+        use approxhadoop_runtime::control::{JobControl, MapDirective};
+        use approxhadoop_runtime::input::SplitMeta;
+        use approxhadoop_runtime::metrics::MapStats;
+        use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
+        use approxhadoop_runtime::types::TaskId;
+
+        let blocks = make_blocks(60, 300, 3);
+        let total = blocks.len();
+        let shared = Arc::new(SharedApproxState::new(1));
+        let mut coordinator = TargetErrorCoordinator::new(
+            total,
+            ErrorTarget::Relative(0.05),
+            0.95,
+            8,
+            None,
+            Arc::clone(&shared),
+        );
+        let mut reducer =
+            MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
+                shared,
+                report_absolute: false,
+                check_every: 1,
+                freeze_threshold: Some(0.05),
+                min_maps_before_freeze: coordinator.wave1_count(),
+            });
+        let control = Arc::new(JobControl::new(1));
+        let mut ctx = ReduceContext::new(0, total, Arc::clone(&control));
+        let (mut executed, mut processed) = (0usize, 0usize);
+        for (t, block) in blocks.iter().enumerate() {
+            if coordinator.want_drop_remaining(&control) {
+                break;
+            }
+            let split = SplitMeta {
+                index: t,
+                dataset: Default::default(),
+                records: block.len() as u64,
+                bytes: 0,
+                locations: vec![],
+            };
+            ctx.note_map();
+            let MapDirective::Run { sampling_ratio } = coordinator.directive(TaskId(t), &split)
+            else {
+                reducer.on_map_dropped(TaskId(t), &mut ctx);
+                continue;
+            };
+            // The values are i.i.d., so a prefix is a fair sample.
+            let m = ((block.len() as f64 * sampling_ratio).ceil() as usize).clamp(1, block.len());
+            let mut stat = KeyStat::default();
+            for v in &block[..m] {
+                stat.add_value(*v);
+            }
+            let meta = MapOutputMeta {
+                task: TaskId(t),
+                dataset: Default::default(),
+                total_records: block.len() as u64,
+                sampled_records: m as u64,
+                duration_secs: 1e-3 + 1e-5 * m as f64,
+            };
+            reducer.on_map_output(&meta, vec![(0, stat)], &mut ctx);
+            coordinator.on_map_complete(&MapStats {
+                task: meta.task,
+                dataset: meta.dataset,
+                total_records: meta.total_records,
+                sampled_records: meta.sampled_records,
+                emitted: m as u64,
+                shuffled: 1,
+                duration_secs: meta.duration_secs,
+                read_secs: 1e-3,
+            });
+            executed += 1;
+            processed += m;
+        }
         assert!(
-            result.metrics.executed_maps < 60 || result.metrics.effective_sampling_ratio() < 1.0,
+            executed < total || processed < total * 300,
             "target mode should approximate something"
         );
+        let iv = reducer.finish(&mut ctx)[0].1;
+        assert!(iv.relative_error() <= 0.05 + 1e-9);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Per-task per-key statistics shipped through the shuffle.
 
 use approxhadoop_ipc::{Decoder, Wire, WireError};
-use approxhadoop_runtime::combine::Combiner;
+
+use crate::clusters::UnitStat;
 
 /// The statistics a map task accumulates for one intermediate key over
 /// the input data items it processed: exactly what the two-stage
@@ -60,24 +61,33 @@ impl Wire for KeyStat {
     }
 }
 
-/// Map-side combiner for [`KeyStat`] values.
-///
-/// [`KeyStat`] carries exactly the per-cluster `Σv`/`Σv²`/emitting-unit
-/// sums the two-stage estimators consume, and merging is plain addition,
-/// so pre-combining in the map task leaves every confidence interval
-/// identical to the uncombined run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KeyStatCombiner;
+impl UnitStat for KeyStat {
+    type Emit = f64;
+    /// The item's summed value `v_ij`.
+    type Unit = f64;
 
-impl<K> Combiner<K, KeyStat> for KeyStatCombiner {
-    fn combine(&self, _key: &K, acc: &mut KeyStat, incoming: KeyStat) {
-        acc.merge(&incoming);
+    fn unit(first: f64) -> f64 {
+        first
+    }
+
+    fn fold(unit: &mut f64, v: f64) {
+        *unit += v;
+    }
+
+    fn add_unit(&mut self, v: f64) {
+        self.add_value(v);
+    }
+
+    fn merge(&mut self, other: &KeyStat) {
+        KeyStat::merge(self, other);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KeyStatCombiner;
+    use approxhadoop_runtime::combine::Combiner;
 
     #[test]
     fn accumulates_values() {

@@ -17,8 +17,19 @@
 //!   mean): [`multistage::MultiStageMapper`] gathers per-block/per-key
 //!   statistics, [`multistage::MultiStageReducer`] applies two-stage
 //!   cluster sampling (paper Eq. 1–3) and emits `τ̂ ± ε` per key.
+//! * [`ratio`] — the same for **ratio** reduces (`R = Σy / Σx` per
+//!   key, the paper's fourth aggregate), with the linearised two-stage
+//!   ratio variance.
+//! * [`threestage`] — the same where the population is the set of
+//!   **intermediate pairs** (blocks → items → pairs; paper Section 3.1,
+//!   "Three-stage sampling").
 //! * [`extreme`] — templates for **min/max** reduces using Generalized
 //!   Extreme Value fitting (paper Section 3.2).
+//!
+//! The three sampling templates are one mapper and one reduce-side
+//! table ([`clusters`]) parameterised by the statistic carried per key
+//! per cluster; each module keeps only its statistic and its estimator
+//! call.
 //!
 //! Two usage modes (paper Section 4.2), expressed as an [`ApproxSpec`]:
 //!
@@ -59,6 +70,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod clusters;
 pub mod error;
 pub mod extreme;
 pub mod job;
@@ -70,8 +82,9 @@ pub mod target;
 pub mod threestage;
 pub mod userdef;
 
+pub use clusters::MergeCombiner as KeyStatCombiner;
 pub use error::CoreError;
-pub use keystat::{KeyStat, KeyStatCombiner};
+pub use keystat::KeyStat;
 pub use spec::{ApproxSpec, ErrorTarget, PilotSpec};
 
 /// Result alias for core operations.

@@ -18,19 +18,16 @@
 //!   [`crate::target::SharedApproxState`], and the coordinator ends the
 //!   job once every reducer meets the target.
 
-use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::sync::Arc;
 
-use approxhadoop_runtime::combine::Combiner;
-use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
-use approxhadoop_runtime::types::{Key, TaskId};
+use approxhadoop_runtime::types::Key;
 use approxhadoop_stats::multistage::{
     ClusterObservation, MeanEstimator, TwoStageEstimator, WaveStatistics,
 };
 use approxhadoop_stats::Interval;
 
+use crate::clusters::{ClusterTable, Run, UnitMapper};
 use crate::keystat::KeyStat;
 use crate::target::{SharedApproxState, WaveReport};
 
@@ -50,75 +47,7 @@ pub enum Aggregation {
 
 /// Map-side template: wraps a user `map()` emitting `(K, f64)` and ships
 /// one [`KeyStat`] per key per task.
-pub struct MultiStageMapper<I, K, F> {
-    f: F,
-    _marker: PhantomData<fn(I) -> K>,
-}
-
-impl<I, K, F> MultiStageMapper<I, K, F>
-where
-    F: Fn(&I, &mut dyn FnMut(K, f64)) + Send + Sync,
-{
-    /// Wraps the user map function.
-    pub fn new(f: F) -> Self {
-        MultiStageMapper {
-            f,
-            _marker: PhantomData,
-        }
-    }
-}
-
-/// Per-task accumulation state of [`MultiStageMapper`].
-pub struct MultiStageTaskState<K> {
-    per_key: HashMap<K, KeyStat>,
-    scratch: Vec<(K, f64)>,
-}
-
-impl<I, K, F> Mapper for MultiStageMapper<I, K, F>
-where
-    I: Send + 'static,
-    K: Key,
-    F: Fn(&I, &mut dyn FnMut(K, f64)) + Send + Sync,
-{
-    type Item = I;
-    type Key = K;
-    type Value = KeyStat;
-    type TaskState = MultiStageTaskState<K>;
-
-    fn begin_task(&self, _ctx: &MapTaskContext) -> Self::TaskState {
-        MultiStageTaskState {
-            per_key: HashMap::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn map(&self, state: &mut Self::TaskState, item: I, _emit: &mut dyn FnMut(K, KeyStat)) {
-        // Collect this item's emissions, summing repeats of the same key
-        // so each item contributes a single v_ij per key.
-        state.scratch.clear();
-        let scratch = &mut state.scratch;
-        (self.f)(&item, &mut |k, v| {
-            if let Some(entry) = scratch.iter_mut().find(|(ek, _)| *ek == k) {
-                entry.1 += v;
-            } else {
-                scratch.push((k, v));
-            }
-        });
-        for (k, v) in state.scratch.drain(..) {
-            state.per_key.entry(k).or_default().add_value(v);
-        }
-    }
-
-    fn end_task(&self, state: Self::TaskState, emit: &mut dyn FnMut(K, KeyStat)) {
-        for (k, stat) in state.per_key {
-            emit(k, stat);
-        }
-    }
-
-    fn combiner(&self) -> Option<&dyn Combiner<K, KeyStat>> {
-        Some(&crate::keystat::KeyStatCombiner)
-    }
-}
+pub type MultiStageMapper<I, K, F> = UnitMapper<I, K, KeyStat, F>;
 
 /// Configuration of the online bound monitor inside
 /// [`MultiStageReducer`] (target-error mode only).
@@ -153,10 +82,7 @@ pub type DistinctSink = Arc<parking_lot::Mutex<Vec<Option<f64>>>>;
 pub struct MultiStageReducer<K: Key> {
     agg: Aggregation,
     confidence: f64,
-    /// `(M_i, m_i)` of each executed map seen by this reducer.
-    clusters: Vec<(TaskId, u64, u64)>,
-    /// Per key: statistics per executed-cluster index.
-    keys: HashMap<K, HashMap<u32, KeyStat>>,
+    table: ClusterTable<K, KeyStat>,
     monitor: Option<BoundMonitor>,
     since_check: usize,
     distinct_sink: Option<DistinctSink>,
@@ -170,8 +96,7 @@ impl<K: Key> MultiStageReducer<K> {
         MultiStageReducer {
             agg,
             confidence,
-            clusters: Vec::new(),
-            keys: HashMap::new(),
+            table: ClusterTable::default(),
             monitor: None,
             since_check: 0,
             distinct_sink: None,
@@ -199,96 +124,78 @@ impl<K: Key> MultiStageReducer<K> {
     pub fn estimate_distinct_keys(&self) -> Option<f64> {
         use approxhadoop_stats::distinct::{chao1, FrequencyCounts};
         let fc = FrequencyCounts::from_counts(
-            self.keys
-                .values()
-                .map(|stats| stats.values().map(|s| s.emitting_units).sum::<u64>()),
+            self.table
+                .runs()
+                .map(|run| run.present().map(|(_, s)| s.emitting_units).sum::<u64>()),
         );
         chao1(&fc).ok()
     }
 
-    /// Builds the interval for one key from the collected statistics.
-    fn estimate_key(&self, stats: &HashMap<u32, KeyStat>, total_maps: u64) -> Option<Interval> {
-        match self.agg {
-            Aggregation::Sum | Aggregation::Count => {
-                let mut est = TwoStageEstimator::new(total_maps);
-                for obs in self.observations(stats) {
-                    est.push(obs);
-                }
-                est.estimate(self.confidence).ok()
-            }
-            Aggregation::Mean => {
-                let mut est = MeanEstimator::new(total_maps);
-                for obs in self.observations(stats) {
-                    est.push(obs);
-                }
-                est.estimate(self.confidence).ok()
-            }
-        }
-    }
-
-    /// Expands a key's sparse per-cluster stats to one observation per
-    /// executed cluster (absent clusters are all-zero observations).
-    fn observations<'a>(
-        &'a self,
-        stats: &'a HashMap<u32, KeyStat>,
-    ) -> impl Iterator<Item = ClusterObservation> + 'a {
-        self.clusters
-            .iter()
-            .enumerate()
-            .map(move |(ci, (task, m_total, m_sampled))| {
-                let stat = stats.get(&(ci as u32)).copied().unwrap_or_default();
-                ClusterObservation {
-                    cluster_id: task.0 as u64,
-                    total_units: *m_total,
-                    sampled_units: *m_sampled,
-                    sum: stat.sum,
-                    sum_sq: stat.sum_sq,
-                }
-            })
-    }
-
-    /// Estimated variance of one key's total — used to *rank* keys when
-    /// hunting for the worst one. All keys share the cluster count `n`,
-    /// so ranking by variance is ranking by half-width without paying a
-    /// Student-t inversion per key. (For `Mean`, the numerator variance
-    /// is used as the ranking proxy; the reported interval is exact.)
-    fn key_ranking_variance(&self, stats: &HashMap<u32, KeyStat>, total_maps: u64) -> f64 {
+    /// One key's two-stage estimator: one observation per executed
+    /// cluster, all-zero where the key did not appear.
+    fn estimator_for(&self, run: &Run<KeyStat>, total_maps: u64) -> TwoStageEstimator {
         let mut est = TwoStageEstimator::new(total_maps);
-        for obs in self.observations(stats) {
-            est.push(obs);
+        for ((task, total_units, sampled_units), stat) in self.table.dense(run) {
+            let stat = stat.copied().unwrap_or_default();
+            est.push(ClusterObservation {
+                cluster_id: task.0 as u64,
+                total_units,
+                sampled_units,
+                sum: stat.sum,
+                sum_sq: stat.sum_sq,
+            });
         }
-        est.variance().unwrap_or(f64::INFINITY)
+        est
+    }
+
+    /// The interval `self.agg` reports for one key's estimator.
+    fn interval(&self, est: &TwoStageEstimator) -> Option<Interval> {
+        match self.agg {
+            Aggregation::Sum | Aggregation::Count => est.estimate(self.confidence).ok(),
+            Aggregation::Mean => {
+                let mut mean = MeanEstimator::new(est.total_clusters());
+                for obs in est.observations() {
+                    mean.push(*obs);
+                }
+                mean.estimate(self.confidence).ok()
+            }
+        }
+    }
+
+    /// Builds the interval for one key from the collected statistics.
+    fn estimate_key(&self, run: &Run<KeyStat>, total_maps: u64) -> Option<Interval> {
+        self.interval(&self.estimator_for(run, total_maps))
     }
 
     /// Evaluates all keys, returning the worst (largest absolute
     /// half-width) key's interval and wave statistics.
+    ///
+    /// Keys are *ranked* by the estimated variance of their total: all
+    /// keys share the cluster count `n`, so ranking by variance is
+    /// ranking by half-width without paying a Student-t inversion per
+    /// key. (For `Mean`, the numerator variance is the ranking proxy;
+    /// the reported interval is exact.)
     fn evaluate_worst(&self, total_maps: u64) -> Option<(Interval, WaveStatistics)> {
-        let worst = self
-            .keys
-            .values()
-            .map(|stats| (self.key_ranking_variance(stats, total_maps), stats))
+        let (_, worst) = self
+            .table
+            .runs()
+            .map(|run| {
+                let est = self.estimator_for(run, total_maps);
+                (est.variance().unwrap_or(f64::INFINITY), est)
+            })
             .max_by(|a, b| a.0.total_cmp(&b.0))?;
-        let stats = worst.1;
-        let iv = self.estimate_key(stats, total_maps)?;
-        Some((iv, self.wave_statistics(stats, total_maps, &iv)))
+        let iv = self.interval(&worst)?;
+        Some((iv, self.wave_statistics(&worst, &iv)))
     }
 
     /// Builds the [`WaveStatistics`] of one key for the planner.
-    fn wave_statistics(
-        &self,
-        stats: &HashMap<u32, KeyStat>,
-        total_maps: u64,
-        iv: &Interval,
-    ) -> WaveStatistics {
-        let mut est = TwoStageEstimator::new(total_maps);
-        for obs in self.observations(stats) {
-            est.push(obs);
-        }
-        let n = self.clusters.len().max(1) as f64;
-        let mean_cluster_size = self.clusters.iter().map(|(_, m, _)| *m as f64).sum::<f64>() / n;
+    fn wave_statistics(&self, est: &TwoStageEstimator, iv: &Interval) -> WaveStatistics {
+        let clusters = self.table.clusters();
+        let n = clusters.len().max(1) as f64;
+        let mean_cluster_size = clusters.iter().map(|(_, m, _)| *m as f64).sum::<f64>() / n;
         let mut mean_within = 0.0;
         let mut completed_within = 0.0;
-        for obs in self.observations(stats) {
+        for obs in est.observations() {
             let within = obs.within_variance();
             mean_within += within / n;
             let m = obs.sampled_units as f64;
@@ -298,8 +205,8 @@ impl<K: Key> MultiStageReducer<K> {
             }
         }
         WaveStatistics {
-            total_clusters: total_maps,
-            completed_clusters: self.clusters.len() as u64,
+            total_clusters: est.total_clusters(),
+            completed_clusters: clusters.len() as u64,
             inter_cluster_var: est.inter_cluster_variance(),
             mean_cluster_size,
             mean_within_var: mean_within,
@@ -311,7 +218,7 @@ impl<K: Key> MultiStageReducer<K> {
     fn monitor_tick(&mut self, ctx: &mut ReduceContext) {
         let Some(monitor) = &self.monitor else { return };
         self.since_check += 1;
-        if self.since_check < monitor.check_every && self.clusters.len() > 2 {
+        if self.since_check < monitor.check_every && self.table.clusters().len() > 2 {
             return;
         }
         self.since_check = 0;
@@ -324,7 +231,9 @@ impl<K: Key> MultiStageReducer<K> {
             };
             ctx.report_bound(metric);
             if let Some(threshold) = monitor.freeze_threshold {
-                if metric <= threshold && self.clusters.len() >= monitor.min_maps_before_freeze {
+                if metric <= threshold
+                    && self.table.clusters().len() >= monitor.min_maps_before_freeze
+                {
                     self.frozen = Some((metric, iv, wave));
                 }
             }
@@ -337,7 +246,7 @@ impl<K: Key> MultiStageReducer<K> {
                     wave,
                 },
             );
-        } else if self.keys.is_empty() && !self.clusters.is_empty() {
+        } else if self.table.is_empty() && !self.table.clusters().is_empty() {
             // No keys routed here: this reducer imposes no bound.
             ctx.report_bound(0.0);
             monitor.shared.publish(
@@ -348,7 +257,7 @@ impl<K: Key> MultiStageReducer<K> {
                     worst_rel: 0.0,
                     wave: WaveStatistics {
                         total_clusters: ctx.total_maps() as u64,
-                        completed_clusters: self.clusters.len() as u64,
+                        completed_clusters: self.table.clusters().len() as u64,
                         inter_cluster_var: 0.0,
                         mean_cluster_size: 0.0,
                         mean_within_var: 0.0,
@@ -391,21 +300,7 @@ impl<K: Key> Reducer for MultiStageReducer<K> {
             }
             return;
         }
-        let ci = self.clusters.len() as u32;
-        self.clusters
-            .push((meta.task, meta.total_records, meta.sampled_records));
-        debug_assert!(
-            meta.sampled_records <= meta.total_records,
-            "map reported m_i > M_i"
-        );
-        for (k, stat) in pairs {
-            self.keys
-                .entry(k)
-                .or_default()
-                .entry(ci)
-                .or_default()
-                .merge(&stat);
-        }
+        self.table.absorb(meta, pairs);
         self.monitor_tick(ctx);
     }
 
@@ -419,16 +314,7 @@ impl<K: Key> Reducer for MultiStageReducer<K> {
             }
         }
         let total_maps = ctx.total_maps() as u64;
-        let mut out: Vec<(K, Interval)> = self
-            .keys
-            .iter()
-            .filter_map(|(k, stats)| {
-                self.estimate_key(stats, total_maps)
-                    .map(|iv| (k.clone(), iv))
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.table.finish(|run| self.estimate_key(run, total_maps))
     }
 }
 
@@ -436,6 +322,8 @@ impl<K: Key> Reducer for MultiStageReducer<K> {
 mod tests {
     use super::*;
     use approxhadoop_runtime::control::JobControl;
+    use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
+    use approxhadoop_runtime::types::TaskId;
 
     fn ctx(total_maps: usize) -> ReduceContext {
         ReduceContext::new(0, total_maps, Arc::new(JobControl::new(1)))

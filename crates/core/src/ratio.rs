@@ -6,15 +6,12 @@
 //! (e.g. bytes-per-request per project, where `y` = bytes and `x` = 1
 //! per request — or click-through rates, cache hit ratios, …).
 
-use std::collections::HashMap;
-use std::marker::PhantomData;
-
-use approxhadoop_runtime::combine::Combiner;
-use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
-use approxhadoop_runtime::types::{Key, TaskId};
+use approxhadoop_runtime::types::Key;
 use approxhadoop_stats::multistage::{PairedClusterObservation, RatioEstimator};
 use approxhadoop_stats::Interval;
+
+use crate::clusters::{ClusterTable, Run, UnitMapper, UnitStat};
 
 /// Per-task per-key paired statistics (`y` numerator, `x` denominator).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -51,96 +48,38 @@ impl PairStat {
     }
 }
 
-/// Map-side combiner for [`PairStat`] values: merging is component-wise
-/// addition of the paired sums the ratio estimator consumes, so
-/// pre-combining preserves the reported intervals exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PairStatCombiner;
+impl UnitStat for PairStat {
+    type Emit = (f64, f64);
+    type Unit = (f64, f64);
 
-impl<K> Combiner<K, PairStat> for PairStatCombiner {
-    fn combine(&self, _key: &K, acc: &mut PairStat, incoming: PairStat) {
-        acc.merge(&incoming);
+    fn unit(first: (f64, f64)) -> (f64, f64) {
+        first
+    }
+
+    fn fold(unit: &mut (f64, f64), (y, x): (f64, f64)) {
+        unit.0 += y;
+        unit.1 += x;
+    }
+
+    fn add_unit(&mut self, (y, x): (f64, f64)) {
+        self.add(y, x);
+    }
+
+    fn merge(&mut self, other: &PairStat) {
+        PairStat::merge(self, other);
     }
 }
 
 /// Map-side template: the user `f(item, emit)` emits `(key, (y, x))`;
 /// per-item emissions for the same key are summed (one paired value per
 /// unit), and one [`PairStat`] per key per task is shuffled.
-pub struct RatioMapper<I, K, F> {
-    f: F,
-    _marker: PhantomData<fn(I) -> K>,
-}
-
-impl<I, K, F> RatioMapper<I, K, F>
-where
-    F: Fn(&I, &mut dyn FnMut(K, (f64, f64))) + Send + Sync,
-{
-    /// Wraps the user map function.
-    pub fn new(f: F) -> Self {
-        RatioMapper {
-            f,
-            _marker: PhantomData,
-        }
-    }
-}
-
-/// Per-task state of [`RatioMapper`].
-pub struct RatioTaskState<K> {
-    per_key: HashMap<K, PairStat>,
-    scratch: Vec<(K, (f64, f64))>,
-}
-
-impl<I, K, F> Mapper for RatioMapper<I, K, F>
-where
-    I: Send + 'static,
-    K: Key,
-    F: Fn(&I, &mut dyn FnMut(K, (f64, f64))) + Send + Sync,
-{
-    type Item = I;
-    type Key = K;
-    type Value = PairStat;
-    type TaskState = RatioTaskState<K>;
-
-    fn begin_task(&self, _ctx: &MapTaskContext) -> Self::TaskState {
-        RatioTaskState {
-            per_key: HashMap::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn map(&self, state: &mut Self::TaskState, item: I, _emit: &mut dyn FnMut(K, PairStat)) {
-        state.scratch.clear();
-        let scratch = &mut state.scratch;
-        (self.f)(&item, &mut |k, (y, x)| {
-            if let Some(entry) = scratch.iter_mut().find(|(ek, _)| *ek == k) {
-                entry.1 .0 += y;
-                entry.1 .1 += x;
-            } else {
-                scratch.push((k, (y, x)));
-            }
-        });
-        for (k, (y, x)) in state.scratch.drain(..) {
-            state.per_key.entry(k).or_default().add(y, x);
-        }
-    }
-
-    fn end_task(&self, state: Self::TaskState, emit: &mut dyn FnMut(K, PairStat)) {
-        for (k, stat) in state.per_key {
-            emit(k, stat);
-        }
-    }
-
-    fn combiner(&self) -> Option<&dyn Combiner<K, PairStat>> {
-        Some(&PairStatCombiner)
-    }
-}
+pub type RatioMapper<I, K, F> = UnitMapper<I, K, PairStat, F>;
 
 /// Reduce-side template computing `R̂ ± ε` per key with the linearised
 /// two-stage ratio estimator.
 pub struct RatioReducer<K: Key> {
     confidence: f64,
-    clusters: Vec<(TaskId, u64, u64)>,
-    keys: HashMap<K, HashMap<u32, PairStat>>,
+    table: ClusterTable<K, PairStat>,
 }
 
 impl<K: Key> RatioReducer<K> {
@@ -148,19 +87,18 @@ impl<K: Key> RatioReducer<K> {
     pub fn new(confidence: f64) -> Self {
         RatioReducer {
             confidence,
-            clusters: Vec::new(),
-            keys: HashMap::new(),
+            table: ClusterTable::default(),
         }
     }
 
-    fn estimate_key(&self, stats: &HashMap<u32, PairStat>, total_maps: u64) -> Option<Interval> {
+    fn estimate_key(&self, run: &Run<PairStat>, total_maps: u64) -> Option<Interval> {
         let mut est = RatioEstimator::new(total_maps);
-        for (ci, (task, m_total, m_sampled)) in self.clusters.iter().enumerate() {
-            let s = stats.get(&(ci as u32)).copied().unwrap_or_default();
+        for ((task, total_units, sampled_units), stat) in self.table.dense(run) {
+            let s = stat.copied().unwrap_or_default();
             est.push(PairedClusterObservation {
                 cluster_id: task.0 as u64,
-                total_units: *m_total,
-                sampled_units: *m_sampled,
+                total_units,
+                sampled_units,
                 sum_y: s.sum_y,
                 sum_y_sq: s.sum_y_sq,
                 sum_x: s.sum_x,
@@ -183,31 +121,12 @@ impl<K: Key> Reducer for RatioReducer<K> {
         pairs: Vec<(K, PairStat)>,
         _ctx: &mut ReduceContext,
     ) {
-        let ci = self.clusters.len() as u32;
-        self.clusters
-            .push((meta.task, meta.total_records, meta.sampled_records));
-        for (k, stat) in pairs {
-            self.keys
-                .entry(k)
-                .or_default()
-                .entry(ci)
-                .or_default()
-                .merge(&stat);
-        }
+        self.table.absorb(meta, pairs);
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<(K, Interval)> {
         let total_maps = ctx.total_maps() as u64;
-        let mut out: Vec<(K, Interval)> = self
-            .keys
-            .iter()
-            .filter_map(|(k, stats)| {
-                self.estimate_key(stats, total_maps)
-                    .map(|iv| (k.clone(), iv))
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.table.finish(|run| self.estimate_key(run, total_maps))
     }
 }
 
@@ -215,6 +134,8 @@ impl<K: Key> Reducer for RatioReducer<K> {
 mod tests {
     use super::*;
     use approxhadoop_runtime::control::JobControl;
+    use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
+    use approxhadoop_runtime::types::TaskId;
     use std::sync::Arc;
 
     fn ctx(total: usize) -> ReduceContext {

@@ -14,16 +14,14 @@
 //! [`ThreeStageMapper`] (whose user function emits one value per
 //! tertiary unit) together with [`ThreeStageReducer`].
 
-use std::collections::HashMap;
-use std::marker::PhantomData;
-
-use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
-use approxhadoop_runtime::types::{Key, TaskId};
+use approxhadoop_runtime::types::Key;
 use approxhadoop_stats::multistage::{
     SecondaryObservation, ThreeStageCluster, ThreeStageEstimator,
 };
 use approxhadoop_stats::Interval;
+
+use crate::clusters::{ClusterTable, Run, UnitMapper, UnitStat};
 
 /// Per-task per-key statistics: one [`SecondaryObservation`] per
 /// processed item that emitted for the key.
@@ -40,74 +38,34 @@ impl GroupStat {
     }
 }
 
+impl UnitStat for GroupStat {
+    type Emit = f64;
+    /// `(pairs, Σv, Σv²)` of one item.
+    type Unit = (u64, f64, f64);
+
+    fn unit(first: f64) -> (u64, f64, f64) {
+        (1, first, first * first)
+    }
+
+    fn fold(unit: &mut (u64, f64, f64), v: f64) {
+        unit.0 += 1;
+        unit.1 += v;
+        unit.2 += v * v;
+    }
+
+    fn add_unit(&mut self, unit: (u64, f64, f64)) {
+        self.items.push(unit);
+    }
+
+    fn merge(&mut self, other: &GroupStat) {
+        GroupStat::merge(self, other);
+    }
+}
+
 /// Map-side template: `f(item, emit)` emits one value **per tertiary
 /// unit** (e.g. one count per paragraph); the task ships, per key, the
 /// per-item group statistics the three-stage estimator needs.
-pub struct ThreeStageMapper<I, K, F> {
-    f: F,
-    _marker: PhantomData<fn(I) -> K>,
-}
-
-impl<I, K, F> ThreeStageMapper<I, K, F>
-where
-    F: Fn(&I, &mut dyn FnMut(K, f64)) + Send + Sync,
-{
-    /// Wraps the user map function.
-    pub fn new(f: F) -> Self {
-        ThreeStageMapper {
-            f,
-            _marker: PhantomData,
-        }
-    }
-}
-
-/// Per-task state of [`ThreeStageMapper`].
-pub struct ThreeStageTaskState<K> {
-    per_key: HashMap<K, GroupStat>,
-    scratch: Vec<(K, (u64, f64, f64))>,
-}
-
-impl<I, K, F> Mapper for ThreeStageMapper<I, K, F>
-where
-    I: Send + 'static,
-    K: Key,
-    F: Fn(&I, &mut dyn FnMut(K, f64)) + Send + Sync,
-{
-    type Item = I;
-    type Key = K;
-    type Value = GroupStat;
-    type TaskState = ThreeStageTaskState<K>;
-
-    fn begin_task(&self, _ctx: &MapTaskContext) -> Self::TaskState {
-        ThreeStageTaskState {
-            per_key: HashMap::new(),
-            scratch: Vec::new(),
-        }
-    }
-
-    fn map(&self, state: &mut Self::TaskState, item: I, _emit: &mut dyn FnMut(K, GroupStat)) {
-        state.scratch.clear();
-        let scratch = &mut state.scratch;
-        (self.f)(&item, &mut |k, v| {
-            if let Some(entry) = scratch.iter_mut().find(|(ek, _)| *ek == k) {
-                entry.1 .0 += 1;
-                entry.1 .1 += v;
-                entry.1 .2 += v * v;
-            } else {
-                scratch.push((k, (1, v, v * v)));
-            }
-        });
-        for (k, group) in state.scratch.drain(..) {
-            state.per_key.entry(k).or_default().items.push(group);
-        }
-    }
-
-    fn end_task(&self, state: Self::TaskState, emit: &mut dyn FnMut(K, GroupStat)) {
-        for (k, stat) in state.per_key {
-            emit(k, stat);
-        }
-    }
-}
+pub type ThreeStageMapper<I, K, F> = UnitMapper<I, K, GroupStat, F>;
 
 /// What the three-stage reducer estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,8 +82,7 @@ pub enum ThreeStageAggregation {
 pub struct ThreeStageReducer<K: Key> {
     agg: ThreeStageAggregation,
     confidence: f64,
-    clusters: Vec<(TaskId, u64, u64)>,
-    keys: HashMap<K, HashMap<u32, GroupStat>>,
+    table: ClusterTable<K, GroupStat>,
 }
 
 impl<K: Key> ThreeStageReducer<K> {
@@ -134,31 +91,23 @@ impl<K: Key> ThreeStageReducer<K> {
         ThreeStageReducer {
             agg,
             confidence,
-            clusters: Vec::new(),
-            keys: HashMap::new(),
+            table: ClusterTable::default(),
         }
     }
 
     fn build_estimator(
         &self,
-        stats: &HashMap<u32, GroupStat>,
+        run: &Run<GroupStat>,
         total_maps: u64,
         count_pairs: bool,
     ) -> ThreeStageEstimator {
         let mut est = ThreeStageEstimator::new(total_maps);
-        for (ci, (task, m_total, m_sampled)) in self.clusters.iter().enumerate() {
-            if *m_sampled == 0 {
+        for ((task, total_units, sampled_units), stat) in self.table.dense(run) {
+            if sampled_units == 0 {
                 continue;
             }
-            let empty = GroupStat::default();
-            let stat = stats.get(&(ci as u32)).unwrap_or(&empty);
-            // Sampled items that emitted nothing are zero-pair groups:
-            // they contribute to the secondary stage as empty units. We
-            // encode them as a single aggregate zero secondary with one
-            // tertiary unit of value zero per silent item, preserving
-            // counts without inflating memory.
-            let mut secondaries: Vec<SecondaryObservation> = stat
-                .items
+            let items = stat.map_or(&[][..], |s| &s.items);
+            let mut secondaries: Vec<SecondaryObservation> = items
                 .iter()
                 .map(|&(pairs, sum, sum_sq)| SecondaryObservation {
                     total_tertiary: pairs,
@@ -167,7 +116,10 @@ impl<K: Key> ThreeStageReducer<K> {
                     sum_sq: if count_pairs { pairs as f64 } else { sum_sq },
                 })
                 .collect();
-            let silent = m_sampled.saturating_sub(stat.items.len() as u64);
+            // Sampled items that emitted nothing are zero-pair groups:
+            // each contributes to the secondary stage as one secondary
+            // holding a single tertiary unit of value zero.
+            let silent = sampled_units.saturating_sub(items.len() as u64);
             for _ in 0..silent {
                 secondaries.push(SecondaryObservation {
                     total_tertiary: 1,
@@ -178,26 +130,26 @@ impl<K: Key> ThreeStageReducer<K> {
             }
             est.push(ThreeStageCluster {
                 cluster_id: task.0 as u64,
-                total_units: *m_total,
+                total_units,
                 secondaries,
             });
         }
         est
     }
 
-    fn estimate_key(&self, stats: &HashMap<u32, GroupStat>, total_maps: u64) -> Option<Interval> {
+    fn estimate_key(&self, run: &Run<GroupStat>, total_maps: u64) -> Option<Interval> {
         match self.agg {
             ThreeStageAggregation::Total => self
-                .build_estimator(stats, total_maps, false)
+                .build_estimator(run, total_maps, false)
                 .estimate(self.confidence)
                 .ok(),
             ThreeStageAggregation::MeanPerPair => {
                 let total = self
-                    .build_estimator(stats, total_maps, false)
+                    .build_estimator(run, total_maps, false)
                     .estimate(self.confidence)
                     .ok()?;
                 let pairs = self
-                    .build_estimator(stats, total_maps, true)
+                    .build_estimator(run, total_maps, true)
                     .estimate(self.confidence)
                     .ok()?;
                 if pairs.estimate <= 0.0 {
@@ -223,31 +175,12 @@ impl<K: Key> Reducer for ThreeStageReducer<K> {
         pairs: Vec<(K, GroupStat)>,
         _ctx: &mut ReduceContext,
     ) {
-        let ci = self.clusters.len() as u32;
-        self.clusters
-            .push((meta.task, meta.total_records, meta.sampled_records));
-        for (k, stat) in pairs {
-            self.keys
-                .entry(k)
-                .or_default()
-                .entry(ci)
-                .or_default()
-                .merge(&stat);
-        }
+        self.table.absorb(meta, pairs);
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<(K, Interval)> {
         let total_maps = ctx.total_maps() as u64;
-        let mut out: Vec<(K, Interval)> = self
-            .keys
-            .iter()
-            .filter_map(|(k, stats)| {
-                self.estimate_key(stats, total_maps)
-                    .map(|iv| (k.clone(), iv))
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.table.finish(|run| self.estimate_key(run, total_maps))
     }
 }
 
@@ -255,6 +188,8 @@ impl<K: Key> Reducer for ThreeStageReducer<K> {
 mod tests {
     use super::*;
     use approxhadoop_runtime::control::JobControl;
+    use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
+    use approxhadoop_runtime::types::TaskId;
     use std::sync::Arc;
 
     fn ctx(total: usize) -> ReduceContext {

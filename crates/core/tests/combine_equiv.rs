@@ -1,8 +1,8 @@
 //! Combiner equivalence properties: map-side combining is a pure
 //! shuffle-volume optimisation, so enabling it must leave every
 //! reported confidence interval **bit-identical** across the sum /
-//! count / mean / ratio templates, for any sampling and dropping
-//! ratios.
+//! count / mean / ratio / three-stage templates, for any sampling and
+//! dropping ratios.
 //!
 //! Both runs pin `map_slots: 1` so that map outputs arrive at the
 //! reducers in the same cluster order — the estimators fold per-cluster
@@ -12,7 +12,8 @@
 
 use approxhadoop_core::job::{AggregationJob, ApproxResult, RatioJob};
 use approxhadoop_core::spec::ApproxSpec;
-use approxhadoop_runtime::engine::JobConfig;
+use approxhadoop_core::threestage::{ThreeStageAggregation, ThreeStageMapper, ThreeStageReducer};
+use approxhadoop_runtime::engine::{run_job, JobConfig};
 use approxhadoop_runtime::input::VecSource;
 use approxhadoop_stats::Interval;
 use proptest::prelude::*;
@@ -103,6 +104,46 @@ proptest! {
             .config(config)
             .run(&input)
             .unwrap()
+        };
+        assert_bit_identical(&run(true), &run(false));
+    }
+
+    /// Three-stage jobs (mean per intermediate pair) report
+    /// bit-identical intervals with combining on and off: each task
+    /// ships one `GroupStat` per key, so the merge combiner has nothing
+    /// to reorder.
+    #[test]
+    fn combining_is_interval_invariant_for_three_stage(
+        blocks in blocks_strategy(),
+        sample_pct in 1u32..=100,
+        drop_pct in 0u32..60,
+        seed in 0u64..50,
+    ) {
+        let run = |combining: bool| {
+            let config = JobConfig {
+                combining,
+                map_slots: 1,
+                seed,
+                drop_ratio: drop_pct as f64 / 100.0,
+                sampling_ratio: sample_pct as f64 / 100.0,
+                ..Default::default()
+            };
+            // Each value is an item of `v % 4` pairs (silent when 0).
+            let mapper = ThreeStageMapper::new(|v: &u32, emit: &mut dyn FnMut(u8, f64)| {
+                for p in 0..v % 4 {
+                    emit((v % 3) as u8, f64::from(*v) + f64::from(p));
+                }
+            });
+            let job = run_job(
+                &VecSource::new(blocks.clone()),
+                &mapper,
+                |_| ThreeStageReducer::<u8>::new(ThreeStageAggregation::MeanPerPair, 0.95),
+                config,
+            )
+            .unwrap();
+            let mut outputs = job.outputs;
+            outputs.sort_by_key(|(k, _)| *k);
+            ApproxResult { outputs, metrics: job.metrics, distinct_keys_estimate: None }
         };
         assert_bit_identical(&run(true), &run(false));
     }

@@ -1,20 +1,110 @@
 //! Property-based tests for the approximation layer: estimates must be
 //! statistically sound for arbitrary synthetic populations.
 
+use std::collections::BTreeMap;
+
+use approxhadoop_core::clusters::ClusterTable;
 use approxhadoop_core::job::AggregationJob;
 use approxhadoop_core::spec::ApproxSpec;
+use approxhadoop_core::threestage::GroupStat;
 use approxhadoop_core::userdef::{version_for, Version};
 use approxhadoop_runtime::engine::JobConfig;
 use approxhadoop_runtime::input::VecSource;
+use approxhadoop_runtime::reducer::MapOutputMeta;
 use approxhadoop_runtime::types::TaskId;
+use approxhadoop_stats::Interval;
 use proptest::prelude::*;
 
 fn population() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0..100.0f64, 4..40), 4..16)
 }
 
+/// One map output: `(M_i, m_i)` — clamped to `m_i ≤ M_i` by the test,
+/// `(0, 0)` being an empty block — and its pairs, which may be empty and
+/// may repeat a key. The values become [`GroupStat`]s: not `Copy`, and
+/// their merge (concatenation) is order-sensitive, so a table that
+/// merged out of order would show.
+type Arrival = (u64, u64, Vec<(u8, Vec<(u64, f64, f64)>)>);
+
+/// What [`ClusterTable::dense`] yields per executed cluster.
+type DenseRow<'a> = ((TaskId, u64, u64), Option<&'a GroupStat>);
+
+fn arrival() -> impl Strategy<Value = Arrival> {
+    let items = prop::collection::vec((1u64..4, 0.0..9.0f64, 0.0..9.0f64), 0..3);
+    (
+        0u64..6,
+        0u64..6,
+        prop::collection::vec((0u8..5, items), 0..6),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `ClusterTable` against the nested-map layout it replaced: for any
+    /// arrival sequence, `sorted`, `dense`, `present` and `finish` agree
+    /// with the model element for element.
+    #[test]
+    fn cluster_table_matches_nested_map_model(arrivals in prop::collection::vec(arrival(), 0..12)) {
+        let mut table = ClusterTable::<u8, GroupStat>::default();
+        let mut clusters = Vec::new();
+        let mut model: BTreeMap<u8, BTreeMap<usize, GroupStat>> = BTreeMap::new();
+        for (t, (total, sampled, pairs)) in arrivals.into_iter().enumerate() {
+            // Task ids descend so arrival order is not task order.
+            let meta = MapOutputMeta {
+                task: TaskId(100 - t),
+                dataset: Default::default(),
+                total_records: total,
+                sampled_records: sampled.min(total),
+                duration_secs: 0.0,
+            };
+            let sampled = meta.sampled_records;
+            clusters.push((meta.task, total, sampled));
+            let pairs: Vec<(u8, GroupStat)> = pairs
+                .into_iter()
+                .map(|(k, items)| (k, GroupStat { items }))
+                .collect();
+            for (k, stat) in &pairs {
+                model.entry(*k).or_default().entry(t).or_default().merge(stat);
+            }
+            table.absorb(&meta, pairs);
+        }
+        prop_assert_eq!(table.clusters(), &clusters[..]);
+        prop_assert_eq!(table.is_empty(), model.is_empty());
+        prop_assert_eq!(table.runs().count(), model.len());
+
+        // An arbitrary estimate reading everything `dense` yields, and
+        // declining keys absent from the first cluster.
+        let digest = |dense: &[DenseRow]| {
+            dense.first()?.1?;
+            let weigh = |(i, ((_, total, sampled), stat)): (usize, &DenseRow)| {
+                let v: f64 = stat.map_or(0.0, |s| s.items.iter().map(|it| it.1).sum());
+                (i + 1) as f64 * v + (total * 7 + sampled) as f64
+            };
+            let estimate = dense.iter().enumerate().map(weigh).sum();
+            Some(Interval::new(estimate, dense.len() as f64, 0.95))
+        };
+        let mut expected_out = Vec::new();
+        let mut rows = table.sorted();
+        for (key, per_cluster) in &model {
+            let (k, run) = rows.next().expect("table has every model key");
+            prop_assert_eq!(k, key);
+            let expected: Vec<_> = clusters
+                .iter()
+                .enumerate()
+                .map(|(ci, c)| (*c, per_cluster.get(&ci)))
+                .collect();
+            prop_assert_eq!(&table.dense(run).collect::<Vec<_>>(), &expected);
+            prop_assert_eq!(
+                run.present().collect::<Vec<_>>(),
+                per_cluster.iter().map(|(ci, s)| (*ci, s)).collect::<Vec<_>>()
+            );
+            expected_out.extend(digest(&expected).map(|iv| (*key, iv)));
+        }
+        prop_assert!(rows.next().is_none(), "table has a key the model lacks");
+        let out = table.finish(|run| digest(&table.dense(run).collect::<Vec<_>>()));
+        prop_assert_eq!(out, expected_out);
+    }
 
     /// Precise aggregation equals the arithmetic ground truth for any
     /// population.

@@ -234,7 +234,7 @@ impl Wire for MapStats {
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(MapStats {
+        let stats = MapStats {
             task: TaskId(u64::decode(d)? as usize),
             dataset: DatasetId(Wire::decode(d)?),
             total_records: Wire::decode(d)?,
@@ -243,7 +243,15 @@ impl Wire for MapStats {
             shuffled: Wire::decode(d)?,
             duration_secs: Wire::decode(d)?,
             read_secs: Wire::decode(d)?,
-        })
+        };
+        // `m_i > M_i` is no sample of the block: every estimator would
+        // reject every key, and the job would return an empty output.
+        if stats.sampled_records > stats.total_records {
+            return Err(WireError::Corrupt {
+                what: "MapStats sampled_records > total_records",
+            });
+        }
+        Ok(stats)
     }
 }
 

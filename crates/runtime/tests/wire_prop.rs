@@ -134,7 +134,19 @@ proptest! {
             spill_runs,
             spill_bytes,
         };
-        prop_assert_eq!(FromWorker::from_bytes(&f.to_bytes()).unwrap(), f);
+        // A worker claiming it processed more records than its block
+        // holds is corrupt, not a sample: rejected at decode, so the
+        // reducers never see `m_i > M_i`.
+        match FromWorker::from_bytes(&f.to_bytes()) {
+            Ok(back) => {
+                prop_assert!(sampled <= total);
+                prop_assert_eq!(back, f);
+            }
+            Err(e) => {
+                prop_assert!(sampled > total);
+                prop_assert!(matches!(e, WireError::Corrupt { .. }));
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use approxhadoop_core::clusters::ClusterTable;
 use approxhadoop_core::keystat::KeyStat;
 use approxhadoop_core::Result;
 use approxhadoop_ipc::{Decoder, Wire, WireError};
@@ -51,7 +52,6 @@ use approxhadoop_runtime::mapper::{MapTaskContext, MultiMapper, TaggedMapper};
 use approxhadoop_runtime::metrics::{JobMetrics, TaskOutcome};
 use approxhadoop_runtime::pool::SlotPool;
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
-use approxhadoop_runtime::types::TaskId;
 use approxhadoop_runtime::{JobId, JobSession, RuntimeError};
 use approxhadoop_stats::bloom::BloomFilter;
 use approxhadoop_stats::multistage::ClusterObservation;
@@ -419,10 +419,8 @@ pub struct JoinPartial {
 /// missing from the catalogue — joins nothing and contributes nothing,
 /// which is exactly the precise join's behaviour.
 pub struct JoinReducer {
-    /// Executed log clusters in arrival order: `(task, M_i, m_i)`.
-    clusters: Vec<(TaskId, u64, u64)>,
-    /// page → (cluster index → access stats).
-    page_stats: BTreeMap<u64, BTreeMap<u32, KeyStat>>,
+    /// Executed log clusters, and per page its access stats in them.
+    table: ClusterTable<u64, KeyStat>,
     /// page → category, from the catalogue side.
     page_category: BTreeMap<u64, u64>,
 }
@@ -431,8 +429,7 @@ impl JoinReducer {
     /// An empty join reducer.
     pub fn new() -> Self {
         JoinReducer {
-            clusters: Vec::new(),
-            page_stats: BTreeMap::new(),
+            table: ClusterTable::default(),
             page_category: BTreeMap::new(),
         }
     }
@@ -456,19 +453,11 @@ impl Reducer for JoinReducer {
         _ctx: &mut ReduceContext,
     ) {
         if meta.dataset == DatasetId(0) {
-            let ci = self.clusters.len() as u32;
-            self.clusters
-                .push((meta.task, meta.total_records, meta.sampled_records));
-            for (page, value) in pairs {
-                if let JoinValue::Access(stat) = value {
-                    self.page_stats
-                        .entry(page)
-                        .or_default()
-                        .entry(ci)
-                        .or_default()
-                        .merge(&stat);
-                }
-            }
+            let stats = pairs.into_iter().filter_map(|(page, value)| match value {
+                JoinValue::Access(stat) => Some((page, stat)),
+                JoinValue::Meta { .. } => None,
+            });
+            self.table.absorb(meta, stats);
         } else {
             for (page, value) in pairs {
                 if let JoinValue::Meta { category } = value {
@@ -480,35 +469,38 @@ impl Reducer for JoinReducer {
 
     fn finish(&mut self, _ctx: &mut ReduceContext) -> Vec<JoinPartial> {
         // The join: fold each page's per-cluster stats into its
-        // category. BTreeMaps make every addition order deterministic.
-        let mut cats: BTreeMap<u64, BTreeMap<u32, KeyStat>> = BTreeMap::new();
-        for (page, per_cluster) in &self.page_stats {
+        // category, one slot per executed cluster. Pages ascend, so
+        // every slot's additions happen in one deterministic order.
+        let clusters = self.table.clusters();
+        let mut cats: BTreeMap<u64, Vec<KeyStat>> = BTreeMap::new();
+        for (page, run) in self.table.sorted() {
             let Some(&category) = self.page_category.get(page) else {
                 continue; // Bloom false positive or uncatalogued page.
             };
-            let slot = cats.entry(category).or_default();
-            for (&ci, stat) in per_cluster {
-                slot.entry(ci).or_default().merge(stat);
+            let slots = cats
+                .entry(category)
+                .or_insert_with(|| vec![KeyStat::default(); clusters.len()]);
+            for (ci, stat) in run.present() {
+                slots[ci].merge(stat);
             }
         }
         // Observations in cluster-id order, independent of the order
         // map outputs happened to arrive in.
-        let mut order: Vec<u32> = (0..self.clusters.len() as u32).collect();
-        order.sort_by_key(|&ci| self.clusters[ci as usize].0);
+        let mut order: Vec<usize> = (0..clusters.len()).collect();
+        order.sort_by_key(|&ci| clusters[ci].0);
         cats.into_iter()
-            .map(|(category, per_cluster)| JoinPartial {
+            .map(|(category, slots)| JoinPartial {
                 category,
                 clusters: order
                     .iter()
                     .map(|&ci| {
-                        let (task, total, sampled) = self.clusters[ci as usize];
-                        let stat = per_cluster.get(&ci).copied().unwrap_or_default();
+                        let (task, total, sampled) = clusters[ci];
                         ClusterObservation {
                             cluster_id: task.0 as u64,
                             total_units: total,
                             sampled_units: sampled,
-                            sum: stat.sum,
-                            sum_sq: stat.sum_sq,
+                            sum: slots[ci].sum,
+                            sum_sq: slots[ci].sum_sq,
                         }
                     })
                     .collect(),
@@ -821,6 +813,7 @@ pub fn register_join_job(registry: &mut approxhadoop_runtime::engine::process::J
 mod tests {
     use super::*;
     use approxhadoop_runtime::input::InputSource;
+    use approxhadoop_runtime::types::TaskId;
 
     fn small() -> JoinWorkload {
         JoinWorkload {
@@ -957,6 +950,49 @@ mod tests {
             "strata must cover their precise values"
         );
         assert!(outcome.combined.contains(truth.values().sum()));
+    }
+
+    /// Values captured (`f64::to_bits`) from the commit before
+    /// `JoinReducer` moved onto `ClusterTable`: each `(category,
+    /// cluster)` slot must keep adding its pages in ascending order.
+    #[test]
+    fn sampled_join_categories_are_bit_pinned() {
+        let outcome = join_category_traffic(
+            &small(),
+            DatasetRatios {
+                sampling_ratio: 0.5,
+                drop_ratio: 0.25,
+            },
+            JobConfig {
+                reduce_tasks: 2,
+                seed: 3,
+                ..Default::default()
+            },
+            0.95,
+        )
+        .unwrap();
+        let mut rows: Vec<(u64, u64, u64)> = outcome
+            .categories
+            .iter()
+            .map(|(c, iv)| (*c, iv.estimate.to_bits(), iv.half_width.to_bits()))
+            .collect();
+        let total = outcome.combined;
+        rows.push((0, total.estimate.to_bits(), total.half_width.to_bits()));
+        let expected = [
+            (1, 0x415f098aaaaaaaaa, 0x41325d32bb17f47f),
+            (2, 0x41668e4eaaaaaaaa, 0x41398c91305b82f1),
+            (3, 0x4160f9b455555555, 0x41336be0d1927853),
+            (4, 0x415e18aaaaaaaaaa, 0x413043784e50fdf1),
+            // The whole-join row (key 0 is not a category).
+            (0, 0x418186476aaaaaaa, 0x41443273f8df28a8),
+        ];
+        assert!(
+            rows == expected,
+            "join drifted from the pinned bits; actual rows:\n{}",
+            rows.iter()
+                .map(|(k, e, h)| format!("            ({k}, {e:#018x}, {h:#018x}),\n"))
+                .collect::<String>()
+        );
     }
 
     #[test]

@@ -79,8 +79,10 @@ struct ScaleReport {
     total_log_records: u64,
     cells: Vec<CellReport>,
     /// Processed log records across both cells over the summed best-rep
-    /// walls — the value the baseline gate compares (see the hotpath
-    /// bench for why the per-scale aggregate, not per-cell numbers).
+    /// walls — the value the baseline gate compares. One cell can swing
+    /// past any sane tolerance on scheduler noise alone; the per-scale
+    /// aggregate is stable, and a real per-record regression slows
+    /// every cell, so the aggregate still catches it.
     aggregate_records_per_sec_best: f64,
 }
 

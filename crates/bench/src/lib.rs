@@ -1,11 +1,16 @@
 //! Shared helpers for the experiment binaries that regenerate every
 //! table and figure of the ApproxHadoop paper.
 //!
-//! Each binary (`table1`, `fig5` … `fig13`, `table2`) prints the same
-//! rows/series the paper reports, using the laptop-scale synthetic
+//! Each paper binary (`table1`, `fig5` … `fig13`, `table2`) prints the
+//! same rows/series the paper reports, using the laptop-scale synthetic
 //! datasets for real-engine measurements and the cluster simulator for
 //! paper-scale timing and energy. `EXPERIMENTS.md` records paper-vs-
-//! measured values for each.
+//! measured values for each. Beside them: `ablation` (the design
+//! choices `DESIGN.md` calls out), `coverage` (empirical interval
+//! coverage per estimator) and `join` (the multi-input join's
+//! baseline-gated scale harness). Engine throughput, the shuffle,
+//! spilling and admission are measured by the repository's
+//! `benchmark/` package, and load tests run as `approxhadoop loadtest`.
 //!
 //! Environment knobs:
 //!

@@ -763,6 +763,12 @@ pub fn loadtest(args: &Args) -> Result<(), UsageError> {
             config.arrival_rate
         )));
     }
+    if config.process_workers > 0 {
+        // As in `serve`: a missing worker binary is a usage error up
+        // front, not a load test whose every job fails.
+        approxhadoop_runtime::engine::WorkerSpec::sibling("approx-worker", "wikilog-project-bytes")
+            .map_err(|e| UsageError(e.to_string()))?;
+    }
     let sinks = obs_sinks(args)?;
 
     if args.flag("find-max-tps") {

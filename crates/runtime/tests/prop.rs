@@ -4,10 +4,11 @@
 
 use std::collections::HashMap;
 
-use approxhadoop_runtime::combine::{Combined, SumCombiner};
+use approxhadoop_runtime::combine::{Combined, PairSumCombiner, SumCombiner};
 use approxhadoop_runtime::engine::{run_job, JobConfig};
 use approxhadoop_runtime::input::VecSource;
 use approxhadoop_runtime::mapper::FnMapper;
+use approxhadoop_runtime::metrics::JobMetrics;
 use approxhadoop_runtime::reducer::GroupedReducer;
 use proptest::prelude::*;
 
@@ -136,9 +137,12 @@ proptest! {
     }
 
     /// Map-side combining never changes the job's output — the combined
-    /// run folds `(word, 1)` pairs into per-task partial sums, the
-    /// uncombined run ships every pair, and both must agree with the
-    /// sequential reference while the combined shuffle is never larger.
+    /// run folds pairs into per-task partial sums, the uncombined run
+    /// ships every pair, and both must agree with the sequential
+    /// reference while the combined shuffle is never larger. Two
+    /// combiners: `SumCombiner` over `(key, 1)` counts, and
+    /// `PairSumCombiner` over `(key, (value, 1.0))` sum/count pairs,
+    /// whose float sums are integer-valued and so compared exactly.
     #[test]
     fn combining_preserves_grouped_counts(
         blocks in blocks_strategy(),
@@ -146,8 +150,11 @@ proptest! {
         reduce_tasks in 1usize..5,
         seed in 0u64..50,
     ) {
-        let run = |combining: bool| {
-            let input = VecSource::new(blocks.clone());
+        let input = VecSource::new(blocks.clone());
+        let config = |combining| JobConfig {
+            combining, map_slots, reduce_tasks, seed, ..Default::default()
+        };
+        let counts = |combining: bool| {
             let mapper = Combined::new(
                 FnMapper::new(|v: &u32, emit: &mut dyn FnMut(u32, u64)| emit(v % 7, 1)),
                 SumCombiner,
@@ -156,29 +163,61 @@ proptest! {
                 &input,
                 &mapper,
                 |_| GroupedReducer::new(|k: &u32, vs: &[u64]| Some((*k, vs.iter().sum::<u64>()))),
-                JobConfig { combining, map_slots, reduce_tasks, seed, ..Default::default() },
+                config(combining),
             )
             .unwrap()
         };
-        let with = run(true);
-        let without = run(false);
+        let pair_sums = |combining: bool| {
+            let mapper = Combined::new(
+                FnMapper::new(|v: &u32, emit: &mut dyn FnMut(u32, (f64, f64))| {
+                    emit(v % 7, (*v as f64, 1.0))
+                }),
+                PairSumCombiner,
+            );
+            run_job(
+                &input,
+                &mapper,
+                |_| {
+                    GroupedReducer::new(|k: &u32, vs: &[(f64, f64)]| {
+                        Some((*k, vs.iter().fold((0.0, 0.0), |a, p| (a.0 + p.0, a.1 + p.1))))
+                    })
+                },
+                config(combining),
+            )
+            .unwrap()
+        };
 
-        let mut expected: HashMap<u32, u64> = HashMap::new();
+        let mut expected_counts: HashMap<u32, u64> = HashMap::new();
+        let mut expected_sums: HashMap<u32, (f64, f64)> = HashMap::new();
         for v in blocks.iter().flatten() {
-            *expected.entry(v % 7).or_default() += 1;
+            *expected_counts.entry(v % 7).or_default() += 1;
+            let s = expected_sums.entry(v % 7).or_default();
+            *s = (s.0 + *v as f64, s.1 + 1.0);
         }
+
+        let (with, without) = (counts(true), counts(false));
+        assert_combine_accounting(&with.metrics, &without.metrics);
         let got_with: HashMap<u32, u64> = with.outputs.into_iter().collect();
         let got_without: HashMap<u32, u64> = without.outputs.into_iter().collect();
-        prop_assert_eq!(&got_with, &expected);
-        prop_assert_eq!(&got_without, &expected);
+        prop_assert_eq!(&got_with, &expected_counts);
+        prop_assert_eq!(&got_without, &expected_counts);
 
-        // Accounting: pre-combine emission counts match, the combined
-        // shuffle is no larger, and without combining nothing shrinks.
-        prop_assert_eq!(with.metrics.emitted_pairs, without.metrics.emitted_pairs);
-        prop_assert!(with.metrics.shuffled_pairs <= with.metrics.emitted_pairs);
-        prop_assert_eq!(without.metrics.shuffled_pairs, without.metrics.emitted_pairs);
-        // At most 7 distinct keys leave each executed map task.
-        let max_pairs = 7 * with.metrics.executed_maps as u64;
-        prop_assert!(with.metrics.shuffled_pairs <= max_pairs);
+        let (with, without) = (pair_sums(true), pair_sums(false));
+        assert_combine_accounting(&with.metrics, &without.metrics);
+        let got_with: HashMap<u32, (f64, f64)> = with.outputs.into_iter().collect();
+        let got_without: HashMap<u32, (f64, f64)> = without.outputs.into_iter().collect();
+        prop_assert_eq!(&got_with, &expected_sums);
+        prop_assert_eq!(&got_without, &expected_sums);
     }
+}
+
+/// Shuffle accounting of one job run with combining on and off:
+/// pre-combine emission counts match, the combined shuffle is no larger
+/// (at most one pair per key — 7 keys — per executed map task), and
+/// without combining nothing shrinks.
+fn assert_combine_accounting(with: &JobMetrics, without: &JobMetrics) {
+    assert_eq!(with.emitted_pairs, without.emitted_pairs);
+    assert!(with.shuffled_pairs <= with.emitted_pairs);
+    assert_eq!(without.shuffled_pairs, without.emitted_pairs);
+    assert!(with.shuffled_pairs <= 7 * with.executed_maps as u64);
 }

@@ -244,6 +244,13 @@ pub fn run_phase_with_obs(
     );
     let arrivals = arrival_times(config.jobs, config.arrival_rate, config.seed);
     let budget = ApproxBudget::up_to(config.max_drop_ratio, config.min_sampling_ratio);
+    // Resolved once per phase. Without the binary every process-backend
+    // submission fails the way a rejected one does.
+    let worker = if config.process_workers > 0 {
+        WorkerSpec::sibling("approx-worker", "wikilog-project-bytes").ok()
+    } else {
+        None
+    };
 
     let in_flight = Arc::new(AtomicUsize::new(0));
     let peak = Arc::new(AtomicUsize::new(0));
@@ -295,59 +302,69 @@ pub fn run_phase_with_obs(
             })
         };
         let handle = if config.process_workers > 0 {
-            let worker = WorkerSpec::sibling("approx-worker", "wikilog-project-bytes")
-                .expect("worker binary installed next to the load generator");
-            service.submit_process(spec, Arc::new(log.source()), worker, make_reducer)
+            worker.clone().and_then(|worker| {
+                service
+                    .submit_process(spec, Arc::new(log.source()), worker, make_reducer)
+                    .ok()
+            })
         } else {
-            service.submit(
-                spec,
-                Arc::new(log.source()),
-                Arc::new(MultiStageMapper::new(
-                    |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.project, e.bytes as f64),
-                )),
-                make_reducer,
-            )
+            service
+                .submit(
+                    spec,
+                    Arc::new(log.source()),
+                    Arc::new(MultiStageMapper::new(
+                        |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
+                            emit(e.project, e.bytes as f64)
+                        },
+                    )),
+                    make_reducer,
+                )
+                .ok()
         };
         last_submit_secs = start.elapsed().as_secs_f64();
         // A rejected submission is a failed job, not a dead load test.
-        let Ok(handle) = handle else { continue };
+        let Some(handle) = handle else { continue };
         let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         peak.fetch_max(now, Ordering::SeqCst);
 
-        let in_flight = Arc::clone(&in_flight);
+        let job_in_flight = Arc::clone(&in_flight);
         let done_tx = done_tx.clone();
         let submitted = Instant::now();
-        waiters.push(
-            std::thread::Builder::new()
-                .name(format!("waiter-{j}"))
-                .spawn(move || {
-                    let (id, name) = (handle.id, handle.name.clone());
-                    let (degrade, drop_ratio, sampling_ratio) =
-                        (handle.degrade, handle.drop_ratio, handle.sampling_ratio);
-                    let result = handle.wait();
-                    let latency = submitted.elapsed().as_secs_f64();
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    // A failed job sends no outcome; the phase counts it.
-                    let Ok(mut result) = result else { return };
-                    let _ = done_tx.send(JobOutcome {
-                        job: id.0,
-                        name,
-                        arrival_secs: arrival,
-                        submit_lag_secs: submit_lag,
-                        degrade,
-                        drop_ratio,
-                        sampling_ratio,
-                        latency_secs: latency,
-                        wall_secs: result.metrics.wall_secs,
-                        total_maps: result.metrics.total_maps,
-                        executed_maps: result.metrics.executed_maps,
-                        dropped_maps: result.metrics.dropped_maps,
-                        worst_relative_bound: worst_relative_bound(&result.outputs),
-                        bound_series: std::mem::take(&mut result.metrics.bound_series),
-                    });
-                })
-                .expect("spawn waiter"),
-        );
+        let waiter = std::thread::Builder::new()
+            .name(format!("waiter-{j}"))
+            .spawn(move || {
+                let (id, name) = (handle.id, handle.name.clone());
+                let (degrade, drop_ratio, sampling_ratio) =
+                    (handle.degrade, handle.drop_ratio, handle.sampling_ratio);
+                let result = handle.wait();
+                let latency = submitted.elapsed().as_secs_f64();
+                job_in_flight.fetch_sub(1, Ordering::SeqCst);
+                // A failed job sends no outcome; the phase counts it.
+                let Ok(mut result) = result else { return };
+                let _ = done_tx.send(JobOutcome {
+                    job: id.0,
+                    name,
+                    arrival_secs: arrival,
+                    submit_lag_secs: submit_lag,
+                    degrade,
+                    drop_ratio,
+                    sampling_ratio,
+                    latency_secs: latency,
+                    wall_secs: result.metrics.wall_secs,
+                    total_maps: result.metrics.total_maps,
+                    executed_maps: result.metrics.executed_maps,
+                    dropped_maps: result.metrics.dropped_maps,
+                    worst_relative_bound: worst_relative_bound(&result.outputs),
+                    bound_series: std::mem::take(&mut result.metrics.bound_series),
+                });
+            });
+        match waiter {
+            Ok(waiter) => waiters.push(waiter),
+            // No waiter, no outcome: one more failed job.
+            Err(_) => {
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
     }
     drop(done_tx);
     for w in waiters {

@@ -128,7 +128,7 @@ fn bench_sampled_read(c: &mut Criterion) {
     use approxhadoop_runtime::input::{InputSource, VecSource};
     let src = VecSource::new(vec![(0..100_000).collect::<Vec<u32>>()]);
     c.bench_function("systematic_sample_100k_at_1pct", |b| {
-        b.iter(|| black_box(src.read_split(0, 0.01, 42).unwrap().sampled))
+        b.iter(|| black_box(src.stream_split(0, 0.01, 42).unwrap().count()))
     });
 }
 

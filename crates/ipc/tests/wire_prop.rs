@@ -58,8 +58,9 @@ proptest! {
         }
     }
 
-    // Tagged records — the shape every multi-dataset job shuffles: a
-    // `(dataset_tag, payload)` tuple. The tag must survive next to the
+    // Tagged records: a `(tag, payload)` tuple, the shape of every
+    // shuffle batch pair. (No job ships dataset-tagged input records —
+    // the dataset rides on the split.) The tag must survive next to the
     // payload bit-exactly, and a stream of tagged records must reject
     // every truncation rather than resynchronise on the wrong record.
     #[test]

@@ -8,7 +8,7 @@ use approxhadoop_ipc::{Decoder, Wire};
 use approxhadoop_runtime::combine::{Combined, SumCombiner};
 use approxhadoop_runtime::engine::process::{worker_main, JobRegistry};
 use approxhadoop_runtime::input::DatasetId;
-use approxhadoop_runtime::mapper::{FnMapper, MapTaskContext, Mapper, MultiMapper, TaggedMapper};
+use approxhadoop_runtime::mapper::{FnMapper, MapTaskContext, Mapper};
 
 /// A mod-8 counting mapper that aborts the whole worker process when it
 /// starts the attempt named in its params — the test harness's stand-in
@@ -38,22 +38,25 @@ impl Mapper for CrashingMapper {
 /// The tagged two-dataset differential's mapper: fact rows (dataset 0)
 /// count one event each, dimension rows (any other dataset) contribute a
 /// small deterministic weight, so the reduce output is sensitive to both
-/// the tags and the per-dataset sampling decisions.
+/// the split's dataset and the per-dataset sampling decisions. The
+/// dataset comes from the task context, once per task.
 ///
 /// Must stay byte-for-byte in sync with the copy in the runtime crate's
 /// `executor_equivalence` test, which runs the identical job on the
 /// in-process backends.
 struct TagWeigh;
 
-impl MultiMapper for TagWeigh {
+impl Mapper for TagWeigh {
     type Item = u32;
     type Key = u8;
     type Value = u64;
-    type TaskState = ();
+    type TaskState = DatasetId;
 
-    fn begin_task(&self, _ctx: &MapTaskContext) -> Self::TaskState {}
+    fn begin_task(&self, ctx: &MapTaskContext) -> DatasetId {
+        ctx.dataset
+    }
 
-    fn map(&self, _state: &mut (), dataset: DatasetId, item: u32, emit: &mut dyn FnMut(u8, u64)) {
+    fn map(&self, dataset: &mut DatasetId, item: u32, emit: &mut dyn FnMut(u8, u64)) {
         match dataset.0 {
             0 => emit((item % 8) as u8, 1),
             _ => emit((item % 8) as u8, 1_000 + u64::from(item % 7)),
@@ -94,12 +97,9 @@ fn main() {
         ))
     });
 
-    // The tagged two-dataset differential: records arrive as
-    // `(DatasetId, u32)` pairs from a `TaggedSource`, routed through one
-    // `MultiMapper` that weighs the datasets differently.
-    registry.register("tagged-weigh", |_params: &[u8]| {
-        Ok(TaggedMapper::new(TagWeigh))
-    });
+    // The tagged two-dataset differential: plain `u32` records from a
+    // `TaggedSource`, weighed by the dataset of the task's split.
+    registry.register("tagged-weigh", |_params: &[u8]| Ok(TagWeigh));
 
     // Worker-crash injection: params = Wire-encoded (task: u64,
     // attempt: u32) at which the worker aborts.

@@ -159,7 +159,8 @@ pub(crate) enum AttemptOutcome {
 pub(crate) struct Mapped {
     /// `M_i` — records in the task's split.
     pub(crate) total_records: u64,
-    /// `m_i` — records the stream yielded after sampling.
+    /// `m_i` — records the stream yielded after sampling (checked
+    /// against the count it advertised).
     pub(crate) sampled_records: u64,
     /// Pairs the user code emitted.
     pub(crate) emitted: u64,
@@ -218,10 +219,12 @@ impl<S> Router<'_, S> {
 /// Runs one map attempt — the only implementation, shared by every
 /// backend: honours the kill flag (before launch and between records),
 /// injects the configured faults, opens the record stream, contains
-/// panics in user code, and routes every emission of `map` and
-/// `end_task` into `sink` over `partitions` reduce partitions. Backends
-/// differ only in `open` (where records come from) and `sink` (where
-/// pairs go); shipping the sink and reporting are the caller's.
+/// panics in user code, routes every emission of `map` and `end_task`
+/// into `sink` over `partitions` reduce partitions, and fails the attempt
+/// if a drained stream yielded other than the `m_i` it advertised (or
+/// advertised `m_i > M_i`). Backends differ only in `open` (where
+/// records come from) and `sink` (where pairs go); shipping the sink and
+/// reporting are the caller's.
 pub(crate) fn run_attempt<'s, M, S>(
     mapper: &M,
     work: &WorkItem,
@@ -278,6 +281,7 @@ where
         let mut killed = false;
         let mut batch: Vec<M::Item> = Vec::with_capacity(READ_BATCH);
         let mut exhausted = false;
+        let mut yielded = 0u64;
         while !exhausted && !killed && router.sink_err.is_none() {
             let rt = Instant::now();
             while batch.len() < READ_BATCH {
@@ -290,6 +294,7 @@ where
                 }
             }
             read_secs += rt.elapsed().as_secs_f64();
+            yielded += batch.len() as u64;
             for item in batch.drain(..) {
                 if work.kill.load(Ordering::Relaxed) {
                     killed = true;
@@ -304,15 +309,25 @@ where
         if !killed && router.sink_err.is_none() {
             mapper.end_task(state, &mut |k, v| router.emit(k, v));
         }
-        (killed, read_secs)
+        (killed, read_secs, yielded)
     }));
     match run {
         Err(_) => AttemptOutcome::Failed(RuntimeError::TaskPanicked {
             what: format!("user map code in {}", work.task),
         }),
-        Ok((true, _)) => AttemptOutcome::Killed,
-        Ok((false, read_secs)) => match router.sink_err {
+        Ok((true, ..)) => AttemptOutcome::Killed,
+        Ok((false, read_secs, yielded)) => match router.sink_err {
             Some(display) => AttemptOutcome::Failed(RuntimeError::Remote { display }),
+            // Neither killed nor cut short by the sink: the stream was
+            // drained, so its advertised `m_i` (and `M_i`) can be checked
+            // before Eq. 1–3 scale by `M_i / m_i`.
+            None if yielded != sampled_records || sampled_records > total_records => {
+                AttemptOutcome::Failed(RuntimeError::invalid(format!(
+                    "split {} advertises {sampled_records} sampled of {total_records} records \
+                     but yielded {yielded}",
+                    work.task.0
+                )))
+            }
             None => AttemptOutcome::Mapped(Mapped {
                 total_records,
                 sampled_records,
@@ -380,7 +395,7 @@ mod tests {
     use super::super::process::spill::SpillShuffle;
     use super::super::{run_job, JobConfig};
     use super::*;
-    use crate::input::{SampledItems, SplitMeta, VecSource};
+    use crate::input::{SplitMeta, VecSource};
     use crate::mapper::FnMapper;
     use crate::reducer::{GroupedReducer, MapOutputMeta, ReduceContext, Reducer};
 
@@ -409,23 +424,19 @@ mod tests {
                 .collect()
         }
 
-        fn read_split(
+        fn stream_split(
             &self,
             index: usize,
             _ratio: f64,
             _seed: u64,
-        ) -> crate::Result<SampledItems<u32>> {
+        ) -> crate::Result<SplitStream<'_, u32>> {
             if index == 2 {
                 Err(approxhadoop_dfs::DfsError::BlockNotFound {
                     block: approxhadoop_dfs::BlockId(2),
                 }
                 .into())
             } else {
-                Ok(SampledItems {
-                    items: vec![1],
-                    total: 1,
-                    sampled: 1,
-                })
+                Ok(SplitStream::new(1, 1, std::iter::once(1)))
             }
         }
     }
@@ -550,6 +561,9 @@ mod tests {
         /// stream construction, the shape a construction-only read clock
         /// books as zero read time.
         per_item: Duration,
+        /// `(advertised, yielded)`: the stream claims `advertised` as
+        /// both `M_i` and `m_i` but yields only `yielded` records.
+        lying_stream: Option<(u64, u32)>,
         /// `Err(rendered outcome)` or `Ok((total, sampled, emitted))`.
         expect: Option<std::result::Result<(u64, u64, u64), &'static str>>,
     }
@@ -586,9 +600,10 @@ mod tests {
             span: 0,
         };
         let per_item = case.per_item;
+        let (advertised, yielded) = case.lying_stream.unwrap_or((RECORDS.into(), RECORDS));
         let open = || {
-            let iter = (0..RECORDS).inspect(move |_| std::thread::sleep(per_item));
-            Ok(SplitStream::new(RECORDS.into(), RECORDS.into(), iter))
+            let iter = (0..yielded).inspect(move |_| std::thread::sleep(per_item));
+            Ok(SplitStream::new(advertised, advertised, iter))
         };
         let left = case.sink_fails_after.unwrap_or(u64::MAX);
         let mut pairs = Vec::new();
@@ -697,6 +712,15 @@ mod tests {
                 name: "sink fails on the 4th emission",
                 sink_fails_after: Some(3),
                 expect: Some(Err("Remote { display: \"sink refused the pair\" }")),
+                ..Default::default()
+            },
+            Case {
+                name: "stream yields fewer records than it advertised",
+                lying_stream: Some((5, 3)),
+                expect: Some(Err(
+                    "InvalidJob { reason: \"split 4 advertises 5 sampled of 5 \
+                     records but yielded 3\" }",
+                )),
                 ..Default::default()
             },
             Case {

@@ -29,7 +29,7 @@ use approxhadoop_ipc::{read_frame, write_frame, Decoder, Wire};
 use approxhadoop_obs::{Counter, DeltaCursor, Obs};
 
 use crate::engine::attempt::{run_attempt, AttemptOutcome, WorkItem};
-use crate::input::{sample_systematic_indices, DatasetId, SplitStream};
+use crate::input::{DatasetId, SplitStream};
 use crate::mapper::Mapper;
 use crate::types::TaskId;
 use crate::RuntimeError;
@@ -123,7 +123,7 @@ impl JobRegistry {
     /// implement [`Wire`] identically on the submitting side.
     pub fn register<I, M, F>(&mut self, name: &str, build: F)
     where
-        I: Wire + Clone + Send + Sync + 'static,
+        I: Wire + Send + Sync + 'static,
         M: Mapper<Item = I> + 'static,
         M::Key: Wire,
         M::Value: Wire,
@@ -157,7 +157,7 @@ struct TypedJob<M> {
 
 impl<I, M> RunnableJob for TypedJob<M>
 where
-    I: Wire + Clone + Send + Sync + 'static,
+    I: Wire + Send + Sync + 'static,
     M: Mapper<Item = I>,
     M::Key: Wire,
     M::Value: Wire,
@@ -322,10 +322,10 @@ where
 }
 
 /// Opens the attempt's spool block as the same [`SplitStream`] the
-/// in-process sources yield: decodes it eagerly and applies systematic
-/// sampling with the same `(total, ratio, seed)` draw, so every backend
-/// processes the identical sample.
-fn read_block<I: Wire + Clone + Send + 'static>(
+/// in-process sources yield: decodes it eagerly and samples it with
+/// [`SplitStream::sampled`] — the same `(total, ratio, seed)` draw — so
+/// every backend processes the identical sample.
+fn read_block<I: Wire + Send + 'static>(
     spool: &FileStore,
     work: &WorkItem,
 ) -> Result<SplitStream<'static, I>, String> {
@@ -346,22 +346,7 @@ fn read_block<I: Wire + Clone + Send + 'static>(
     }
     d.finish()
         .map_err(|e| format!("spool block has trailing bytes: {e}"))?;
-    if let Some(idx) = sample_systematic_indices(total as usize, work.sampling_ratio, work.seed) {
-        items = idx
-            .into_iter()
-            .map(|i| {
-                items
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("sample index {i} out of range"))
-            })
-            .collect::<Result<_, _>>()?;
-    }
-    Ok(SplitStream::new(
-        total,
-        items.len() as u64,
-        items.into_iter(),
-    ))
+    Ok(SplitStream::sampled(items, work.sampling_ratio, work.seed))
 }
 
 /// Runs the worker frame loop against the process's stdin/stdout until

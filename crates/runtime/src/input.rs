@@ -1,12 +1,11 @@
 //! Input sources: splits, sampling-aware block readers.
 //!
 //! Each input split becomes one map task; the split is the *cluster* of
-//! the two-stage sampling theory. `read_split` takes the sampling ratio
+//! the two-stage sampling theory. `stream_split` takes the sampling ratio
 //! decided by the scheduler for this task and must report both the
 //! block's total record count `M_i` and the number of records actually
-//! returned `m_i`.
+//! yielded `m_i`.
 
-use approxhadoop_ipc::{Decoder, Wire, WireError};
 use approxhadoop_stats::sampling::SystematicSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,28 +14,18 @@ use crate::{Result, RuntimeError};
 
 /// Identifies one dataset of a (possibly multi-input) job.
 ///
-/// Single-input jobs — every job before tagged inputs existed — live
-/// entirely in dataset `0`, which is what [`DatasetId::default`]
-/// returns; the scheduler, wire protocol and estimators treat that case
-/// exactly as before. Multi-input jobs (joins) tag every split, work
-/// item and map output with the dataset it belongs to, so cluster
-/// populations `N`/`n` and the Eq. 1–3 intervals stay correct *per
-/// dataset*.
+/// Single-input jobs live entirely in dataset `0`, which is what
+/// [`DatasetId::default`] returns. Multi-input jobs (joins) tag every
+/// split, work item and map output with the dataset it belongs to, so
+/// cluster populations `N`/`n` and the Eq. 1–3 intervals stay correct
+/// *per dataset*. Records carry no tag: a map task learns its split's
+/// dataset from [`MapTaskContext::dataset`](crate::mapper::MapTaskContext).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
 pub struct DatasetId(pub u32);
 
 impl std::fmt::Display for DatasetId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "dataset-{}", self.0)
-    }
-}
-
-impl Wire for DatasetId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn decode(d: &mut Decoder<'_>) -> std::result::Result<Self, WireError> {
-        Ok(DatasetId(u32::decode(d)?))
     }
 }
 
@@ -55,17 +44,6 @@ pub struct SplitMeta {
     /// Indices of the servers holding a replica (for locality-aware
     /// scheduling; empty if unknown).
     pub locations: Vec<usize>,
-}
-
-/// The outcome of reading (and possibly sampling) a split.
-#[derive(Debug, Clone)]
-pub struct SampledItems<I> {
-    /// The sampled items, in block order.
-    pub items: Vec<I>,
-    /// `M_i` — total records in the split.
-    pub total: u64,
-    /// `m_i` — records returned (equals `items.len()`).
-    pub sampled: u64,
 }
 
 /// A streaming view of one (possibly sampled) split: the counts are
@@ -92,9 +70,30 @@ impl<'a, I> SplitStream<'a, I> {
 }
 
 impl<I: Send + 'static> SplitStream<'static, I> {
-    /// Adapts an already-materialised [`SampledItems`] read.
-    pub fn from_items(read: SampledItems<I>) -> Self {
-        SplitStream::new(read.total, read.sampled, read.items.into_iter())
+    /// Samples an owned block systematically at `ratio` (`1.0` keeps
+    /// every record) with the `(len, ratio, seed)` draw of
+    /// [`sample_systematic_indices`], moving the kept records out of the
+    /// block instead of cloning them. Sources that own a freshly read or
+    /// generated block use this; the worker's spool reader does too, so
+    /// every backend yields the identical sample.
+    pub fn sampled(block: Vec<I>, ratio: f64, seed: u64) -> Self {
+        let total = block.len() as u64;
+        match sample_systematic_indices(block.len(), ratio, seed) {
+            None => SplitStream::new(total, total, block.into_iter()),
+            Some(idx) => {
+                let sampled = idx.len() as u64;
+                let mut keep = idx.into_iter().peekable();
+                let iter = block.into_iter().enumerate().filter_map(move |(i, item)| {
+                    if keep.peek() == Some(&i) {
+                        keep.next();
+                        Some(item)
+                    } else {
+                        None
+                    }
+                });
+                SplitStream::new(total, sampled, iter)
+            }
+        }
     }
 }
 
@@ -130,31 +129,18 @@ pub trait InputSource: Send + Sync {
     fn splits(&self) -> Vec<SplitMeta>;
 
     /// Reads split `index`, sampling records at `sampling_ratio`
-    /// (`1.0` = precise). `seed` makes the sample reproducible per task
-    /// attempt. Implementations should use *systematic* sampling (every
-    /// k-th record from a random offset), like the paper's
-    /// `ApproxTextInputFormat`.
-    fn read_split(
-        &self,
-        index: usize,
-        sampling_ratio: f64,
-        seed: u64,
-    ) -> Result<SampledItems<Self::Item>>;
-
-    /// Streaming form of [`read_split`](InputSource::read_split): yields
-    /// the same records in the same order without requiring callers to
-    /// hold the whole sampled vector. The engine's hot path uses this;
-    /// the default delegates to `read_split`, and sources override it to
-    /// skip the extra clone/materialisation.
+    /// (`1.0` = precise), as a stream that knows `M_i` and `m_i` up
+    /// front. `seed` makes the sample reproducible per task attempt.
+    /// Implementations should use *systematic* sampling (every k-th
+    /// record from a random offset), like the paper's
+    /// `ApproxTextInputFormat` — [`SplitStream::sampled`] does exactly
+    /// that for an owned block.
     fn stream_split(
         &self,
         index: usize,
         sampling_ratio: f64,
         seed: u64,
-    ) -> Result<SplitStream<'_, Self::Item>> {
-        let read = self.read_split(index, sampling_ratio, seed)?;
-        Ok(SplitStream::from_items(read))
-    }
+    ) -> Result<SplitStream<'_, Self::Item>>;
 }
 
 /// Computes the systematic-sample indices for a block of `total` records
@@ -175,17 +161,6 @@ pub fn sample_systematic_indices(total: usize, ratio: f64, seed: u64) -> Option<
     let mut rng = StdRng::seed_from_u64(seed);
     let sampler = SystematicSampler::from_ratio(ratio);
     Some(sampler.sample_indices(&mut rng, total))
-}
-
-/// Samples `items` systematically at `ratio`, returning the sampled
-/// subset; keeps everything at `ratio >= 1.0`. Utility for implementing
-/// [`InputSource::read_split`]. Same ratio contract as
-/// [`sample_systematic_indices`].
-pub fn sample_systematic<I: Clone>(items: &[I], ratio: f64, seed: u64) -> Vec<I> {
-    match sample_systematic_indices(items.len(), ratio, seed) {
-        None => items.to_vec(),
-        Some(idx) => idx.into_iter().map(|i| items[i].clone()).collect(),
-    }
 }
 
 /// In-memory input source: one `Vec` of items per split. The workhorse of
@@ -293,22 +268,14 @@ impl<I: Clone + Send + Sync + 'static> InputSource for VecSource<I> {
             .collect()
     }
 
-    fn read_split(&self, index: usize, sampling_ratio: f64, seed: u64) -> Result<SampledItems<I>> {
-        let block = &self.blocks[index];
-        let items = sample_systematic(block, sampling_ratio, seed);
-        Ok(SampledItems {
-            total: block.len() as u64,
-            sampled: items.len() as u64,
-            items,
-        })
-    }
-
     fn stream_split(
         &self,
         index: usize,
         sampling_ratio: f64,
         seed: u64,
     ) -> Result<SplitStream<'_, I>> {
+        // The block is borrowed, not owned: gather the kept records by
+        // index and clone only those.
         let block = &self.blocks[index];
         let total = block.len() as u64;
         Ok(
@@ -369,7 +336,7 @@ where
 
 impl<I, F> InputSource for FnSource<I, F>
 where
-    I: Clone + Send + Sync + 'static,
+    I: Send + 'static,
     F: Fn(usize) -> Vec<I> + Send + Sync,
 {
     type Item = I;
@@ -378,44 +345,17 @@ where
         self.metas.clone()
     }
 
-    fn read_split(&self, index: usize, sampling_ratio: f64, seed: u64) -> Result<SampledItems<I>> {
-        let block = (self.generator)(index);
-        let items = sample_systematic(&block, sampling_ratio, seed);
-        Ok(SampledItems {
-            total: block.len() as u64,
-            sampled: items.len() as u64,
-            items,
-        })
-    }
-
     fn stream_split(
         &self,
         index: usize,
         sampling_ratio: f64,
         seed: u64,
     ) -> Result<SplitStream<'_, I>> {
-        let block = (self.generator)(index);
-        let total = block.len() as u64;
-        Ok(
-            match sample_systematic_indices(block.len(), sampling_ratio, seed) {
-                // Precise read: move records out of the generated block
-                // instead of sampling-by-clone.
-                None => SplitStream::new(total, total, block.into_iter()),
-                Some(idx) => {
-                    let sampled = idx.len() as u64;
-                    let mut keep = idx.into_iter().peekable();
-                    let iter = block.into_iter().enumerate().filter_map(move |(i, item)| {
-                        if keep.peek() == Some(&i) {
-                            keep.next();
-                            Some(item)
-                        } else {
-                            None
-                        }
-                    });
-                    SplitStream::new(total, sampled, iter)
-                }
-            },
-        )
+        Ok(SplitStream::sampled(
+            (self.generator)(index),
+            sampling_ratio,
+            seed,
+        ))
     }
 }
 
@@ -423,15 +363,18 @@ where
 /// [`TaggedSource`]'s dataset table.
 pub type BoxedSource<I> = Box<dyn InputSource<Item = I> + 'static>;
 
-/// Combines several [`InputSource`]s into one multi-dataset input whose
-/// records are `(DatasetId, item)` pairs.
+/// Combines several [`InputSource`]s of one record type into one
+/// multi-dataset input.
 ///
 /// Splits of the member sources are flattened into a single global split
 /// index space, in dataset order: dataset `0`'s splits first, then
 /// dataset `1`'s, and so on. Each flattened [`SplitMeta`] carries its
 /// [`DatasetId`], so the scheduler and estimators can keep per-dataset
 /// cluster populations (`N_d`, `n_d`) without any extra plumbing — a
-/// split remains exactly one cluster of exactly one dataset.
+/// split remains exactly one cluster of exactly one dataset. The tag
+/// rides on the split, not the record: records stream through
+/// unchanged, and a mapper that treats datasets differently reads
+/// [`MapTaskContext::dataset`](crate::mapper::MapTaskContext).
 pub struct TaggedSource<I> {
     sources: Vec<BoxedSource<I>>,
     /// Global split index → (dataset, local split index).
@@ -440,9 +383,8 @@ pub struct TaggedSource<I> {
 }
 
 impl<I: Send + 'static> TaggedSource<I> {
-    /// Builds the tagged union of `sources`; dataset `d` is
-    /// `sources[d]`. Rejects an empty source list and member sources
-    /// without splits ([`RuntimeError::InvalidJob`]), so a malformed
+    /// Builds the union of `sources`; dataset `d` is `sources[d]`.
+    /// Rejects an empty source list and member sources without splits ([`RuntimeError::InvalidJob`]), so a malformed
     /// dataset table surfaces as a job error rather than a panic.
     pub fn try_new(sources: Vec<BoxedSource<I>>) -> Result<Self> {
         if sources.is_empty() {
@@ -482,47 +424,13 @@ impl<I: Send + 'static> TaggedSource<I> {
             metas,
         })
     }
-
-    /// Infallible form of [`TaggedSource::try_new`] for trusted callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty source list or an empty member source.
-    pub fn new(sources: Vec<BoxedSource<I>>) -> Self {
-        Self::try_new(sources).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Number of member datasets.
-    pub fn dataset_count(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Number of splits contributed by dataset `d` (0 if out of range).
-    pub fn splits_of(&self, d: DatasetId) -> usize {
-        self.table.iter().filter(|(ds, _)| *ds == d).count()
-    }
 }
 
 impl<I: Send + 'static> InputSource for TaggedSource<I> {
-    type Item = (DatasetId, I);
+    type Item = I;
 
     fn splits(&self) -> Vec<SplitMeta> {
         self.metas.clone()
-    }
-
-    fn read_split(
-        &self,
-        index: usize,
-        sampling_ratio: f64,
-        seed: u64,
-    ) -> Result<SampledItems<(DatasetId, I)>> {
-        let (dataset, local) = self.table[index];
-        let read = self.sources[dataset.0 as usize].read_split(local, sampling_ratio, seed)?;
-        Ok(SampledItems {
-            total: read.total,
-            sampled: read.sampled,
-            items: read.items.into_iter().map(|i| (dataset, i)).collect(),
-        })
     }
 
     fn stream_split(
@@ -530,14 +438,9 @@ impl<I: Send + 'static> InputSource for TaggedSource<I> {
         index: usize,
         sampling_ratio: f64,
         seed: u64,
-    ) -> Result<SplitStream<'_, (DatasetId, I)>> {
+    ) -> Result<SplitStream<'_, I>> {
         let (dataset, local) = self.table[index];
-        let inner = self.sources[dataset.0 as usize].stream_split(local, sampling_ratio, seed)?;
-        Ok(SplitStream::new(
-            inner.total,
-            inner.sampled,
-            inner.map(move |i| (dataset, i)),
-        ))
+        self.sources[dataset.0 as usize].stream_split(local, sampling_ratio, seed)
     }
 }
 
@@ -552,24 +455,23 @@ mod tests {
         assert_eq!(splits.len(), 2);
         assert_eq!(splits[0].records, 3);
         assert_eq!(splits[1].records, 2);
-        let read = src.read_split(0, 1.0, 0).unwrap();
-        assert_eq!(read.items, vec![1, 2, 3]);
-        assert_eq!(read.total, 3);
-        assert_eq!(read.sampled, 3);
+        let stream = src.stream_split(0, 1.0, 0).unwrap();
+        assert_eq!((stream.total, stream.sampled), (3, 3));
+        assert_eq!(stream.collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]
     fn vec_source_sampling_counts() {
         let src = VecSource::new(vec![(0..1000).collect::<Vec<i32>>()]);
-        let read = src.read_split(0, 0.1, 7).unwrap();
-        assert_eq!(read.total, 1000);
-        assert_eq!(read.sampled, 100);
-        assert_eq!(read.items.len(), 100);
+        let stream = src.stream_split(0, 0.1, 7).unwrap();
+        assert_eq!((stream.total, stream.sampled), (1000, 100));
+        let items: Vec<i32> = stream.collect();
+        assert_eq!(items.len(), 100);
         // Systematic: consecutive sampled items are 10 apart.
-        assert_eq!(read.items[1] - read.items[0], 10);
-        // Reproducible for the same seed, shifted for another.
-        let again = src.read_split(0, 0.1, 7).unwrap();
-        assert_eq!(read.items, again.items);
+        assert_eq!(items[1] - items[0], 10);
+        // Reproducible for the same seed.
+        let again: Vec<i32> = src.stream_split(0, 0.1, 7).unwrap().collect();
+        assert_eq!(items, again);
     }
 
     #[test]
@@ -580,28 +482,34 @@ mod tests {
         assert_eq!(splits[2].records, 5);
     }
 
-    #[test]
-    fn fn_source_generates_on_demand() {
-        let metas = (0..4)
+    fn metas(n: usize, records: u64) -> Vec<SplitMeta> {
+        (0..n)
             .map(|i| SplitMeta {
                 index: i,
                 dataset: DatasetId::default(),
-                records: 10,
-                bytes: 100,
+                records,
+                bytes: records * 10,
                 locations: vec![],
             })
-            .collect();
-        let src = FnSource::new(metas, |i| (0..10).map(|j| i * 100 + j).collect::<Vec<_>>());
-        let read = src.read_split(2, 1.0, 0).unwrap();
-        assert_eq!(read.items[0], 200);
-        assert_eq!(read.sampled, 10);
+            .collect()
+    }
+
+    #[test]
+    fn fn_source_generates_on_demand() {
+        let src = FnSource::new(metas(4, 10), |i| {
+            (0..10).map(|j| i * 100 + j).collect::<Vec<_>>()
+        });
+        let stream = src.stream_split(2, 1.0, 0).unwrap();
+        assert_eq!(stream.sampled, 10);
+        assert_eq!(stream.collect::<Vec<_>>()[0], 200);
     }
 
     #[test]
     fn sample_systematic_full_ratio() {
-        let items = vec![1, 2, 3];
-        assert_eq!(sample_systematic(&items, 1.0, 0), items);
-        assert_eq!(sample_systematic_indices(items.len(), 1.0, 0), None);
+        assert_eq!(sample_systematic_indices(3, 1.0, 0), None);
+        let stream = SplitStream::sampled(vec![1, 2, 3], 1.0, 0);
+        assert_eq!((stream.total, stream.sampled), (3, 3));
+        assert_eq!(stream.collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[cfg(debug_assertions)]
@@ -610,46 +518,36 @@ mod tests {
     fn sample_systematic_rejects_zero_ratio() {
         // Regression: ratio 0 used to be silently clamped to 1e-9,
         // turning a typo into a near-empty sample with garbage bounds.
-        sample_systematic(&[1, 2, 3], 0.0, 0);
+        sample_systematic_indices(3, 0.0, 0);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "sampling ratio must be in (0, 1]")]
     fn sample_systematic_rejects_nan_ratio() {
-        sample_systematic(&[1, 2, 3], f64::NAN, 0);
+        sample_systematic_indices(3, f64::NAN, 0);
     }
 
+    /// `VecSource` gathers from a borrowed block, `FnSource` samples an
+    /// owned one through `SplitStream::sampled`: the same block, ratio
+    /// and seed must yield the same counts and records either way.
     #[test]
-    fn stream_split_matches_read_split() {
-        let src = VecSource::new(vec![(0..1000).collect::<Vec<i32>>()]);
+    fn owned_and_borrowed_sampling_agree() {
+        let block: Vec<i32> = (0..1000).collect();
+        let borrowed = VecSource::new(vec![block.clone()]);
+        let owned = FnSource::new(metas(1, 1000), move |_| block.clone());
         for &(ratio, seed) in &[(1.0, 0), (0.1, 7), (0.37, 13), (0.003, 99)] {
-            let read = src.read_split(0, ratio, seed).unwrap();
-            let stream = src.stream_split(0, ratio, seed).unwrap();
-            assert_eq!(stream.total, read.total);
-            assert_eq!(stream.sampled, read.sampled);
-            let streamed: Vec<i32> = stream.collect();
-            assert_eq!(streamed, read.items, "ratio {ratio} seed {seed}");
-        }
-    }
-
-    #[test]
-    fn fn_source_stream_matches_read() {
-        let metas = (0..3)
-            .map(|i| SplitMeta {
-                index: i,
-                dataset: DatasetId::default(),
-                records: 50,
-                bytes: 0,
-                locations: vec![],
-            })
-            .collect();
-        let src = FnSource::new(metas, |i| (0..50).map(|j| i * 100 + j).collect::<Vec<_>>());
-        for &(ratio, seed) in &[(1.0, 0), (0.2, 5), (0.5, 42)] {
-            let read = src.read_split(1, ratio, seed).unwrap();
-            let stream = src.stream_split(1, ratio, seed).unwrap();
-            assert_eq!(stream.sampled, read.sampled);
-            assert_eq!(stream.collect::<Vec<_>>(), read.items);
+            let read = |src: &dyn InputSource<Item = i32>| {
+                let s = src.stream_split(0, ratio, seed).unwrap();
+                (s.total, s.sampled, s.collect::<Vec<_>>())
+            };
+            let (total, sampled, records) = read(&owned);
+            assert_eq!(
+                read(&borrowed),
+                (total, sampled, records.clone()),
+                "ratio {ratio} seed {seed}"
+            );
+            assert_eq!(records.len() as u64, sampled);
         }
     }
 
@@ -682,59 +580,36 @@ mod tests {
         let logs = VecSource::new(vec![vec![10, 11, 12], vec![20, 21]]);
         let meta = VecSource::new(vec![vec![90]]);
         let src = TaggedSource::try_new(vec![Box::new(logs), Box::new(meta)]).unwrap();
-        assert_eq!(src.dataset_count(), 2);
-        assert_eq!(src.splits_of(DatasetId(0)), 2);
-        assert_eq!(src.splits_of(DatasetId(1)), 1);
+        // The tag rides on the split: datasets in order, global indices
+        // contiguous and self-describing.
         let splits = src.splits();
-        assert_eq!(splits.len(), 3);
-        assert_eq!(splits[0].dataset, DatasetId(0));
-        assert_eq!(splits[2].dataset, DatasetId(1));
-        // Global indices are contiguous and self-describing.
+        let tags: Vec<DatasetId> = splits.iter().map(|s| s.dataset).collect();
+        assert_eq!(tags, vec![DatasetId(0), DatasetId(0), DatasetId(1)]);
         for (i, s) in splits.iter().enumerate() {
             assert_eq!(s.index, i);
         }
-        let read = src.read_split(1, 1.0, 0).unwrap();
-        assert_eq!(read.items, vec![(DatasetId(0), 20), (DatasetId(0), 21)]);
-        let read = src.read_split(2, 1.0, 0).unwrap();
-        assert_eq!(read.items, vec![(DatasetId(1), 90)]);
-        // Streaming agrees with the materialised read, sampled included.
+        // Records stream through untouched, from the member's own split.
+        let read = |i| src.stream_split(i, 1.0, 0).unwrap().collect::<Vec<_>>();
+        assert_eq!(read(1), vec![20, 21]);
+        assert_eq!(read(2), vec![90]);
+        // Sampled reads are the member source's, counts included.
         let big = VecSource::new(vec![(0..500).collect::<Vec<i32>>()]);
-        let src = TaggedSource::new(vec![Box::new(big)]);
-        let read = src.read_split(0, 0.2, 9).unwrap();
+        let direct = big.stream_split(0, 0.2, 9).unwrap();
+        let (total, sampled, records) = (direct.total, direct.sampled, direct.collect::<Vec<_>>());
+        let src = TaggedSource::try_new(vec![Box::new(big) as BoxedSource<i32>]).unwrap();
         let stream = src.stream_split(0, 0.2, 9).unwrap();
-        assert_eq!(stream.total, read.total);
-        assert_eq!(stream.sampled, read.sampled);
-        assert_eq!(stream.collect::<Vec<_>>(), read.items);
+        assert_eq!((stream.total, stream.sampled), (total, sampled));
+        assert_eq!(stream.collect::<Vec<_>>(), records);
     }
 
     #[test]
     fn tagged_source_rejects_malformed_tables() {
         assert!(TaggedSource::<i32>::try_new(vec![]).is_err());
         let ok = VecSource::new(vec![vec![1]]);
-        let empty = FnSource::<i32, _>::new(
-            vec![SplitMeta {
-                index: 0,
-                dataset: DatasetId::default(),
-                records: 0,
-                bytes: 0,
-                locations: vec![],
-            }],
-            |_| vec![],
-        );
+        let empty = FnSource::<i32, _>::new(metas(1, 0), |_| vec![]);
         // A member source is fine as long as it has splits…
         assert!(
             TaggedSource::try_new(vec![Box::new(ok) as BoxedSource<i32>, Box::new(empty)]).is_ok()
         );
-    }
-
-    #[test]
-    fn dataset_id_wire_roundtrip() {
-        for id in [DatasetId(0), DatasetId(1), DatasetId(u32::MAX)] {
-            let bytes = id.to_bytes();
-            assert_eq!(DatasetId::from_bytes(&bytes).unwrap(), id);
-        }
-        let pair = (DatasetId(3), String::from("page"));
-        let bytes = pair.to_bytes();
-        assert_eq!(<(DatasetId, String)>::from_bytes(&bytes).unwrap(), pair);
     }
 }

@@ -5,6 +5,11 @@
 //! [`Mapper::end_task`]) — the approximation templates in
 //! `approxhadoop-core` use this to aggregate per-key statistics within a
 //! task before shuffling them.
+//!
+//! `Mapper` is the only map interface, multi-input jobs included: a
+//! task reads exactly one split of exactly one dataset, so a mapper
+//! that treats datasets differently reads [`MapTaskContext::dataset`]
+//! in `begin_task` and keeps it in its `TaskState`.
 
 use crate::combine::Combiner;
 use crate::input::DatasetId;
@@ -64,126 +69,6 @@ pub trait Mapper: Send + Sync {
     /// combining.
     fn combiner(&self) -> Option<&dyn Combiner<Self::Key, Self::Value>> {
         None
-    }
-}
-
-/// Map-side user code for multi-input jobs: like [`Mapper`], but each
-/// record arrives with the [`DatasetId`] it was read from, so one map
-/// function can treat, say, access-log tuples and page-metadata tuples
-/// differently (the shape ApproxJoin's Bloom pre-filter needs).
-///
-/// Every plain [`Mapper`] is automatically a `MultiMapper` that ignores
-/// the tag — all existing single-input workloads compile unchanged — and
-/// any `MultiMapper` runs on the existing engine via [`TaggedMapper`],
-/// which packages it as a `Mapper` over `(DatasetId, item)` records.
-pub trait MultiMapper: Send + Sync {
-    /// Input record type (untagged; the tag travels alongside).
-    type Item: Send + 'static;
-    /// Intermediate key type.
-    type Key: Key;
-    /// Intermediate value type.
-    type Value: Value;
-    /// Per-task mutable state.
-    type TaskState: Send;
-
-    /// Creates the state for one map task attempt. `ctx.dataset` names
-    /// the dataset whose split this task reads — a task never mixes
-    /// datasets, because each split belongs to exactly one.
-    fn begin_task(&self, ctx: &MapTaskContext) -> Self::TaskState;
-
-    /// Processes one record of dataset `dataset`.
-    fn map(
-        &self,
-        state: &mut Self::TaskState,
-        dataset: DatasetId,
-        item: Self::Item,
-        emit: &mut dyn FnMut(Self::Key, Self::Value),
-    );
-
-    /// Called at the end of the task; may emit final pairs.
-    fn end_task(&self, state: Self::TaskState, emit: &mut dyn FnMut(Self::Key, Self::Value)) {
-        let _ = (state, emit);
-    }
-
-    /// The map-side combiner, if any (see [`Mapper::combiner`]).
-    fn combiner(&self) -> Option<&dyn Combiner<Self::Key, Self::Value>> {
-        None
-    }
-}
-
-impl<M: Mapper> MultiMapper for M {
-    type Item = M::Item;
-    type Key = M::Key;
-    type Value = M::Value;
-    type TaskState = M::TaskState;
-
-    fn begin_task(&self, ctx: &MapTaskContext) -> Self::TaskState {
-        Mapper::begin_task(self, ctx)
-    }
-
-    fn map(
-        &self,
-        state: &mut Self::TaskState,
-        _dataset: DatasetId,
-        item: Self::Item,
-        emit: &mut dyn FnMut(Self::Key, Self::Value),
-    ) {
-        Mapper::map(self, state, item, emit)
-    }
-
-    fn end_task(&self, state: Self::TaskState, emit: &mut dyn FnMut(Self::Key, Self::Value)) {
-        Mapper::end_task(self, state, emit)
-    }
-
-    fn combiner(&self) -> Option<&dyn Combiner<Self::Key, Self::Value>> {
-        Mapper::combiner(self)
-    }
-}
-
-/// Adapts a [`MultiMapper`] to the engine's [`Mapper`] interface over
-/// tagged `(DatasetId, item)` records — the record type a
-/// [`TaggedSource`](crate::input::TaggedSource) produces.
-pub struct TaggedMapper<M> {
-    inner: M,
-}
-
-impl<M> TaggedMapper<M> {
-    /// Wraps `inner` for execution over a tagged input.
-    pub fn new(inner: M) -> Self {
-        TaggedMapper { inner }
-    }
-
-    /// The wrapped multi-mapper.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-}
-
-impl<M: MultiMapper> Mapper for TaggedMapper<M> {
-    type Item = (DatasetId, M::Item);
-    type Key = M::Key;
-    type Value = M::Value;
-    type TaskState = M::TaskState;
-
-    fn begin_task(&self, ctx: &MapTaskContext) -> Self::TaskState {
-        self.inner.begin_task(ctx)
-    }
-
-    fn map(
-        &self,
-        state: &mut Self::TaskState,
-        (dataset, item): (DatasetId, M::Item),
-        emit: &mut dyn FnMut(Self::Key, Self::Value),
-    ) {
-        self.inner.map(state, dataset, item, emit)
-    }
-
-    fn end_task(&self, state: Self::TaskState, emit: &mut dyn FnMut(Self::Key, Self::Value)) {
-        self.inner.end_task(state, emit)
-    }
-
-    fn combiner(&self) -> Option<&dyn Combiner<Self::Key, Self::Value>> {
-        self.inner.combiner()
     }
 }
 
@@ -282,57 +167,5 @@ mod tests {
         }
         Mapper::end_task(&m, state, &mut |k, v| out.push((k, v)));
         assert_eq!(out, vec![("count", 5)]);
-    }
-
-    #[test]
-    fn plain_mapper_is_a_multi_mapper() {
-        // The blanket impl adapts any Mapper: the tag is ignored.
-        let m = CountingMapper;
-        let mut out = Vec::new();
-        let mut state = MultiMapper::begin_task(&m, &test_ctx());
-        MultiMapper::map(&m, &mut state, DatasetId(0), 1, &mut |k, v| {
-            out.push((k, v))
-        });
-        MultiMapper::map(&m, &mut state, DatasetId(7), 2, &mut |k, v| {
-            out.push((k, v))
-        });
-        MultiMapper::end_task(&m, state, &mut |k, v| out.push((k, v)));
-        assert_eq!(out, vec![("count", 2)]);
-    }
-
-    struct TagCounter;
-
-    impl MultiMapper for TagCounter {
-        type Item = u32;
-        type Key = u32;
-        type Value = u64;
-        type TaskState = ();
-
-        fn begin_task(&self, _ctx: &MapTaskContext) {}
-
-        fn map(
-            &self,
-            _state: &mut (),
-            dataset: DatasetId,
-            item: u32,
-            emit: &mut dyn FnMut(u32, u64),
-        ) {
-            emit(dataset.0, u64::from(item));
-        }
-    }
-
-    #[test]
-    fn tagged_mapper_routes_by_dataset() {
-        let m = TaggedMapper::new(TagCounter);
-        let mut out = Vec::new();
-        let mut state = ();
-        Mapper::begin_task(&m, &test_ctx());
-        Mapper::map(&m, &mut state, (DatasetId(0), 5), &mut |k, v| {
-            out.push((k, v))
-        });
-        Mapper::map(&m, &mut state, (DatasetId(1), 9), &mut |k, v| {
-            out.push((k, v))
-        });
-        assert_eq!(out, vec![(0, 5), (1, 9)]);
     }
 }

@@ -4,9 +4,7 @@
 
 use approxhadoop_dfs::{DfsCluster, FileHandle};
 
-use crate::input::{
-    sample_systematic, sample_systematic_indices, InputSource, SampledItems, SplitMeta, SplitStream,
-};
+use crate::input::{InputSource, SplitMeta, SplitStream};
 use crate::Result;
 
 /// Reads a DFS text file, producing one record per line; each DFS block
@@ -54,22 +52,6 @@ impl InputSource for TextSource {
             .collect()
     }
 
-    fn read_split(
-        &self,
-        index: usize,
-        sampling_ratio: f64,
-        seed: u64,
-    ) -> Result<SampledItems<String>> {
-        let meta = &self.handle.blocks[index];
-        let lines = self.dfs.read_block_lines(meta.id)?;
-        let items = sample_systematic(&lines, sampling_ratio, seed);
-        Ok(SampledItems {
-            total: lines.len() as u64,
-            sampled: items.len() as u64,
-            items,
-        })
-    }
-
     fn stream_split(
         &self,
         index: usize,
@@ -78,26 +60,7 @@ impl InputSource for TextSource {
     ) -> Result<SplitStream<'_, String>> {
         let meta = &self.handle.blocks[index];
         let lines = self.dfs.read_block_lines(meta.id)?;
-        let total = lines.len() as u64;
-        Ok(
-            match sample_systematic_indices(lines.len(), sampling_ratio, seed) {
-                // Precise read: move the lines out instead of cloning them.
-                None => SplitStream::new(total, total, lines.into_iter()),
-                Some(idx) => {
-                    let sampled = idx.len() as u64;
-                    let mut keep = idx.into_iter().peekable();
-                    let iter = lines.into_iter().enumerate().filter_map(move |(i, line)| {
-                        if keep.peek() == Some(&i) {
-                            keep.next();
-                            Some(line)
-                        } else {
-                            None
-                        }
-                    });
-                    SplitStream::new(total, sampled, iter)
-                }
-            },
-        )
+        Ok(SplitStream::sampled(lines, sampling_ratio, seed))
     }
 }
 
@@ -131,30 +94,17 @@ mod tests {
     #[test]
     fn precise_read_returns_all_lines() {
         let (_dfs, src) = setup();
-        let read = src.read_split(1, 1.0, 0).unwrap();
-        assert_eq!(read.total, 50);
-        assert_eq!(read.sampled, 50);
-        assert_eq!(read.items[0], "line 50");
+        let stream = src.stream_split(1, 1.0, 0).unwrap();
+        assert_eq!((stream.total, stream.sampled), (50, 50));
+        assert_eq!(stream.collect::<Vec<_>>()[0], "line 50");
     }
 
     #[test]
     fn sampled_read_reports_counts() {
         let (_dfs, src) = setup();
-        let read = src.read_split(0, 0.1, 3).unwrap();
-        assert_eq!(read.total, 50);
-        assert_eq!(read.sampled, 5);
-    }
-
-    #[test]
-    fn stream_matches_read() {
-        let (_dfs, src) = setup();
-        for &(ratio, seed) in &[(1.0, 0u64), (0.1, 3)] {
-            let read = src.read_split(0, ratio, seed).unwrap();
-            let stream = src.stream_split(0, ratio, seed).unwrap();
-            assert_eq!(stream.total, read.total);
-            assert_eq!(stream.sampled, read.sampled);
-            assert_eq!(stream.collect::<Vec<_>>(), read.items);
-        }
+        let stream = src.stream_split(0, 0.1, 3).unwrap();
+        assert_eq!((stream.total, stream.sampled), (50, 5));
+        assert_eq!(stream.count(), 5);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use approxhadoop_runtime::engine::{
     run_job_on_pool, run_job_process, run_job_with_session, JobConfig, JobResult, WorkerSpec,
 };
 use approxhadoop_runtime::input::{BoxedSource, DatasetId, InputSource, TaggedSource, VecSource};
-use approxhadoop_runtime::mapper::{FnMapper, MapTaskContext, MultiMapper, TaggedMapper};
+use approxhadoop_runtime::mapper::{FnMapper, MapTaskContext, Mapper};
 use approxhadoop_runtime::pool::SlotPool;
 use approxhadoop_runtime::reducer::GroupedReducer;
 use approxhadoop_runtime::{
@@ -236,21 +236,24 @@ fn event_streams_and_metrics_are_identical_across_backends() {
 /// The tagged two-dataset differential's mapper: fact rows (dataset 0)
 /// count one event each, dimension rows (any other dataset) contribute a
 /// small deterministic weight, so the reduce output is sensitive to both
-/// the tags and the per-dataset sampling decisions.
+/// the split's dataset and the per-dataset sampling decisions. The
+/// dataset comes from the task context, once per task.
 ///
 /// Must stay byte-for-byte in sync with the copy registered as
 /// `tagged-weigh` in the `approx-worker-rt` binary.
 struct TagWeigh;
 
-impl MultiMapper for TagWeigh {
+impl Mapper for TagWeigh {
     type Item = u32;
     type Key = u8;
     type Value = u64;
-    type TaskState = ();
+    type TaskState = DatasetId;
 
-    fn begin_task(&self, _ctx: &MapTaskContext) -> Self::TaskState {}
+    fn begin_task(&self, ctx: &MapTaskContext) -> DatasetId {
+        ctx.dataset
+    }
 
-    fn map(&self, _state: &mut (), dataset: DatasetId, item: u32, emit: &mut dyn FnMut(u8, u64)) {
+    fn map(&self, dataset: &mut DatasetId, item: u32, emit: &mut dyn FnMut(u8, u64)) {
         match dataset.0 {
             0 => emit((item % 8) as u8, 1),
             _ => emit((item % 8) as u8, 1_000 + u64::from(item % 7)),
@@ -298,7 +301,7 @@ fn tagged_coordinator(seed: u64) -> FixedCoordinator {
 
 fn run_tagged_scoped(seed: u64) -> Run {
     let input = tagged_input();
-    let mapper = TaggedMapper::new(TagWeigh);
+    let mapper = TagWeigh;
     let cfg = config(seed);
     let mut coordinator = tagged_coordinator(seed);
     let (tx, rx) = crossbeam::channel::unbounded();
@@ -328,7 +331,7 @@ fn run_tagged_pool(seed: u64) -> Run {
     let session = JobSession::new(JobId(9)).with_events(tx);
     let result = run_job_on_pool(
         Arc::new(tagged_input()),
-        Arc::new(TaggedMapper::new(TagWeigh)),
+        Arc::new(TagWeigh),
         |_| GroupedReducer::new(|k: &u8, vs: &[u64]| Some((*k, vs.iter().sum::<u64>()))),
         cfg,
         &mut coordinator,

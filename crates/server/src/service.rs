@@ -673,12 +673,13 @@ mod tests {
             Vec::new()
         }
 
-        fn read_split(
+        fn stream_split(
             &self,
             _index: usize,
             _sampling_ratio: f64,
             _seed: u64,
-        ) -> approxhadoop_runtime::Result<approxhadoop_runtime::input::SampledItems<u32>> {
+        ) -> approxhadoop_runtime::Result<approxhadoop_runtime::input::SplitStream<'_, u32>>
+        {
             unreachable!("no splits to read")
         }
     }

@@ -48,7 +48,7 @@ use approxhadoop_runtime::engine::{
 use approxhadoop_runtime::input::{
     BoxedSource, DatasetId, FnSource, InputSource, SplitMeta, TaggedSource,
 };
-use approxhadoop_runtime::mapper::{MapTaskContext, MultiMapper, TaggedMapper};
+use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
 use approxhadoop_runtime::metrics::{JobMetrics, TaskOutcome};
 use approxhadoop_runtime::pool::SlotPool;
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
@@ -209,7 +209,7 @@ impl PageCatalog {
 }
 
 // ---------------------------------------------------------------------
-// Tagged records and shuffle payloads
+// Records and shuffle payloads
 // ---------------------------------------------------------------------
 
 /// One record of the two-input join job. The variant mirrors the
@@ -293,11 +293,10 @@ impl Wire for JoinValue {
 // Map side: Bloom pre-filter + per-task aggregation
 // ---------------------------------------------------------------------
 
-/// The join's map function, written against [`MultiMapper`]: access
-/// rows (dataset 0) are Bloom-filtered and aggregated per page within
-/// the task; catalogue rows (dataset 1) ship `(page, category)`
-/// directly. A record whose variant contradicts its dataset tag is
-/// ignored rather than miscounted.
+/// The join's map function: access rows (dataset 0) are Bloom-filtered
+/// and aggregated per page within the task; catalogue rows (dataset 1)
+/// ship `(page, category)` directly. The [`JoinRecord`] variant says
+/// which side a record comes from, so no dataset tag is needed.
 pub struct JoinMapper {
     bloom: BloomFilter,
     discarded: Option<Arc<Counter>>,
@@ -333,7 +332,7 @@ impl JoinMapper {
     }
 }
 
-impl MultiMapper for JoinMapper {
+impl Mapper for JoinMapper {
     type Item = JoinRecord;
     type Key = u64;
     type Value = JoinValue;
@@ -348,12 +347,11 @@ impl MultiMapper for JoinMapper {
     fn map(
         &self,
         state: &mut Self::TaskState,
-        dataset: DatasetId,
         item: JoinRecord,
         emit: &mut dyn FnMut(u64, JoinValue),
     ) {
-        match (dataset, item) {
-            (DatasetId(0), JoinRecord::Access(e)) => {
+        match item {
+            JoinRecord::Access(e) => {
                 if self.bloom.contains(&e.page.to_le_bytes()) {
                     if let Some(c) = &self.passed {
                         c.inc();
@@ -368,7 +366,7 @@ impl MultiMapper for JoinMapper {
                     }
                 }
             }
-            (DatasetId(1), JoinRecord::Meta(m)) => {
+            JoinRecord::Meta(m) => {
                 emit(
                     m.page,
                     JoinValue::Meta {
@@ -376,8 +374,6 @@ impl MultiMapper for JoinMapper {
                     },
                 );
             }
-            // A record mistagged relative to its dataset: drop it.
-            _ => {}
         }
     }
 
@@ -549,8 +545,8 @@ impl JoinWorkload {
         }
     }
 
-    /// The tagged two-dataset input: dataset 0 = the log, dataset 1 =
-    /// the catalogue.
+    /// The two-dataset input: dataset 0 = the log, dataset 1 = the
+    /// catalogue.
     pub fn source(&self) -> Result<TaggedSource<JoinRecord>> {
         let log = self.log;
         let log_metas = (0..log.num_blocks())
@@ -688,12 +684,12 @@ fn ensure_build_side_complete(w: &JoinWorkload, metrics: &JobMetrics) -> Result<
 
 /// Builds the mapper, attaching Bloom counters when the config carries
 /// an observability context.
-fn join_mapper(w: &JoinWorkload, config: &JobConfig) -> TaggedMapper<JoinMapper> {
+fn join_mapper(w: &JoinWorkload, config: &JobConfig) -> JoinMapper {
     let mut mapper = JoinMapper::new(&w.catalog);
     if let Some(obs) = &config.obs {
         mapper = mapper.with_obs(obs);
     }
-    TaggedMapper::new(mapper)
+    mapper
 }
 
 /// Runs the join on the **scoped-threads** backend.
@@ -784,14 +780,6 @@ pub fn join_category_traffic_process(
     finish_join(result, w.log_clusters(), confidence)
 }
 
-/// The join mapper wrapped for single-`Mapper` call sites (e.g.
-/// [`JobService::submit`]-style generic submission), without counters.
-///
-/// [`JobService::submit`]: https://docs.rs/approxhadoop-server
-pub fn tagged_join_mapper(catalog: &PageCatalog) -> TaggedMapper<JoinMapper> {
-    TaggedMapper::new(JoinMapper::new(catalog))
-}
-
 /// Registers the join job in a worker binary's registry under
 /// [`JOIN_JOB`]: decodes the [`PageCatalog`] from the params blob and
 /// rebuilds the Bloom-filtering mapper. Counters attach to the worker
@@ -803,9 +791,10 @@ pub fn register_join_job(registry: &mut approxhadoop_runtime::engine::process::J
     registry.register(JOIN_JOB, |params: &[u8]| {
         let catalog =
             PageCatalog::from_bytes(params).map_err(|e| format!("bad {JOIN_JOB} params: {e}"))?;
-        Ok(TaggedMapper::new(JoinMapper::new(&catalog).with_obs(
-            &approxhadoop_runtime::engine::process::worker_obs(),
-        )))
+        Ok(
+            JoinMapper::new(&catalog)
+                .with_obs(&approxhadoop_runtime::engine::process::worker_obs()),
+        )
     });
 }
 
@@ -813,7 +802,6 @@ pub fn register_join_job(registry: &mut approxhadoop_runtime::engine::process::J
 mod tests {
     use super::*;
     use approxhadoop_runtime::input::InputSource;
-    use approxhadoop_runtime::types::TaskId;
 
     fn small() -> JoinWorkload {
         JoinWorkload {
@@ -1028,46 +1016,5 @@ mod tests {
             "uncatalogued pages must be filtered map-side:\n{metrics}"
         );
         assert!(passed > 0.0, "catalogued traffic must pass the filter");
-    }
-
-    #[test]
-    fn mistagged_records_are_ignored() {
-        let mapper = JoinMapper::new(&small().catalog);
-        let mut state = MultiMapper::begin_task(
-            &mapper,
-            &MapTaskContext {
-                task: TaskId(0),
-                dataset: DatasetId(0),
-                sampling_ratio: 1.0,
-                attempt: 0,
-            },
-        );
-        let mut out = Vec::new();
-        // A Meta record tagged as dataset 0 and an Access tagged as 1:
-        // both contradictions, both dropped.
-        MultiMapper::map(
-            &mapper,
-            &mut state,
-            DatasetId(0),
-            JoinRecord::Meta(PageMeta {
-                page: 1,
-                category: 1,
-            }),
-            &mut |k, v| out.push((k, v)),
-        );
-        MultiMapper::map(
-            &mapper,
-            &mut state,
-            DatasetId(1),
-            JoinRecord::Access(LogEntry {
-                timestamp: 0,
-                project: 1,
-                page: 1,
-                bytes: 10,
-            }),
-            &mut |k, v| out.push((k, v)),
-        );
-        MultiMapper::end_task(&mapper, state, &mut |k, v| out.push((k, v)));
-        assert!(out.is_empty(), "mistagged records must contribute nothing");
     }
 }

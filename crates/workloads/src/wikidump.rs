@@ -226,9 +226,9 @@ mod tests {
         };
         let src = dump.source();
         assert_eq!(src.splits().len(), 3);
-        let read = src.read_split(1, 1.0, 0).unwrap();
-        assert_eq!(read.total, 1_000);
-        assert_eq!(read.items[0].id, 1_000);
+        let mut stream = src.stream_split(1, 1.0, 0).unwrap();
+        assert_eq!(stream.total, 1_000);
+        assert_eq!(stream.next().unwrap().id, 1_000);
     }
 
     #[test]

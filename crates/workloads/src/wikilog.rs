@@ -327,7 +327,7 @@ mod tests {
         };
         let src = log.source();
         assert_eq!(src.splits().len(), 6);
-        assert_eq!(src.read_split(5, 1.0, 0).unwrap().total, 100);
+        assert_eq!(src.stream_split(5, 1.0, 0).unwrap().total, 100);
         assert_eq!(log.total_entries(), 600);
     }
 

@@ -182,7 +182,7 @@ fn join_submits_through_job_service_on_both_paths() {
         .submit(
             spec.clone(),
             Arc::new(w.source().unwrap()),
-            Arc::new(join::tagged_join_mapper(&w.catalog)),
+            Arc::new(join::JoinMapper::new(&w.catalog)),
             |_| JoinReducer::new(),
         )
         .unwrap();

@@ -17,7 +17,7 @@ use approxhadoop::core::multistage::{
 };
 use approxhadoop::runtime::engine::WorkerSpec;
 use approxhadoop::runtime::event::JobEvent;
-use approxhadoop::runtime::input::{InputSource, SampledItems, SplitMeta, VecSource};
+use approxhadoop::runtime::input::{InputSource, SplitMeta, SplitStream, VecSource};
 use approxhadoop::runtime::RuntimeError;
 use approxhadoop::server::service::{ErrorGoal, JobHandle};
 use approxhadoop::server::{AdmissionConfig, JobService, JobSpec};
@@ -87,19 +87,19 @@ impl InputSource for Blocks {
         self.inner.as_ref().map_or_else(Vec::new, |s| s.splits())
     }
 
-    fn read_split(
+    fn stream_split(
         &self,
         index: usize,
         sampling_ratio: f64,
         seed: u64,
-    ) -> approxhadoop::runtime::Result<SampledItems<f64>> {
+    ) -> approxhadoop::runtime::Result<SplitStream<'_, f64>> {
         if let Some(gate) = &self.gate {
             gate.wait();
         }
         self.inner
             .as_ref()
             .expect("an input without splits is never read")
-            .read_split(index, sampling_ratio, seed)
+            .stream_split(index, sampling_ratio, seed)
     }
 }
 

@@ -10,7 +10,8 @@
 
 use approxhadoop_bench::header;
 use approxhadoop_cluster::KeyStatModel;
-use approxhadoop_cluster::{simulate, ClusterSpec, SimApprox, SimJobSpec};
+use approxhadoop_cluster::{simulate, ClusterSpec, SimJobSpec};
+use approxhadoop_core::spec::ApproxSpec;
 use approxhadoop_core::target::TimingModel;
 
 fn dept_log_job() -> SimJobSpec {
@@ -30,7 +31,6 @@ fn dept_log_job() -> SimJobSpec {
             item_std: 0.0995,
             block_std: 0.0005,
         },
-        confidence: 0.95,
     }
 }
 
@@ -55,31 +55,15 @@ fn main() {
         for drop in [0.0, 0.25, 0.5, 0.75] {
             let mut row = format!("{:>6.0}% |", (1.0 - drop) * 100.0);
             for sample in [1.0, 0.5, 0.1, 0.01] {
-                let approx = if drop == 0.0 && sample >= 1.0 {
-                    SimApprox::Precise
-                } else {
-                    SimApprox::Ratios {
-                        drop_ratio: drop,
-                        sampling_ratio: sample,
-                    }
-                };
-                let r = simulate(&cluster, &job, approx, seed).expect("simulation");
+                let spec = ApproxSpec::ratios(drop, sample);
+                let r = simulate(&cluster, &job, spec, seed).expect("simulation");
                 row.push_str(&format!(" {:>6.1}Wh |", r.energy_wh));
             }
             println!("{}", row.trim_end_matches('|'));
         }
         // Also show that runtime is flat in the dropping dimension.
-        let precise = simulate(&cluster, &job, SimApprox::Precise, seed).unwrap();
-        let dropped = simulate(
-            &cluster,
-            &job,
-            SimApprox::Ratios {
-                drop_ratio: 0.5,
-                sampling_ratio: 1.0,
-            },
-            seed,
-        )
-        .unwrap();
+        let precise = simulate(&cluster, &job, ApproxSpec::Precise, seed).unwrap();
+        let dropped = simulate(&cluster, &job, ApproxSpec::ratios(0.5, 1.0), seed).unwrap();
         println!(
             "    runtime: precise {:.0}s vs 50% dropped {:.0}s (single wave — no speedup),\n\
              energy: {:.1}Wh vs {:.1}Wh (S3 savings from idle servers)",

@@ -3,8 +3,8 @@
 //! 1% target error bound, on the 60-server Atom cluster.
 
 use approxhadoop_bench::header;
-use approxhadoop_cluster::{simulate, ClusterSpec, SimApprox, SimJobSpec};
-use approxhadoop_core::spec::PilotSpec;
+use approxhadoop_cluster::{simulate, ClusterSpec, SimJobSpec};
+use approxhadoop_core::spec::{ApproxSpec, PilotSpec};
 use approxhadoop_workloads::wikilog::LOG_PERIODS;
 
 fn main() {
@@ -19,30 +19,20 @@ fn main() {
     );
     for period in LOG_PERIODS {
         let job = SimJobSpec::log_processing(period.num_maps() as usize, period.records_per_map());
-        let precise = simulate(&atom, &job, SimApprox::Precise, 13).expect("precise sim");
+        let precise = simulate(&atom, &job, ApproxSpec::Precise, 13).expect("precise sim");
         // Project Popularity: plain 1% target.
-        let project = simulate(
-            &atom,
-            &job,
-            SimApprox::Target {
-                relative_error: 0.01,
-            },
-            13,
-        )
-        .expect("project sim");
+        let project =
+            simulate(&atom, &job, ApproxSpec::target(0.01, 0.95), 13).expect("project sim");
         // Page Popularity: 1% target with a 1% pilot wave (the paper's
         // configuration — page-level state doesn't fit in memory
         // without sampling, so a pilot replaces the precise first wave).
         let page = simulate(
             &atom,
             &job,
-            SimApprox::TargetWithPilot {
-                relative_error: 0.01,
-                pilot: PilotSpec {
-                    tasks: 24,
-                    sampling_ratio: 0.01,
-                },
-            },
+            ApproxSpec::target(0.01, 0.95).with_pilot(PilotSpec {
+                tasks: 24,
+                sampling_ratio: 0.01,
+            }),
             13,
         )
         .expect("page sim");

@@ -3,7 +3,7 @@
 //! pilot wave, (c) DC Placement.
 
 use approxhadoop_bench::{header, reps, timed, Summary};
-use approxhadoop_cluster::{simulate, ClusterSpec, SimApprox, SimJobSpec};
+use approxhadoop_cluster::{simulate, ClusterSpec, SimJobSpec};
 use approxhadoop_core::spec::{ApproxSpec, PilotSpec};
 use approxhadoop_runtime::engine::JobConfig;
 use approxhadoop_workloads::apps;
@@ -76,11 +76,11 @@ fn popularity_sweep(name: &str, page_level: bool, pilot: Option<PilotSpec>) {
         let mut actuals = Vec::new();
         let mut maps = 0;
         let mut sample = 1.0;
+        let spec = match pilot {
+            Some(p) => ApproxSpec::target(target, 0.95).with_pilot(p),
+            None => ApproxSpec::target(target, 0.95),
+        };
         for seed in 0..reps() as u64 {
-            let spec = match pilot {
-                Some(p) => ApproxSpec::target(target, 0.95).with_pilot(p),
-                None => ApproxSpec::target(target, 0.95),
-            };
             let (wall, r) = timed(|| run(spec, seed).expect("target job"));
             walls.push(wall);
             maps = r.metrics.executed_maps;
@@ -89,16 +89,7 @@ fn popularity_sweep(name: &str, page_level: bool, pilot: Option<PilotSpec>) {
             bounds.push(bound);
             actuals.push(actual);
         }
-        let sim_approx = match pilot {
-            Some(p) => SimApprox::TargetWithPilot {
-                relative_error: target,
-                pilot: p,
-            },
-            None => SimApprox::Target {
-                relative_error: target,
-            },
-        };
-        let sim_secs = simulate(&cluster, &sim_job, sim_approx, 9)
+        let sim_secs = simulate(&cluster, &sim_job, spec, 9)
             .map(|r| r.wall_secs)
             .unwrap_or(f64::NAN);
         println!(

@@ -104,7 +104,7 @@ mod tests {
     }
 }
 
-use approxhadoop_cluster::{simulate, ClusterSpec, SimApprox, SimJobSpec};
+use approxhadoop_cluster::{simulate, ClusterSpec, SimJobSpec};
 use approxhadoop_core::spec::ApproxSpec;
 use approxhadoop_stats::Interval;
 
@@ -173,15 +173,7 @@ pub fn ratio_sweep(
             }
             let sim_secs = sim
                 .map(|(cluster, job)| {
-                    let approx = if drop == 0.0 && sample >= 1.0 {
-                        SimApprox::Precise
-                    } else {
-                        SimApprox::Ratios {
-                            drop_ratio: drop,
-                            sampling_ratio: sample,
-                        }
-                    };
-                    simulate(cluster, job, approx, 7)
+                    simulate(cluster, job, spec, 7)
                         .map(|r| r.wall_secs)
                         .unwrap_or(f64::NAN)
                 })

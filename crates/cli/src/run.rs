@@ -1,8 +1,8 @@
 //! Subcommand implementations.
 
-use approxhadoop_cluster::{simulate as sim, ClusterSpec, SimApprox, SimJobSpec};
+use approxhadoop_cluster::{simulate as sim, ClusterSpec, SimJobSpec};
 use approxhadoop_core::job::ApproxResult;
-use approxhadoop_core::spec::{ApproxSpec, ErrorTarget};
+use approxhadoop_core::spec::ApproxSpec;
 use approxhadoop_runtime::engine::JobConfig;
 use approxhadoop_runtime::fault::{FaultPlan, FaultPolicy};
 use approxhadoop_runtime::metrics::JobMetrics;
@@ -471,32 +471,9 @@ pub fn simulate(args: &Args) -> Result<(), UsageError> {
     if args.flag("s3") {
         cluster = cluster.with_s3();
     }
-    let approx = match args.approx_spec()? {
-        ApproxSpec::Precise => SimApprox::Precise,
-        ApproxSpec::Ratios {
-            drop_ratio,
-            sampling_ratio,
-        } => SimApprox::Ratios {
-            drop_ratio,
-            sampling_ratio,
-        },
-        ApproxSpec::Target {
-            target: ErrorTarget::Relative(t),
-            pilot,
-            ..
-        } => match pilot {
-            Some(p) => SimApprox::TargetWithPilot {
-                relative_error: t,
-                pilot: p,
-            },
-            None => SimApprox::Target { relative_error: t },
-        },
-        ApproxSpec::Target { .. } => {
-            return Err(UsageError("simulate supports relative targets only".into()))
-        }
-    };
+    let spec = args.approx_spec()?;
     let job = SimJobSpec::log_processing(maps, records);
-    let r = sim(&cluster, &job, approx, seed).map_err(|e| UsageError(e.to_string()))?;
+    let r = sim(&cluster, &job, spec, seed).map_err(|e| UsageError(e.to_string()))?;
     println!(
         "wall {:.0}s | energy {:.1}Wh | maps: {} run, {} dropped, {} killed | sampling {:.1}%",
         r.wall_secs,
@@ -507,8 +484,9 @@ pub fn simulate(args: &Args) -> Result<(), UsageError> {
         r.effective_sampling_ratio * 100.0
     );
     println!(
-        "estimate {:.3e} | 95% bound {:.3}% | actual error {:.3}%",
+        "estimate {:.3e} | {:.0}% bound {:.3}% | actual error {:.3}%",
         r.estimate,
+        spec.confidence() * 100.0,
         r.bound_rel * 100.0,
         r.actual_error_rel * 100.0
     );

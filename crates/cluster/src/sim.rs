@@ -1,30 +1,38 @@
-//! The simulator core.
+//! The simulator core: a discrete-event [`Executor`] under the engine's
+//! one JobTracker, plus the power model.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use crossbeam::channel::Sender;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use approxhadoop_core::multistage::{Aggregation, BoundMonitor, MultiStageReducer};
-use approxhadoop_core::spec::ErrorTarget;
+use approxhadoop_core::spec::{ApproxSpec, ErrorTarget};
 use approxhadoop_core::target::{SharedApproxState, TargetErrorCoordinator};
 use approxhadoop_core::KeyStat;
-use approxhadoop_runtime::control::{Coordinator, FixedCoordinator, JobControl, MapDirective};
+use approxhadoop_runtime::control::{Coordinator, FixedCoordinator};
+use approxhadoop_runtime::engine::{
+    run_job_on_executor, Clock, Executor, JobConfig, RecvOutcome, WorkItem, WorkerMsg,
+};
+use approxhadoop_runtime::event::{JobId, JobSession};
 use approxhadoop_runtime::input::SplitMeta;
 use approxhadoop_runtime::metrics::MapStats;
-use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
+use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, ReduceEvent, Reducer};
 use approxhadoop_runtime::types::TaskId;
-use approxhadoop_stats::sampling::random_order;
 
 use crate::event::EventQueue;
-use crate::spec::{ClusterSpec, SimApprox, SimJobSpec};
+use crate::spec::{ClusterSpec, SimJobSpec};
 
 /// Errors from the simulator.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// An input parameter was out of range.
+    /// An input parameter was out of range, or the engine rejected or
+    /// failed the simulated job.
     Invalid {
         /// Description of the problem.
         reason: String,
@@ -64,14 +72,6 @@ pub struct SimResult {
     pub actual_error_rel: f64,
 }
 
-#[derive(Debug, PartialEq)]
-struct FinishEvent {
-    task: usize,
-    server: usize,
-    sampled: u64,
-    duration: f64,
-}
-
 /// Draws a standard normal via Box–Muller.
 fn normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
@@ -79,44 +79,261 @@ fn normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
+/// Simulated time in seconds: the JobTracker reads it through [`Clock`],
+/// the executor advances it to each completion it delivers.
+struct SimClock {
+    base: Instant,
+    secs_bits: AtomicU64,
+}
+
+impl SimClock {
+    fn secs(&self) -> f64 {
+        f64::from_bits(self.secs_bits.load(Ordering::SeqCst))
+    }
+}
+
+impl Clock for SimClock {
+    fn now(&self) -> Instant {
+        self.base + Duration::from_secs_f64(self.secs())
+    }
+}
+
+/// Busy slots per server and the energy the cluster has drawn so far.
+struct Power {
+    cluster: ClusterSpec,
+    busy: Vec<usize>,
+    energy_wh: f64,
+}
+
+impl Power {
+    /// Charges `secs` at the current busy counts; with S3, idle servers
+    /// sleep once no task is left to start.
+    fn integrate(&mut self, secs: f64, can_sleep: bool) {
+        let c = &self.cluster;
+        for &b in &self.busy {
+            let watts = if b == 0 && can_sleep && c.s3_enabled {
+                c.power.sleep_watts
+            } else {
+                c.power.watts(b, c.map_slots_per_server)
+            };
+            self.energy_wh += watts * secs / 3600.0;
+        }
+    }
+}
+
+/// A dispatched attempt: it completes at its queued event unless the
+/// tracker raises its kill flag first.
+struct Running {
+    server: usize,
+    kill: Arc<AtomicBool>,
+    sampled: u64,
+    duration: f64,
+}
+
+/// The simulated cluster. `dispatch` turns an attempt into a completion
+/// event at `now + t_map(M, m)/speed · noise`; `recv` reports raised
+/// kill flags first, then the next completion in simulated-time order,
+/// shipping the watched key's synthetic statistics to the reducer. With
+/// nothing left in flight it answers `Closed`, so a stall fails the job.
+struct SimExecutor<'a> {
+    job: &'a SimJobSpec,
+    block_mu: &'a [f64],
+    clock: &'a SimClock,
+    power: &'a mut Power,
+    rng: StdRng,
+    events: EventQueue<(usize, u32)>,
+    running: BTreeMap<(usize, u32), Running>,
+    /// Tasks neither dispatched nor dropped yet (the S3 rule's input).
+    unstarted: HashSet<usize>,
+    reducer: Sender<ReduceEvent<u8, KeyStat>>,
+    sent: usize,
+    absorbed: Arc<AtomicUsize>,
+}
+
+impl SimExecutor<'_> {
+    /// Advances simulated time to a completion, charging the energy drawn
+    /// meanwhile, and ships the block's statistics for the watched key.
+    fn complete(&mut self, time: f64, (task, attempt): (usize, u32), r: Running) -> RecvOutcome {
+        let now = self.clock.secs();
+        self.power.integrate(time - now, self.unstarted.is_empty());
+        self.clock.secs_bits.store(time.to_bits(), Ordering::SeqCst);
+        self.power.busy[r.server] -= 1;
+        // The sample mean of m-of-M items drawn without replacement has
+        // variance σ²·(1/m − 1/M) around the realized block mean, so a
+        // full read (m = M) is exact.
+        let (m, m_total) = (r.sampled as f64, self.job.records_per_map as f64);
+        let item_std = self.job.stats.item_std;
+        let fpc = (1.0 / m - 1.0 / m_total).max(0.0);
+        let mean = self.block_mu[task] + item_std * fpc.sqrt() * normal(&mut self.rng);
+        let stats = MapStats {
+            task: TaskId(task),
+            dataset: Default::default(),
+            total_records: self.job.records_per_map,
+            sampled_records: r.sampled,
+            emitted: 1,
+            shuffled: 1,
+            duration_secs: r.duration,
+            read_secs: m_total * self.job.timing.tr / self.power.cluster.speed,
+        };
+        let stat = KeyStat {
+            sum: m * mean,
+            sum_sq: m * (item_std * item_std + mean * mean),
+            emitting_units: r.sampled,
+        };
+        let meta = MapOutputMeta {
+            task: stats.task,
+            dataset: stats.dataset,
+            total_records: stats.total_records,
+            sampled_records: stats.sampled_records,
+            duration_secs: stats.duration_secs,
+        };
+        self.deliver(ReduceEvent::MapOutput {
+            meta,
+            pairs: vec![(0, stat)],
+        });
+        RecvOutcome::Msg(WorkerMsg::Completed {
+            stats,
+            attempt,
+            spans: Vec::new(),
+        })
+    }
+
+    /// Sends one event to the reducer and waits until it is absorbed, so
+    /// the bound monitor and the coordinator never depend on thread
+    /// timing.
+    fn deliver(&mut self, event: ReduceEvent<u8, KeyStat>) {
+        if self.reducer.send(event).is_ok() {
+            self.sent += 1;
+            while self.absorbed.load(Ordering::SeqCst) < self.sent {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+impl Executor for SimExecutor<'_> {
+    fn dispatch(&mut self, server: usize, work: WorkItem) -> bool {
+        let m_total = self.job.records_per_map;
+        let sampled = ((m_total as f64 * work.sampling_ratio).round() as u64).clamp(1, m_total);
+        let noise = (self.job.straggler_std * normal(&mut self.rng)).exp();
+        let duration = self.job.timing.t_map(m_total as f64, sampled as f64)
+            / self.power.cluster.speed
+            * noise;
+        self.power.busy[server] += 1;
+        self.unstarted.remove(&work.task.0);
+        let key = (work.task.0, work.attempt);
+        self.events.push(self.clock.secs() + duration, key);
+        self.running.insert(
+            key,
+            Running {
+                server,
+                kill: work.kill,
+                sampled,
+                duration,
+            },
+        );
+        true
+    }
+
+    fn recv(&mut self, timeout: Duration) -> RecvOutcome {
+        let killed = self
+            .running
+            .iter()
+            .find(|(_, r)| r.kill.load(Ordering::SeqCst))
+            .map(|(&key, _)| key);
+        if let Some((task, attempt)) = killed {
+            let r = self.running.remove(&(task, attempt)).expect("found above");
+            self.power.busy[r.server] -= 1;
+            return RecvOutcome::Msg(WorkerMsg::Killed {
+                task: TaskId(task),
+                attempt,
+            });
+        }
+        // A poll reports kills only: every completion waits for a blocking
+        // `recv`, so the tracker re-plans after each step of simulated time.
+        if timeout.is_zero() {
+            return RecvOutcome::Timeout;
+        }
+        while let Some(next) = self.events.pop() {
+            // A killed attempt's event is stale: skip it.
+            if let Some(r) = self.running.remove(&next.event) {
+                return self.complete(next.time, next.event, r);
+            }
+        }
+        RecvOutcome::Closed
+    }
+
+    fn notify_drop(&mut self, task: usize) {
+        self.unstarted.remove(&task);
+        self.deliver(ReduceEvent::MapDropped { task: TaskId(task) });
+    }
+}
+
+/// The simulated job's reducer — the real one — counting each event it
+/// absorbs for [`SimExecutor::deliver`]. Dropping it (finished or
+/// unwound by a panic) releases a waiting executor.
+struct Counted {
+    inner: MultiStageReducer<u8>,
+    absorbed: Arc<AtomicUsize>,
+}
+
+impl Reducer for Counted {
+    type Key = u8;
+    type Value = KeyStat;
+    type Output = <MultiStageReducer<u8> as Reducer>::Output;
+
+    fn on_map_output(
+        &mut self,
+        meta: &MapOutputMeta,
+        pairs: Vec<(u8, KeyStat)>,
+        ctx: &mut ReduceContext,
+    ) {
+        self.inner.on_map_output(meta, pairs, ctx);
+        self.absorbed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn on_map_dropped(&mut self, task: TaskId, ctx: &mut ReduceContext) {
+        self.inner.on_map_dropped(task, ctx);
+        self.absorbed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<Self::Output> {
+        self.inner.finish(ctx)
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.absorbed.store(usize::MAX, Ordering::SeqCst);
+    }
+}
+
 /// Simulates one job execution on the cluster.
 ///
-/// The approximation stack is the real one: a
-/// [`MultiStageReducer`] receives synthetic per-block statistics for the
-/// watched key, publishes bounds, and the chosen coordinator
-/// ([`FixedCoordinator`] or [`TargetErrorCoordinator`]) makes the same
-/// decisions it makes in live runs.
+/// Scheduling and approximation are the real ones: the engine's
+/// JobTracker runs the job on a simulated [`Executor`] and clock, with
+/// the policy `spec` names ([`FixedCoordinator`], or a
+/// [`TargetErrorCoordinator`] fed by the [`MultiStageReducer`]'s bound
+/// monitor), so waves, drops, kills and early termination follow the
+/// same code as live runs. The reducer receives synthetic per-block
+/// statistics for the watched key.
 pub fn simulate(
     cluster: &ClusterSpec,
     job: &SimJobSpec,
-    approx: SimApprox,
+    spec: ApproxSpec,
     seed: u64,
 ) -> Result<SimResult, SimError> {
+    let invalid = |reason: String| SimError::Invalid { reason };
     if cluster.servers == 0 || cluster.map_slots_per_server == 0 {
-        return Err(SimError::Invalid {
-            reason: "cluster must have servers and slots".into(),
-        });
+        return Err(invalid("cluster must have servers and slots".into()));
     }
     if job.num_maps == 0 || job.records_per_map == 0 {
-        return Err(SimError::Invalid {
-            reason: "job must have maps and records".into(),
-        });
+        return Err(invalid("job must have maps and records".into()));
     }
-    if let SimApprox::Ratios {
-        drop_ratio,
-        sampling_ratio,
-    } = approx
-    {
-        let ratios_ok =
-            (0.0..1.0).contains(&drop_ratio) && sampling_ratio > 0.0 && sampling_ratio <= 1.0;
-        if !ratios_ok {
-            return Err(SimError::Invalid {
-                reason: format!("bad ratios: drop {drop_ratio}, sampling {sampling_ratio}"),
-            });
-        }
-    }
+    spec.validate().map_err(|e| invalid(e.to_string()))?;
 
     let total = job.num_maps;
+    let slots = cluster.total_slots();
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Ground truth: the *realized* per-block mean of the watched key's
@@ -130,249 +347,112 @@ pub fn simulate(
                 + job.stats.item_std / m_total.sqrt() * normal(&mut rng)
         })
         .collect();
-    let truth: f64 = block_mu
-        .iter()
-        .map(|mu| mu * job.records_per_map as f64)
-        .sum();
+    let truth: f64 = block_mu.iter().map(|mu| mu * m_total).sum();
 
-    // The real approximation stack.
-    let control = Arc::new(JobControl::new(1));
+    // The policy, built from the spec as live jobs build it.
+    let confidence = spec.confidence();
     let shared = Arc::new(SharedApproxState::new(1));
-    let mut reducer =
-        MultiStageReducer::<u8>::new(Aggregation::Sum, job.confidence).with_monitor(BoundMonitor {
-            shared: Arc::clone(&shared),
-            report_absolute: false,
-            check_every: (total / 200).max(1),
-            freeze_threshold: match approx {
-                SimApprox::Target { relative_error }
-                | SimApprox::TargetWithPilot { relative_error, .. } => Some(relative_error),
-                _ => None,
-            },
-            min_maps_before_freeze: match approx {
-                SimApprox::TargetWithPilot { pilot, .. } => pilot.tasks.min(total),
-                _ => cluster.total_slots().max(2).min(total),
-            },
-        });
-    let mut rctx = ReduceContext::new(0, total, Arc::clone(&control));
-    let mut coordinator: Box<dyn Coordinator> = match approx {
-        SimApprox::Precise => Box::new(FixedCoordinator::new(total, 1.0, 0.0, seed)),
-        SimApprox::Ratios {
-            drop_ratio,
-            sampling_ratio,
-        } => Box::new(FixedCoordinator::new(
+    let mut coordinator: Box<dyn Coordinator> = match spec {
+        ApproxSpec::Target { target, pilot, .. } => Box::new(TargetErrorCoordinator::new(
             total,
-            sampling_ratio,
-            drop_ratio,
-            seed,
-        )),
-        SimApprox::Target { relative_error } => Box::new(TargetErrorCoordinator::new(
-            total,
-            ErrorTarget::Relative(relative_error),
-            job.confidence,
-            cluster.total_slots(),
-            None,
-            Arc::clone(&shared),
-        )),
-        SimApprox::TargetWithPilot {
-            relative_error,
+            target,
+            confidence,
+            slots,
             pilot,
-        } => Box::new(TargetErrorCoordinator::new(
-            total,
-            ErrorTarget::Relative(relative_error),
-            job.confidence,
-            cluster.total_slots(),
-            Some(pilot),
             Arc::clone(&shared),
         )),
-    };
-
-    // Scheduling state.
-    let mut pending: VecDeque<usize> = random_order(&mut rng, total).into_iter().collect();
-    let mut busy = vec![0usize; cluster.servers];
-    let mut running: HashMap<usize, usize> = HashMap::new(); // task -> server
-    let mut killed_set: HashSet<usize> = HashSet::new();
-    let mut events = EventQueue::<FinishEvent>::new();
-    let meta_template = SplitMeta {
-        index: 0,
-        records: job.records_per_map,
-        bytes: 0,
-        locations: vec![],
-        dataset: Default::default(),
-    };
-
-    let mut time = 0.0f64;
-    let mut energy_wh = 0.0f64;
-    let mut executed = 0usize;
-    let mut dropped = 0usize;
-    let mut killed = 0usize;
-    let mut total_records_exec = 0u64;
-    let mut sampled_records_exec = 0u64;
-    let mut dropping = false;
-
-    // Energy between two instants given current busy counts.
-    let integrate = |energy: &mut f64,
-                     from: f64,
-                     to: f64,
-                     busy: &[usize],
-                     can_sleep: bool,
-                     cluster: &ClusterSpec| {
-        if to <= from {
-            return;
-        }
-        let secs = to - from;
-        for &b in busy {
-            let watts = if b == 0 && can_sleep && cluster.s3_enabled {
-                cluster.power.sleep_watts
-            } else {
-                cluster.power.watts(b, cluster.map_slots_per_server)
-            };
-            *energy += watts * secs / 3600.0;
+        _ => {
+            let (drop_ratio, sampling_ratio) = spec.fixed_ratios().unwrap_or((0.0, 1.0));
+            Box::new(FixedCoordinator::new(
+                total,
+                sampling_ratio,
+                drop_ratio,
+                seed,
+            ))
         }
     };
-
-    loop {
-        // 1. Early-termination check.
-        if !dropping && (control.drop_requested() || coordinator.want_drop_remaining(&control)) {
-            dropping = true;
-        }
-        if dropping {
-            while let Some(t) = pending.pop_front() {
-                dropped += 1;
-                rctx.note_map();
-                reducer.on_map_dropped(TaskId(t), &mut rctx);
-            }
-            // Kill running tasks immediately: slots free now.
-            for (t, server) in running.drain() {
-                killed += 1;
-                killed_set.insert(t);
-                busy[server] = busy[server].saturating_sub(1);
-                rctx.note_map();
-                reducer.on_map_dropped(TaskId(t), &mut rctx);
-            }
-        }
-
-        // 2. Dispatch to free slots.
-        if !dropping {
-            #[allow(clippy::needless_range_loop)] // `busy[server]` is mutated inside
-            'dispatch: for server in 0..cluster.servers {
-                while busy[server] < cluster.map_slots_per_server {
-                    let Some(t) = pending.pop_front() else {
-                        break 'dispatch;
-                    };
-                    match coordinator.directive(TaskId(t), &meta_template) {
-                        MapDirective::Drop => {
-                            dropped += 1;
-                            rctx.note_map();
-                            reducer.on_map_dropped(TaskId(t), &mut rctx);
-                        }
-                        MapDirective::Run { sampling_ratio } => {
-                            let m = ((job.records_per_map as f64 * sampling_ratio).round() as u64)
-                                .clamp(1, job.records_per_map);
-                            let noise = (job.straggler_std * normal(&mut rng)).exp();
-                            let duration = job.timing.t_map(job.records_per_map as f64, m as f64)
-                                / cluster.speed
-                                * noise;
-                            busy[server] += 1;
-                            running.insert(t, server);
-                            events.push(
-                                time + duration,
-                                FinishEvent {
-                                    task: t,
-                                    server,
-                                    sampled: m,
-                                    duration,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // 3. Advance to the next completion.
-        let Some(ev) = events.pop() else {
-            if pending.is_empty() && running.is_empty() {
-                break;
-            }
-            // dropping drained everything; loop once more to exit
-            continue;
+    let absorbed = Arc::new(AtomicUsize::new(0));
+    let make_reducer = |_| {
+        let reducer = MultiStageReducer::<u8>::new(Aggregation::Sum, confidence);
+        let inner = match spec {
+            ApproxSpec::Target { target, pilot, .. } => reducer.with_monitor(BoundMonitor {
+                shared: Arc::clone(&shared),
+                report_absolute: matches!(target, ErrorTarget::Absolute(_)),
+                check_every: (total / 200).max(1),
+                freeze_threshold: Some(match target {
+                    ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
+                }),
+                min_maps_before_freeze: pilot.map_or(slots.max(2), |p| p.tasks).min(total),
+            }),
+            _ => reducer,
         };
-        let can_sleep = pending.is_empty() || dropping;
-        integrate(&mut energy_wh, time, ev.time, &busy, can_sleep, cluster);
-        time = ev.time;
-        let fin = ev.event;
-        if killed_set.contains(&fin.task) {
-            continue; // slot already freed at kill time
+        Counted {
+            inner,
+            absorbed: Arc::clone(&absorbed),
         }
-        busy[fin.server] = busy[fin.server].saturating_sub(1);
-        running.remove(&fin.task);
-        executed += 1;
-        total_records_exec += job.records_per_map;
-        sampled_records_exec += fin.sampled;
+    };
 
-        // Synthesize the watched key's statistics for this block: the
-        // sample mean of m-of-M items drawn without replacement has
-        // variance σ²·(1/m − 1/M) around the realized block mean, so a
-        // full read (m = M) is exact.
-        let m = fin.sampled as f64;
-        let mu = block_mu[fin.task];
-        let fpc = (1.0 / m - 1.0 / m_total).max(0.0);
-        let sample_mean = mu + job.stats.item_std * fpc.sqrt() * normal(&mut rng);
-        let sum = m * sample_mean;
-        let sum_sq = m * (job.stats.item_std * job.stats.item_std + sample_mean * sample_mean);
-        let meta = MapOutputMeta {
-            task: TaskId(fin.task),
+    let splits = (0..total)
+        .map(|index| SplitMeta {
+            index,
+            records: job.records_per_map,
+            bytes: 0,
+            locations: vec![],
             dataset: Default::default(),
-            total_records: job.records_per_map,
-            sampled_records: fin.sampled,
-            duration_secs: fin.duration,
-        };
-        rctx.note_map();
-        reducer.on_map_output(
-            &meta,
-            vec![(
-                0u8,
-                KeyStat {
-                    sum,
-                    sum_sq,
-                    emitting_units: fin.sampled,
-                },
-            )],
-            &mut rctx,
-        );
-        coordinator.on_map_complete(&MapStats {
-            task: TaskId(fin.task),
-            dataset: Default::default(),
-            total_records: job.records_per_map,
-            sampled_records: fin.sampled,
-            emitted: 1,
-            shuffled: 1,
-            duration_secs: fin.duration,
-            read_secs: job.records_per_map as f64 * job.timing.tr / cluster.speed,
-        });
-    }
+        })
+        .collect();
+    let config = JobConfig {
+        map_slots: slots,
+        servers: cluster.servers,
+        seed,
+        ..JobConfig::default()
+    };
+    let clock = SimClock {
+        base: Instant::now(),
+        secs_bits: AtomicU64::new(0.0f64.to_bits()),
+    };
+    let mut power = Power {
+        cluster: *cluster,
+        busy: vec![0; cluster.servers],
+        energy_wh: 0.0,
+    };
+    let result = run_job_on_executor(
+        splits,
+        make_reducer,
+        config,
+        coordinator.as_mut(),
+        &JobSession::new(JobId(0)),
+        &clock,
+        |reducer_txs| SimExecutor {
+            job,
+            block_mu: &block_mu,
+            clock: &clock,
+            power: &mut power,
+            rng,
+            events: EventQueue::new(),
+            running: BTreeMap::new(),
+            unstarted: (0..total).collect(),
+            reducer: reducer_txs.into_iter().next().expect("one reduce task"),
+            sent: 0,
+            absorbed: Arc::clone(&absorbed),
+        },
+    )
+    .map_err(|e| invalid(e.to_string()))?;
 
     // Reduce tail: maps are done; idle servers may sleep.
-    let wall_secs = time + job.reduce_tail_secs;
-    integrate(&mut energy_wh, time, wall_secs, &busy, true, cluster);
-
-    let outputs = reducer.finish(&mut rctx);
-    let (estimate, bound_rel, actual_error_rel) = match outputs.first() {
+    power.integrate(job.reduce_tail_secs, true);
+    let (estimate, bound_rel, actual_error_rel) = match result.outputs.first() {
         Some((_, iv)) => (iv.estimate, iv.relative_error(), iv.actual_error(truth)),
         None => (0.0, f64::INFINITY, f64::INFINITY),
     };
-
+    let metrics = &result.metrics;
     Ok(SimResult {
-        wall_secs,
-        energy_wh,
-        executed_maps: executed,
-        dropped_maps: dropped,
-        killed_maps: killed,
-        effective_sampling_ratio: if total_records_exec == 0 {
-            1.0
-        } else {
-            sampled_records_exec as f64 / total_records_exec as f64
-        },
+        wall_secs: clock.secs() + job.reduce_tail_secs,
+        energy_wh: power.energy_wh,
+        executed_maps: metrics.executed_maps,
+        dropped_maps: metrics.dropped_maps,
+        killed_maps: metrics.killed_maps,
+        effective_sampling_ratio: metrics.effective_sampling_ratio(),
         estimate,
         bound_rel,
         actual_error_rel,
@@ -390,7 +470,7 @@ mod tests {
 
     #[test]
     fn precise_run_executes_everything_exactly() {
-        let r = simulate(&ClusterSpec::xeon(10), &small_job(), SimApprox::Precise, 1).unwrap();
+        let r = simulate(&ClusterSpec::xeon(10), &small_job(), ApproxSpec::Precise, 1).unwrap();
         assert_eq!(r.executed_maps, 160);
         assert_eq!(r.dropped_maps + r.killed_maps, 0);
         assert_eq!(r.bound_rel, 0.0);
@@ -402,7 +482,7 @@ mod tests {
     fn waves_emerge_from_slots() {
         // 160 maps on 80 slots = 2 waves → wall ≈ 2 × per-map time.
         let job = small_job();
-        let r = simulate(&ClusterSpec::xeon(10), &job, SimApprox::Precise, 2).unwrap();
+        let r = simulate(&ClusterSpec::xeon(10), &job, ApproxSpec::Precise, 2).unwrap();
         let per_map = job.timing.t_map(50_000.0, 50_000.0);
         assert!(
             r.wall_secs > 1.7 * per_map && r.wall_secs < 3.0 * per_map + job.reduce_tail_secs,
@@ -414,24 +494,18 @@ mod tests {
     #[test]
     fn sampling_reduces_runtime_less_than_dropping() {
         let job = small_job();
-        let precise = simulate(&ClusterSpec::xeon(10), &job, SimApprox::Precise, 3).unwrap();
+        let precise = simulate(&ClusterSpec::xeon(10), &job, ApproxSpec::Precise, 3).unwrap();
         let sampled = simulate(
             &ClusterSpec::xeon(10),
             &job,
-            SimApprox::Ratios {
-                drop_ratio: 0.0,
-                sampling_ratio: 0.01,
-            },
+            ApproxSpec::ratios(0.0, 0.01),
             3,
         )
         .unwrap();
         let dropped = simulate(
             &ClusterSpec::xeon(10),
             &job,
-            SimApprox::Ratios {
-                drop_ratio: 0.5,
-                sampling_ratio: 1.0,
-            },
+            ApproxSpec::ratios(0.5, 1.0),
             3,
         )
         .unwrap();
@@ -451,16 +525,8 @@ mod tests {
     fn target_mode_meets_bound_and_saves_time() {
         let job = SimJobSpec::log_processing(740, 100_000);
         let cluster = ClusterSpec::xeon(10);
-        let precise = simulate(&cluster, &job, SimApprox::Precise, 4).unwrap();
-        let target = simulate(
-            &cluster,
-            &job,
-            SimApprox::Target {
-                relative_error: 0.01,
-            },
-            4,
-        )
-        .unwrap();
+        let precise = simulate(&cluster, &job, ApproxSpec::Precise, 4).unwrap();
+        let target = simulate(&cluster, &job, ApproxSpec::target(0.01, 0.95), 4).unwrap();
         assert!(
             target.bound_rel <= 0.01 + 1e-9,
             "bound {} misses target",
@@ -479,25 +545,14 @@ mod tests {
     fn pilot_reduces_precise_work() {
         let job = SimJobSpec::log_processing(740, 100_000);
         let cluster = ClusterSpec::xeon(10);
-        let no_pilot = simulate(
-            &cluster,
-            &job,
-            SimApprox::Target {
-                relative_error: 0.01,
-            },
-            5,
-        )
-        .unwrap();
+        let no_pilot = simulate(&cluster, &job, ApproxSpec::target(0.01, 0.95), 5).unwrap();
         let pilot = simulate(
             &cluster,
             &job,
-            SimApprox::TargetWithPilot {
-                relative_error: 0.01,
-                pilot: PilotSpec {
-                    tasks: 8,
-                    sampling_ratio: 0.01,
-                },
-            },
+            ApproxSpec::target(0.01, 0.95).with_pilot(PilotSpec {
+                tasks: 8,
+                sampling_ratio: 0.01,
+            }),
             5,
         )
         .unwrap();
@@ -520,10 +575,7 @@ mod tests {
         let job = SimJobSpec::log_processing(80, 200_000);
         let base = ClusterSpec::xeon(10);
         let s3 = base.with_s3();
-        let approx = SimApprox::Ratios {
-            drop_ratio: 0.5,
-            sampling_ratio: 1.0,
-        };
+        let approx = ApproxSpec::ratios(0.5, 1.0);
         let without = simulate(&base, &job, approx, 6).unwrap();
         let with = simulate(&s3, &job, approx, 6).unwrap();
         assert!(
@@ -539,27 +591,62 @@ mod tests {
     #[test]
     fn invalid_inputs_rejected() {
         let job = small_job();
-        assert!(simulate(&ClusterSpec::xeon(0), &job, SimApprox::Precise, 0).is_err());
+        assert!(simulate(&ClusterSpec::xeon(0), &job, ApproxSpec::Precise, 0).is_err());
         let mut empty = job;
         empty.num_maps = 0;
-        assert!(simulate(&ClusterSpec::xeon(1), &empty, SimApprox::Precise, 0).is_err());
-        assert!(simulate(
-            &ClusterSpec::xeon(1),
-            &job,
-            SimApprox::Ratios {
-                drop_ratio: 1.0,
-                sampling_ratio: 1.0
-            },
-            0
-        )
-        .is_err());
+        assert!(simulate(&ClusterSpec::xeon(1), &empty, ApproxSpec::Precise, 0).is_err());
+        assert!(simulate(&ClusterSpec::xeon(1), &job, ApproxSpec::ratios(1.0, 1.0), 0).is_err());
     }
 
+    /// Reducers run on the engine's threads, yet every spec replays bit
+    /// for bit.
     #[test]
     fn deterministic_for_fixed_seed() {
         let job = small_job();
-        let a = simulate(&ClusterSpec::xeon(4), &job, SimApprox::Precise, 42).unwrap();
-        let b = simulate(&ClusterSpec::xeon(4), &job, SimApprox::Precise, 42).unwrap();
-        assert_eq!(a, b);
+        let target = ApproxSpec::target(0.01, 0.95);
+        let pilot = target.with_pilot(PilotSpec {
+            tasks: 8,
+            sampling_ratio: 0.01,
+        });
+        for spec in [
+            ApproxSpec::Precise,
+            ApproxSpec::ratios(0.25, 0.1),
+            target,
+            pilot,
+        ] {
+            let a = simulate(&ClusterSpec::xeon(4), &job, spec, 42).unwrap();
+            let b = simulate(&ClusterSpec::xeon(4), &job, spec, 42).unwrap();
+            assert_eq!(a, b, "{spec:?}");
+        }
+    }
+
+    /// Once the target is met the tracker kills the running maps and the
+    /// job ends at kill time: the killed attempts' completions are never
+    /// waited out.
+    #[test]
+    fn killed_maps_end_the_job_at_kill_time() {
+        let job = SimJobSpec::log_processing(740, 2_600_000);
+        let per_map = job.timing.t_map(2_600_000.0, 2_600_000.0);
+        for seed in 0..3 {
+            let spec = ApproxSpec::target(0.01, 0.95);
+            let r = simulate(&ClusterSpec::xeon(10), &job, spec, seed).unwrap();
+            assert!(r.killed_maps > 0, "seed {seed}: {r:?}");
+            assert!(
+                r.wall_secs < 1.5 * per_map + job.reduce_tail_secs,
+                "seed {seed}: wall {} s",
+                r.wall_secs
+            );
+        }
+    }
+
+    #[test]
+    fn target_confidence_reaches_the_reducer() {
+        let job = SimJobSpec::log_processing(740, 100_000);
+        let run = |confidence| {
+            let spec = ApproxSpec::target(0.02, confidence);
+            let r = simulate(&ClusterSpec::xeon(10), &job, spec, 7).unwrap();
+            (r.bound_rel, r.executed_maps, r.dropped_maps, r.killed_maps)
+        };
+        assert_ne!(run(0.80), run(0.95));
     }
 }

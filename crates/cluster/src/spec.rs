@@ -1,6 +1,5 @@
 //! Cluster and simulated-job specifications.
 
-use approxhadoop_core::spec::PilotSpec;
 use approxhadoop_core::target::TimingModel;
 
 use crate::power::PowerModel;
@@ -90,8 +89,6 @@ pub struct SimJobSpec {
     pub reduce_tail_secs: f64,
     /// Statistics of the worst key.
     pub stats: KeyStatModel,
-    /// Confidence level for bounds.
-    pub confidence: f64,
 }
 
 impl SimJobSpec {
@@ -119,7 +116,6 @@ impl SimJobSpec {
                 item_std: 0.5,
                 block_std: 0.015,
             },
-            confidence: 0.95,
         }
     }
 
@@ -143,7 +139,6 @@ impl SimJobSpec {
                 item_std: 0.36,
                 block_std: 0.01,
             },
-            confidence: 0.95,
         }
     }
 
@@ -151,32 +146,6 @@ impl SimJobSpec {
     pub fn total_records(&self) -> u64 {
         self.num_maps as u64 * self.records_per_map
     }
-}
-
-/// How the simulated job approximates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SimApprox {
-    /// No approximation.
-    Precise,
-    /// User-specified ratios.
-    Ratios {
-        /// Fraction of maps dropped, `[0, 1)`.
-        drop_ratio: f64,
-        /// Within-block sampling ratio, `(0, 1]`.
-        sampling_ratio: f64,
-    },
-    /// Target relative error bound (first wave precise).
-    Target {
-        /// Maximum relative error at the job's confidence level.
-        relative_error: f64,
-    },
-    /// Target bound with a pilot wave (paper Section 4.4 / Figure 9b).
-    TargetWithPilot {
-        /// Maximum relative error.
-        relative_error: f64,
-        /// Pilot configuration.
-        pilot: PilotSpec,
-    },
 }
 
 #[cfg(test)]

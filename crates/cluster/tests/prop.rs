@@ -1,6 +1,7 @@
 //! Property-based tests for the discrete-event cluster simulator.
 
-use approxhadoop_cluster::{simulate, ClusterSpec, SimApprox, SimJobSpec};
+use approxhadoop_cluster::{simulate, ClusterSpec, SimJobSpec};
+use approxhadoop_core::ApproxSpec;
 use proptest::prelude::*;
 
 fn job(maps: usize, records: u64) -> SimJobSpec {
@@ -19,10 +20,7 @@ proptest! {
         sample_pct in 1u32..=100,
         seed in 0u64..30,
     ) {
-        let approx = SimApprox::Ratios {
-            drop_ratio: drop_pct as f64 / 100.0,
-            sampling_ratio: sample_pct as f64 / 100.0,
-        };
+        let approx = ApproxSpec::ratios(drop_pct as f64 / 100.0, sample_pct as f64 / 100.0);
         let r = simulate(&ClusterSpec::xeon(servers), &job(maps, 10_000), approx, seed).unwrap();
         prop_assert_eq!(r.executed_maps + r.dropped_maps + r.killed_maps, maps);
         prop_assert!(r.wall_secs > 0.0);
@@ -33,8 +31,8 @@ proptest! {
     #[test]
     fn precise_runs_are_exact(maps in 1usize..100, seed in 0u64..30) {
         let j = job(maps, 5_000);
-        let a = simulate(&ClusterSpec::xeon(4), &j, SimApprox::Precise, seed).unwrap();
-        let b = simulate(&ClusterSpec::xeon(4), &j, SimApprox::Precise, seed).unwrap();
+        let a = simulate(&ClusterSpec::xeon(4), &j, ApproxSpec::Precise, seed).unwrap();
+        let b = simulate(&ClusterSpec::xeon(4), &j, ApproxSpec::Precise, seed).unwrap();
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.executed_maps, maps);
         prop_assert!(a.actual_error_rel < 1e-9);
@@ -45,8 +43,8 @@ proptest! {
     #[test]
     fn more_servers_never_slower(maps in 20usize..120, seed in 0u64..20) {
         let j = job(maps, 20_000);
-        let small = simulate(&ClusterSpec::xeon(2), &j, SimApprox::Precise, seed).unwrap();
-        let large = simulate(&ClusterSpec::xeon(8), &j, SimApprox::Precise, seed).unwrap();
+        let small = simulate(&ClusterSpec::xeon(2), &j, ApproxSpec::Precise, seed).unwrap();
+        let large = simulate(&ClusterSpec::xeon(8), &j, ApproxSpec::Precise, seed).unwrap();
         prop_assert!(
             large.wall_secs <= small.wall_secs * 1.01,
             "8 servers {} vs 2 servers {}",
@@ -63,10 +61,7 @@ proptest! {
         seed in 0u64..20,
     ) {
         let j = job(maps, 20_000);
-        let approx = SimApprox::Ratios {
-            drop_ratio: drop_pct as f64 / 100.0,
-            sampling_ratio: 1.0,
-        };
+        let approx = ApproxSpec::ratios(drop_pct as f64 / 100.0, 1.0);
         let base = simulate(&ClusterSpec::xeon(5), &j, approx, seed).unwrap();
         let s3 = simulate(&ClusterSpec::xeon(5).with_s3(), &j, approx, seed).unwrap();
         prop_assert!(s3.energy_wh <= base.energy_wh + 1e-9);
@@ -80,11 +75,11 @@ proptest! {
     fn target_mode_within_precise_runtime(maps in 50usize..300, seed in 0u64..15) {
         let j = job(maps, 50_000);
         let cluster = ClusterSpec::xeon(5);
-        let precise = simulate(&cluster, &j, SimApprox::Precise, seed).unwrap();
+        let precise = simulate(&cluster, &j, ApproxSpec::Precise, seed).unwrap();
         let target = simulate(
             &cluster,
             &j,
-            SimApprox::Target { relative_error: 0.02 },
+            ApproxSpec::target(0.02, 0.95),
             seed,
         )
         .unwrap();

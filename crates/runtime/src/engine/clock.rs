@@ -8,9 +8,10 @@
 
 use std::time::Instant;
 
-/// A monotonic time source the [`super::scheduler::JobTracker`] consults
-/// for every timing decision.
-pub(crate) trait Clock: Sync {
+/// A monotonic time source the engine's `JobTracker` consults for every
+/// timing decision; a discrete-event [`super::Executor`] supplies its
+/// own to [`super::run_job_on_executor`].
+pub trait Clock: Sync {
     /// The current instant.
     fn now(&self) -> Instant;
 }

@@ -17,7 +17,8 @@
 //! * `shuffle` — per-reducer channels, batch shipping, drop
 //!   broadcasts and the reduce-side drain loop.
 //! * `clock` — the time source scheduling decisions consult, swapped
-//!   for a fake in deterministic tests.
+//!   for a fake in deterministic tests and for simulated time by
+//!   [`run_job_on_executor`] callers.
 //!
 //! The public entry points below are thin wrappers, one per backend, all
 //! shaped `(job parts, config, &mut dyn Coordinator, &JobSession)`: they
@@ -33,23 +34,27 @@ mod scheduler;
 mod shuffle;
 
 pub use attempt::{RemoteSpan, WorkItem, WorkerMsg};
+pub use clock::Clock;
 pub use executor::{Executor, RecvOutcome};
 pub use process::{run_job_process, WorkerSpec};
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use crossbeam::channel::Sender;
+
 use crate::control::{Coordinator, FixedCoordinator};
 use crate::event::{JobId, JobSession};
 use crate::fault::{FaultPlan, FaultPolicy};
-use crate::input::InputSource;
+use crate::input::{InputSource, SplitMeta};
 use crate::mapper::Mapper;
 use crate::metrics::JobMetrics;
 use crate::pool::{SlotPool, TenantId};
-use crate::reducer::Reducer;
+use crate::reducer::{ReduceEvent, Reducer};
 use crate::{Result, RuntimeError};
 
 use clock::SystemClock;
+use executor::Topology;
 
 /// Configuration of one MapReduce job.
 #[derive(Debug, Clone)]
@@ -325,6 +330,41 @@ where
         tenant,
         session,
         &SystemClock,
+    )
+}
+
+/// Runs a job over `splits` on a caller-supplied [`Executor`] and
+/// [`Clock`] — the entry point for backends outside this crate, such as
+/// a discrete-event cluster simulator.
+///
+/// The engine's one `JobTracker` schedules over the scoped backend's
+/// topology (`config.servers` servers sharing `config.map_slots` slots);
+/// `build` receives the reducer senders and returns the executor, which
+/// owns them from then on. Dropping the executor releases them, so the
+/// reducers finish once the job does.
+pub fn run_job_on_executor<R, E>(
+    splits: Vec<SplitMeta>,
+    make_reducer: impl Fn(usize) -> R,
+    config: JobConfig,
+    coordinator: &mut dyn Coordinator,
+    session: &JobSession,
+    clock: &dyn Clock,
+    build: impl FnOnce(Vec<Sender<ReduceEvent<R::Key, R::Value>>>) -> E,
+) -> Result<JobResult<R::Output>>
+where
+    R: Reducer,
+    E: Executor,
+{
+    config.validate()?;
+    executor::drive(
+        splits,
+        make_reducer,
+        &config,
+        Topology::scoped(&config),
+        coordinator,
+        session,
+        clock,
+        |_, reducer_txs, _| Ok(build(reducer_txs)),
     )
 }
 

@@ -93,8 +93,8 @@ pub use combine::{
 };
 pub use control::{Coordinator, DatasetRatios, FixedCoordinator, JobControl, MapDirective};
 pub use engine::{
-    run_job, run_job_on_pool, run_job_process, run_job_with_session, Executor, JobConfig,
-    JobResult, RecvOutcome, WorkItem, WorkerMsg, WorkerSpec,
+    run_job, run_job_on_executor, run_job_on_pool, run_job_process, run_job_with_session, Clock,
+    Executor, JobConfig, JobResult, RecvOutcome, WorkItem, WorkerMsg, WorkerSpec,
 };
 pub use error::RuntimeError;
 pub use event::{CancelHandle, JobEvent, JobId, JobSession};

@@ -61,8 +61,8 @@ pub struct ReduceContext {
 
 impl ReduceContext {
     /// Creates a context. Normally the engine constructs contexts; this
-    /// is public so custom engines (e.g. the cluster simulator) and
-    /// template tests can drive reducers directly.
+    /// is public so custom engines and template tests can drive reducers
+    /// directly.
     pub fn new(partition: usize, total_maps: usize, control: Arc<JobControl>) -> Self {
         ReduceContext {
             partition,

@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release --example energy_sim`
 
-use approxhadoop::cluster::{simulate, ClusterSpec, SimApprox, SimJobSpec};
+use approxhadoop::cluster::{simulate, ClusterSpec, SimJobSpec};
+use approxhadoop::core::ApproxSpec;
 use approxhadoop::workloads::wikilog::LOG_PERIODS;
 
 fn main() {
@@ -17,16 +18,8 @@ fn main() {
 
     // --- One week, precise vs 1% target (Figure 9a's headline). ---
     let week = SimJobSpec::log_processing(740, 2_600_000);
-    let precise = simulate(&xeon, &week, SimApprox::Precise, 1).expect("precise sim");
-    let target = simulate(
-        &xeon,
-        &week,
-        SimApprox::Target {
-            relative_error: 0.01,
-        },
-        1,
-    )
-    .expect("target sim");
+    let precise = simulate(&xeon, &week, ApproxSpec::Precise, 1).expect("precise sim");
+    let target = simulate(&xeon, &week, ApproxSpec::target(0.01, 0.95), 1).expect("target sim");
     println!("== One week of Wikipedia logs on 10 Xeons ==");
     println!(
         "precise:    {:>7.0}s  {:>7.0}Wh  ({} maps)",
@@ -46,10 +39,7 @@ fn main() {
     // --- S3 sleep: dropping inside a single wave saves energy, not time. ---
     println!("== Single-wave job (80 maps on 80 slots), drop 50% ==");
     let single_wave = SimJobSpec::log_processing(80, 2_600_000);
-    let approx = SimApprox::Ratios {
-        drop_ratio: 0.5,
-        sampling_ratio: 1.0,
-    };
+    let approx = ApproxSpec::ratios(0.5, 1.0);
     let no_s3 = simulate(&xeon, &single_wave, approx, 2).expect("no-s3 sim");
     let s3 = simulate(&xeon.with_s3(), &single_wave, approx, 2).expect("s3 sim");
     println!(
@@ -75,16 +65,8 @@ fn main() {
         .filter(|p| ["1 day", "1 week", "1 month", "1 year"].contains(&p.name))
     {
         let job = SimJobSpec::log_processing(period.num_maps() as usize, period.records_per_map());
-        let p = simulate(&atom, &job, SimApprox::Precise, 3).expect("precise sim");
-        let a = simulate(
-            &atom,
-            &job,
-            SimApprox::Target {
-                relative_error: 0.01,
-            },
-            3,
-        )
-        .expect("target sim");
+        let p = simulate(&atom, &job, ApproxSpec::Precise, 3).expect("precise sim");
+        let a = simulate(&atom, &job, ApproxSpec::target(0.01, 0.95), 3).expect("target sim");
         println!(
             "{:>9} | {:>6} | {:>11.0} | {:>11.0} | {:>7.1}x",
             period.name,

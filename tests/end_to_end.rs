@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning every crate: DFS → engine →
 //! approximation templates → statistics, plus the cluster simulator.
 
-use approxhadoop::cluster::{simulate, ClusterSpec, SimApprox, SimJobSpec};
+use approxhadoop::cluster::{simulate, ClusterSpec, SimJobSpec};
 use approxhadoop::core::job::AggregationJob;
 use approxhadoop::core::spec::{ApproxSpec, PilotSpec};
 use approxhadoop::dfs::{DfsCluster, DfsConfig};
@@ -222,10 +222,7 @@ fn simulator_matches_engine_bookkeeping() {
     let sim = simulate(
         &ClusterSpec::xeon(2),
         &job,
-        SimApprox::Ratios {
-            drop_ratio: 0.25,
-            sampling_ratio: 0.5,
-        },
+        ApproxSpec::ratios(0.25, 0.5),
         21,
     )
     .unwrap();
@@ -242,16 +239,7 @@ fn simulator_bounds_are_honest() {
     let cluster = ClusterSpec::xeon(5);
     let mut violations = 0;
     for seed in 0..10 {
-        let r = simulate(
-            &cluster,
-            &job,
-            SimApprox::Ratios {
-                drop_ratio: 0.3,
-                sampling_ratio: 0.2,
-            },
-            seed,
-        )
-        .unwrap();
+        let r = simulate(&cluster, &job, ApproxSpec::ratios(0.3, 0.2), seed).unwrap();
         assert!(r.bound_rel.is_finite());
         if r.actual_error_rel > r.bound_rel {
             violations += 1;
@@ -267,26 +255,8 @@ fn simulator_bounds_are_honest() {
 fn dropping_vs_sampling_tradeoff_shape() {
     let job = SimJobSpec::log_processing(320, 100_000);
     let cluster = ClusterSpec::xeon(10);
-    let sampled = simulate(
-        &cluster,
-        &job,
-        SimApprox::Ratios {
-            drop_ratio: 0.0,
-            sampling_ratio: 0.1,
-        },
-        4,
-    )
-    .unwrap();
-    let dropped = simulate(
-        &cluster,
-        &job,
-        SimApprox::Ratios {
-            drop_ratio: 0.5,
-            sampling_ratio: 1.0,
-        },
-        4,
-    )
-    .unwrap();
+    let sampled = simulate(&cluster, &job, ApproxSpec::ratios(0.0, 0.1), 4).unwrap();
+    let dropped = simulate(&cluster, &job, ApproxSpec::ratios(0.5, 1.0), 4).unwrap();
     // Dropping eliminates whole waves: faster than sampling (which still
     // pays the per-record read cost).
     assert!(

@@ -15,7 +15,7 @@ use approxhadoop_core::multistage::{
     Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer,
 };
 use approxhadoop_core::spec::{ApproxSpec, ErrorTarget, PilotSpec};
-use approxhadoop_core::target::{SharedApproxState, TargetErrorCoordinator};
+use approxhadoop_core::target::TargetErrorCoordinator;
 use approxhadoop_runtime::engine::{run_job_with_session, JobConfig};
 use approxhadoop_runtime::input::VecSource;
 use approxhadoop_runtime::{JobId, JobSession};
@@ -23,7 +23,6 @@ use approxhadoop_stats::dist::{cached_two_sided_critical_value, ContinuousDistri
 use approxhadoop_stats::multistage::{ClusterObservation, TwoStageEstimator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Synthetic population: `blocks × per_block` values with block-level
 /// locality.
@@ -109,29 +108,24 @@ fn run_target(
         seed,
         ..Default::default()
     };
-    let shared = Arc::new(SharedApproxState::new(1));
+    // Built by hand, not from an `ApproxSpec`: the margin and the freeze
+    // are the knobs under study.
     let mut coordinator = TargetErrorCoordinator::new(
         total,
         ErrorTarget::Relative(target),
         0.95,
         config.map_slots,
         None,
-        Arc::clone(&shared),
     )
     .with_margin(margin);
-    let wave1 = coordinator.wave1_count();
+    let monitor = BoundMonitor {
+        freeze_at: coordinator.monitor().freeze_at.filter(|_| freeze),
+        ..coordinator.monitor()
+    };
     let job = run_job_with_session(
         &input,
         &mapper,
-        |_| {
-            MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-                shared: Arc::clone(&shared),
-                report_absolute: false,
-                check_every: 1,
-                freeze_threshold: if freeze { Some(target) } else { None },
-                min_maps_before_freeze: wave1,
-            })
-        },
+        |_| MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(monitor),
         config,
         &mut coordinator,
         &JobSession::new(JobId(0)),

@@ -10,11 +10,10 @@ use crossbeam::channel::Sender;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use approxhadoop_core::multistage::{Aggregation, BoundMonitor, MultiStageReducer};
-use approxhadoop_core::spec::{ApproxSpec, ErrorTarget};
-use approxhadoop_core::target::{SharedApproxState, TargetErrorCoordinator};
+use approxhadoop_core::multistage::{Aggregation, MultiStageReducer};
+use approxhadoop_core::spec::ApproxSpec;
+use approxhadoop_core::target::policy;
 use approxhadoop_core::KeyStat;
-use approxhadoop_runtime::control::{Coordinator, FixedCoordinator};
 use approxhadoop_runtime::engine::{
     run_job_on_executor, Clock, Executor, JobConfig, RecvOutcome, WorkItem, WorkerMsg,
 };
@@ -311,12 +310,12 @@ impl Drop for Counted {
 /// Simulates one job execution on the cluster.
 ///
 /// Scheduling and approximation are the real ones: the engine's
-/// JobTracker runs the job on a simulated [`Executor`] and clock, with
-/// the policy `spec` names ([`FixedCoordinator`], or a
-/// [`TargetErrorCoordinator`] fed by the [`MultiStageReducer`]'s bound
-/// monitor), so waves, drops, kills and early termination follow the
-/// same code as live runs. The reducer receives synthetic per-block
-/// statistics for the watched key.
+/// JobTracker runs the job on a simulated [`Executor`] and clock, under
+/// the policy [`policy`] builds from `spec` for live jobs too (fixed
+/// ratios, or the target-error coordinator with the
+/// [`MultiStageReducer`]'s bound monitor), so waves, drops, kills and
+/// early termination follow the same code as live runs. The reducer
+/// receives synthetic per-block statistics for the watched key.
 pub fn simulate(
     cluster: &ClusterSpec,
     job: &SimJobSpec,
@@ -330,7 +329,6 @@ pub fn simulate(
     if job.num_maps == 0 || job.records_per_map == 0 {
         return Err(invalid("job must have maps and records".into()));
     }
-    spec.validate().map_err(|e| invalid(e.to_string()))?;
 
     let total = job.num_maps;
     let slots = cluster.total_slots();
@@ -349,50 +347,7 @@ pub fn simulate(
         .collect();
     let truth: f64 = block_mu.iter().map(|mu| mu * m_total).sum();
 
-    // The policy, built from the spec as live jobs build it.
-    let confidence = spec.confidence();
-    let shared = Arc::new(SharedApproxState::new(1));
-    let mut coordinator: Box<dyn Coordinator> = match spec {
-        ApproxSpec::Target { target, pilot, .. } => Box::new(TargetErrorCoordinator::new(
-            total,
-            target,
-            confidence,
-            slots,
-            pilot,
-            Arc::clone(&shared),
-        )),
-        _ => {
-            let (drop_ratio, sampling_ratio) = spec.fixed_ratios().unwrap_or((0.0, 1.0));
-            Box::new(FixedCoordinator::new(
-                total,
-                sampling_ratio,
-                drop_ratio,
-                seed,
-            ))
-        }
-    };
-    let absorbed = Arc::new(AtomicUsize::new(0));
-    let make_reducer = |_| {
-        let reducer = MultiStageReducer::<u8>::new(Aggregation::Sum, confidence);
-        let inner = match spec {
-            ApproxSpec::Target { target, pilot, .. } => reducer.with_monitor(BoundMonitor {
-                shared: Arc::clone(&shared),
-                report_absolute: matches!(target, ErrorTarget::Absolute(_)),
-                check_every: (total / 200).max(1),
-                freeze_threshold: Some(match target {
-                    ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-                }),
-                min_maps_before_freeze: pilot.map_or(slots.max(2), |p| p.tasks).min(total),
-            }),
-            _ => reducer,
-        };
-        Counted {
-            inner,
-            absorbed: Arc::clone(&absorbed),
-        }
-    };
-
-    let splits = (0..total)
+    let splits: Vec<SplitMeta> = (0..total)
         .map(|index| SplitMeta {
             index,
             records: job.records_per_map,
@@ -407,6 +362,16 @@ pub fn simulate(
         seed,
         ..JobConfig::default()
     };
+    // The policy, built from the spec as live jobs build it.
+    let (mut coordinator, monitor) =
+        policy(spec, &splits, &config).map_err(|e| invalid(e.to_string()))?;
+    let absorbed = Arc::new(AtomicUsize::new(0));
+    let make_reducer = |_| Counted {
+        inner: MultiStageReducer::<u8>::new(Aggregation::Sum, spec.confidence())
+            .with_monitor(monitor),
+        absorbed: Arc::clone(&absorbed),
+    };
+
     let clock = SimClock {
         base: Instant::now(),
         secs_bits: AtomicU64::new(0.0f64.to_bits()),

@@ -235,9 +235,8 @@ impl Reducer for ExtremeReducer {
         }
         if let Some(target) = self.target_relative {
             if let Some(iv) = self.fit() {
-                let rel = iv.relative_error();
-                ctx.report_bound(rel);
-                if rel <= target {
+                ctx.report_bound(iv, None);
+                if iv.relative_error() <= target {
                     self.frozen = true;
                     ctx.request_drop_remaining();
                 }

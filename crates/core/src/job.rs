@@ -11,13 +11,13 @@ use approxhadoop_runtime::engine::{
 use approxhadoop_runtime::input::InputSource;
 use approxhadoop_runtime::metrics::JobMetrics;
 use approxhadoop_runtime::types::Key;
-use approxhadoop_runtime::{Coordinator, FixedCoordinator, JobId, JobSession};
+use approxhadoop_runtime::{Coordinator, JobId, JobSession};
 use approxhadoop_stats::Interval;
 
 use crate::extreme::{Extreme, ExtremeMapper, ExtremeOutput, ExtremeReducer};
-use crate::multistage::{Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer};
+use crate::multistage::{Aggregation, MultiStageMapper, MultiStageReducer};
 use crate::spec::{ApproxSpec, ErrorTarget};
-use crate::target::{SharedApproxState, TargetErrorCoordinator};
+use crate::target::policy;
 use crate::{CoreError, Result};
 
 /// The outcome of an approximate job.
@@ -157,14 +157,14 @@ where
 type MakeReducer<'a, K> = dyn Fn(usize) -> MultiStageReducer<K> + Sync + 'a;
 
 /// The one body behind [`AggregationJob::run`] and
-/// [`AggregationJob::run_on_workers`]: validates the spec, builds the
-/// policy it names (fixed ratios, or the target-error controller with
-/// its reduce-side bound monitor), lets `engine` run the job on whichever
-/// backend the caller chose, and assembles the sorted result.
+/// [`AggregationJob::run_on_workers`]: builds the policy the spec names
+/// (fixed ratios, or the target-error controller with its reduce-side
+/// bound monitor), lets `engine` run the job on whichever backend the
+/// caller chose, and assembles the sorted result.
 fn run_aggregation<S, K, E>(
     agg: Aggregation,
     spec: ApproxSpec,
-    mut config: JobConfig,
+    config: JobConfig,
     input: &S,
     engine: E,
 ) -> Result<ApproxResult<(K, Interval)>>
@@ -177,53 +177,20 @@ where
         &mut dyn Coordinator,
     ) -> approxhadoop_runtime::Result<JobResult<(K, Interval)>>,
 {
-    spec.validate()?;
     let splits = input.splits();
-    let total = splits.len();
-    if total == 0 {
+    if splits.is_empty() {
         return Err(CoreError::invalid("input has no splits"));
     }
+    let (mut coordinator, monitor) = policy(spec, &splits, &config)?;
     let confidence = spec.confidence();
     let distinct_sink: crate::multistage::DistinctSink =
         Arc::new(parking_lot::Mutex::new(vec![None; config.reduce_tasks]));
-    let base_reducer = || {
-        MultiStageReducer::<K>::new(agg, confidence).with_distinct_sink(Arc::clone(&distinct_sink))
+    let make_reducer = |_| {
+        MultiStageReducer::<K>::new(agg, confidence)
+            .with_distinct_sink(Arc::clone(&distinct_sink))
+            .with_monitor(monitor)
     };
-    (config.drop_ratio, config.sampling_ratio) = spec.fixed_ratios().unwrap_or((0.0, 1.0));
-
-    let job = if let ApproxSpec::Target { target, pilot, .. } = spec {
-        let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
-        let mut coordinator = TargetErrorCoordinator::new(
-            total,
-            target,
-            confidence,
-            config.map_slots,
-            pilot,
-            Arc::clone(&shared),
-        );
-        let report_absolute = matches!(target, ErrorTarget::Absolute(_));
-        let check_every = (total / 50).max(1);
-        let freeze_threshold = Some(match target {
-            ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-        });
-        let min_maps_before_freeze = coordinator.wave1_count();
-        engine(
-            &|_| {
-                base_reducer().with_monitor(BoundMonitor {
-                    shared: Arc::clone(&shared),
-                    report_absolute,
-                    check_every,
-                    freeze_threshold,
-                    min_maps_before_freeze,
-                })
-            },
-            config,
-            &mut coordinator,
-        )?
-    } else {
-        let mut coordinator = FixedCoordinator::for_job(&splits, &config)?;
-        engine(&|_| base_reducer(), config, &mut coordinator)?
-    };
+    let job = engine(&make_reducer, config, coordinator.as_mut())?;
     let mut outputs = job.outputs;
     outputs.sort_by(|a, b| a.0.cmp(&b.0));
     // Keys are hash-partitioned: the global distinct-key estimate is
@@ -544,30 +511,21 @@ mod tests {
     fn target_mode_saves_work_when_reports_keep_pace() {
         use crate::keystat::KeyStat;
         use approxhadoop_runtime::control::{JobControl, MapDirective};
-        use approxhadoop_runtime::input::SplitMeta;
         use approxhadoop_runtime::metrics::MapStats;
         use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
         use approxhadoop_runtime::types::TaskId;
 
         let blocks = make_blocks(60, 300, 3);
         let total = blocks.len();
-        let shared = Arc::new(SharedApproxState::new(1));
-        let mut coordinator = TargetErrorCoordinator::new(
-            total,
-            ErrorTarget::Relative(0.05),
-            0.95,
-            8,
-            None,
-            Arc::clone(&shared),
-        );
-        let mut reducer =
-            MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-                shared,
-                report_absolute: false,
-                check_every: 1,
-                freeze_threshold: Some(0.05),
-                min_maps_before_freeze: coordinator.wave1_count(),
-            });
+        let splits = VecSource::new(blocks.clone()).splits();
+        let config = JobConfig {
+            map_slots: 8,
+            ..Default::default()
+        };
+        let (mut coordinator, monitor) =
+            policy(ApproxSpec::target(0.05, 0.95), &splits, &config).unwrap();
+        let mut reducer = MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95)
+            .with_monitor(monitor.expect("target mode monitors"));
         let control = Arc::new(JobControl::new(1));
         let mut ctx = ReduceContext::new(0, total, Arc::clone(&control));
         let (mut executed, mut processed) = (0usize, 0usize);
@@ -575,15 +533,9 @@ mod tests {
             if coordinator.want_drop_remaining(&control) {
                 break;
             }
-            let split = SplitMeta {
-                index: t,
-                dataset: Default::default(),
-                records: block.len() as u64,
-                bytes: 0,
-                locations: vec![],
-            };
             ctx.note_map();
-            let MapDirective::Run { sampling_ratio } = coordinator.directive(TaskId(t), &split)
+            let MapDirective::Run { sampling_ratio } =
+                coordinator.directive(TaskId(t), &splits[t], &control)
             else {
                 reducer.on_map_dropped(TaskId(t), &mut ctx);
                 continue;
@@ -602,7 +554,7 @@ mod tests {
                 duration_secs: 1e-3 + 1e-5 * m as f64,
             };
             reducer.on_map_output(&meta, vec![(0, stat)], &mut ctx);
-            coordinator.on_map_complete(&MapStats {
+            let stats = MapStats {
                 task: meta.task,
                 dataset: meta.dataset,
                 total_records: meta.total_records,
@@ -611,7 +563,8 @@ mod tests {
                 shuffled: 1,
                 duration_secs: meta.duration_secs,
                 read_secs: 1e-3,
-            });
+            };
+            coordinator.on_map_complete(&stats, &control);
             executed += 1;
             processed += m;
         }
@@ -621,6 +574,39 @@ mod tests {
         );
         let iv = reducer.finish(&mut ctx)[0].1;
         assert!(iv.relative_error() <= 0.05 + 1e-9);
+    }
+
+    /// Bound telemetry is relative whatever the target's unit: under an
+    /// absolute target the convergence series still ends at the final
+    /// interval's relative error, not at its half-width.
+    #[test]
+    fn absolute_target_bound_series_is_relative() {
+        let input = VecSource::new(make_blocks(60, 300, 3));
+        let result = AggregationJob::sum(|x: &f64, emit: &mut dyn FnMut(u8, f64)| emit(0, *x))
+            .spec(ApproxSpec::Target {
+                target: ErrorTarget::Absolute(20_000.0),
+                confidence: 0.95,
+                pilot: None,
+            })
+            .config(JobConfig {
+                map_slots: 8,
+                ..Default::default()
+            })
+            .run(&input)
+            .unwrap();
+        let iv = result.outputs[0].1;
+        assert!(iv.half_width <= 20_000.0, "{iv}");
+        let last = result
+            .metrics
+            .bound_series
+            .last()
+            .expect("monitor reported");
+        assert!(
+            (last.relative_bound - iv.relative_error()).abs() <= 1e-12 * iv.relative_error(),
+            "series ends at {}, final interval {iv} (relative {})",
+            last.relative_bound,
+            iv.relative_error()
+        );
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //!   [`target::TargetErrorCoordinator`] runs a first (or pilot) wave,
 //!   fits the task timing model `t_map(M,m) = t0 + M·t_r + m·t_p`
 //!   (Eq. 5), solves the runtime-minimisation problem (Eq. 4–7), and
-//!   drops all remaining maps the moment every reduce task reports the
-//!   target met.
+//!   drops all remaining maps the moment the reduce tasks' reports show
+//!   the job's worst key meeting the target ([`target::policy`] builds
+//!   it, with its reducers' bound monitor, from the spec).
 //!
 //! The easiest entry points are the [`job`] builders:
 //!

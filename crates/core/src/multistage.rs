@@ -14,9 +14,10 @@
 //!   (the paper's one assumption), and produces `τ̂ ± ε` per key via
 //!   two-stage cluster sampling;
 //! * in target-error mode the reducer re-evaluates bounds as maps arrive
-//!   (barrier-less), publishes the worst key's statistics to the
-//!   [`crate::target::SharedApproxState`], and the coordinator ends the
-//!   job once every reducer meets the target.
+//!   (barrier-less) and posts its worst key's interval and statistics to
+//!   the job's bound board (`ReduceContext::report_bound`), where the
+//!   [`crate::target::TargetErrorCoordinator`] plans from them and ends
+//!   the job once the worst key meets the target.
 
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ use approxhadoop_stats::Interval;
 
 use crate::clusters::{ClusterTable, Run, UnitMapper};
 use crate::keystat::KeyStat;
-use crate::target::{SharedApproxState, WaveReport};
+use crate::spec::ErrorTarget;
 
 /// The aggregation computed per key.
 ///
@@ -50,26 +51,36 @@ pub enum Aggregation {
 pub type MultiStageMapper<I, K, F> = UnitMapper<I, K, KeyStat, F>;
 
 /// Configuration of the online bound monitor inside
-/// [`MultiStageReducer`] (target-error mode only).
+/// [`MultiStageReducer`]: every `check_every` map outputs the reducer
+/// posts its worst key to the job's bound board. A target-error job's
+/// monitor comes from [`crate::target::TargetErrorCoordinator::monitor`];
+/// one without a freeze only streams bounds to the telemetry.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundMonitor {
-    /// Where to publish the worst key's wave statistics.
-    pub shared: Arc<SharedApproxState>,
-    /// `true` to report absolute half-widths instead of relative bounds
-    /// (for [`crate::spec::ErrorTarget::Absolute`]).
-    pub report_absolute: bool,
     /// Re-evaluate bounds every this many map outputs (≥ 1).
     pub check_every: usize,
-    /// Freeze threshold in the reported metric's units: once the worst
-    /// bound reaches it, the reducer stops incorporating further map
-    /// outputs, so the *final* interval is exactly the one that met the
-    /// target (map kills are asynchronous; without freezing, an output
-    /// racing the kill could move the bound back above the target).
-    pub freeze_threshold: Option<f64>,
+    /// Once the worst key meets this target, the reducer stops
+    /// incorporating further map outputs, so the *final* interval is
+    /// exactly the one that met it (map kills are asynchronous; without
+    /// freezing, an output racing the kill could move the bound back
+    /// above the target).
+    pub freeze_at: Option<ErrorTarget>,
     /// Minimum executed clusters before the freeze may engage. A bound
     /// computed from a couple of clusters is unreliable (the variance
     /// estimate has almost no degrees of freedom); the paper waits for
-    /// the first wave. Typically set to the wave size.
+    /// the first wave.
     pub min_maps_before_freeze: usize,
+}
+
+impl BoundMonitor {
+    /// A monitor that reports after every map output and never freezes.
+    pub fn reporting() -> Self {
+        BoundMonitor {
+            check_every: 1,
+            freeze_at: None,
+            min_maps_before_freeze: 0,
+        }
+    }
 }
 
 /// Where reducers publish their partition's distinct-key estimate at
@@ -86,8 +97,9 @@ pub struct MultiStageReducer<K: Key> {
     monitor: Option<BoundMonitor>,
     since_check: usize,
     distinct_sink: Option<DistinctSink>,
-    /// Set once the target is met: `(metric, interval, wave)` locked in.
-    frozen: Option<(f64, Interval, WaveStatistics)>,
+    /// Set once the target is met: the worst key's interval and wave
+    /// statistics, locked in.
+    frozen: Option<(Interval, WaveStatistics)>,
 }
 
 impl<K: Key> MultiStageReducer<K> {
@@ -111,9 +123,10 @@ impl<K: Key> MultiStageReducer<K> {
         self
     }
 
-    /// Enables online bound monitoring (target-error mode).
-    pub fn with_monitor(mut self, monitor: BoundMonitor) -> Self {
-        self.monitor = Some(monitor);
+    /// Enables online bound monitoring (target-error mode); `None`
+    /// leaves it off.
+    pub fn with_monitor(mut self, monitor: impl Into<Option<BoundMonitor>>) -> Self {
+        self.monitor = monitor.into();
         self
     }
 
@@ -216,7 +229,7 @@ impl<K: Key> MultiStageReducer<K> {
     }
 
     fn monitor_tick(&mut self, ctx: &mut ReduceContext) {
-        let Some(monitor) = &self.monitor else { return };
+        let Some(monitor) = self.monitor else { return };
         self.since_check += 1;
         if self.since_check < monitor.check_every && self.table.clusters().len() > 2 {
             return;
@@ -224,48 +237,26 @@ impl<K: Key> MultiStageReducer<K> {
         self.since_check = 0;
         let total_maps = ctx.total_maps() as u64;
         if let Some((iv, wave)) = self.evaluate_worst(total_maps) {
-            let metric = if monitor.report_absolute {
-                iv.half_width
-            } else {
-                iv.relative_error()
-            };
-            ctx.report_bound(metric);
-            if let Some(threshold) = monitor.freeze_threshold {
-                if metric <= threshold
+            ctx.report_bound(iv, Some(wave));
+            if let Some(target) = monitor.freeze_at {
+                if target.met(iv.half_width, iv.relative_error())
                     && self.table.clusters().len() >= monitor.min_maps_before_freeze
                 {
-                    self.frozen = Some((metric, iv, wave));
+                    self.frozen = Some((iv, wave));
                 }
             }
-            monitor.shared.publish(
-                ctx.partition(),
-                WaveReport {
-                    maps_seen: ctx.maps_seen(),
-                    worst_abs: iv.half_width,
-                    worst_rel: iv.relative_error(),
-                    wave,
-                },
-            );
         } else if self.table.is_empty() && !self.table.clusters().is_empty() {
             // No keys routed here: this reducer imposes no bound.
-            ctx.report_bound(0.0);
-            monitor.shared.publish(
-                ctx.partition(),
-                WaveReport {
-                    maps_seen: ctx.maps_seen(),
-                    worst_abs: 0.0,
-                    worst_rel: 0.0,
-                    wave: WaveStatistics {
-                        total_clusters: ctx.total_maps() as u64,
-                        completed_clusters: self.table.clusters().len() as u64,
-                        inter_cluster_var: 0.0,
-                        mean_cluster_size: 0.0,
-                        mean_within_var: 0.0,
-                        completed_within_term: 0.0,
-                        estimate: 0.0,
-                    },
-                },
-            );
+            let wave = WaveStatistics {
+                total_clusters: total_maps,
+                completed_clusters: self.table.clusters().len() as u64,
+                inter_cluster_var: 0.0,
+                mean_cluster_size: 0.0,
+                mean_within_var: 0.0,
+                completed_within_term: 0.0,
+                estimate: 0.0,
+            };
+            ctx.report_bound(Interval::exact(0.0), Some(wave));
         }
     }
 }
@@ -281,23 +272,11 @@ impl<K: Key> Reducer for MultiStageReducer<K> {
         pairs: Vec<(K, KeyStat)>,
         ctx: &mut ReduceContext,
     ) {
-        if let Some((metric, iv, wave)) = &self.frozen {
+        if let Some((iv, wave)) = self.frozen {
             // Target already met: the interval is locked in; any output
             // racing the JobTracker's kill is discarded like a drop. The
             // report is refreshed so the tracker sees it as current.
-            let (metric, iv, wave) = (*metric, *iv, *wave);
-            ctx.report_bound(metric);
-            if let Some(monitor) = &self.monitor {
-                monitor.shared.publish(
-                    ctx.partition(),
-                    WaveReport {
-                        maps_seen: ctx.maps_seen(),
-                        worst_abs: iv.half_width,
-                        worst_rel: iv.relative_error(),
-                        wave,
-                    },
-                );
-            }
+            ctx.report_bound(iv, Some(wave));
             return;
         }
         self.table.absorb(meta, pairs);
@@ -498,16 +477,10 @@ mod tests {
 
     #[test]
     fn monitor_publishes_worst_key() {
-        let shared = Arc::new(SharedApproxState::new(1));
-        let mut r =
-            MultiStageReducer::<String>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-                shared: Arc::clone(&shared),
-                report_absolute: false,
-                check_every: 1,
-                freeze_threshold: None,
-                min_maps_before_freeze: 0,
-            });
-        let mut c = ctx(10);
+        let mut r = MultiStageReducer::<String>::new(Aggregation::Sum, 0.95)
+            .with_monitor(BoundMonitor::reporting());
+        let control = Arc::new(JobControl::new(1));
+        let mut c = ReduceContext::new(0, 10, Arc::clone(&control));
         for t in 0..3 {
             c.note_map();
             r.on_map_output(
@@ -533,11 +506,12 @@ mod tests {
                 &mut c,
             );
         }
-        let report = shared.reports()[0].clone().expect("monitor published");
-        assert_eq!(report.maps_seen, 3);
-        assert!(report.worst_abs > 0.0);
-        assert!(report.wave.completed_clusters == 3);
-        assert!(report.wave.estimate > 100.0, "worst key is the big one");
+        let report = control.bound_reports()[0].expect("monitor published");
+        let wave = report.wave.expect("planner statistics");
+        assert_eq!(report.maps_processed, 3);
+        assert!(report.half_width > 0.0);
+        assert!(wave.completed_clusters == 3);
+        assert!(wave.estimate > 100.0, "worst key is the big one");
     }
 
     #[test]

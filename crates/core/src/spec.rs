@@ -14,6 +14,15 @@ pub enum ErrorTarget {
 }
 
 impl ErrorTarget {
+    /// Whether a bound of `half_width` (relative: `relative`) meets the
+    /// target, in the target's own unit.
+    pub fn met(&self, half_width: f64, relative: f64) -> bool {
+        match *self {
+            ErrorTarget::Relative(x) => relative <= x,
+            ErrorTarget::Absolute(x) => half_width <= x,
+        }
+    }
+
     fn validate(&self) -> Result<()> {
         let v = match self {
             ErrorTarget::Relative(v) | ErrorTarget::Absolute(v) => *v,
@@ -177,8 +186,13 @@ impl ApproxSpec {
                     )));
                 }
                 if let Some(p) = pilot {
-                    if p.tasks == 0 {
-                        return Err(CoreError::invalid("pilot must run at least one task"));
+                    // Fewer than two clusters leave the planner no
+                    // inter-cluster variance to work from.
+                    if p.tasks < 2 {
+                        return Err(CoreError::invalid(format!(
+                            "pilot wave needs at least 2 tasks, got {}",
+                            p.tasks
+                        )));
                     }
                     if !(p.sampling_ratio > 0.0 && p.sampling_ratio <= 1.0) {
                         return Err(CoreError::invalid(format!(
@@ -229,11 +243,13 @@ mod tests {
     fn pilot_validation() {
         let ok = ApproxSpec::target(0.01, 0.95).with_pilot(PilotSpec::default());
         assert!(ok.validate().is_ok());
-        let bad = ApproxSpec::target(0.01, 0.95).with_pilot(PilotSpec {
-            tasks: 0,
-            sampling_ratio: 0.1,
-        });
-        assert!(bad.validate().is_err());
+        for tasks in [0, 1] {
+            let bad = ApproxSpec::target(0.01, 0.95).with_pilot(PilotSpec {
+                tasks,
+                sampling_ratio: 0.1,
+            });
+            assert!(bad.validate().is_err(), "{tasks}-task pilot");
+        }
         let bad = ApproxSpec::target(0.01, 0.95).with_pilot(PilotSpec {
             tasks: 2,
             sampling_ratio: 0.0,

@@ -4,9 +4,10 @@
 //! ratios, ApproxHadoop must *choose* the dropping/sampling ratios. The
 //! pieces:
 //!
-//! * [`SharedApproxState`] — reduce tasks publish the worst key's
-//!   [`WaveStatistics`] here (the JobTracker "collecting error estimates
-//!   from all reduce tasks");
+//! * the job's [`JobControl`] — reduce tasks post their worst key's
+//!   interval and [`WaveStatistics`] there (the JobTracker "collecting
+//!   error estimates from all reduce tasks"), and the tracker hands it
+//!   to every coordinator hook;
 //! * [`TimingModel`] — a fit of `t_map(M, m) = t0 + M·t_r + m·t_p`
 //!   (Eq. 5) from completed-map measurements;
 //! * [`plan`] — the optimisation problem: minimise the remaining
@@ -15,75 +16,53 @@
 //!   a binary search over `m` and a lower-bound prune;
 //! * [`TargetErrorCoordinator`] — the [`Coordinator`] gluing it together:
 //!   first (or pilot) wave, re-planning as statistics arrive, dropping
-//!   the tail once the plan is exhausted or every reducer meets the
-//!   target.
+//!   the tail once the plan is exhausted or the reports meet the target
+//!   — and, through [`TargetErrorCoordinator::monitor`], the reducers'
+//!   half of the same policy;
+//! * [`policy`] — the one place an [`ApproxSpec`] becomes a job's
+//!   coordinator and bound monitor.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use approxhadoop_runtime::control::{Coordinator, JobControl, MapDirective};
+use approxhadoop_runtime::control::{Coordinator, FixedCoordinator, JobControl, MapDirective};
+use approxhadoop_runtime::engine::JobConfig;
 use approxhadoop_runtime::input::SplitMeta;
 use approxhadoop_runtime::metrics::MapStats;
 use approxhadoop_runtime::types::TaskId;
 use approxhadoop_stats::dist::cached_two_sided_critical_value;
 use approxhadoop_stats::multistage::WaveStatistics;
 
-use crate::spec::{ErrorTarget, PilotSpec};
+use crate::multistage::BoundMonitor;
+use crate::spec::{ApproxSpec, ErrorTarget, PilotSpec};
+use crate::Result;
 
-/// One reduce task's published view of its worst key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveReport {
-    /// Maps (completed + dropped) the reducer had seen when publishing.
-    pub maps_seen: usize,
-    /// Largest absolute half-width across the reducer's keys.
-    pub worst_abs: f64,
-    /// The corresponding relative bound.
-    pub worst_rel: f64,
-    /// The worst key's statistics, for the planner.
-    pub wave: WaveStatistics,
-}
-
-/// Shared state through which reduce tasks feed the planner.
-#[derive(Debug)]
-pub struct SharedApproxState {
-    slots: Mutex<Vec<Option<WaveReport>>>,
-}
-
-impl SharedApproxState {
-    /// Creates state for `reduce_tasks` reducers.
-    pub fn new(reduce_tasks: usize) -> Self {
-        SharedApproxState {
-            slots: Mutex::new(vec![None; reduce_tasks]),
-        }
-    }
-
-    /// Publishes reducer `partition`'s latest report.
-    pub fn publish(&self, partition: usize, report: WaveReport) {
-        let mut slots = self.slots.lock();
-        if partition < slots.len() {
-            slots[partition] = Some(report);
-        }
-    }
-
-    /// Snapshot of every reducer's latest report.
-    pub fn reports(&self) -> Vec<Option<WaveReport>> {
-        self.slots.lock().clone()
-    }
-
-    /// The globally worst report (largest absolute half-width), provided
-    /// **every** reducer has published one; `None` otherwise.
-    pub fn worst_report(&self) -> Option<WaveReport> {
-        let slots = self.slots.lock();
-        let mut worst: Option<WaveReport> = None;
-        for slot in slots.iter() {
-            let r = slot.as_ref()?;
-            if worst.as_ref().is_none_or(|w| r.worst_abs > w.worst_abs) {
-                worst = Some(r.clone());
-            }
-        }
-        worst
-    }
+/// Builds the policy `spec` names for a job over `splits` — the
+/// JobTracker's half and, in target-error mode, the reducers' half: a
+/// [`FixedCoordinator`] at the spec's ratios (with `config`'s seed and
+/// per-dataset table), or a [`TargetErrorCoordinator`] planning waves of
+/// `config.map_slots` tasks with its [`TargetErrorCoordinator::monitor`].
+pub fn policy(
+    spec: ApproxSpec,
+    splits: &[SplitMeta],
+    config: &JobConfig,
+) -> Result<(Box<dyn Coordinator>, Option<BoundMonitor>)> {
+    spec.validate()?;
+    let ApproxSpec::Target {
+        target,
+        confidence,
+        pilot,
+    } = spec
+    else {
+        let (drop_ratio, sampling_ratio) = spec.fixed_ratios().unwrap_or((0.0, 1.0));
+        let config = JobConfig {
+            drop_ratio,
+            sampling_ratio,
+            ..config.clone()
+        };
+        return Ok((Box::new(FixedCoordinator::for_job(splits, &config)?), None));
+    };
+    let coordinator =
+        TargetErrorCoordinator::new(splits.len(), target, confidence, config.map_slots, pilot);
+    let monitor = coordinator.monitor();
+    Ok((Box::new(coordinator), Some(monitor)))
 }
 
 /// The paper's map-task running-time model (Eq. 5):
@@ -275,6 +254,12 @@ pub fn plan_with_margin(
     }
 }
 
+/// Bound checks per job: the reducers re-evaluate their worst key every
+/// `total / CHECKS_PER_JOB` map outputs. A coarser interval overshoots
+/// the stopping point by whole waves on large jobs (at one check per 50
+/// maps the simulated one-year Fig. 13 job runs 2.5× longer).
+const CHECKS_PER_JOB: usize = 200;
+
 /// The [`Coordinator`] implementing target-error mode.
 pub struct TargetErrorCoordinator {
     total: usize,
@@ -282,7 +267,6 @@ pub struct TargetErrorCoordinator {
     confidence: f64,
     wave1_count: usize,
     wave1_ratio: f64,
-    shared: Arc<SharedApproxState>,
     completed: Vec<MapStats>,
     scheduled_run: usize,
     current_plan: Option<Plan>,
@@ -304,7 +288,6 @@ impl TargetErrorCoordinator {
         confidence: f64,
         wave_size: usize,
         pilot: Option<PilotSpec>,
-        shared: Arc<SharedApproxState>,
     ) -> Self {
         let (wave1_count, wave1_ratio) = match pilot {
             Some(p) => (p.tasks.min(total), p.sampling_ratio),
@@ -316,7 +299,6 @@ impl TargetErrorCoordinator {
             confidence,
             wave1_count,
             wave1_ratio,
-            shared,
             completed: Vec::new(),
             scheduled_run: 0,
             current_plan: None,
@@ -336,44 +318,44 @@ impl TargetErrorCoordinator {
         self
     }
 
+    /// The reducers' half of this policy: re-evaluate the worst key every
+    /// `total / 200` map outputs (at least every one) and freeze at this
+    /// coordinator's target once its first wave has executed.
+    pub fn monitor(&self) -> BoundMonitor {
+        BoundMonitor {
+            check_every: (self.total / CHECKS_PER_JOB).max(1),
+            freeze_at: Some(self.target),
+            min_maps_before_freeze: self.wave1_count,
+        }
+    }
+
     /// The latest plan, if any (for instrumentation).
     pub fn current_plan(&self) -> Option<Plan> {
         self.current_plan
     }
 
-    /// The first-wave size: completions required before any early stop.
-    pub fn wave1_count(&self) -> usize {
-        self.wave1_count
-    }
-
-    /// Whether the reduce tasks' latest reports already meet the target.
-    ///
-    /// The reports must be *current*: each reducer must have digested at
-    /// least as many map events as the tracker has seen completions,
-    /// otherwise an in-flight map output could still move the bound
-    /// after the drop decision.
-    fn reported_bound_met(&self) -> bool {
-        match self.shared.worst_report() {
-            Some(r) => {
-                if r.maps_seen < self.completed.len() {
-                    return false;
-                }
-                let (achieved, wanted) = match self.target {
-                    ErrorTarget::Relative(x) => (r.worst_rel, x),
-                    ErrorTarget::Absolute(x) => (r.worst_abs, x),
-                };
-                achieved <= wanted
-            }
-            None => false,
+    /// The stop rule, one for [`Coordinator::directive`] and
+    /// [`Coordinator::want_drop_remaining`]: the first wave has completed
+    /// (at least two clusters), every reducer's report covers the
+    /// completed maps (a stale report could be invalidated by in-flight
+    /// outputs), and the job's worst key — the largest half-width across
+    /// all reducers — meets the target in the target's own unit.
+    fn target_met(&self, control: &JobControl) -> bool {
+        let completed = self.completed.len();
+        if completed < self.wave1_count.min(self.total).max(2) {
+            return false;
         }
+        control
+            .worst_report(completed)
+            .is_some_and(|r| self.target.met(r.half_width, r.relative_bound))
     }
 
-    fn replan(&mut self) {
+    fn replan(&mut self, control: &JobControl) {
         // Need the first wave done and reducer statistics available.
         if self.completed.len() < self.wave1_count.min(self.total) {
             return;
         }
-        let Some(report) = self.shared.worst_report() else {
+        let Some(observed) = control.worst_report(0).and_then(|r| r.wave) else {
             return;
         };
         let Some(timing) = TimingModel::fit(&self.completed) else {
@@ -381,7 +363,6 @@ impl TargetErrorCoordinator {
         };
         // Plan from what has actually been scheduled: tasks already
         // dispatched will complete regardless.
-        let observed = report.wave;
         let remaining = (self.total - self.scheduled_run.min(self.total)) as u64;
         if remaining == 0 {
             return;
@@ -402,7 +383,12 @@ impl TargetErrorCoordinator {
 }
 
 impl Coordinator for TargetErrorCoordinator {
-    fn directive(&mut self, _task: TaskId, _meta: &SplitMeta) -> MapDirective {
+    fn directive(
+        &mut self,
+        _task: TaskId,
+        _meta: &SplitMeta,
+        control: &JobControl,
+    ) -> MapDirective {
         if self.scheduled_run < self.wave1_count {
             self.scheduled_run += 1;
             return MapDirective::Run {
@@ -410,7 +396,7 @@ impl Coordinator for TargetErrorCoordinator {
             };
         }
         if self.current_plan.is_none() {
-            self.replan();
+            self.replan(control);
         }
         match self.current_plan {
             None => {
@@ -431,10 +417,10 @@ impl Coordinator for TargetErrorCoordinator {
                 // first-wave statistics; only drop the tail once the
                 // reducers confirm the achieved bound (the paper keeps
                 // re-planning wave after wave otherwise).
-                if self.reported_bound_met() {
+                if self.target_met(control) {
                     return MapDirective::Drop;
                 }
-                self.replan();
+                self.replan(control);
                 let ratio = match self.current_plan {
                     Some(p) if p.feasible => p.sampling_ratio,
                     _ => 1.0,
@@ -447,37 +433,24 @@ impl Coordinator for TargetErrorCoordinator {
         }
     }
 
-    fn on_map_complete(&mut self, stats: &MapStats) {
+    fn on_map_complete(&mut self, stats: &MapStats, control: &JobControl) {
         self.completed.push(*stats);
         self.completions_since_plan += 1;
         if self.completions_since_plan >= self.replan_every {
             self.completions_since_plan = 0;
-            self.replan();
+            self.replan(control);
         }
     }
 
     fn want_drop_remaining(&mut self, control: &JobControl) -> bool {
-        // All reducers must have reported a bound meeting the target,
-        // with reports covering everything the tracker knows completed
-        // (a stale report could be invalidated by in-flight outputs).
-        let threshold = match self.target {
-            ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-        };
-        let min_completed = self.wave1_count.min(self.total).max(2);
-        if self.completed.len() < min_completed {
-            return false;
-        }
-        let min_maps = self.completed.len().max(2);
-        match control.worst_bound_across_reducers(min_maps) {
-            Some(worst) => worst <= threshold,
-            None => false,
-        }
+        self.target_met(control)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use approxhadoop_runtime::control::BoundReport;
 
     fn wave(n1: u64, total: u64, su2: f64, within: f64, estimate: f64) -> WaveStatistics {
         WaveStatistics {
@@ -497,24 +470,6 @@ mod tests {
             tr: 1e-4,
             tp: 1e-3,
         }
-    }
-
-    #[test]
-    fn shared_state_worst_report() {
-        let s = SharedApproxState::new(2);
-        assert!(s.worst_report().is_none());
-        let mk = |abs: f64| WaveReport {
-            maps_seen: 3,
-            worst_abs: abs,
-            worst_rel: abs / 100.0,
-            wave: wave(3, 10, 1.0, 1.0, 100.0),
-        };
-        s.publish(0, mk(5.0));
-        assert!(s.worst_report().is_none(), "reducer 1 has not reported");
-        s.publish(1, mk(9.0));
-        assert_eq!(s.worst_report().unwrap().worst_abs, 9.0);
-        s.publish(1, mk(2.0));
-        assert_eq!(s.worst_report().unwrap().worst_abs, 5.0);
     }
 
     #[test]
@@ -602,20 +557,44 @@ mod tests {
         assert!(bound <= 200.0 + 1e-6);
     }
 
-    #[test]
-    fn coordinator_first_wave_is_precise() {
-        let shared = Arc::new(SharedApproxState::new(1));
-        let mut c =
-            TargetErrorCoordinator::new(100, ErrorTarget::Relative(0.01), 0.95, 8, None, shared);
-        let meta = SplitMeta {
+    fn meta(records: u64) -> SplitMeta {
+        SplitMeta {
             index: 0,
             dataset: Default::default(),
-            records: 100,
+            records,
             bytes: 0,
             locations: vec![],
-        };
+        }
+    }
+
+    fn completion(t: usize) -> MapStats {
+        MapStats {
+            task: TaskId(t),
+            dataset: Default::default(),
+            total_records: 1000,
+            sampled_records: 1000,
+            emitted: 10,
+            shuffled: 10,
+            duration_secs: 0.5,
+            read_secs: 0.1,
+        }
+    }
+
+    fn report(maps: usize, half_width: f64, relative: f64, wave: WaveStatistics) -> BoundReport {
+        BoundReport {
+            maps_processed: maps,
+            half_width,
+            relative_bound: relative,
+            wave: Some(wave),
+        }
+    }
+
+    #[test]
+    fn coordinator_first_wave_is_precise() {
+        let mut c = TargetErrorCoordinator::new(100, ErrorTarget::Relative(0.01), 0.95, 8, None);
+        let control = JobControl::new(1);
         for t in 0..8 {
-            match c.directive(TaskId(t), &meta) {
+            match c.directive(TaskId(t), &meta(100), &control) {
                 MapDirective::Run { sampling_ratio } => assert_eq!(sampling_ratio, 1.0),
                 MapDirective::Drop => panic!("first wave must run"),
             }
@@ -624,7 +603,6 @@ mod tests {
 
     #[test]
     fn coordinator_pilot_wave_uses_pilot_ratio() {
-        let shared = Arc::new(SharedApproxState::new(1));
         let mut c = TargetErrorCoordinator::new(
             100,
             ErrorTarget::Relative(0.01),
@@ -634,17 +612,10 @@ mod tests {
                 tasks: 3,
                 sampling_ratio: 0.05,
             }),
-            shared,
         );
-        let meta = SplitMeta {
-            index: 0,
-            dataset: Default::default(),
-            records: 100,
-            bytes: 0,
-            locations: vec![],
-        };
+        let control = JobControl::new(1);
         for t in 0..3 {
-            match c.directive(TaskId(t), &meta) {
+            match c.directive(TaskId(t), &meta(100), &control) {
                 MapDirective::Run { sampling_ratio } => {
                     assert!((sampling_ratio - 0.05).abs() < 1e-12)
                 }
@@ -654,65 +625,48 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_plans_and_drops_after_wave() {
-        let shared = Arc::new(SharedApproxState::new(1));
-        let mut c = TargetErrorCoordinator::new(
-            50,
-            ErrorTarget::Relative(0.05),
-            0.95,
-            4,
-            None,
-            Arc::clone(&shared),
+    fn monitor_is_the_coordinators_reduce_half() {
+        let target = ErrorTarget::Absolute(20.0);
+        let c = TargetErrorCoordinator::new(1000, target, 0.95, 8, None);
+        assert_eq!(
+            c.monitor(),
+            BoundMonitor {
+                check_every: 5,
+                freeze_at: Some(target),
+                min_maps_before_freeze: 8,
+            }
         );
-        let meta = SplitMeta {
-            index: 0,
-            dataset: Default::default(),
-            records: 1000,
-            bytes: 0,
-            locations: vec![],
+        let pilot = PilotSpec {
+            tasks: 3,
+            sampling_ratio: 0.05,
         };
+        let small = TargetErrorCoordinator::new(40, target, 0.95, 8, Some(pilot));
+        assert_eq!(small.monitor().check_every, 1);
+        assert_eq!(small.monitor().min_maps_before_freeze, 3);
+    }
+
+    #[test]
+    fn coordinator_plans_and_drops_after_wave() {
+        let mut c = TargetErrorCoordinator::new(50, ErrorTarget::Relative(0.05), 0.95, 4, None);
+        let control = JobControl::new(1);
+        let meta = meta(1000);
         // First wave: 4 precise tasks.
         for t in 0..4 {
             assert!(matches!(
-                c.directive(TaskId(t), &meta),
+                c.directive(TaskId(t), &meta, &control),
                 MapDirective::Run { .. }
             ));
         }
+        // The reducer reports a wave needing a handful more tasks.
+        control.report_bound(0, report(4, 5e4, 0.5, wave(4, 50, 1e4, 4.0, 1e5)));
         for t in 0..4 {
-            c.on_map_complete(&MapStats {
-                task: TaskId(t),
-                dataset: Default::default(),
-                total_records: 1000,
-                sampled_records: 1000,
-                emitted: 10,
-                shuffled: 10,
-                duration_secs: 0.5,
-                read_secs: 0.1,
-            });
+            c.on_map_complete(&completion(t), &control);
         }
-        // Reducer publishes a wave needing a handful more tasks.
-        shared.publish(
-            0,
-            WaveReport {
-                maps_seen: 4,
-                worst_abs: 5e4,
-                worst_rel: 0.5,
-                wave: WaveStatistics {
-                    total_clusters: 50,
-                    completed_clusters: 4,
-                    inter_cluster_var: 1e4,
-                    mean_cluster_size: 1000.0,
-                    mean_within_var: 4.0,
-                    completed_within_term: 0.0,
-                    estimate: 1e5,
-                },
-            },
-        );
         // Subsequent directives follow the plan; while the reducers still
         // report a bound above the target, nothing is dropped.
         let mut ran = 0;
         for t in 4..20 {
-            match c.directive(TaskId(t), &meta) {
+            match c.directive(TaskId(t), &meta, &control) {
                 MapDirective::Run { sampling_ratio } => {
                     ran += 1;
                     assert!(sampling_ratio > 0.0 && sampling_ratio <= 1.0);
@@ -723,29 +677,61 @@ mod tests {
         assert!(c.current_plan().is_some());
         assert!(ran > 0);
         // Once the reducers confirm the bound, the tail is dropped.
-        shared.publish(
-            0,
-            WaveReport {
-                maps_seen: 20,
-                worst_abs: 1e3,
-                worst_rel: 0.01,
-                wave: WaveStatistics {
-                    total_clusters: 50,
-                    completed_clusters: 20,
-                    inter_cluster_var: 1e2,
-                    mean_cluster_size: 1000.0,
-                    mean_within_var: 4.0,
-                    completed_within_term: 0.0,
-                    estimate: 1e5,
-                },
-            },
-        );
+        control.report_bound(0, report(20, 1e3, 0.01, wave(20, 50, 1e2, 4.0, 1e5)));
         let mut dropped = 0;
         for t in 20..50 {
-            if matches!(c.directive(TaskId(t), &meta), MapDirective::Drop) {
+            if matches!(c.directive(TaskId(t), &meta, &control), MapDirective::Drop) {
                 dropped += 1;
             }
         }
         assert!(dropped > 0, "tail should be dropped once the bound is met");
+    }
+
+    /// One stop rule however keys fall across reducers: a reducer whose
+    /// worst key is A (half-width 1e5, ±1%) beside one whose only key is
+    /// tiny but relatively wide (B: half-width 10, ±50%) is the same job
+    /// as A alone — the job's worst key is A — and `directive` and
+    /// `want_drop_remaining` give the same answer for it.
+    #[test]
+    fn stop_rule_is_independent_of_reducer_count() {
+        // A's statistics say no further task is needed, so the plan is
+        // exhausted right after the wave and `directive` consults the
+        // stop rule.
+        let a = |relative| report(4, 1e5, relative, wave(4, 50, 1e-9, 1e-9, 1e5 / relative));
+        let b = report(4, 10.0, 0.5, wave(4, 50, 4.0, 1.0, 20.0));
+        let decide = |target, reports: &[BoundReport]| {
+            let mut c = TargetErrorCoordinator::new(50, target, 0.95, 4, None);
+            let control = JobControl::new(reports.len());
+            for t in 0..4 {
+                c.directive(TaskId(t), &meta(1000), &control);
+            }
+            for (partition, r) in reports.iter().enumerate() {
+                control.report_bound(partition, *r);
+            }
+            for t in 0..4 {
+                c.on_map_complete(&completion(t), &control);
+            }
+            let stop = c.want_drop_remaining(&control);
+            let drop = c.directive(TaskId(4), &meta(1000), &control) == MapDirective::Drop;
+            (stop, drop)
+        };
+        let relative = ErrorTarget::Relative(0.02);
+        assert_eq!(decide(relative, &[a(0.01)]), (true, true));
+        assert_eq!(decide(relative, &[a(0.01), b]), (true, true));
+        assert_eq!(decide(relative, &[b, a(0.01)]), (true, true));
+        assert_eq!(decide(relative, &[a(0.03), b]), (false, false));
+        // An absolute target reads the same key's half-width.
+        let absolute = ErrorTarget::Absolute(2e5);
+        assert_eq!(decide(absolute, &[a(0.01), b]), (true, true));
+        assert_eq!(
+            decide(ErrorTarget::Absolute(20.0), &[b, a(0.01)]),
+            (false, false)
+        );
+        // A reducer whose report lags the completed maps blocks both.
+        let stale = BoundReport {
+            maps_processed: 3,
+            ..b
+        };
+        assert_eq!(decide(relative, &[a(0.01), stale]), (false, false));
     }
 }

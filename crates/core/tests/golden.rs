@@ -13,8 +13,7 @@ use std::sync::Arc;
 use approxhadoop_core::job::{AggregationJob, RatioJob};
 use approxhadoop_core::keystat::KeyStat;
 use approxhadoop_core::multistage::{Aggregation, BoundMonitor, MultiStageReducer};
-use approxhadoop_core::spec::ApproxSpec;
-use approxhadoop_core::target::SharedApproxState;
+use approxhadoop_core::spec::{ApproxSpec, ErrorTarget};
 use approxhadoop_core::threestage::{ThreeStageAggregation, ThreeStageMapper, ThreeStageReducer};
 use approxhadoop_runtime::control::JobControl;
 use approxhadoop_runtime::engine::{run_job, JobConfig};
@@ -230,33 +229,32 @@ fn monitor_batch(t: usize) -> (MapOutputMeta, Vec<(u32, KeyStat)>) {
 
 #[test]
 fn bound_monitor_reports_are_bit_pinned() {
-    let shared = Arc::new(SharedApproxState::new(1));
     let mut reducer =
         MultiStageReducer::<u32>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-            shared: Arc::clone(&shared),
-            report_absolute: false,
             check_every: 1,
-            freeze_threshold: Some(0.5),
+            freeze_at: Some(ErrorTarget::Relative(0.5)),
             min_maps_before_freeze: 4,
         });
-    let mut ctx = ReduceContext::new(0, 30, Arc::new(JobControl::new(1)));
+    let control = Arc::new(JobControl::new(1));
+    let mut ctx = ReduceContext::new(0, 30, Arc::clone(&control));
     let mut rows = Vec::new();
     for t in 0..10 {
         let (meta, pairs) = monitor_batch(t);
         ctx.note_map();
         reducer.on_map_output(&meta, pairs, &mut ctx);
-        let r = shared.reports()[0].clone().expect("monitor published");
+        let r = control.bound_reports()[0].expect("monitor published");
+        let wave = r.wave.expect("planner statistics");
         rows.push([
-            r.maps_seen as u64,
-            r.worst_abs.to_bits(),
-            r.worst_rel.to_bits(),
-            r.wave.total_clusters,
-            r.wave.completed_clusters,
-            r.wave.inter_cluster_var.to_bits(),
-            r.wave.mean_cluster_size.to_bits(),
-            r.wave.mean_within_var.to_bits(),
-            r.wave.completed_within_term.to_bits(),
-            r.wave.estimate.to_bits(),
+            r.maps_processed as u64,
+            r.half_width.to_bits(),
+            r.relative_bound.to_bits(),
+            wave.total_clusters,
+            wave.completed_clusters,
+            wave.inter_cluster_var.to_bits(),
+            wave.mean_cluster_size.to_bits(),
+            wave.mean_within_var.to_bits(),
+            wave.completed_within_term.to_bits(),
+            wave.estimate.to_bits(),
         ]);
     }
     #[rustfmt::skip]

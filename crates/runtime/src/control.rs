@@ -1,9 +1,11 @@
 //! Job control: the channel between reduce tasks, the JobTracker, and
 //! the approximation policy.
 //!
-//! * [`JobControl`] is shared state: reducers post error-bound reports
-//!   and can request that all remaining maps be dropped; the tracker
-//!   polls it.
+//! * [`JobControl`] is the job's one bound board: each reducer posts its
+//!   worst key's [`BoundReport`] (interval and, for the target-error
+//!   planner, wave statistics) and can request that all remaining maps
+//!   be dropped; the tracker polls it and hands it to every
+//!   [`Coordinator`] hook.
 //! * [`Coordinator`] is the policy hook: it decides, per task and *at
 //!   schedule time*, whether to run (and at what sampling ratio) or drop
 //!   — this late binding is what lets `approxhadoop-core` implement the
@@ -15,6 +17,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use approxhadoop_stats::multistage::WaveStatistics;
 use approxhadoop_stats::sampling::choose_indices;
 
 use crate::engine::JobConfig;
@@ -23,14 +26,20 @@ use crate::metrics::MapStats;
 use crate::types::TaskId;
 use crate::RuntimeError;
 
-/// A reduce task's latest error-bound report.
+/// A reduce task's latest error-bound report: the interval of its worst
+/// key (the one with the largest half-width).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundReport {
     /// Map outputs the reducer had processed when reporting.
     pub maps_processed: usize,
-    /// Worst (largest) relative error bound across the reducer's keys;
-    /// `f64::INFINITY` if any key is still unbounded.
-    pub worst_relative_bound: f64,
+    /// The worst key's half-width, in output units; `f64::INFINITY`
+    /// while it is still unbounded.
+    pub half_width: f64,
+    /// The worst key's relative bound, `half_width / |estimate|`.
+    pub relative_bound: f64,
+    /// The worst key's statistics for the target-error planner (paper
+    /// Eq. 4–7); `None` from reducers that do not feed it.
+    pub wave: Option<WaveStatistics>,
 }
 
 /// Shared job-control state (one per running job).
@@ -73,25 +82,47 @@ impl JobControl {
         self.bounds.lock().clone()
     }
 
-    /// The worst relative bound across all reducers, provided **every**
-    /// reducer has reported after processing at least `min_maps` maps;
-    /// `None` otherwise. A job with zero reducers has no bound (`None`)
-    /// rather than a vacuous perfect bound of `0.0`.
-    pub fn worst_bound_across_reducers(&self, min_maps: usize) -> Option<f64> {
+    /// Folds every reducer's latest report into `init`, provided
+    /// **every** reducer has reported after processing at least
+    /// `min_maps` maps; `None` otherwise. A job with zero reducers has no
+    /// bound (`None`) rather than a vacuous perfect one.
+    fn fold_reports<T>(
+        &self,
+        min_maps: usize,
+        init: T,
+        f: impl Fn(T, &BoundReport) -> T,
+    ) -> Option<T> {
         let bounds = self.bounds.lock();
         if bounds.is_empty() {
             return None;
         }
-        let mut worst: f64 = 0.0;
-        for b in bounds.iter() {
-            match b {
-                Some(r) if r.maps_processed >= min_maps => {
-                    worst = worst.max(r.worst_relative_bound);
-                }
-                _ => return None,
-            }
-        }
-        Some(worst)
+        bounds.iter().try_fold(init, |acc, b| {
+            b.as_ref()
+                .filter(|r| r.maps_processed >= min_maps)
+                .map(|r| f(acc, r))
+        })
+    }
+
+    /// The report with the largest half-width across all reducers — the
+    /// job's worst key — provided **every** reducer has reported after
+    /// processing at least `min_maps` maps; `None` otherwise (and for a
+    /// job with zero reducers).
+    pub fn worst_report(&self, min_maps: usize) -> Option<BoundReport> {
+        self.fold_reports(
+            min_maps,
+            None,
+            |worst: Option<BoundReport>, r| match worst {
+                Some(w) if r.half_width > w.half_width => Some(*r),
+                Some(w) => Some(w),
+                None => Some(*r),
+            },
+        )?
+    }
+
+    /// The worst relative bound across all reducers, under the same rule
+    /// as [`JobControl::worst_report`].
+    pub fn worst_bound_across_reducers(&self, min_maps: usize) -> Option<f64> {
+        self.fold_reports(min_maps, 0.0, |worst: f64, r| worst.max(r.relative_bound))
     }
 }
 
@@ -113,14 +144,15 @@ pub enum MapDirective {
 /// The tracker calls [`Coordinator::directive`] immediately before
 /// launching each task (tasks are dispatched one slot at a time, so later
 /// calls observe earlier completions — waves), and
-/// [`Coordinator::on_map_complete`] for every completed attempt.
+/// [`Coordinator::on_map_complete`] for every completed attempt. Every
+/// hook sees the job's [`JobControl`], the reducers' bound board.
 pub trait Coordinator: Send {
     /// Decides the fate of `task` at schedule time.
-    fn directive(&mut self, task: TaskId, meta: &SplitMeta) -> MapDirective;
+    fn directive(&mut self, task: TaskId, meta: &SplitMeta, control: &JobControl) -> MapDirective;
 
     /// Observes a completed map attempt (timing + sampling counts).
-    fn on_map_complete(&mut self, stats: &MapStats) {
-        let _ = stats;
+    fn on_map_complete(&mut self, stats: &MapStats, control: &JobControl) {
+        let _ = (stats, control);
     }
 
     /// Polled by the tracker after processing events: should all
@@ -286,7 +318,12 @@ impl FixedCoordinator {
 }
 
 impl Coordinator for FixedCoordinator {
-    fn directive(&mut self, task: TaskId, _meta: &SplitMeta) -> MapDirective {
+    fn directive(
+        &mut self,
+        task: TaskId,
+        _meta: &SplitMeta,
+        _control: &JobControl,
+    ) -> MapDirective {
         if self.dropped.get(task.0).copied().unwrap_or(false) {
             MapDirective::Drop
         } else {
@@ -312,28 +349,28 @@ mod tests {
         assert!(c.drop_requested());
     }
 
+    /// A report without planner statistics.
+    fn report(maps_processed: usize, half_width: f64, relative_bound: f64) -> BoundReport {
+        BoundReport {
+            maps_processed,
+            half_width,
+            relative_bound,
+            wave: None,
+        }
+    }
+
     #[test]
     fn worst_bound_requires_all_reducers() {
         let c = JobControl::new(2);
         assert_eq!(c.worst_bound_across_reducers(1), None);
-        c.report_bound(
-            0,
-            BoundReport {
-                maps_processed: 5,
-                worst_relative_bound: 0.02,
-            },
-        );
+        c.report_bound(0, report(5, 2.0, 0.02));
         assert_eq!(c.worst_bound_across_reducers(1), None);
-        c.report_bound(
-            1,
-            BoundReport {
-                maps_processed: 4,
-                worst_relative_bound: 0.05,
-            },
-        );
+        assert_eq!(c.worst_report(1), None);
+        c.report_bound(1, report(4, 1.0, 0.05));
         assert_eq!(c.worst_bound_across_reducers(1), Some(0.05));
         // min_maps gate.
         assert_eq!(c.worst_bound_across_reducers(5), None);
+        assert_eq!(c.worst_report(5), None);
     }
 
     #[test]
@@ -343,18 +380,13 @@ mod tests {
         let c = JobControl::new(0);
         assert_eq!(c.worst_bound_across_reducers(0), None);
         assert_eq!(c.worst_bound_across_reducers(3), None);
+        assert_eq!(c.worst_report(0), None);
     }
 
     #[test]
     fn worst_bound_min_maps_zero_accepts_fresh_reports() {
         let c = JobControl::new(1);
-        c.report_bound(
-            0,
-            BoundReport {
-                maps_processed: 0,
-                worst_relative_bound: f64::INFINITY,
-            },
-        );
+        c.report_bound(0, report(0, f64::INFINITY, f64::INFINITY));
         // min_maps = 0: a report from a reducer that has seen nothing
         // still counts, and its (infinite) bound dominates.
         assert_eq!(c.worst_bound_across_reducers(0), Some(f64::INFINITY));
@@ -366,27 +398,27 @@ mod tests {
     fn worst_bound_takes_max_not_last() {
         let c = JobControl::new(3);
         for (p, b) in [(0, 0.01), (1, 0.20), (2, 0.05)] {
-            c.report_bound(
-                p,
-                BoundReport {
-                    maps_processed: 10,
-                    worst_relative_bound: b,
-                },
-            );
+            c.report_bound(p, report(10, 1.0, b));
         }
         assert_eq!(c.worst_bound_across_reducers(1), Some(0.20));
+    }
+
+    /// The worst key is the one with the largest half-width, whatever
+    /// its relative bound; ties keep the lowest partition.
+    #[test]
+    fn worst_report_is_the_largest_half_width() {
+        let c = JobControl::new(3);
+        c.report_bound(0, report(7, 10.0, 0.5));
+        c.report_bound(1, report(7, 1e5, 0.01));
+        c.report_bound(2, report(7, 1e5, 0.02));
+        assert_eq!(c.worst_report(7), Some(report(7, 1e5, 0.01)));
+        assert_eq!(c.worst_bound_across_reducers(7), Some(0.5));
     }
 
     #[test]
     fn report_to_out_of_range_partition_is_ignored() {
         let c = JobControl::new(1);
-        c.report_bound(
-            5,
-            BoundReport {
-                maps_processed: 1,
-                worst_relative_bound: 0.1,
-            },
-        );
+        c.report_bound(5, report(1, 1.0, 0.1));
         assert_eq!(c.bound_reports(), vec![None]);
     }
 
@@ -403,7 +435,7 @@ mod tests {
         };
         let mut drops = 0;
         for t in 0..100 {
-            match c.directive(TaskId(t), &meta) {
+            match c.directive(TaskId(t), &meta, &JobControl::new(0)) {
                 MapDirective::Drop => drops += 1,
                 MapDirective::Run { sampling_ratio } => {
                     assert!((sampling_ratio - 0.5).abs() < 1e-12)
@@ -464,7 +496,7 @@ mod tests {
         assert_eq!(c.planned_drops(), 20, "half of dataset 0 only");
         let mut drops_by_dataset = [0usize; 2];
         for s in &splits {
-            match c.directive(TaskId(s.index), s) {
+            match c.directive(TaskId(s.index), s, &JobControl::new(0)) {
                 MapDirective::Drop => drops_by_dataset[s.dataset.0 as usize] += 1,
                 MapDirective::Run { sampling_ratio } => {
                     let expect = ratios[s.dataset.0 as usize].sampling_ratio;
@@ -497,7 +529,12 @@ mod tests {
             let mut c = FixedCoordinator::for_job(&splits, &tagged_config(&ratios, seed)).unwrap();
             splits
                 .iter()
-                .map(|s| matches!(c.directive(TaskId(s.index), s), MapDirective::Drop))
+                .map(|s| {
+                    matches!(
+                        c.directive(TaskId(s.index), s, &JobControl::new(0)),
+                        MapDirective::Drop
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(pick(3), pick(3));
@@ -535,7 +572,12 @@ mod tests {
     fn dropped_tasks(mut policy: FixedCoordinator, splits: &[SplitMeta]) -> Vec<usize> {
         splits
             .iter()
-            .filter(|s| matches!(policy.directive(TaskId(s.index), s), MapDirective::Drop))
+            .filter(|s| {
+                matches!(
+                    policy.directive(TaskId(s.index), s, &JobControl::new(0)),
+                    MapDirective::Drop
+                )
+            })
             .map(|s| s.index)
             .collect()
     }

@@ -345,7 +345,7 @@ impl<'a> JobTracker<'a> {
                 break;
             };
             let (t, local) = self.pick_task(server);
-            match coordinator.directive(TaskId(t), &self.splits[t]) {
+            match coordinator.directive(TaskId(t), &self.splits[t], self.control) {
                 MapDirective::Drop => {
                     self.finished += 1;
                     self.metrics.dropped_maps += 1;
@@ -572,7 +572,7 @@ impl<'a> JobTracker<'a> {
             self.metrics.sampled_records += stats.sampled_records;
             self.metrics.emitted_pairs += stats.emitted;
             self.metrics.shuffled_pairs += stats.shuffled;
-            coordinator.on_map_complete(&stats);
+            coordinator.on_map_complete(&stats, self.control);
             self.metrics.task_outcomes.push(TaskOutcomeRecord {
                 task: stats.task,
                 outcome: TaskOutcome::Completed,

@@ -323,7 +323,7 @@ impl BoundTracker {
                 t_secs,
                 reducer,
                 maps_processed: report.maps_processed,
-                relative_bound: report.worst_relative_bound,
+                relative_bound: report.relative_bound,
             });
             if let Some(e) = eobs {
                 let obs = e.obs();
@@ -335,14 +335,14 @@ impl BoundTracker {
                         "engine_reducer_bound",
                         &[("job", e.job_label()), ("reducer", &reducer.to_string())],
                     )
-                    .set(report.worst_relative_bound);
+                    .set(report.relative_bound);
                 obs.jobs.record(
                     e.job_label(),
                     BoundSample {
                         t_secs,
                         reducer,
                         maps_processed: report.maps_processed as u64,
-                        relative_bound: report.worst_relative_bound,
+                        relative_bound: report.relative_bound,
                     },
                 );
             }

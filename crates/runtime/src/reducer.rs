@@ -10,6 +10,9 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use approxhadoop_stats::multistage::WaveStatistics;
+use approxhadoop_stats::Interval;
+
 use crate::control::{BoundReport, JobControl};
 use crate::input::DatasetId;
 use crate::types::{FxHashMap, Key, TaskId, Value};
@@ -99,14 +102,18 @@ impl ReduceContext {
         self.control.request_drop_remaining();
     }
 
-    /// Publishes this reducer's current worst relative error bound so the
-    /// JobTracker can track bounds across the entire job.
-    pub fn report_bound(&self, worst_relative_bound: f64) {
+    /// Posts this reducer's worst key — its interval and, for the
+    /// target-error planner, its wave statistics — to the job's bound
+    /// board, so the JobTracker and its policy can track bounds across
+    /// the entire job.
+    pub fn report_bound(&self, worst: Interval, wave: Option<WaveStatistics>) {
         self.control.report_bound(
             self.partition,
             BoundReport {
                 maps_processed: self.maps_seen,
-                worst_relative_bound,
+                half_width: worst.half_width,
+                relative_bound: worst.relative_error(),
+                wave,
             },
         );
     }
@@ -257,10 +264,11 @@ mod tests {
         let mut ctx = ReduceContext::new(0, 4, Arc::clone(&control));
         ctx.note_map();
         ctx.note_map();
-        ctx.report_bound(0.07);
-        let reports = control.bound_reports();
-        assert_eq!(reports[0].unwrap().maps_processed, 2);
-        assert!((reports[0].unwrap().worst_relative_bound - 0.07).abs() < 1e-12);
+        ctx.report_bound(Interval::new(100.0, 7.0, 0.95), None);
+        let report = control.bound_reports()[0].unwrap();
+        assert_eq!(report.maps_processed, 2);
+        assert_eq!(report.half_width, 7.0);
+        assert!((report.relative_bound - 0.07).abs() < 1e-12);
         assert!(!control.drop_requested());
         ctx.request_drop_remaining();
         assert!(control.drop_requested());

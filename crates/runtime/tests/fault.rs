@@ -14,6 +14,7 @@ use approxhadoop_runtime::metrics::TaskOutcome;
 use approxhadoop_runtime::pool::SlotPool;
 use approxhadoop_runtime::reducer::{GroupedReducer, MapOutputMeta, ReduceContext, Reducer};
 use approxhadoop_runtime::{FixedCoordinator, RuntimeError, TaskId};
+use approxhadoop_stats::Interval;
 
 fn blocks(n: usize) -> Vec<Vec<u64>> {
     (0..n).map(|b| vec![b as u64, b as u64]).collect()
@@ -199,7 +200,7 @@ fn job_config_validation_rejects_bad_fault_settings() {
     assert!(matches!(err, RuntimeError::InvalidJob { .. }));
 }
 
-/// A reducer that reports a bound proportional to the dropped-map
+/// A reducer that reports a relative bound equal to the dropped-map
 /// fraction it has seen — a miniature of the paper's CI widening.
 struct DropBoundReducer {
     dropped: usize,
@@ -219,13 +220,13 @@ impl Reducer for DropBoundReducer {
     ) {
         self.sum += pairs.into_iter().map(|(_, v)| v).sum::<u64>();
         let bound = self.dropped as f64 / ctx.total_maps() as f64;
-        ctx.report_bound(bound);
+        ctx.report_bound(Interval::new(1.0, bound, 0.95), None);
     }
 
     fn on_map_dropped(&mut self, _task: TaskId, ctx: &mut ReduceContext) {
         self.dropped += 1;
         let bound = self.dropped as f64 / ctx.total_maps() as f64;
-        ctx.report_bound(bound);
+        ctx.report_bound(Interval::new(1.0, bound, 0.95), None);
     }
 
     fn finish(&mut self, _ctx: &mut ReduceContext) -> Vec<u64> {

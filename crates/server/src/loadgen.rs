@@ -28,7 +28,6 @@ use std::time::{Duration, Instant};
 use approxhadoop_core::multistage::{
     Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer,
 };
-use approxhadoop_core::target::SharedApproxState;
 use approxhadoop_obs::{Obs, RegistrySnapshot};
 use approxhadoop_runtime::engine::WorkerSpec;
 use approxhadoop_runtime::metrics::BoundPoint;
@@ -293,13 +292,8 @@ pub fn run_phase_with_obs(
         // that is what feeds the bound-convergence series and live
         // bound gauges.
         let make_reducer = |_| {
-            MultiStageReducer::<u64>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-                shared: Arc::new(SharedApproxState::new(1)),
-                report_absolute: false,
-                check_every: 1,
-                freeze_threshold: None,
-                min_maps_before_freeze: usize::MAX,
-            })
+            MultiStageReducer::<u64>::new(Aggregation::Sum, 0.95)
+                .with_monitor(BoundMonitor::reporting())
         };
         let handle = if config.process_workers > 0 {
             worker.clone().and_then(|worker| {

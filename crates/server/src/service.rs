@@ -16,8 +16,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver};
 
-use approxhadoop_core::spec::{ErrorTarget, PilotSpec};
-use approxhadoop_core::target::{SharedApproxState, TargetErrorCoordinator};
+use approxhadoop_core::multistage::BoundMonitor;
+use approxhadoop_core::spec::{ApproxSpec, ErrorTarget, PilotSpec};
+use approxhadoop_core::target::policy;
 use approxhadoop_ipc::Wire;
 use approxhadoop_obs::Obs;
 use approxhadoop_runtime::engine::{
@@ -118,10 +119,10 @@ impl Default for JobSpec {
 
 /// What a target-error submitter asks for: an accuracy goal instead of
 /// mechanism ratios ("±1% relative at 95%"), per EARL and the paper's
-/// Section 4.4. The service picks the mechanism — a
-/// [`TargetErrorCoordinator`] runs a first (or pilot) wave on the shared
-/// pool, plans the cheapest continuation (Eq. 4–7), and drops the
-/// remaining maps the moment every reducer confirms the bound.
+/// Section 4.4. The service picks the mechanism — the target-error
+/// policy runs a first (or pilot) wave on the shared pool, plans the
+/// cheapest continuation (Eq. 4–7), and drops the remaining maps the
+/// moment the reducers' reports confirm the bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorGoal {
     /// The error bound the job must reach before stopping early.
@@ -150,50 +151,31 @@ impl ErrorGoal {
         }
     }
 
-    /// Validates ranges.
+    /// Validates ranges: `max_relaxation` here, the target, confidence
+    /// and pilot through [`ApproxSpec::validate`] of the spec this goal
+    /// describes.
     pub fn validate(&self) -> Result<(), String> {
-        let v = match self.target {
-            ErrorTarget::Relative(x) | ErrorTarget::Absolute(x) => x,
-        };
-        if !(v > 0.0 && v.is_finite()) {
-            return Err(format!("error target must be positive and finite, got {v}"));
-        }
-        if !(self.confidence > 0.0 && self.confidence < 1.0) {
-            return Err(format!(
-                "confidence must lie in (0, 1), got {}",
-                self.confidence
-            ));
-        }
         if !(self.max_relaxation >= 0.0 && self.max_relaxation.is_finite()) {
             return Err(format!(
                 "max_relaxation must be non-negative and finite, got {}",
                 self.max_relaxation
             ));
         }
-        if let Some(p) = self.pilot {
-            if p.tasks < 2 {
-                return Err(format!(
-                    "pilot wave needs at least 2 tasks, got {}",
-                    p.tasks
-                ));
-            }
-            if !(p.sampling_ratio > 0.0 && p.sampling_ratio <= 1.0) {
-                return Err(format!(
-                    "pilot sampling ratio must lie in (0, 1], got {}",
-                    p.sampling_ratio
-                ));
-            }
-        }
-        Ok(())
+        self.spec(0.0).validate().map_err(|e| e.to_string())
     }
 
-    /// The goal after admission spends `degrade` of the relaxation
-    /// allowance.
-    fn relaxed(&self, degrade: f64) -> ErrorTarget {
+    /// The target-error spec this goal describes once admission spends
+    /// `degrade` of the relaxation allowance.
+    fn spec(&self, degrade: f64) -> ApproxSpec {
         let f = 1.0 + degrade.clamp(0.0, 1.0) * self.max_relaxation;
-        match self.target {
+        let target = match self.target {
             ErrorTarget::Relative(x) => ErrorTarget::Relative(x * f),
             ErrorTarget::Absolute(x) => ErrorTarget::Absolute(x * f),
+        };
+        ApproxSpec::Target {
+            target,
+            confidence: self.confidence,
+            pilot: self.pilot,
         }
     }
 }
@@ -348,21 +330,21 @@ impl JobService {
     /// Submits a **target-error job**: the caller states a goal
     /// ([`ErrorGoal`], e.g. "±1% relative at 95%") instead of
     /// drop/sampling ratios, and the service runs it on the shared pool
-    /// through a [`TargetErrorCoordinator`] — a precise (or pilot)
-    /// first wave, a timing-model fit, the Eq. 4–7 plan, and an early
-    /// stop that drops every remaining map once all reducers confirm
-    /// the bound.
+    /// under the policy [`policy`] builds from the goal's spec — a
+    /// precise (or pilot) first wave, a timing-model fit, the Eq. 4–7
+    /// plan, and an early stop that drops every remaining map once the
+    /// reducers' reports confirm the bound.
     ///
-    /// `make_reducer` receives the job's [`SharedApproxState`] so it
-    /// can attach a bound monitor (e.g.
-    /// `MultiStageReducer::with_monitor`) — without reducer reports the
-    /// coordinator never confirms the bound and the job degenerates to
-    /// a precise run.
+    /// `make_reducer` receives the policy's [`BoundMonitor`] to attach
+    /// (e.g. `MultiStageReducer::with_monitor`) — without reducer
+    /// reports the coordinator never confirms the bound and the job
+    /// degenerates to a precise run.
     ///
     /// Admission still applies: the decision is recorded, and under
     /// load the controller may *relax* the goal within
     /// [`ErrorGoal::max_relaxation`] (the goal-job analogue of
-    /// degrading within an [`ApproxBudget`]). `spec.budget` is ignored
+    /// degrading within an [`ApproxBudget`]); the coordinator and the
+    /// monitor both work to the relaxed goal. `spec.budget` is ignored
     /// — the coordinator owns the ratios.
     pub fn submit_with_goal<S, M, R, FR>(
         &self,
@@ -377,7 +359,7 @@ impl JobService {
         M: Mapper<Item = S::Item> + 'static,
         R: Reducer<Key = M::Key, Value = M::Value> + Send + 'static,
         R::Output: Send + 'static,
-        FR: Fn(usize, &Arc<SharedApproxState>) -> R + Send + 'static,
+        FR: Fn(usize, BoundMonitor) -> R + Send + 'static,
     {
         goal.validate().map_err(RuntimeError::invalid)?;
         if !spec.datasets.is_empty() {
@@ -395,25 +377,19 @@ impl JobService {
         // stays precise — but the decision still records the degrade
         // factor, which relaxes the goal within the caller's allowance.
         let (id, decision) = self.admit(&ApproxBudget::precise());
-        let target = goal.relaxed(decision.degrade);
+        let approx = goal.spec(decision.degrade);
         let weight = spec.weight;
         self.launch(spec, id, decision, config, move |config, pool, session| {
+            let (mut coordinator, monitor) = policy(approx, &input.splits(), &config)
+                .map_err(|e| RuntimeError::invalid(e.to_string()))?;
+            let monitor = monitor.expect("a target spec's policy has a monitor");
             as_tenant(pool, weight, |tenant| {
-                let shared = Arc::new(SharedApproxState::new(config.reduce_tasks));
-                let mut coordinator = TargetErrorCoordinator::new(
-                    input.splits().len(),
-                    target,
-                    goal.confidence,
-                    config.map_slots,
-                    goal.pilot,
-                    Arc::clone(&shared),
-                );
                 run_job_on_pool(
                     input,
                     mapper,
-                    move |partition| make_reducer(partition, &shared),
+                    move |partition| make_reducer(partition, monitor),
                     config,
-                    &mut coordinator,
+                    coordinator.as_mut(),
                     pool,
                     tenant,
                     session,
@@ -698,6 +674,62 @@ mod tests {
             )
             .unwrap();
         assert!(h.wait().is_err());
+    }
+
+    /// One goal validator: a goal passes `ErrorGoal::validate` exactly
+    /// when the spec it describes passes `ApproxSpec::validate`, and
+    /// `submit_with_goal` rejects every bad one before taking a job id.
+    #[test]
+    fn goal_and_spec_validators_reject_the_same_goals() {
+        let goal = ErrorGoal::relative(0.01);
+        let pilot = |tasks, sampling_ratio| {
+            Some(PilotSpec {
+                tasks,
+                sampling_ratio,
+            })
+        };
+        let with_target = |target| ErrorGoal { target, ..goal };
+        let with_pilot = |pilot| ErrorGoal { pilot, ..goal };
+        let with_confidence = |confidence| ErrorGoal { confidence, ..goal };
+        let table = [
+            (goal, true),
+            (with_target(ErrorTarget::Absolute(5.0)), true),
+            (with_pilot(pilot(2, 0.05)), true),
+            (with_target(ErrorTarget::Relative(0.0)), false),
+            (with_target(ErrorTarget::Absolute(-1.0)), false),
+            (with_target(ErrorTarget::Relative(f64::INFINITY)), false),
+            (with_target(ErrorTarget::Absolute(f64::NAN)), false),
+            (with_confidence(0.0), false),
+            (with_confidence(1.0), false),
+            (with_pilot(pilot(0, 0.05)), false),
+            (with_pilot(pilot(1, 0.05)), false),
+            (with_pilot(pilot(4, 0.0)), false),
+            (with_pilot(pilot(4, 1.5)), false),
+        ];
+        let service = JobService::new(1, AdmissionConfig::default());
+        for (g, valid) in table {
+            assert_eq!(g.validate().is_ok(), valid, "{g:?}");
+            assert_eq!(g.spec(0.0).validate().is_ok(), valid, "{g:?}");
+            if !valid {
+                let r = service.submit_with_goal(
+                    JobSpec::default(),
+                    g,
+                    Arc::new(VecSource::new(vec![vec![1u32]])),
+                    Arc::new(FnMapper::new(|i: &u32, emit: &mut dyn FnMut(u8, u32)| {
+                        emit(0, *i)
+                    })),
+                    |_, _| GroupedReducer::new(|_: &u8, vs: &[u32]| Some(vs.len())),
+                );
+                assert!(matches!(r, Err(RuntimeError::InvalidJob { .. })), "{g:?}");
+            }
+        }
+        // The relaxation allowance is the goal's own field.
+        let loose = ErrorGoal {
+            max_relaxation: -1.0,
+            ..goal
+        };
+        assert!(loose.validate().is_err());
+        assert_eq!(service.submitted(), 0, "rejected goals take no job id");
     }
 
     #[test]

@@ -257,7 +257,6 @@ fn wave_events_carry_running_bound_when_reducers_report() {
     use approxhadoop_core::multistage::{
         Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer,
     };
-    use approxhadoop_core::target::SharedApproxState;
 
     // A GroupedReducer never reports a bound: every wave says `None`.
     let service = JobService::new(2, AdmissionConfig::default());
@@ -280,13 +279,8 @@ fn wave_events_carry_running_bound_when_reducers_report() {
                 |x: &u32, emit: &mut dyn FnMut(u8, f64)| emit((x % 4) as u8, *x as f64),
             )),
             |_| {
-                MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-                    shared: Arc::new(SharedApproxState::new(1)),
-                    report_absolute: false,
-                    check_every: 1,
-                    freeze_threshold: None,
-                    min_maps_before_freeze: usize::MAX,
-                })
+                MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95)
+                    .with_monitor(BoundMonitor::reporting())
             },
         )
         .unwrap();
@@ -316,9 +310,7 @@ fn wave_events_carry_running_bound_when_reducers_report() {
 
 #[test]
 fn goal_job_on_shared_pool_stops_early_once_the_bound_is_met() {
-    use approxhadoop_core::multistage::{
-        Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer,
-    };
+    use approxhadoop_core::multistage::{Aggregation, MultiStageMapper, MultiStageReducer};
     use approxhadoop_server::service::ErrorGoal;
 
     // Forty identical clusters (every block sums to the same value):
@@ -340,18 +332,10 @@ fn goal_job_on_shared_pool_stops_early_once_the_bound_is_met() {
             Arc::new(MultiStageMapper::new(
                 |x: &u32, emit: &mut dyn FnMut(u8, f64)| emit(0u8, *x as f64),
             )),
-            // The factory receives the job's shared approximation state;
-            // wiring it into the monitor is what lets the coordinator see
-            // this reducer's running bound and stop the job.
-            |_, shared| {
-                MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-                    shared: Arc::clone(shared),
-                    report_absolute: false,
-                    check_every: 1,
-                    freeze_threshold: Some(0.05),
-                    min_maps_before_freeze: 4, // = the wave size
-                })
-            },
+            // The factory receives the policy's bound monitor; attaching
+            // it is what lets the coordinator see this reducer's running
+            // bound and stop the job.
+            |_, monitor| MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(monitor),
         )
         .unwrap();
     let r = h.wait().unwrap();

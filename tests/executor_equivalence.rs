@@ -305,7 +305,12 @@ struct PlannedStopCoordinator {
 }
 
 impl Coordinator for PlannedStopCoordinator {
-    fn directive(&mut self, task: TaskId, _meta: &SplitMeta) -> MapDirective {
+    fn directive(
+        &mut self,
+        task: TaskId,
+        _meta: &SplitMeta,
+        _control: &JobControl,
+    ) -> MapDirective {
         if self.planned.contains(&task.0) {
             MapDirective::Drop
         } else {
@@ -315,7 +320,7 @@ impl Coordinator for PlannedStopCoordinator {
         }
     }
 
-    fn on_map_complete(&mut self, _stats: &MapStats) {
+    fn on_map_complete(&mut self, _stats: &MapStats, _control: &JobControl) {
         self.completions += 1;
     }
 
@@ -331,7 +336,12 @@ struct SetDropCoordinator {
 }
 
 impl Coordinator for SetDropCoordinator {
-    fn directive(&mut self, task: TaskId, _meta: &SplitMeta) -> MapDirective {
+    fn directive(
+        &mut self,
+        task: TaskId,
+        _meta: &SplitMeta,
+        _control: &JobControl,
+    ) -> MapDirective {
         if self.drop.contains(&task.0) {
             MapDirective::Drop
         } else {

@@ -12,9 +12,7 @@
 
 use std::sync::{Arc, Condvar, Mutex};
 
-use approxhadoop::core::multistage::{
-    Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer,
-};
+use approxhadoop::core::multistage::{Aggregation, MultiStageMapper, MultiStageReducer};
 use approxhadoop::runtime::engine::WorkerSpec;
 use approxhadoop::runtime::event::JobEvent;
 use approxhadoop::runtime::input::{InputSource, SplitMeta, SplitStream, VecSource};
@@ -129,15 +127,7 @@ fn via_goal(service: &JobService, spec: JobSpec, input: Blocks) -> Submitted {
         ErrorGoal::relative(0.05),
         Arc::new(input),
         Arc::new(MultiStageMapper::new(mod5)),
-        |_, shared| {
-            MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(BoundMonitor {
-                shared: Arc::clone(shared),
-                report_absolute: false,
-                check_every: 1,
-                freeze_threshold: Some(0.05),
-                min_maps_before_freeze: 2,
-            })
-        },
+        |_, monitor| MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(monitor),
     )
 }
 

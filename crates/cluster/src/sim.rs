@@ -2,7 +2,7 @@
 //! one JobTracker, plus the power model.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -20,7 +20,7 @@ use approxhadoop_runtime::engine::{
 use approxhadoop_runtime::event::{JobId, JobSession};
 use approxhadoop_runtime::input::SplitMeta;
 use approxhadoop_runtime::metrics::MapStats;
-use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, ReduceEvent, Reducer};
+use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceEvent};
 use approxhadoop_runtime::types::TaskId;
 
 use crate::event::EventQueue;
@@ -145,8 +145,6 @@ struct SimExecutor<'a> {
     /// Tasks neither dispatched nor dropped yet (the S3 rule's input).
     unstarted: HashSet<usize>,
     reducer: Sender<ReduceEvent<u8, KeyStat>>,
-    sent: usize,
-    absorbed: Arc<AtomicUsize>,
 }
 
 impl SimExecutor<'_> {
@@ -179,15 +177,8 @@ impl SimExecutor<'_> {
             sum_sq: m * (item_std * item_std + mean * mean),
             emitting_units: r.sampled,
         };
-        let meta = MapOutputMeta {
-            task: stats.task,
-            dataset: stats.dataset,
-            total_records: stats.total_records,
-            sampled_records: stats.sampled_records,
-            duration_secs: stats.duration_secs,
-        };
-        self.deliver(ReduceEvent::MapOutput {
-            meta,
+        let _ = self.reducer.send(ReduceEvent::MapOutput {
+            meta: MapOutputMeta::from(&stats),
             pairs: vec![(0, stat)],
         });
         RecvOutcome::Msg(WorkerMsg::Completed {
@@ -195,18 +186,6 @@ impl SimExecutor<'_> {
             attempt,
             spans: Vec::new(),
         })
-    }
-
-    /// Sends one event to the reducer and waits until it is absorbed, so
-    /// the bound monitor and the coordinator never depend on thread
-    /// timing.
-    fn deliver(&mut self, event: ReduceEvent<u8, KeyStat>) {
-        if self.reducer.send(event).is_ok() {
-            self.sent += 1;
-            while self.absorbed.load(Ordering::SeqCst) < self.sent {
-                std::thread::yield_now();
-            }
-        }
     }
 }
 
@@ -264,46 +243,9 @@ impl Executor for SimExecutor<'_> {
 
     fn notify_drop(&mut self, task: usize) {
         self.unstarted.remove(&task);
-        self.deliver(ReduceEvent::MapDropped { task: TaskId(task) });
-    }
-}
-
-/// The simulated job's reducer — the real one — counting each event it
-/// absorbs for [`SimExecutor::deliver`]. Dropping it (finished or
-/// unwound by a panic) releases a waiting executor.
-struct Counted {
-    inner: MultiStageReducer<u8>,
-    absorbed: Arc<AtomicUsize>,
-}
-
-impl Reducer for Counted {
-    type Key = u8;
-    type Value = KeyStat;
-    type Output = <MultiStageReducer<u8> as Reducer>::Output;
-
-    fn on_map_output(
-        &mut self,
-        meta: &MapOutputMeta,
-        pairs: Vec<(u8, KeyStat)>,
-        ctx: &mut ReduceContext,
-    ) {
-        self.inner.on_map_output(meta, pairs, ctx);
-        self.absorbed.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_map_dropped(&mut self, task: TaskId, ctx: &mut ReduceContext) {
-        self.inner.on_map_dropped(task, ctx);
-        self.absorbed.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<Self::Output> {
-        self.inner.finish(ctx)
-    }
-}
-
-impl Drop for Counted {
-    fn drop(&mut self) {
-        self.absorbed.store(usize::MAX, Ordering::SeqCst);
+        let _ = self
+            .reducer
+            .send(ReduceEvent::MapDropped { task: TaskId(task) });
     }
 }
 
@@ -365,12 +307,8 @@ pub fn simulate(
     // The policy, built from the spec as live jobs build it.
     let (mut coordinator, monitor) =
         policy(spec, &splits, &config).map_err(|e| invalid(e.to_string()))?;
-    let absorbed = Arc::new(AtomicUsize::new(0));
-    let make_reducer = |_| Counted {
-        inner: MultiStageReducer::<u8>::new(Aggregation::Sum, spec.confidence())
-            .with_monitor(monitor),
-        absorbed: Arc::clone(&absorbed),
-    };
+    let make_reducer =
+        |_| MultiStageReducer::<u8>::new(Aggregation::Sum, spec.confidence()).with_monitor(monitor);
 
     let clock = SimClock {
         base: Instant::now(),
@@ -398,8 +336,6 @@ pub fn simulate(
             running: BTreeMap::new(),
             unstarted: (0..total).collect(),
             reducer: reducer_txs.into_iter().next().expect("one reduce task"),
-            sent: 0,
-            absorbed: Arc::clone(&absorbed),
         },
     )
     .map_err(|e| invalid(e.to_string()))?;
@@ -563,8 +499,8 @@ mod tests {
         assert!(simulate(&ClusterSpec::xeon(1), &job, ApproxSpec::ratios(1.0, 1.0), 0).is_err());
     }
 
-    /// Reducers run on the engine's threads, yet every spec replays bit
-    /// for bit.
+    /// The reducer runs inline on the tracker's thread, so every spec
+    /// replays bit for bit without any waiting.
     #[test]
     fn deterministic_for_fixed_seed() {
         let job = small_job();

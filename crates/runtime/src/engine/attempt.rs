@@ -26,7 +26,7 @@ use crate::fault::{FaultDecision, FaultPlan};
 use crate::input::{DatasetId, InputSource, SplitStream};
 use crate::mapper::{MapTaskContext, Mapper};
 use crate::metrics::MapStats;
-use crate::reducer::ReduceEvent;
+use crate::reducer::{MapOutputMeta, ReduceEvent};
 use crate::types::{fx_hash, Key, Partitioner, TaskId};
 use crate::RuntimeError;
 
@@ -377,7 +377,7 @@ pub(crate) fn run_map_attempt<S, M>(
         },
         AttemptOutcome::Mapped(m) => {
             let mut stats = m.stats(work, 0, m.started.elapsed().as_secs_f64());
-            let meta = shuffle::meta_of(&stats);
+            let meta = MapOutputMeta::from(&stats);
             stats.shuffled = shuffle::ship_outputs(reducer_txs, meta, combiner.is_some(), bufs);
             WorkerMsg::Completed {
                 stats,
@@ -397,7 +397,7 @@ mod tests {
     use super::*;
     use crate::input::{SplitMeta, VecSource};
     use crate::mapper::FnMapper;
-    use crate::reducer::{GroupedReducer, MapOutputMeta, ReduceContext, Reducer};
+    use crate::reducer::{GroupedReducer, ReduceContext, Reducer};
 
     #[test]
     fn read_seed_is_stable_per_task() {

@@ -8,16 +8,22 @@
 //! decisions (what to run, where, when to kill) stay in the tracker.
 //!
 //! This module owns `drive`, the only job driver: input check,
-//! `JobControl`, reducer channels and threads, the tracker loop,
-//! executor shutdown, reducer join and `finish`. A backend is a
+//! `JobControl`, reducer channels and reduce tasks, the tracker loop,
+//! executor shutdown, reducer finish and `finish`. A backend is a
 //! `Topology` plus a closure that builds its executor inside the
-//! driver's thread scope. The two in-process backends live here and
-//! share one executor type: `run_scoped` spawns job-private task-tracker
-//! threads spread over simulated servers (data locality, speculation and
-//! blacklisting apply); `run_pooled` submits attempts to a shared
-//! [`SlotPool`] (one virtual server; the pool arbitrates slots across
-//! jobs). The process backend's closure is in [`super::process`].
+//! driver's thread scope. The live backends run each reduce task on its
+//! own thread, so reduce overlaps map work; a caller-supplied executor
+//! (`run_job_on_executor`, e.g. the cluster simulator) does no work off
+//! the tracker thread, so its reduce tasks run inline there instead, and
+//! its runs are deterministic by construction. The two in-process
+//! backends live here and share one executor type: `run_scoped` spawns
+//! job-private task-tracker threads spread over simulated servers (data
+//! locality, speculation and blacklisting apply); `run_pooled` submits
+//! attempts to a shared [`SlotPool`] (one virtual server; the pool
+//! arbitrates slots across jobs). The process backend's closure is in
+//! [`super::process`].
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,7 +42,7 @@ use crate::{Result, RuntimeError};
 use super::attempt::{run_map_attempt, WorkItem, WorkerMsg};
 use super::clock::Clock;
 use super::scheduler::JobTracker;
-use super::shuffle;
+use super::shuffle::{self, ReduceTask};
 use super::{JobConfig, JobResult};
 
 /// The slot layout a tracker schedules over.
@@ -161,22 +167,100 @@ impl<K: Key, V: Value, D: FnMut(usize, WorkItem) -> bool> Executor for LocalExec
     }
 }
 
+/// Where a job's reduce tasks run.
+pub(crate) enum ReducePlacement {
+    /// One scoped thread per task, absorbing events as they arrive, so
+    /// reduce overlaps map work on the live backends.
+    Threads,
+    /// On the driving thread, fed through [`Reducing`].
+    Inline,
+}
+
+/// The executor the tracker drives: the backend's own, plus the inline
+/// reduce tasks (none under [`ReducePlacement::Threads`]), each with the
+/// channel it drains. Every `recv`, `try_recv` and `notify_drop` drains
+/// those channels before it returns, so an event is absorbed before the
+/// tracker sees the message that caused it.
+struct Reducing<E, R: Reducer> {
+    exec: E,
+    #[allow(clippy::type_complexity)] // a (channel, task) pair per reducer
+    inline: Vec<(Receiver<ReduceEvent<R::Key, R::Value>>, ReduceTask<R>)>,
+    panicked: bool,
+}
+
+impl<E, R: Reducer> Reducing<E, R> {
+    /// Absorbs every queued event; with `finish`, then finalises the
+    /// inline tasks in partition order. This is the one catch for inline
+    /// reduction: a reducer panic drops the tasks and their channels, as
+    /// a dying reducer thread would, and is reported like one.
+    fn absorb(&mut self, finish: bool) -> Vec<R::Output> {
+        let inline = &mut self.inline;
+        catch_unwind(AssertUnwindSafe(|| {
+            for (rx, task) in inline.iter_mut() {
+                rx.try_iter().for_each(|event| task.absorb(event));
+            }
+            let finished = if finish {
+                std::mem::take(inline)
+            } else {
+                Vec::new()
+            };
+            finished
+                .into_iter()
+                .flat_map(|(_, task)| task.finish())
+                .collect()
+        }))
+        .unwrap_or_else(|_| {
+            self.inline.clear();
+            self.panicked = true;
+            Vec::new()
+        })
+    }
+}
+
+impl<E: Executor, R: Reducer> Executor for Reducing<E, R> {
+    fn dispatch(&mut self, server: usize, work: WorkItem) -> bool {
+        self.exec.dispatch(server, work)
+    }
+
+    fn recv(&mut self, timeout: Duration) -> RecvOutcome {
+        let outcome = self.exec.recv(timeout);
+        self.absorb(false);
+        outcome
+    }
+
+    fn try_recv(&mut self) -> Option<WorkerMsg> {
+        let msg = self.exec.try_recv();
+        self.absorb(false);
+        msg
+    }
+
+    fn notify_drop(&mut self, task: usize) {
+        self.exec.notify_drop(task);
+        self.absorb(false);
+    }
+}
+
 /// The one job driver, shared by every backend: rejects empty inputs,
-/// spawns the reduce tasks, lets the backend `build` its [`Executor`]
-/// (handing it the scope to spawn workers into and the reducer senders
-/// it owns from then on), drives the [`JobTracker`] against it, shuts
-/// the executor down, joins the reducers and finalises.
+/// builds the reduce tasks and places them, lets the backend `build` its
+/// [`Executor`] (handing it the scope to spawn workers into and the
+/// reducer senders it owns from then on), drives the [`JobTracker`]
+/// against it, shuts the executor down, finishes the reducers and
+/// finalises.
 ///
-/// Reducers are constructed on the calling thread and moved into scoped
-/// threads. A `build` that fails has dropped the senders it was given,
-/// so the reducers drain out and the scope joins them before the error
-/// returns.
+/// Reducers are constructed on the calling thread. Under
+/// [`ReducePlacement::Threads`] each moves into a scoped thread; a
+/// `build` that fails has dropped the senders it was given, so the
+/// reducers drain out and the scope joins them before the error returns.
+/// Under [`ReducePlacement::Inline`] the calling thread owns and feeds
+/// them. Either way a reducer panic fails the job with
+/// [`RuntimeError::TaskPanicked`] once the tracker loop is over.
 #[allow(clippy::too_many_arguments)] // internal driver: the full job context
 pub(crate) fn drive<'env, R, E>(
     splits: Vec<SplitMeta>,
     make_reducer: impl Fn(usize) -> R,
     config: &JobConfig,
     topology: Topology,
+    placement: ReducePlacement,
     coordinator: &mut dyn Coordinator,
     session: &JobSession,
     clock: &dyn Clock,
@@ -199,15 +283,22 @@ where
     let (reducer_txs, reducer_rxs) = shuffle::reducer_channels(config.reduce_tasks);
     let label = session.job.to_string();
     let job = crossbeam::thread::scope(|s| {
-        let reducers: Vec<_> = reducer_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(r, rx)| {
-                let (reducer, control) = (make_reducer(r), Arc::clone(&control));
-                s.spawn(move |_| shuffle::drain_reduce_events(reducer, rx, r, total, control))
-            })
-            .collect();
-        let mut executor = build(s, reducer_txs, &splits)?;
+        let (mut threads, mut inline) = (Vec::new(), Vec::new());
+        for (r, rx) in reducer_rxs.into_iter().enumerate() {
+            let mut task = ReduceTask::new(make_reducer(r), r, total, Arc::clone(&control));
+            match placement {
+                ReducePlacement::Inline => inline.push((rx, task)),
+                ReducePlacement::Threads => threads.push(s.spawn(move |_| {
+                    rx.iter().for_each(|event| task.absorb(event));
+                    task.finish()
+                })),
+            }
+        }
+        let mut executor = Reducing {
+            exec: build(s, reducer_txs, &splits)?,
+            inline,
+            panicked: false,
+        };
         let mut tracker = JobTracker::new(
             config,
             &splits,
@@ -220,15 +311,16 @@ where
             &label,
         );
         tracker.run_loop(&mut executor, coordinator);
+        // Every event was absorbed before the tracker saw its message,
+        // so the inline tasks can finish while the executor lives.
+        let mut outputs = executor.absorb(true);
+        let mut panicked = executor.panicked;
 
         // Shut down: the executor stops its workers (closing the task
         // channels, or reaping the worker processes) and releases the
-        // last reducer senders, so the reducers can finish.
+        // last reducer senders, so the reducer threads can finish.
         drop(executor);
-
-        let mut outputs = Vec::new();
-        let mut panicked = false;
-        for h in reducers {
+        for h in threads {
             match h.join() {
                 Ok(out) => outputs.extend(out),
                 Err(_) => panicked = true,
@@ -270,6 +362,7 @@ where
         make_reducer,
         &config,
         topology,
+        ReducePlacement::Threads,
         coordinator,
         session,
         clock,
@@ -328,6 +421,7 @@ where
         make_reducer,
         &config,
         Topology::pooled(&config),
+        ReducePlacement::Threads,
         coordinator,
         session,
         clock,
@@ -369,20 +463,25 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    use super::super::clock::FakeClock;
+    use crossbeam::channel::Sender;
+
+    use super::super::clock::{FakeClock, SystemClock};
     use super::super::testutil::{sum_reducer, word_blocks, word_mapper};
-    use super::super::{run_job, run_job_on_pool, JobConfig};
-    use super::run_pooled;
+    use super::super::{run_job, run_job_on_executor, run_job_on_pool, JobConfig, JobResult};
+    use super::{run_pooled, shuffle, Executor, RecvOutcome, WorkItem, WorkerMsg};
     use crate::control::FixedCoordinator;
     use crate::event::{JobEvent, JobId, JobSession};
-    use crate::input::VecSource;
+    use crate::input::{InputSource, VecSource};
     use crate::mapper::FnMapper;
+    use crate::metrics::MapStats;
     use crate::pool::SlotPool;
-    use crate::reducer::GroupedReducer;
+    use crate::reducer::{GroupedReducer, MapOutputMeta, ReduceContext, ReduceEvent, Reducer};
+    use crate::{Result, RuntimeError};
 
     #[test]
     fn pool_word_count_matches_scoped_engine() {
@@ -586,5 +685,123 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(keys, (0..16).collect::<Vec<u32>>(), "all keys, each once");
         assert!(result.outputs.iter().all(|(_, n)| *n == 50));
+    }
+
+    /// A reducer with a bug: it panics on the first map output.
+    struct PanickingReducer;
+
+    impl Reducer for PanickingReducer {
+        type Key = u8;
+        type Value = u64;
+        type Output = ();
+
+        fn on_map_output(&mut self, _: &MapOutputMeta, _: Vec<(u8, u64)>, _: &mut ReduceContext) {
+            panic!("reducer bug");
+        }
+
+        fn finish(&mut self, _: &mut ReduceContext) -> Vec<()> {
+            Vec::new()
+        }
+    }
+
+    /// Completes each attempt on the calling thread as it is dispatched,
+    /// shipping one pair to every reducer.
+    struct InstantExecutor {
+        reducer_txs: Vec<Sender<ReduceEvent<u8, u64>>>,
+        done: VecDeque<WorkerMsg>,
+    }
+
+    impl Executor for InstantExecutor {
+        fn dispatch(&mut self, _server: usize, work: WorkItem) -> bool {
+            let stats = MapStats {
+                task: work.task,
+                dataset: work.dataset,
+                total_records: 1,
+                sampled_records: 1,
+                emitted: 1,
+                shuffled: 1,
+                duration_secs: 0.0,
+                read_secs: 0.0,
+            };
+            for tx in &self.reducer_txs {
+                let _ = tx.send(ReduceEvent::MapOutput {
+                    meta: MapOutputMeta::from(&stats),
+                    pairs: vec![(0, 1)],
+                });
+            }
+            self.done.push_back(WorkerMsg::Completed {
+                stats,
+                attempt: work.attempt,
+                spans: Vec::new(),
+            });
+            true
+        }
+
+        fn recv(&mut self, _timeout: Duration) -> RecvOutcome {
+            self.done
+                .pop_front()
+                .map_or(RecvOutcome::Closed, RecvOutcome::Msg)
+        }
+
+        fn notify_drop(&mut self, task: usize) {
+            shuffle::broadcast_drop(&self.reducer_txs, task);
+        }
+    }
+
+    /// A panicking reducer fails the job with the same error and flight
+    /// dump whether it runs on its own thread or inline on the driving
+    /// thread — never a hang, never an unwind out of the call.
+    #[test]
+    fn reducer_panic_fails_the_job_in_both_placements() {
+        let input = VecSource::new((0..6).map(|i| vec![i as u64]).collect());
+        let mapper = FnMapper::new(|v: &u64, emit: &mut dyn FnMut(u8, u64)| emit(0, *v));
+        type Run<'a> = Box<dyn Fn(JobConfig) -> Result<JobResult<()>> + 'a>;
+        let rows: [(&str, Run); 2] = [
+            (
+                "threads",
+                Box::new(|config| run_job(&input, &mapper, |_| PanickingReducer, config)),
+            ),
+            (
+                "inline",
+                Box::new(|config| {
+                    let splits = input.splits();
+                    let mut coordinator = FixedCoordinator::new(splits.len(), 1.0, 0.0, 0);
+                    run_job_on_executor(
+                        splits,
+                        |_| PanickingReducer,
+                        config,
+                        &mut coordinator,
+                        &JobSession::new(JobId(0)),
+                        &SystemClock,
+                        |reducer_txs| InstantExecutor {
+                            reducer_txs,
+                            done: VecDeque::new(),
+                        },
+                    )
+                }),
+            ),
+        ];
+        for (row, run) in rows {
+            let dir = std::env::temp_dir().join(format!(
+                "approxhadoop-reducer-panic-{row}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let result = run(JobConfig {
+                map_slots: 2,
+                reduce_tasks: 2,
+                flight_dir: Some(dir.clone()),
+                ..Default::default()
+            });
+            assert!(
+                matches!(&result, Err(RuntimeError::TaskPanicked { what }) if what == "reduce task"),
+                "{row}: {result:?}"
+            );
+            assert!(
+                dir.join("flight-job_0000-reducer-panicked.json").is_file(),
+                "{row}: no flight dump"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -15,7 +15,7 @@
 //! * `attempt` — the one body of a map attempt, shared by every
 //!   backend, generic over its record source and its pair sink.
 //! * `shuffle` — per-reducer channels, batch shipping, drop
-//!   broadcasts and the reduce-side drain loop.
+//!   broadcasts and the one reduce-task body.
 //! * `clock` — the time source scheduling decisions consult, swapped
 //!   for a fake in deterministic tests and for simulated time by
 //!   [`run_job_on_executor`] callers.
@@ -54,7 +54,7 @@ use crate::reducer::{ReduceEvent, Reducer};
 use crate::{Result, RuntimeError};
 
 use clock::SystemClock;
-use executor::Topology;
+use executor::{ReducePlacement, Topology};
 
 /// Configuration of one MapReduce job.
 #[derive(Debug, Clone)]
@@ -340,8 +340,13 @@ where
 /// The engine's one `JobTracker` schedules over the scoped backend's
 /// topology (`config.servers` servers sharing `config.map_slots` slots);
 /// `build` receives the reducer senders and returns the executor, which
-/// owns them from then on. Dropping the executor releases them, so the
-/// reducers finish once the job does.
+/// owns them from then on. The reduce tasks run inline on the calling
+/// thread: each `recv`, `try_recv` and `notify_drop` of the executor
+/// absorbs whatever it sent the reducers before the tracker sees its
+/// result. An executor that does its work on the calling thread is
+/// therefore deterministic by construction: the bound monitor and the
+/// coordinator never depend on thread timing. A reducer panic fails the
+/// job with [`RuntimeError::TaskPanicked`], as on the other backends.
 pub fn run_job_on_executor<R, E>(
     splits: Vec<SplitMeta>,
     make_reducer: impl Fn(usize) -> R,
@@ -361,6 +366,7 @@ where
         make_reducer,
         &config,
         Topology::scoped(&config),
+        ReducePlacement::Inline,
         coordinator,
         session,
         clock,

@@ -28,7 +28,7 @@ use approxhadoop_ipc::{read_frame, write_frame, Decoder, FrameError, Wire};
 use approxhadoop_obs::{Counter, CounterDelta, Obs};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use crate::reducer::ReduceEvent;
+use crate::reducer::{MapOutputMeta, ReduceEvent};
 use crate::types::{Key, TaskId, Value};
 use crate::RuntimeError;
 
@@ -433,7 +433,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
                     .stash
                     .remove(&key)
                     .unwrap_or_else(|| (0..partitions).map(|_| Vec::new()).collect());
-                let meta = shuffle::meta_of(&stats);
+                let meta = MapOutputMeta::from(&stats);
                 // One MapOutput per reducer even when the batch is
                 // empty — identical to `shuffle::ship_outputs`.
                 for (p, pairs) in parts.into_iter().enumerate() {

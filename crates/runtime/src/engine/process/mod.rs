@@ -73,7 +73,7 @@ use crate::types::{Key, Value};
 use crate::{Result, RuntimeError};
 
 use super::clock::SystemClock;
-use super::executor::{drive, Topology};
+use super::executor::{drive, ReducePlacement, Topology};
 use super::{JobConfig, JobResult};
 
 use executor::{ProcObs, ProcessExecutor};
@@ -184,6 +184,7 @@ where
         make_reducer,
         &config,
         topology,
+        ReducePlacement::Threads,
         coordinator,
         session,
         &SystemClock,

@@ -70,6 +70,11 @@ pub(crate) struct JobTracker<'a> {
     session: &'a JobSession,
     clock: &'a dyn Clock,
     topology: Topology,
+    /// Whether a free server scans `pending` for a block it hosts: only
+    /// with placement, and only if some split names a location at all —
+    /// otherwise the scan could never match and would cost O(pending)
+    /// per dispatch.
+    locality: bool,
     start: Instant,
     total: usize,
     pending: VecDeque<usize>,
@@ -142,9 +147,11 @@ impl<'a> JobTracker<'a> {
             .filter(|p| p.injects_map_faults())
             .cloned()
             .map(Arc::new);
+        let locality = topology.placement && splits.iter().any(|s| !s.locations.is_empty());
         JobTracker {
             config,
             splits,
+            locality,
             control,
             session,
             clock,
@@ -377,24 +384,22 @@ impl<'a> JobTracker<'a> {
         })
     }
 
-    /// Picks the next pending task for `server`; with placement the scan
-    /// prefers a block hosted on that server and reports whether the
-    /// choice was local.
+    /// Picks the next pending task for `server`: with locality, the first
+    /// pending block hosted on that server, else the queue's front; also
+    /// reports whether the choice was local.
     fn pick_task(&mut self, server: usize) -> (usize, bool) {
-        if self.topology.placement {
-            let local_pos = self
-                .pending
+        let local_pos = if self.locality {
+            self.pending
                 .iter()
-                .position(|&t| self.splits[t].locations.contains(&server));
-            let local = local_pos.is_some();
-            let t = self
-                .pending
-                .remove(local_pos.unwrap_or(0))
-                .expect("position from scan");
-            (t, local)
+                .position(|&t| self.splits[t].locations.contains(&server))
         } else {
-            (self.pending.pop_front().expect("checked non-empty"), false)
-        }
+            None
+        };
+        let t = self
+            .pending
+            .remove(local_pos.unwrap_or(0))
+            .expect("checked non-empty");
+        (t, local_pos.is_some())
     }
 
     /// Dispatches one attempt: registers it as running and hands the

@@ -1,7 +1,7 @@
 //! Shuffle plumbing shared by every execution backend: per-reducer
 //! channels, the in-process map-output arena and its sink,
-//! pre-partitioned batch shipping, drop notifications, and the
-//! reduce-side drain loop.
+//! pre-partitioned batch shipping, drop notifications, and the one
+//! reduce-task body.
 //!
 //! Every executor routes map outputs through the same channel fabric, so
 //! the shuffle contract — one deduplicated `MapOutput`/`MapDropped`
@@ -13,7 +13,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::combine::{route_emission, CombineTable, Combiner};
 use crate::control::JobControl;
-use crate::metrics::MapStats;
 use crate::reducer::{DedupState, MapOutputMeta, ReduceContext, ReduceEvent, Reducer};
 use crate::types::{Key, TaskId, Value};
 
@@ -112,18 +111,6 @@ pub(crate) fn broadcast_drop<K: Key, V: Value>(txs: &[Sender<ReduceEvent<K, V>>]
     }
 }
 
-/// The shuffle metadata of a completed attempt — the `(M_i, m_i)` the
-/// estimators consume, taken from the one [`MapStats`] it reports.
-pub(crate) fn meta_of(stats: &MapStats) -> MapOutputMeta {
-    MapOutputMeta {
-        task: stats.task,
-        dataset: stats.dataset,
-        total_records: stats.total_records,
-        sampled_records: stats.sampled_records,
-        duration_secs: stats.duration_secs,
-    }
-}
-
 /// Ships one map attempt's outputs: each reducer receives exactly one
 /// pre-partitioned batch (pre-combined and in key order when a combiner
 /// ran — the hash tables are sorted here, once per batch, so shipped
@@ -149,35 +136,53 @@ pub(crate) fn ship_outputs<K: Key, V: Value>(
     shuffled
 }
 
-/// The reduce-task body: drains shuffle events until every sender is
-/// gone, forwarding the first event per map task (speculative siblings
-/// deliver duplicates) to the user reducer, then finishes it.
-pub(crate) fn drain_reduce_events<R: Reducer>(
-    mut reducer: R,
-    rx: Receiver<ReduceEvent<R::Key, R::Value>>,
-    partition: usize,
-    total_maps: usize,
-    control: Arc<JobControl>,
-) -> Vec<R::Output> {
-    let mut ctx = ReduceContext::new(partition, total_maps, control);
-    let mut dedup = DedupState::new();
-    for event in rx.iter() {
+/// The one reduce-task body, wherever it runs: a reducer thread feeds it
+/// each event as it arrives, the inline placement feeds it from the
+/// driving thread. Only the first event per map task (speculative
+/// siblings deliver duplicates) reaches the user reducer.
+pub(crate) struct ReduceTask<R: Reducer> {
+    reducer: R,
+    ctx: ReduceContext,
+    dedup: DedupState,
+}
+
+impl<R: Reducer> ReduceTask<R> {
+    pub(crate) fn new(
+        reducer: R,
+        partition: usize,
+        total_maps: usize,
+        control: Arc<JobControl>,
+    ) -> Self {
+        ReduceTask {
+            reducer,
+            ctx: ReduceContext::new(partition, total_maps, control),
+            dedup: DedupState::new(),
+        }
+    }
+
+    /// Forwards one shuffle event to the reducer unless its task was
+    /// already seen.
+    pub(crate) fn absorb(&mut self, event: ReduceEvent<R::Key, R::Value>) {
         match event {
             ReduceEvent::MapOutput { meta, pairs } => {
-                if dedup.first(meta.task) {
-                    ctx.note_map();
-                    reducer.on_map_output(&meta, pairs, &mut ctx);
+                if self.dedup.first(meta.task) {
+                    self.ctx.note_map();
+                    self.reducer.on_map_output(&meta, pairs, &mut self.ctx);
                 }
             }
             ReduceEvent::MapDropped { task } => {
-                if dedup.first(task) {
-                    ctx.note_map();
-                    reducer.on_map_dropped(task, &mut ctx);
+                if self.dedup.first(task) {
+                    self.ctx.note_map();
+                    self.reducer.on_map_dropped(task, &mut self.ctx);
                 }
             }
         }
     }
-    reducer.finish(&mut ctx)
+
+    /// Finalises the reducer once every event has been absorbed.
+    pub(crate) fn finish(mut self) -> Vec<R::Output> {
+        self.reducer.finish(&mut self.ctx)
+    }
 }
 
 #[cfg(test)]
@@ -280,7 +285,7 @@ mod tests {
 
     #[test]
     fn drain_dedups_sibling_outputs_and_drops() {
-        let (txs, mut rxs) = reducer_channels::<u32, u64>(1);
+        let (txs, rxs) = reducer_channels::<u32, u64>(1);
         let meta = MapOutputMeta {
             task: TaskId(0),
             dataset: Default::default(),
@@ -299,13 +304,19 @@ mod tests {
         }
         drop(txs);
         let control = Arc::new(JobControl::new(1));
-        let out = drain_reduce_events(
+        let mut task = ReduceTask::new(
             GroupedReducer::new(|k: &u32, vs: &[u64]| Some((*k, vs.len()))),
-            rxs.remove(0),
             0,
             2,
             control,
         );
-        assert_eq!(out, vec![(7, 1)], "duplicate deliveries must be ignored");
+        for event in &rxs[0] {
+            task.absorb(event);
+        }
+        assert_eq!(
+            task.finish(),
+            vec![(7, 1)],
+            "duplicate deliveries must be ignored"
+        );
     }
 }

@@ -15,6 +15,7 @@ use approxhadoop_stats::Interval;
 
 use crate::control::{BoundReport, JobControl};
 use crate::input::DatasetId;
+use crate::metrics::MapStats;
 use crate::types::{FxHashMap, Key, TaskId, Value};
 
 /// Metadata accompanying one map task's output: exactly the statistics
@@ -33,6 +34,20 @@ pub struct MapOutputMeta {
     pub sampled_records: u64,
     /// Map attempt duration in seconds.
     pub duration_secs: f64,
+}
+
+impl From<&MapStats> for MapOutputMeta {
+    /// The shuffle metadata of a completed attempt — the `(M_i, m_i)` the
+    /// estimators consume, taken from the one [`MapStats`] it reports.
+    fn from(stats: &MapStats) -> Self {
+        MapOutputMeta {
+            task: stats.task,
+            dataset: stats.dataset,
+            total_records: stats.total_records,
+            sampled_records: stats.sampled_records,
+            duration_secs: stats.duration_secs,
+        }
+    }
 }
 
 /// Events delivered to a reduce task.

@@ -6,9 +6,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::mpsc::Sender;
 
 use approxhadoop_core::multistage::{Aggregation, MultiStageReducer};
 use approxhadoop_core::spec::ApproxSpec;

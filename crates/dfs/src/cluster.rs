@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::block::{BlockId, BlockMeta};
@@ -143,7 +142,7 @@ impl DfsCluster {
         } else {
             lines.chunks(per).collect()
         };
-        let payloads: Vec<Bytes> = chunks
+        let payloads: Vec<Arc<[u8]>> = chunks
             .iter()
             .map(|c| {
                 let mut s = String::new();
@@ -151,7 +150,7 @@ impl DfsCluster {
                     s.push_str(l.as_ref());
                     s.push('\n');
                 }
-                Bytes::from(s)
+                Arc::from(s.into_bytes())
             })
             .collect();
         let blocks = self.namenode.lock().create_file(
@@ -176,7 +175,7 @@ impl DfsCluster {
         num_blocks: u64,
         records: impl Fn(u64) -> u64 + Send + Sync + 'static,
         bytes: impl Fn(u64) -> u64 + Send + Sync + 'static,
-        generator: impl Fn(u64) -> Bytes + Send + Sync + 'static,
+        generator: impl Fn(u64) -> Arc<[u8]> + Send + Sync + 'static,
     ) -> Result<FileHandle> {
         let blocks = self
             .namenode
@@ -228,7 +227,7 @@ impl DfsCluster {
     /// the read walks the block's replicas in namenode placement order,
     /// failing over past dead or faulty replicas, and only errors with
     /// [`DfsError::AllReplicasFailed`] once every replica has failed.
-    pub fn read_block(&self, id: BlockId) -> Result<Bytes> {
+    pub fn read_block(&self, id: BlockId) -> Result<Arc<[u8]>> {
         let faults = self.faults.lock().clone();
         let Some(faults) = faults else {
             return self.store.lock().read(id);
@@ -270,7 +269,7 @@ impl DfsCluster {
 }
 
 /// Splits a byte buffer into newline-terminated records.
-pub fn split_lines(bytes: &Bytes) -> Vec<String> {
+pub fn split_lines(bytes: &[u8]) -> Vec<String> {
     bytes
         .split(|&b| b == b'\n')
         .filter(|l| !l.is_empty())
@@ -328,7 +327,11 @@ mod tests {
                 5,
                 |_| 100,
                 |_| 1000,
-                |i| Bytes::from((0..100).map(|j| format!("g{i}:{j}\n")).collect::<String>()),
+                |i| {
+                    (0..100)
+                        .flat_map(|j| format!("g{i}:{j}\n").into_bytes())
+                        .collect()
+                },
             )
             .unwrap();
         assert_eq!(handle.blocks.len(), 5);
@@ -349,7 +352,7 @@ mod tests {
         });
         let mem = dfs.write_lines("mem", &lines(4)).unwrap();
         let gen = dfs
-            .write_generated("gen", 1, |_| 1, |_| 2, |_| Bytes::from_static(b"x\n"))
+            .write_generated("gen", 1, |_| 1, |_| 2, |_| Arc::from(&b"x\n"[..]))
             .unwrap();
         assert_eq!(dfs.read_block_lines(mem.blocks[0].id).unwrap().len(), 4);
         assert_eq!(dfs.read_block_lines(gen.blocks[0].id).unwrap(), vec!["x"]);
@@ -481,8 +484,7 @@ mod tests {
 
     #[test]
     fn split_lines_handles_trailing_newline_and_empties() {
-        let b = Bytes::from_static(b"a\n\nb\n");
-        assert_eq!(split_lines(&b), vec!["a", "b"]);
-        assert!(split_lines(&Bytes::new()).is_empty());
+        assert_eq!(split_lines(b"a\n\nb\n"), vec!["a", "b"]);
+        assert!(split_lines(b"").is_empty());
     }
 }

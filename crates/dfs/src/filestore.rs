@@ -26,9 +26,9 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use approxhadoop_ipc::Mmap;
-use bytes::Bytes;
 
 use crate::block::BlockId;
 use crate::store::BlockStore;
@@ -194,9 +194,9 @@ impl std::fmt::Debug for FileStore {
 }
 
 impl BlockStore for FileStore {
-    fn read(&self, id: BlockId) -> Result<Bytes> {
+    fn read(&self, id: BlockId) -> Result<Arc<[u8]>> {
         self.slice(id)
-            .map(|s| Bytes::from(s.to_vec()))
+            .map(Arc::from)
             .ok_or(DfsError::BlockNotFound { block: id })
     }
 
@@ -237,10 +237,7 @@ mod tests {
         assert_eq!(store.records(BlockId(2)), Some(1));
         assert!(store.contains(BlockId(7)));
         assert!(!store.contains(BlockId(9)));
-        assert_eq!(
-            store.read(BlockId(2)).unwrap(),
-            Bytes::from(b"zzzz".to_vec())
-        );
+        assert_eq!(&*store.read(BlockId(2)).unwrap(), b"zzzz");
         assert!(matches!(
             store.read(BlockId(9)),
             Err(DfsError::BlockNotFound { .. })

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::RwLock;
 
 use crate::block::BlockId;
@@ -15,7 +14,7 @@ use crate::{DfsError, Result};
 /// tasks read blocks concurrently.
 pub trait BlockStore: Send + Sync {
     /// Reads the full contents of a block.
-    fn read(&self, id: BlockId) -> Result<Bytes>;
+    fn read(&self, id: BlockId) -> Result<Arc<[u8]>>;
 
     /// Whether the store holds (or can produce) the block.
     fn contains(&self, id: BlockId) -> bool;
@@ -24,7 +23,7 @@ pub trait BlockStore: Send + Sync {
 /// In-memory block store: blocks are explicit byte buffers.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryStore {
-    blocks: Arc<RwLock<HashMap<BlockId, Bytes>>>,
+    blocks: Arc<RwLock<HashMap<BlockId, Arc<[u8]>>>>,
 }
 
 impl MemoryStore {
@@ -34,7 +33,7 @@ impl MemoryStore {
     }
 
     /// Inserts (or replaces) a block.
-    pub fn put(&self, id: BlockId, data: Bytes) {
+    pub fn put(&self, id: BlockId, data: Arc<[u8]>) {
         self.blocks.write().insert(id, data);
     }
 
@@ -55,7 +54,7 @@ impl MemoryStore {
 }
 
 impl BlockStore for MemoryStore {
-    fn read(&self, id: BlockId) -> Result<Bytes> {
+    fn read(&self, id: BlockId) -> Result<Arc<[u8]>> {
         self.blocks
             .read()
             .get(&id)
@@ -76,7 +75,7 @@ impl BlockStore for MemoryStore {
 /// seed plus a generator, and each map task materialises only the block
 /// it processes.
 pub struct GeneratorStore {
-    generator: Arc<dyn Fn(BlockId) -> Option<Bytes> + Send + Sync>,
+    generator: Arc<dyn Fn(BlockId) -> Option<Arc<[u8]>> + Send + Sync>,
 }
 
 impl GeneratorStore {
@@ -84,7 +83,7 @@ impl GeneratorStore {
     /// `Some(bytes)` for every block it claims to hold and must be
     /// deterministic (the same block may be read several times, e.g. by
     /// a straggler duplicate).
-    pub fn new(generator: impl Fn(BlockId) -> Option<Bytes> + Send + Sync + 'static) -> Self {
+    pub fn new(generator: impl Fn(BlockId) -> Option<Arc<[u8]>> + Send + Sync + 'static) -> Self {
         GeneratorStore {
             generator: Arc::new(generator),
         }
@@ -106,7 +105,7 @@ impl Clone for GeneratorStore {
 }
 
 impl BlockStore for GeneratorStore {
-    fn read(&self, id: BlockId) -> Result<Bytes> {
+    fn read(&self, id: BlockId) -> Result<Arc<[u8]>> {
         (self.generator)(id).ok_or(DfsError::BlockNotFound { block: id })
     }
 
@@ -151,7 +150,7 @@ impl std::fmt::Debug for CompositeStore {
 }
 
 impl BlockStore for CompositeStore {
-    fn read(&self, id: BlockId) -> Result<Bytes> {
+    fn read(&self, id: BlockId) -> Result<Arc<[u8]>> {
         for c in &self.children {
             if c.contains(id) {
                 return c.read(id);
@@ -173,13 +172,10 @@ mod tests {
     fn memory_store_roundtrip() {
         let store = MemoryStore::new();
         assert!(store.is_empty());
-        store.put(BlockId(1), Bytes::from_static(b"hello"));
+        store.put(BlockId(1), Arc::from(&b"hello"[..]));
         assert_eq!(store.len(), 1);
         assert!(store.contains(BlockId(1)));
-        assert_eq!(
-            store.read(BlockId(1)).unwrap(),
-            Bytes::from_static(b"hello")
-        );
+        assert_eq!(&*store.read(BlockId(1)).unwrap(), b"hello");
         assert!(store.remove(BlockId(1)));
         assert!(!store.remove(BlockId(1)));
         assert!(matches!(
@@ -192,7 +188,7 @@ mod tests {
     fn memory_store_clones_share_state() {
         let a = MemoryStore::new();
         let b = a.clone();
-        a.put(BlockId(9), Bytes::from_static(b"x"));
+        a.put(BlockId(9), Arc::from(&b"x"[..]));
         assert!(b.contains(BlockId(9)));
     }
 
@@ -200,7 +196,7 @@ mod tests {
     fn generator_store_is_deterministic() {
         let store = GeneratorStore::new(|id| {
             if id.0 < 10 {
-                Some(Bytes::from(format!("block {}", id.0)))
+                Some(Arc::from(format!("block {}", id.0).as_bytes()))
             } else {
                 None
             }
@@ -217,13 +213,13 @@ mod tests {
     #[test]
     fn composite_store_dispatches() {
         let mem = MemoryStore::new();
-        mem.put(BlockId(1), Bytes::from_static(b"mem"));
-        let gen = GeneratorStore::new(|id| (id.0 == 2).then(|| Bytes::from_static(b"gen")));
+        mem.put(BlockId(1), Arc::from(&b"mem"[..]));
+        let gen = GeneratorStore::new(|id| (id.0 == 2).then(|| Arc::from(&b"gen"[..])));
         let mut comp = CompositeStore::new();
         comp.push(Arc::new(mem));
         comp.push(Arc::new(gen));
-        assert_eq!(comp.read(BlockId(1)).unwrap(), Bytes::from_static(b"mem"));
-        assert_eq!(comp.read(BlockId(2)).unwrap(), Bytes::from_static(b"gen"));
+        assert_eq!(&*comp.read(BlockId(1)).unwrap(), b"mem");
+        assert_eq!(&*comp.read(BlockId(2)).unwrap(), b"gen");
         assert!(comp.read(BlockId(3)).is_err());
     }
 }

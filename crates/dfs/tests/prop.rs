@@ -81,7 +81,7 @@ proptest! {
                 |_| 3,
                 |_| 30,
                 move |i| {
-                    bytes::Bytes::from(format!("{}a\n{}b\n{}c\n", i ^ seed, i, seed))
+                    format!("{}a\n{}b\n{}c\n", i ^ seed, i, seed).into_bytes().into()
                 },
             )
             .unwrap();

@@ -79,12 +79,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Arrays and objects nest at most this deep (as in `serde_json`), so a
+/// hostile document errors instead of overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses `input` into a [`Value`]; the whole input must be one JSON
-/// document (trailing whitespace allowed).
+/// document (trailing whitespace allowed) nesting at most 128 arrays
+/// and objects.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -103,6 +109,8 @@ pub fn validate(input: &str) -> Result<(), ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -147,12 +155,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object with `container`, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -376,6 +398,22 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let deep = |open: &str, n: usize| open.repeat(n);
+        for doc in [deep("[", 100_000), deep("{\"a\":", 100_000)] {
+            let err = parse(&doc).unwrap_err();
+            assert_eq!(err.message, "nesting too deep");
+            assert_eq!(err.offset, doc.len() / 100_000 * MAX_DEPTH);
+        }
+        let at_cap = format!("{}{}", deep("[", MAX_DEPTH), deep("]", MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let objects = format!("{}1{}", deep("{\"a\":", MAX_DEPTH), deep("}", MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let over = format!("[{at_cap}]");
+        assert_eq!(parse(&over).unwrap_err().message, "nesting too deep");
     }
 
     #[test]

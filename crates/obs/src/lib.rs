@@ -77,18 +77,18 @@ mod tests {
 
     #[test]
     fn concurrent_histogram_increments_are_deterministic() {
-        // Satellite: concurrent increments from crossbeam threads must
-        // produce a deterministic final count (no lost updates).
+        // Concurrent increments from scoped threads must produce a
+        // deterministic final count (no lost updates).
         let obs = Obs::shared();
         let h = obs
             .registry
             .histogram_with_bounds("latency_secs", &[], vec![0.25, 0.5, 1.0]);
         const THREADS: usize = 8;
         const PER_THREAD: usize = 2_000;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..THREADS {
                 let h = Arc::clone(&h);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..PER_THREAD {
                         // Deterministic values spread across buckets.
                         let v = ((t * PER_THREAD + i) % 4) as f64 * 0.3;
@@ -96,8 +96,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("threads join");
+        });
         let snap = h.snapshot();
         assert_eq!(snap.count, (THREADS * PER_THREAD) as u64);
         assert_eq!(

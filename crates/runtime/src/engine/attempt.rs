@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::input::{DatasetId, InputSource, SplitStream};

@@ -11,11 +11,12 @@
 //! `JobControl`, reducer channels and reduce tasks, the tracker loop,
 //! executor shutdown, reducer finish and `finish`. A backend is a
 //! `Topology` plus a closure that builds its executor inside the
-//! driver's thread scope. The live backends run each reduce task on its
-//! own thread, so reduce overlaps map work; a caller-supplied executor
-//! (`run_job_on_executor`, e.g. the cluster simulator) does no work off
-//! the tracker thread, so its reduce tasks run inline there instead, and
-//! its runs are deterministic by construction. The two in-process
+//! driver's `std::thread::scope`. The live backends run each reduce
+//! task on its own thread, so reduce overlaps map work; a
+//! caller-supplied executor (`run_job_on_executor`, e.g. the cluster
+//! simulator) does no work off the tracker thread, so its reduce tasks
+//! run inline there instead, and its runs are deterministic by
+//! construction. The two in-process
 //! backends live here and share one executor type: `run_scoped` spawns
 //! job-private task-tracker threads spread over simulated servers (data
 //! locality, speculation and blacklisting apply); `run_pooled` submits
@@ -24,11 +25,12 @@
 //! [`super::process`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crossbeam::thread::Scope;
+use parking_lot::Mutex;
 
 use crate::control::{Coordinator, JobControl};
 use crate::event::JobSession;
@@ -254,6 +256,11 @@ impl<E: Executor, R: Reducer> Executor for Reducing<E, R> {
 /// Under [`ReducePlacement::Inline`] the calling thread owns and feeds
 /// them. Either way a reducer panic fails the job with
 /// [`RuntimeError::TaskPanicked`] once the tracker loop is over.
+///
+/// Everything runs inside `catch_unwind` around `std::thread::scope`: a
+/// panic on the driving thread (the tracker or its coordinator), or in a
+/// worker thread nobody joins, waits for every scoped thread to finish
+/// and then fails the job with `TaskPanicked { what: "task tracker" }`.
 #[allow(clippy::too_many_arguments)] // internal driver: the full job context
 pub(crate) fn drive<'env, R, E>(
     splits: Vec<SplitMeta>,
@@ -265,7 +272,7 @@ pub(crate) fn drive<'env, R, E>(
     session: &JobSession,
     clock: &dyn Clock,
     build: impl for<'scope> FnOnce(
-        &Scope<'scope, 'env>,
+        &'scope Scope<'scope, 'env>,
         Vec<Sender<ReduceEvent<R::Key, R::Value>>>,
         &[SplitMeta],
     ) -> Result<E>,
@@ -282,54 +289,56 @@ where
     let control = Arc::new(JobControl::new(config.reduce_tasks));
     let (reducer_txs, reducer_rxs) = shuffle::reducer_channels(config.reduce_tasks);
     let label = session.job.to_string();
-    let job = crossbeam::thread::scope(|s| {
-        let (mut threads, mut inline) = (Vec::new(), Vec::new());
-        for (r, rx) in reducer_rxs.into_iter().enumerate() {
-            let mut task = ReduceTask::new(make_reducer(r), r, total, Arc::clone(&control));
-            match placement {
-                ReducePlacement::Inline => inline.push((rx, task)),
-                ReducePlacement::Threads => threads.push(s.spawn(move |_| {
-                    rx.iter().for_each(|event| task.absorb(event));
-                    task.finish()
-                })),
+    let job = catch_unwind(AssertUnwindSafe(|| {
+        std::thread::scope(|s| {
+            let (mut threads, mut inline) = (Vec::new(), Vec::new());
+            for (r, rx) in reducer_rxs.into_iter().enumerate() {
+                let mut task = ReduceTask::new(make_reducer(r), r, total, Arc::clone(&control));
+                match placement {
+                    ReducePlacement::Inline => inline.push((rx, task)),
+                    ReducePlacement::Threads => threads.push(s.spawn(move || {
+                        rx.iter().for_each(|event| task.absorb(event));
+                        task.finish()
+                    })),
+                }
             }
-        }
-        let mut executor = Reducing {
-            exec: build(s, reducer_txs, &splits)?,
-            inline,
-            panicked: false,
-        };
-        let mut tracker = JobTracker::new(
-            config,
-            &splits,
-            &control,
-            session,
-            clock,
-            topology,
-            start,
-            session.job.0 + 2,
-            &label,
-        );
-        tracker.run_loop(&mut executor, coordinator);
-        // Every event was absorbed before the tracker saw its message,
-        // so the inline tasks can finish while the executor lives.
-        let mut outputs = executor.absorb(true);
-        let mut panicked = executor.panicked;
+            let mut executor = Reducing {
+                exec: build(s, reducer_txs, &splits)?,
+                inline,
+                panicked: false,
+            };
+            let mut tracker = JobTracker::new(
+                config,
+                &splits,
+                &control,
+                session,
+                clock,
+                topology,
+                start,
+                session.job.0 + 2,
+                &label,
+            );
+            tracker.run_loop(&mut executor, coordinator);
+            // Every event was absorbed before the tracker saw its message,
+            // so the inline tasks can finish while the executor lives.
+            let mut outputs = executor.absorb(true);
+            let mut panicked = executor.panicked;
 
-        // Shut down: the executor stops its workers (closing the task
-        // channels, or reaping the worker processes) and releases the
-        // last reducer senders, so the reducer threads can finish.
-        drop(executor);
-        for h in threads {
-            match h.join() {
-                Ok(out) => outputs.extend(out),
-                Err(_) => panicked = true,
+            // Shut down: the executor stops its workers (closing the task
+            // channels, or reaping the worker processes) and releases the
+            // last reducer senders, so the reducer threads can finish.
+            drop(executor);
+            for h in threads {
+                match h.join() {
+                    Ok(out) => outputs.extend(out),
+                    Err(_) => panicked = true,
+                }
             }
-        }
-        tracker
-            .finish(panicked)
-            .map(|metrics| JobResult { outputs, metrics })
-    });
+            tracker
+                .finish(panicked)
+                .map(|metrics| JobResult { outputs, metrics })
+        })
+    }));
     job.unwrap_or_else(|_| {
         Err(RuntimeError::TaskPanicked {
             what: "task tracker".into(),
@@ -367,19 +376,27 @@ where
         session,
         clock,
         |s, reducer_txs, _| {
-            let (task_txs, task_rxs): (Vec<_>, Vec<_>) =
-                (0..servers).map(|_| unbounded::<WorkItem>()).unzip();
-            let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
+            // One task queue per server, shared by its slot threads: each
+            // takes the lock only to receive one item, and exits once the
+            // executor (the queue's one sender) is gone.
+            let (task_txs, task_rxs): (Vec<_>, Vec<_>) = (0..servers)
+                .map(|_| {
+                    let (tx, rx) = channel::<WorkItem>();
+                    (tx, Arc::new(Mutex::new(rx)))
+                })
+                .unzip();
+            let (msg_tx, msg_rx) = channel::<WorkerMsg>();
             for w in 0..map_slots {
-                let task_rx = task_rxs[w % servers].clone();
+                let task_rx = Arc::clone(&task_rxs[w % servers]);
                 let msg_tx = msg_tx.clone();
                 let reducer_txs = reducer_txs.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // One arena per task-tracker thread, reused across every
                     // attempt it runs: combine tables keep their hash-table
                     // allocations, raw pair vectors start pre-sized.
                     let mut bufs = shuffle::MapBuffers::new();
-                    for work in task_rx.iter() {
+                    let next = || task_rx.lock().recv().ok();
+                    while let Some(work) = next() {
                         run_map_attempt(input, mapper, &work, &reducer_txs, &msg_tx, &mut bufs);
                     }
                 });
@@ -429,7 +446,7 @@ where
             // The executor keeps one `msg_tx`, so its channel never
             // closes; the tracker exits once every submitted attempt has
             // reported, when no closure still holds a reducer sender.
-            let (msg_tx, msg_rx) = unbounded::<WorkerMsg>();
+            let (msg_tx, msg_rx) = channel::<WorkerMsg>();
             let attempt_txs = reducer_txs.clone();
             Ok(LocalExecutor {
                 dispatch: move |_server, work| {
@@ -463,24 +480,22 @@ where
 
 #[cfg(test)]
 mod tests {
-    use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    use crossbeam::channel::Sender;
-
-    use super::super::clock::{FakeClock, SystemClock};
-    use super::super::testutil::{sum_reducer, word_blocks, word_mapper};
-    use super::super::{run_job, run_job_on_executor, run_job_on_pool, JobConfig, JobResult};
-    use super::{run_pooled, shuffle, Executor, RecvOutcome, WorkItem, WorkerMsg};
-    use crate::control::FixedCoordinator;
+    use super::super::clock::FakeClock;
+    use super::super::testutil::{run_instant, sum_reducer, word_blocks, word_mapper};
+    use super::super::{run_job, run_job_on_pool, run_job_with_session, JobConfig, JobResult};
+    use super::run_pooled;
+    use crate::control::{Coordinator, FixedCoordinator, JobControl, MapDirective};
     use crate::event::{JobEvent, JobId, JobSession};
-    use crate::input::{InputSource, VecSource};
+    use crate::input::{InputSource, SplitMeta, VecSource};
     use crate::mapper::FnMapper;
     use crate::metrics::MapStats;
     use crate::pool::SlotPool;
-    use crate::reducer::{GroupedReducer, MapOutputMeta, ReduceContext, ReduceEvent, Reducer};
+    use crate::reducer::{GroupedReducer, MapOutputMeta, ReduceContext, Reducer};
+    use crate::types::TaskId;
     use crate::{Result, RuntimeError};
 
     #[test]
@@ -565,7 +580,7 @@ mod tests {
     fn pool_job_streams_wave_events() {
         let pool = SlotPool::new(2);
         let tenant = pool.register_tenant(1.0);
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let session = JobSession::new(JobId(5)).with_events(tx);
         let blocks: Vec<Vec<u32>> = (0..12).map(|_| (0..5).collect()).collect();
         let mut coordinator = FixedCoordinator::new(12, 1.0, 0.0, 0);
@@ -704,50 +719,6 @@ mod tests {
         }
     }
 
-    /// Completes each attempt on the calling thread as it is dispatched,
-    /// shipping one pair to every reducer.
-    struct InstantExecutor {
-        reducer_txs: Vec<Sender<ReduceEvent<u8, u64>>>,
-        done: VecDeque<WorkerMsg>,
-    }
-
-    impl Executor for InstantExecutor {
-        fn dispatch(&mut self, _server: usize, work: WorkItem) -> bool {
-            let stats = MapStats {
-                task: work.task,
-                dataset: work.dataset,
-                total_records: 1,
-                sampled_records: 1,
-                emitted: 1,
-                shuffled: 1,
-                duration_secs: 0.0,
-                read_secs: 0.0,
-            };
-            for tx in &self.reducer_txs {
-                let _ = tx.send(ReduceEvent::MapOutput {
-                    meta: MapOutputMeta::from(&stats),
-                    pairs: vec![(0, 1)],
-                });
-            }
-            self.done.push_back(WorkerMsg::Completed {
-                stats,
-                attempt: work.attempt,
-                spans: Vec::new(),
-            });
-            true
-        }
-
-        fn recv(&mut self, _timeout: Duration) -> RecvOutcome {
-            self.done
-                .pop_front()
-                .map_or(RecvOutcome::Closed, RecvOutcome::Msg)
-        }
-
-        fn notify_drop(&mut self, task: usize) {
-            shuffle::broadcast_drop(&self.reducer_txs, task);
-        }
-    }
-
     /// A panicking reducer fails the job with the same error and flight
     /// dump whether it runs on its own thread or inline on the driving
     /// thread — never a hang, never an unwind out of the call.
@@ -764,20 +735,7 @@ mod tests {
             (
                 "inline",
                 Box::new(|config| {
-                    let splits = input.splits();
-                    let mut coordinator = FixedCoordinator::new(splits.len(), 1.0, 0.0, 0);
-                    run_job_on_executor(
-                        splits,
-                        |_| PanickingReducer,
-                        config,
-                        &mut coordinator,
-                        &JobSession::new(JobId(0)),
-                        &SystemClock,
-                        |reducer_txs| InstantExecutor {
-                            reducer_txs,
-                            done: VecDeque::new(),
-                        },
-                    )
+                    run_instant(input.splits(), |_| PanickingReducer, config, (0, 1))
                 }),
             ),
         ];
@@ -802,6 +760,86 @@ mod tests {
                 "{row}: no flight dump"
             );
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A coordinator with a bug: it panics on the second completed map.
+    #[derive(Default)]
+    struct PanickingCoordinator {
+        completed: usize,
+    }
+
+    impl Coordinator for PanickingCoordinator {
+        fn directive(&mut self, _: TaskId, _: &SplitMeta, _: &JobControl) -> MapDirective {
+            MapDirective::Run {
+                sampling_ratio: 1.0,
+            }
+        }
+
+        fn on_map_complete(&mut self, _: &MapStats, _: &JobControl) {
+            self.completed += 1;
+            if self.completed > 1 {
+                panic!("coordinator bug");
+            }
+        }
+    }
+
+    /// A panic on the tracker thread, raised while slot and reducer
+    /// threads are still live, fails the job with `TaskPanicked { what:
+    /// "task tracker" }` on both live backends — never a hang, never an
+    /// unwind out of the call.
+    #[test]
+    fn tracker_panic_fails_the_job_on_both_live_backends() {
+        let blocks = || {
+            (0..40)
+                .map(|_| (0..50).collect())
+                .collect::<Vec<Vec<u32>>>()
+        };
+        let mapper = || FnMapper::new(|v: &u32, emit: &mut dyn FnMut(u8, u64)| emit(0, *v as u64));
+        let reducer = |_| GroupedReducer::new(|_: &u8, vs: &[u64]| Some(vs.len()));
+        let config = JobConfig {
+            map_slots: 2,
+            reduce_tasks: 2,
+            ..Default::default()
+        };
+        let pool = SlotPool::new(2);
+        type Run<'a> = Box<dyn Fn() -> Result<JobResult<usize>> + 'a>;
+        let rows: [(&str, Run); 2] = [
+            (
+                "scoped",
+                Box::new(|| {
+                    run_job_with_session(
+                        &VecSource::new(blocks()),
+                        &mapper(),
+                        reducer,
+                        config.clone(),
+                        &mut PanickingCoordinator::default(),
+                        &JobSession::new(JobId(0)),
+                    )
+                }),
+            ),
+            (
+                "pool",
+                Box::new(|| {
+                    run_job_on_pool(
+                        Arc::new(VecSource::new(blocks())),
+                        Arc::new(mapper()),
+                        reducer,
+                        config.clone(),
+                        &mut PanickingCoordinator::default(),
+                        &pool,
+                        pool.register_tenant(1.0),
+                        &JobSession::new(JobId(0)),
+                    )
+                }),
+            ),
+        ];
+        for (row, run) in rows {
+            let result = run();
+            assert!(
+                matches!(&result, Err(RuntimeError::TaskPanicked { what }) if what == "task tracker"),
+                "{row}: {result:?}"
+            );
         }
     }
 }

@@ -41,7 +41,7 @@ pub use process::{run_job_process, WorkerSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 
 use crate::control::{Coordinator, FixedCoordinator};
 use crate::event::{JobId, JobSession};
@@ -376,8 +376,23 @@ where
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use std::collections::VecDeque;
+    use std::sync::mpsc::Sender;
+    use std::time::Duration;
+
+    use super::clock::SystemClock;
+    use super::{
+        run_job_on_executor, shuffle, Executor, JobConfig, JobResult, RecvOutcome, WorkItem,
+        WorkerMsg,
+    };
+    use crate::control::FixedCoordinator;
+    use crate::event::{JobId, JobSession};
+    use crate::input::SplitMeta;
     use crate::mapper::FnMapper;
-    use crate::reducer::GroupedReducer;
+    use crate::metrics::MapStats;
+    use crate::reducer::{GroupedReducer, MapOutputMeta, ReduceEvent, Reducer};
+    use crate::types::{Key, Value};
+    use crate::Result;
 
     pub(crate) fn word_blocks() -> Vec<Vec<String>> {
         vec![
@@ -403,6 +418,77 @@ pub(crate) mod testutil {
     ) -> GroupedReducer<String, u64, impl FnMut(&String, &[u64]) -> Option<(String, u64)> + Send>
     {
         GroupedReducer::new(|k: &String, vs: &[u64]| Some((k.clone(), vs.iter().sum::<u64>())))
+    }
+
+    /// Completes each attempt on the calling thread as it is dispatched,
+    /// shipping `pair` to every reducer: completions come back in
+    /// dispatch (FIFO) order, one record per map.
+    pub(crate) struct InstantExecutor<K: Key, V: Value> {
+        reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
+        pair: (K, V),
+        done: VecDeque<WorkerMsg>,
+    }
+
+    impl<K: Key, V: Value> Executor for InstantExecutor<K, V> {
+        fn dispatch(&mut self, _server: usize, work: WorkItem) -> bool {
+            let stats = MapStats {
+                task: work.task,
+                dataset: work.dataset,
+                total_records: 1,
+                sampled_records: 1,
+                emitted: 1,
+                shuffled: 1,
+                duration_secs: 0.0,
+                read_secs: 0.0,
+            };
+            for tx in &self.reducer_txs {
+                let _ = tx.send(ReduceEvent::MapOutput {
+                    meta: MapOutputMeta::from(&stats),
+                    pairs: vec![self.pair.clone()],
+                });
+            }
+            self.done.push_back(WorkerMsg::Completed {
+                stats,
+                attempt: work.attempt,
+                spans: Vec::new(),
+            });
+            true
+        }
+
+        fn recv(&mut self, _timeout: Duration) -> RecvOutcome {
+            self.done
+                .pop_front()
+                .map_or(RecvOutcome::Closed, RecvOutcome::Msg)
+        }
+
+        fn notify_drop(&mut self, task: usize) {
+            shuffle::broadcast_drop(&self.reducer_txs, task);
+        }
+    }
+
+    /// Runs a precise job over `splits` on an [`InstantExecutor`] shipping
+    /// `pair` (job 0, system clock). The reducers run inline on the
+    /// calling thread, so the outcome is exact under any machine load.
+    pub(crate) fn run_instant<R: Reducer>(
+        splits: Vec<SplitMeta>,
+        make_reducer: impl Fn(usize) -> R,
+        config: JobConfig,
+        pair: (R::Key, R::Value),
+    ) -> Result<JobResult<R::Output>> {
+        let mut coordinator = FixedCoordinator::new(splits.len(), 1.0, 0.0, config.seed);
+        run_job_on_executor(
+            splits,
+            make_reducer,
+            config,
+            &mut coordinator,
+            &JobSession::new(JobId(0)),
+            &SystemClock,
+            |reducer_txs| InstantExecutor {
+                reducer_txs,
+                pair,
+                done: VecDeque::new(),
+            },
+        )
     }
 }
 

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use approxhadoop_ipc::{read_frame, write_frame, Decoder, FrameError, Wire};
 use approxhadoop_obs::{Counter, CounterDelta, Obs};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 
 use crate::reducer::{MapOutputMeta, ReduceEvent};
 use crate::types::{Key, TaskId, Value};
@@ -232,7 +232,7 @@ impl<K: Key + Wire, V: Value + Wire> ProcessExecutor<K, V> {
         reducer_txs: Vec<Sender<ReduceEvent<K, V>>>,
         obs: Option<ProcObs>,
     ) -> crate::Result<Self> {
-        let (ev_tx, ev_rx) = unbounded();
+        let (ev_tx, ev_rx) = channel();
         let mut handles = Vec::with_capacity(workers);
         for server in 0..workers {
             match WorkerHandle::spawn(bin, &job_frame, server, ev_tx.clone()) {

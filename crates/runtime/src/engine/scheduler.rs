@@ -205,14 +205,14 @@ impl<'a> JobTracker<'a> {
             }
             self.publish_progress();
         }
-        self.final_wave_flush();
         self.kill_running();
     }
 
-    /// Finalises the job after the wrapper joined the reducers: stamps
-    /// wall time, flushes telemetry, surfaces latched errors and reducer
-    /// panics, and enforces the degrade budget.
+    /// Finalises the job after the wrapper joined the reducers: emits the
+    /// final wave, stamps wall time, flushes telemetry, surfaces latched
+    /// errors and reducer panics, and enforces the degrade budget.
     pub(crate) fn finish(mut self, reducer_panicked: bool) -> Result<JobMetrics> {
+        self.final_wave_flush();
         self.metrics.wall_secs = self.start.elapsed().as_secs_f64();
         if self.fatal.is_none() {
             self.bound_tracker.poll(
@@ -765,8 +765,12 @@ impl<'a> JobTracker<'a> {
     /// event when the finished count moved, an Estimate event when the
     /// worst bound changed, and a bound-series sample. Once a fatal
     /// error is latched the bound is meaningless (the estimate will be
-    /// discarded), so publishing stops.
+    /// discarded), so publishing stops. The last wave is left to
+    /// `final_wave_flush`.
     fn publish_progress(&mut self) {
+        if self.finished == self.total {
+            return;
+        }
         let worst_bound = if self.fatal.is_none() {
             self.control.worst_bound_across_reducers(1)
         } else {
@@ -809,10 +813,9 @@ impl<'a> JobTracker<'a> {
         }
     }
 
-    /// Emits the final wave if the loop ended between progress ticks —
-    /// e.g. the last batch of completions broke the loop before
-    /// `publish_progress` ran. Historically only the pool path flushed
-    /// this; the unified tracker does it for every backend.
+    /// Emits the final wave. It runs once every reduce task has absorbed
+    /// its last event, so the wave's bound covers every map output: read
+    /// any earlier, it would depend on how far the reducer threads got.
     fn final_wave_flush(&mut self) {
         if self.finished == self.last_wave {
             return;

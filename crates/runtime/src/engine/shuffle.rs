@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::combine::{route_emission, CombineTable, Combiner};
 use crate::control::JobControl;
@@ -95,7 +95,7 @@ pub(crate) fn reducer_channels<K: Key, V: Value>(
     let mut txs = Vec::with_capacity(reducers);
     let mut rxs = Vec::with_capacity(reducers);
     for _ in 0..reducers {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         txs.push(tx);
         rxs.push(rx);
     }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::Sender;
+use std::sync::mpsc::Sender;
 
 use crate::types::TaskId;
 
@@ -160,7 +160,7 @@ impl CancelHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn cancel_handle_flips_session() {
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn emit_reaches_subscriber_and_survives_departure() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let s = JobSession::new(JobId(3)).with_events(tx);
         s.emit(JobEvent::Done {
             job: JobId(3),

@@ -78,7 +78,7 @@ fn run_scoped_backend(seed: u64) -> Run {
     let mapper = FnMapper::new(|v: &u32, emit: &mut dyn FnMut(u8, u64)| emit((*v % 8) as u8, 1));
     let cfg = config(seed);
     let mut coordinator = FixedCoordinator::new(24, cfg.sampling_ratio, cfg.drop_ratio, cfg.seed);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(7)).with_events(tx);
     let result = run_job_with_session(
         &input,
@@ -101,7 +101,7 @@ fn run_pool_backend(seed: u64) -> Run {
     let mut coordinator = FixedCoordinator::new(24, cfg.sampling_ratio, cfg.drop_ratio, cfg.seed);
     let pool = SlotPool::new(1);
     let tenant = pool.register_tenant(1.0);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(7)).with_events(tx);
     let result = run_job_on_pool(
         Arc::new(VecSource::new(blocks())),
@@ -132,7 +132,7 @@ fn run_process_backend(seed: u64) -> Run {
         ..config(seed)
     };
     let mut coordinator = FixedCoordinator::new(24, cfg.sampling_ratio, cfg.drop_ratio, cfg.seed);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(7)).with_events(tx);
     let result = run_job_process(
         &input,
@@ -304,7 +304,7 @@ fn run_tagged_scoped(seed: u64) -> Run {
     let mapper = TagWeigh;
     let cfg = config(seed);
     let mut coordinator = tagged_coordinator(seed);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(9)).with_events(tx);
     let result = run_job_with_session(
         &input,
@@ -327,7 +327,7 @@ fn run_tagged_pool(seed: u64) -> Run {
     let mut coordinator = tagged_coordinator(seed);
     let pool = SlotPool::new(1);
     let tenant = pool.register_tenant(1.0);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(9)).with_events(tx);
     let result = run_job_on_pool(
         Arc::new(tagged_input()),
@@ -356,7 +356,7 @@ fn run_tagged_process(seed: u64) -> Run {
         ..config(seed)
     };
     let mut coordinator = tagged_coordinator(seed);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(9)).with_events(tx);
     let result = run_job_process(
         &input,
@@ -432,7 +432,7 @@ fn precise_runs_agree_exactly() {
         ..Default::default()
     };
     let mut c1 = FixedCoordinator::new(24, 1.0, 0.0, cfg.seed);
-    let (tx1, rx1) = crossbeam::channel::unbounded();
+    let (tx1, rx1) = std::sync::mpsc::channel();
     let s1 = JobSession::new(JobId(7)).with_events(tx1);
     let a = run_job_with_session(
         &input,
@@ -448,7 +448,7 @@ fn precise_runs_agree_exactly() {
     let pool = SlotPool::new(1);
     let tenant = pool.register_tenant(1.0);
     let mut c2 = FixedCoordinator::new(24, 1.0, 0.0, cfg.seed);
-    let (tx2, rx2) = crossbeam::channel::unbounded();
+    let (tx2, rx2) = std::sync::mpsc::channel();
     let s2 = JobSession::new(JobId(7)).with_events(tx2);
     let b = run_job_on_pool(
         Arc::new(VecSource::new(blocks())),
@@ -467,7 +467,7 @@ fn precise_runs_agree_exactly() {
 
     let spec = WorkerSpec::new(worker_bin(), "sum-all");
     let mut c3 = FixedCoordinator::new(24, 1.0, 0.0, 0);
-    let (tx3, rx3) = crossbeam::channel::unbounded();
+    let (tx3, rx3) = std::sync::mpsc::channel();
     let s3 = JobSession::new(JobId(7)).with_events(tx3);
     let c = run_job_process(
         &VecSource::new(blocks()),

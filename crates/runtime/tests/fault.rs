@@ -298,7 +298,7 @@ fn pool_job_retries_and_streams_retry_events() {
     let n = 12;
     let pool = SlotPool::new(4);
     let tenant = pool.register_tenant(1.0);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(1)).with_events(tx);
     let mut coordinator = FixedCoordinator::new(n, 1.0, 0.0, 0);
     let result = run_job_on_pool(

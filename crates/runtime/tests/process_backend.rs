@@ -49,7 +49,7 @@ fn run_process(spec: &WorkerSpec, config: JobConfig) -> (JobResult<(u8, u64)>, V
     let input = VecSource::new(blocks());
     let mut coordinator =
         FixedCoordinator::new(12, config.sampling_ratio, config.drop_ratio, config.seed);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let session = JobSession::new(JobId(9)).with_events(tx);
     let result = run_job_process(
         &input,

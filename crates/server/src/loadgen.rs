@@ -253,7 +253,7 @@ pub fn run_phase_with_obs(
 
     let in_flight = Arc::new(AtomicUsize::new(0));
     let peak = Arc::new(AtomicUsize::new(0));
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<JobOutcome>();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<JobOutcome>();
 
     let start = Instant::now();
     let mut waiters = Vec::with_capacity(config.jobs);

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver};
+use std::sync::mpsc::{channel, Receiver};
 
 use approxhadoop_core::multistage::BoundMonitor;
 use approxhadoop_core::spec::{ApproxSpec, ErrorTarget, PilotSpec};
@@ -202,6 +202,11 @@ pub struct JobHandle<O> {
 impl<O> JobHandle<O> {
     /// The stream of lifecycle events
     /// (`Queued → Wave*/Estimate* → Done | Failed`).
+    ///
+    /// It has a single consumer: the receiver cannot be cloned. The
+    /// terminal `Done`/`Failed` event is sent before the result, so a
+    /// caller that wants both reads up to that event, then calls
+    /// [`JobHandle::wait`].
     pub fn events(&self) -> &Receiver<JobEvent> {
         &self.events
     }
@@ -506,7 +511,7 @@ impl JobService {
         config.sampling_ratio = decision.sampling_ratio;
         config.drop_ratio = decision.drop_ratio;
 
-        let (event_tx, event_rx) = unbounded();
+        let (event_tx, event_rx) = channel();
         let mut session = JobSession::new(id).with_events(event_tx);
         if let Some(d) = spec.deadline {
             session = session.with_deadline(Instant::now() + d);
@@ -514,7 +519,7 @@ impl JobService {
         let cancel = session.cancel_handle();
         session.emit(JobEvent::Queued { job: id });
 
-        let (result_tx, result_rx) = unbounded();
+        let (result_tx, result_rx) = channel();
         let pool = Arc::clone(&self.pool);
         let controller = Arc::clone(&self.controller);
         let submitted = Instant::now();

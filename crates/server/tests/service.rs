@@ -2,16 +2,17 @@
 //! cancellation mid-wave, two-tenant fairness, and load-driven
 //! degradation within the error budget.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use approxhadoop_runtime::event::JobEvent;
-use approxhadoop_runtime::input::VecSource;
+use approxhadoop_runtime::input::{InputSource, SplitMeta, SplitStream, VecSource};
 use approxhadoop_runtime::mapper::FnMapper;
 use approxhadoop_runtime::reducer::GroupedReducer;
 use approxhadoop_runtime::RuntimeError;
 use approxhadoop_server::admission::{AdmissionConfig, ApproxBudget};
-use approxhadoop_server::service::{JobService, JobSpec};
+use approxhadoop_server::service::{JobHandle, JobService, JobSpec};
 
 fn blocks(n: usize, per_block: usize) -> Vec<Vec<u32>> {
     (0..n)
@@ -19,7 +20,21 @@ fn blocks(n: usize, per_block: usize) -> Vec<Vec<u32>> {
         .collect()
 }
 
-type SumHandle = approxhadoop_server::service::JobHandle<(u8, u64)>;
+type SumHandle = JobHandle<(u8, u64)>;
+
+/// The job's events up to its terminal `Done`/`Failed`, which the
+/// service sends before the result: read these, then `wait`.
+fn events_to_end<O>(h: &JobHandle<O>) -> Vec<JobEvent> {
+    let mut events = Vec::new();
+    for e in h.events().iter() {
+        let end = matches!(e, JobEvent::Done { .. } | JobEvent::Failed { .. });
+        events.push(e);
+        if end {
+            break;
+        }
+    }
+    events
+}
 
 /// Submits a per-key summing job; `delay_us` slows each record down to
 /// make jobs long enough to observe scheduling.
@@ -103,11 +118,11 @@ fn cancellation_mid_wave_fails_job_and_leaves_service_usable() {
         assert!(Instant::now() < deadline, "timed out waiting for a wave");
     }
     h.cancel();
-    let events = h.events().clone();
+    let events = events_to_end(&h);
     let err = h.wait().unwrap_err();
     assert!(matches!(err, RuntimeError::Cancelled), "got {err:?}");
     let failed = events
-        .try_iter()
+        .into_iter()
         .any(|e| matches!(e, JobEvent::Failed { .. }));
     assert!(failed, "a Failed event must be streamed on cancellation");
     // The pool survives the cancelled tenant: a fresh job completes.
@@ -231,9 +246,8 @@ fn deadline_job_completes_approximately_via_service() {
 fn event_stream_brackets_the_job() {
     let service = JobService::new(2, AdmissionConfig::default());
     let h = submit_sum(&service, JobSpec::default(), blocks(5, 10), 0);
-    let events = h.events().clone();
+    let events = events_to_end(&h);
     h.wait().unwrap();
-    let events: Vec<JobEvent> = events.try_iter().collect();
     assert!(
         matches!(events.first(), Some(JobEvent::Queued { .. })),
         "events: {events:?}"
@@ -261,9 +275,9 @@ fn wave_events_carry_running_bound_when_reducers_report() {
     // A GroupedReducer never reports a bound: every wave says `None`.
     let service = JobService::new(2, AdmissionConfig::default());
     let h = submit_sum(&service, JobSpec::default(), blocks(6, 10), 0);
-    let events = h.events().clone();
+    let events = events_to_end(&h);
     h.wait().unwrap();
-    for e in events.try_iter() {
+    for e in events {
         if let JobEvent::Wave { worst_bound, .. } = e {
             assert_eq!(worst_bound, None, "unmonitored job must not report");
         }
@@ -284,10 +298,10 @@ fn wave_events_carry_running_bound_when_reducers_report() {
             },
         )
         .unwrap();
-    let events = h.events().clone();
+    let events = events_to_end(&h);
     h.wait().unwrap();
     let waves: Vec<JobEvent> = events
-        .try_iter()
+        .into_iter()
         .filter(|e| matches!(e, JobEvent::Wave { .. }))
         .collect();
     assert!(!waves.is_empty());
@@ -308,6 +322,58 @@ fn wave_events_carry_running_bound_when_reducers_report() {
     );
 }
 
+/// A latch the test opens once. Waiting gives up after a minute, so an
+/// engine that never opens it fails the test instead of hanging it.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn wait(&self) {
+        let open = self.open.lock().unwrap();
+        let _ = self
+            .opened
+            .wait_timeout_while(open, Duration::from_secs(60), |open| !*open)
+            .unwrap();
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+/// A `VecSource` whose blocks past the first `free` opened wait for the
+/// gate before they can be read.
+struct GatedAfter {
+    inner: VecSource<u32>,
+    free: usize,
+    opened: AtomicUsize,
+    gate: Arc<Gate>,
+}
+
+impl InputSource for GatedAfter {
+    type Item = u32;
+
+    fn splits(&self) -> Vec<SplitMeta> {
+        self.inner.splits()
+    }
+
+    fn stream_split(
+        &self,
+        index: usize,
+        sampling_ratio: f64,
+        seed: u64,
+    ) -> approxhadoop_runtime::Result<SplitStream<'_, u32>> {
+        if self.opened.fetch_add(1, Ordering::SeqCst) >= self.free {
+            self.gate.wait();
+        }
+        self.inner.stream_split(index, sampling_ratio, seed)
+    }
+}
+
 #[test]
 fn goal_job_on_shared_pool_stops_early_once_the_bound_is_met() {
     use approxhadoop_core::multistage::{Aggregation, MultiStageMapper, MultiStageReducer};
@@ -317,7 +383,18 @@ fn goal_job_on_shared_pool_stops_early_once_the_bound_is_met() {
     // the between-cluster variance is zero, so the first wave already
     // proves the bound and the coordinator must drop the whole tail
     // instead of running the job to completion.
-    let input: Vec<Vec<u32>> = (0..40).map(|_| vec![1u32; 25]).collect();
+    // Blocks past the first wave (one per slot) wait until the job's
+    // finished count passes that wave, which only dropping can do while
+    // they wait. So the reducer's bound is always in before a second
+    // wave could finish: on live threads, 40 tiny maps could otherwise
+    // all finish before the reducer thread reports.
+    let gate = Arc::new(Gate::default());
+    let input = GatedAfter {
+        inner: VecSource::new((0..40).map(|_| vec![1u32; 25]).collect()),
+        free: 4,
+        opened: AtomicUsize::new(0),
+        gate: Arc::clone(&gate),
+    };
     let service = JobService::new(4, AdmissionConfig::default());
     let spec = JobSpec {
         map_slots: 4,
@@ -328,7 +405,7 @@ fn goal_job_on_shared_pool_stops_early_once_the_bound_is_met() {
         .submit_with_goal(
             spec,
             ErrorGoal::relative(0.05), // "±5% at 95%"
-            Arc::new(VecSource::new(input)),
+            Arc::new(input),
             Arc::new(MultiStageMapper::new(
                 |x: &u32, emit: &mut dyn FnMut(u8, f64)| emit(0u8, *x as f64),
             )),
@@ -338,6 +415,14 @@ fn goal_job_on_shared_pool_stops_early_once_the_bound_is_met() {
             |_, monitor| MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95).with_monitor(monitor),
         )
         .unwrap();
+    while let Ok(event) = h.events().recv_timeout(Duration::from_secs(60)) {
+        match event {
+            JobEvent::Wave { finished, .. } if finished > 4 => break,
+            JobEvent::Done { .. } | JobEvent::Failed { .. } => break,
+            _ => {}
+        }
+    }
+    gate.open();
     let r = h.wait().unwrap();
     let m = &r.metrics;
     assert_eq!(m.total_maps, 40);

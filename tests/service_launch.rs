@@ -162,11 +162,19 @@ fn controller_observations(service: &JobService) -> u64 {
         .count
 }
 
-/// Waits for the job and returns its result with its whole event stream.
+/// Waits for the job and returns its result with its whole event stream:
+/// the events up to the terminal `Done`/`Failed`, which the service sends
+/// before the result.
 fn finish(handle: Handle) -> (Result<Outputs, RuntimeError>, Vec<JobEvent>) {
-    let events = handle.events().clone();
-    let result = handle.wait().map(|r| r.outputs);
-    (result, events.try_iter().collect())
+    let mut events = Vec::new();
+    for e in handle.events().iter() {
+        let end = matches!(e, JobEvent::Done { .. } | JobEvent::Failed { .. });
+        events.push(e);
+        if end {
+            break;
+        }
+    }
+    (handle.wait().map(|r| r.outputs), events)
 }
 
 /// `Queued` first, one terminal event last, neither anywhere else.

@@ -336,18 +336,31 @@ pub fn run_app(args: &Args) -> Result<(), UsageError> {
         ));
     }
 
-    // The process backend dispatches the app by name to worker OS
-    // processes started from the sibling `approx-worker` binary.
-    if backend(args)? == Backend::Process {
-        use approxhadoop_runtime::engine::WorkerSpec;
-        let worker =
-            WorkerSpec::sibling("approx-worker", app).map_err(|e| UsageError(e.to_string()))?;
-        let r = apps::wikilog_process(app, &log, spec, config, &worker).map_err(fail)?;
-        print_outputs(&r, top);
+    // The wikilog aggregations run on scoped threads or, dispatched by
+    // name, in worker OS processes started from the sibling
+    // `approx-worker` binary.
+    if let Some(job) = apps::WikilogJob::named(app) {
+        let r = match backend(args)? {
+            Backend::Process => {
+                use approxhadoop_runtime::engine::WorkerSpec;
+                let worker = WorkerSpec::sibling("approx-worker", job.name)
+                    .map_err(|e| UsageError(e.to_string()))?;
+                job.run_on_workers(&log, spec, config, &worker.bin)
+            }
+            Backend::Threads | Backend::Pool => job.run(&log, spec, config),
+        };
+        print_outputs(&r.map_err(fail)?, top);
         if let Some(s) = &sinks {
             s.write()?;
         }
         return Ok(());
+    }
+    if backend(args)? == Backend::Process {
+        let supported: Vec<&str> = apps::WIKILOG_JOBS.iter().map(|job| job.name).collect();
+        return Err(UsageError(format!(
+            "application `{app}` is not available on the process backend (supported: {})",
+            supported.join(", ")
+        )));
     }
 
     match app {
@@ -356,21 +369,6 @@ pub fn run_app(args: &Args) -> Result<(), UsageError> {
             &apps::wiki_page_rank(&dump, spec, config).map_err(fail)?,
             top,
         ),
-        "project-popularity" => print_outputs(
-            &apps::project_popularity(&log, spec, config).map_err(fail)?,
-            top,
-        ),
-        "page-popularity" => print_outputs(
-            &apps::page_popularity(&log, spec, config).map_err(fail)?,
-            top,
-        ),
-        "request-rate" => print_outputs(
-            &apps::wiki_request_rate(&log, spec, config).map_err(fail)?,
-            top,
-        ),
-        "page-traffic" => {
-            print_outputs(&apps::page_traffic(&log, spec, config).map_err(fail)?, top)
-        }
         "bytes-per-access" => print_outputs(
             &apps::bytes_per_access(&log, spec, config).map_err(fail)?,
             top,
@@ -496,41 +494,46 @@ pub fn simulate(args: &Args) -> Result<(), UsageError> {
 /// `approxhadoop serve` — run the multi-tenant job service against a
 /// Poisson arrival stream, printing job events live.
 pub fn serve(args: &Args) -> Result<(), UsageError> {
-    use approxhadoop_core::multistage::{Aggregation, MultiStageMapper, MultiStageReducer};
+    use approxhadoop_server::loadgen::{submit_tenant, LoadConfig};
     use approxhadoop_server::{AdmissionConfig, ApproxBudget, JobService, JobSpec};
-    use approxhadoop_workloads::wikilog::LogEntry;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    let slots = args.get_parsed("slots", 4usize)?;
-    let jobs = args.get_parsed("jobs", 8usize)?;
-    let rate = args.get_parsed("rate", 6.0f64)?;
-    let seed = args.get_parsed("seed", 0u64)?;
-    let blocks = args.get_parsed("blocks", 32u64)?;
-    let entries = args.get_parsed("entries", 800u64)?;
-    let p99_target = args.get_parsed("p99-target", 0.4f64)?;
-    let max_drop = args.get_parsed("max-drop", 0.7f64)?;
-    let min_sample = args.get_parsed("min-sample", 0.25f64)?;
-    let max_task_retries = args.get_parsed("max-task-retries", 0u32)?;
-    let fault_plan = args
-        .get("fault-plan")
-        .map(FaultPlan::parse)
-        .transpose()
+    // The flags `serve` shares with `run` (workers, shuffle memory and
+    // the fault flags) are parsed and checked by the same code.
+    let engine = job_config(args)?;
+    // The tenants' shape: `submit_tenant` builds each one's log and
+    // spec from it, on the shared pool (`threads` and `pool` are the
+    // same thing here) or on `approx-worker` processes.
+    let load = LoadConfig {
+        slots: args.get_parsed("slots", 4usize)?,
+        jobs: args.get_parsed("jobs", 8usize)?,
+        arrival_rate: args.get_parsed("rate", 6.0f64)?,
+        blocks_per_job: args.get_parsed("blocks", 32u64)?,
+        entries_per_block: args.get_parsed("entries", 800u64)?,
+        max_drop_ratio: args.get_parsed("max-drop", 0.7f64)?,
+        min_sampling_ratio: args.get_parsed("min-sample", 0.25f64)?,
+        p99_target_secs: args.get_parsed("p99-target", 0.4f64)?,
+        max_relative_bound: slo_bound(args)?,
+        seed: engine.seed,
+        process_workers: match backend(args)? {
+            Backend::Threads | Backend::Pool => 0,
+            Backend::Process => engine.workers,
+        },
+    };
+    let base = JobSpec {
+        max_task_retries: engine.fault_policy.max_task_retries,
+        fault_plan: engine.fault_plan,
+        max_degraded_bound: engine.fault_policy.max_degraded_bound,
+        shuffle_mem_bytes: engine.shuffle_mem_bytes,
+        ..Default::default()
+    };
+    let (slots, jobs, rate) = (load.slots, load.jobs, load.arrival_rate);
+    ApproxBudget::up_to(load.max_drop_ratio, load.min_sampling_ratio)
+        .validate()
         .map_err(UsageError)?;
-    let max_degraded_bound = args
-        .get("fault-bound")
-        .map(|raw| {
-            raw.parse::<f64>()
-                .map_err(|_| UsageError(format!("invalid --fault-bound `{raw}`")))
-        })
-        .transpose()?;
-    let budget = ApproxBudget::up_to(max_drop, min_sample);
-    budget.validate().map_err(UsageError)?;
-    let be = backend(args)?;
-    let workers = args.get_parsed("workers", 2usize)?;
-    let shuffle_mib: usize = args.get_parsed("shuffle-mem", 64usize)?;
     if slots == 0 {
         return Err(UsageError("--slots must be at least 1".into()));
     }
@@ -542,12 +545,13 @@ pub fn serve(args: &Args) -> Result<(), UsageError> {
 
     println!(
         "serving {jobs} jobs at {rate}/s over {slots} shared slots \
-         (p99 target {p99_target}s, budget: drop<={max_drop}, sample>={min_sample})"
+         (p99 target {}s, budget: drop<={}, sample>={})",
+        load.p99_target_secs, load.max_drop_ratio, load.min_sampling_ratio
     );
     let sinks = obs_sinks(args)?;
     let admission = AdmissionConfig {
-        p99_target_secs: p99_target,
-        max_relative_bound: slo_bound(args)?,
+        p99_target_secs: load.p99_target_secs,
+        max_relative_bound: load.max_relative_bound,
         ..Default::default()
     };
     // With sinks the service publishes into the CLI's observability
@@ -557,7 +561,7 @@ pub fn serve(args: &Args) -> Result<(), UsageError> {
         Some(s) => JobService::with_obs(slots, admission, Arc::clone(&s.obs)),
         None => JobService::new(slots, admission),
     };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA11A_17A1);
+    let mut rng = StdRng::seed_from_u64(load.seed ^ 0xA11A_17A1);
     let start = Instant::now();
     let mut handles = Vec::new();
     let mut results: Vec<Option<_>> = (0..jobs).map(|_| None).collect();
@@ -568,52 +572,8 @@ pub fn serve(args: &Args) -> Result<(), UsageError> {
     while submitted < jobs || results.iter().any(|r| r.is_none()) {
         // Submit every job whose scheduled arrival has passed.
         while submitted < jobs && start.elapsed().as_secs_f64() >= next_arrival {
-            let j = submitted;
-            let log = WikiLog {
-                days: 1,
-                entries_per_block: entries,
-                blocks_per_day: blocks,
-                pages: 5_000,
-                projects: 12,
-                seed: seed.wrapping_add(1 + j as u64),
-            };
-            let spec = JobSpec {
-                name: format!("tenant-{j}"),
-                map_slots: slots.max(2),
-                seed: seed.wrapping_add(101 + j as u64),
-                budget,
-                max_task_retries,
-                fault_plan: fault_plan.clone(),
-                max_degraded_bound,
-                workers,
-                shuffle_mem_bytes: shuffle_mib << 20,
-                ..Default::default()
-            };
-            let make_reducer = |_| MultiStageReducer::<u64>::new(Aggregation::Sum, 0.95);
-            let handle = match be {
-                // The service always executes on the shared slot pool;
-                // `threads` and `pool` are the same thing here.
-                Backend::Threads | Backend::Pool => service
-                    .submit(
-                        spec,
-                        Arc::new(log.source()),
-                        Arc::new(MultiStageMapper::new(
-                            |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
-                                emit(e.project, e.bytes as f64)
-                            },
-                        )),
-                        make_reducer,
-                    )
-                    .map_err(|e| UsageError(e.to_string()))?,
-                Backend::Process => {
-                    use approxhadoop_runtime::engine::WorkerSpec;
-                    let worker = WorkerSpec::sibling("approx-worker", "wikilog-project-bytes")
-                        .map_err(|e| UsageError(e.to_string()))?;
-                    service
-                        .submit_process(spec, Arc::new(log.source()), worker, make_reducer)
-                        .map_err(|e| UsageError(e.to_string()))?
-                }
-            };
+            let handle = submit_tenant(&service, &load, submitted, &base)
+                .map_err(|e| UsageError(e.to_string()))?;
             println!(
                 "{} {} submitted as {} (degrade {:.2}: drop {:.2}, sample {:.2})",
                 stamp(start),
@@ -744,8 +704,11 @@ pub fn loadtest(args: &Args) -> Result<(), UsageError> {
     if config.process_workers > 0 {
         // As in `serve`: a missing worker binary is a usage error up
         // front, not a load test whose every job fails.
-        approxhadoop_runtime::engine::WorkerSpec::sibling("approx-worker", "wikilog-project-bytes")
-            .map_err(|e| UsageError(e.to_string()))?;
+        approxhadoop_runtime::engine::WorkerSpec::sibling(
+            "approx-worker",
+            apps::PROJECT_BYTES.name,
+        )
+        .map_err(|e| UsageError(e.to_string()))?;
     }
     let sinks = obs_sinks(args)?;
 

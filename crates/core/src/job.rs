@@ -65,7 +65,8 @@ where
     K: Key,
     F: Fn(&I, &mut dyn FnMut(K, f64)) + Send + Sync,
 {
-    fn new(agg: Aggregation, map_fn: F) -> Self {
+    /// A job estimating `agg` of the emitted values per key.
+    pub fn new(agg: Aggregation, map_fn: F) -> Self {
         AggregationJob {
             map_fn,
             agg,
@@ -126,7 +127,9 @@ where
     ///
     /// The worker binary — not this builder's `map_fn` — supplies the
     /// map function: `worker.job` must name a registered job applying
-    /// the *same* mapping, or results will silently differ. All three
+    /// the *same* mapping, or results will silently differ (the
+    /// workloads crate keeps both sides in one table row for that
+    /// reason: `apps::WikilogJob`). All three
     /// approximation modes work, including the target-error controller
     /// (the bound monitor rides the reduce side, which stays in this
     /// process).

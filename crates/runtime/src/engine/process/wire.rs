@@ -26,10 +26,6 @@ impl Wire for FaultPlan {
         self.seed.encode(out);
         self.map_panic_prob.encode(out);
         self.map_io_error_prob.encode(out);
-        self.dead_datanodes.encode(out);
-        self.replica_error_prob.encode(out);
-        self.slow_replica_prob.encode(out);
-        self.slow_replica_delay.encode(out);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -37,10 +33,6 @@ impl Wire for FaultPlan {
             seed: Wire::decode(d)?,
             map_panic_prob: Wire::decode(d)?,
             map_io_error_prob: Wire::decode(d)?,
-            dead_datanodes: Wire::decode(d)?,
-            replica_error_prob: Wire::decode(d)?,
-            slow_replica_prob: Wire::decode(d)?,
-            slow_replica_delay: Wire::decode(d)?,
         })
     }
 }
@@ -492,7 +484,6 @@ impl Wire for FromWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn work_item_roundtrips_with_fault_plan() {
@@ -507,10 +498,6 @@ mod tests {
                 seed: 7,
                 map_panic_prob: 0.1,
                 map_io_error_prob: 0.2,
-                dead_datanodes: vec![1, 3],
-                replica_error_prob: 0.3,
-                slow_replica_prob: 0.4,
-                slow_replica_delay: Duration::from_millis(12),
             }),
             span: 41,
         };

@@ -2,13 +2,12 @@
 //!
 //! [`FaultPlan`] is the deterministic, seedable chaos layer: it decides
 //! — from a hash of `(seed, task, attempt)` — which map attempts panic
-//! or fail their input read, and carries the read-path knobs (dead
-//! datanodes, per-replica errors, slow replicas) that
-//! [`DfsCluster`](approxhadoop_dfs::DfsCluster) applies when the plan is
-//! installed via [`FaultPlan::read_faults`]. Because decisions hash the
-//! attempt number, a retry of a failed attempt draws a fresh coin —
-//! transient faults clear on retry — while DFS-level replica faults hash
-//! `(block, node)` and therefore persist, forcing replica failover.
+//! or fail their input read. Because decisions hash the attempt number,
+//! a retry of a failed attempt draws a fresh coin — transient faults
+//! clear on retry. Datanode faults (dead nodes, per-replica errors,
+//! slow replicas) belong to the DFS, not the engine: install a
+//! [`ReadFaults`](approxhadoop_dfs::ReadFaults) with
+//! [`DfsCluster::set_read_faults`](approxhadoop_dfs::DfsCluster::set_read_faults).
 //!
 //! [`FaultPolicy`] is the recovery side: how many times the JobTracker
 //! retries a failed task, with what backoff, whether an exhausted task
@@ -20,7 +19,6 @@
 use std::time::Duration;
 
 use approxhadoop_dfs::fault::unit_hash;
-use approxhadoop_dfs::ReadFaults;
 
 /// Hash salt for map-panic decisions.
 const SALT_PANIC: u64 = 0xDEAD;
@@ -45,11 +43,11 @@ pub enum FaultDecision {
 /// ```
 /// use approxhadoop_runtime::fault::FaultPlan;
 ///
-/// let plan = FaultPlan::parse("seed=7,panic=0.05,io=0.1,read=0.2,slow=0.1:25,dead=0+2").unwrap();
+/// let plan = FaultPlan::parse("seed=7,panic=0.05,io=0.1").unwrap();
 /// assert_eq!(plan.seed, 7);
-/// assert_eq!(plan.dead_datanodes, vec![0, 2]);
+/// assert_eq!(plan.map_io_error_prob, 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every injection decision.
     pub seed: u64,
@@ -57,28 +55,6 @@ pub struct FaultPlan {
     pub map_panic_prob: f64,
     /// Probability that a map attempt's input read fails.
     pub map_io_error_prob: f64,
-    /// Datanodes considered dead on the DFS read path.
-    pub dead_datanodes: Vec<usize>,
-    /// Per-replica block-read failure probability on the DFS read path.
-    pub replica_error_prob: f64,
-    /// Per-replica slow-read probability on the DFS read path.
-    pub slow_replica_prob: f64,
-    /// Delay applied to slow replica reads.
-    pub slow_replica_delay: Duration,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            map_panic_prob: 0.0,
-            map_io_error_prob: 0.0,
-            dead_datanodes: Vec::new(),
-            replica_error_prob: 0.0,
-            slow_replica_prob: 0.0,
-            slow_replica_delay: Duration::from_millis(10),
-        }
-    }
 }
 
 impl FaultPlan {
@@ -89,9 +65,9 @@ impl FaultPlan {
     /// | `seed`  | injection seed                            | `seed=7`   |
     /// | `panic` | map panic probability                     | `panic=0.1`|
     /// | `io`    | map read-error probability                | `io=0.05`  |
-    /// | `read`  | per-replica block-read error probability  | `read=0.2` |
-    /// | `slow`  | slow-replica probability, `:ms` optional  | `slow=0.1:25` |
-    /// | `dead`  | `+`-separated dead datanode ids           | `dead=0+2` |
+    ///
+    /// The datanode keys `read`, `slow` and `dead` are rejected: the
+    /// engine cannot inject them, the DFS does (see the module docs).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for part in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -117,22 +93,12 @@ impl FaultPlan {
                 }
                 "panic" => plan.map_panic_prob = prob(value)?,
                 "io" => plan.map_io_error_prob = prob(value)?,
-                "read" => plan.replica_error_prob = prob(value)?,
-                "slow" => match value.split_once(':') {
-                    Some((p, ms)) => {
-                        plan.slow_replica_prob = prob(p)?;
-                        plan.slow_replica_delay = Duration::from_millis(
-                            ms.parse()
-                                .map_err(|_| format!("invalid slow delay `{ms}`"))?,
-                        );
-                    }
-                    None => plan.slow_replica_prob = prob(value)?,
-                },
-                "dead" => {
-                    plan.dead_datanodes = value
-                        .split('+')
-                        .map(|n| n.parse().map_err(|_| format!("invalid datanode id `{n}`")))
-                        .collect::<Result<_, String>>()?;
+                key @ ("read" | "slow" | "dead") => {
+                    return Err(format!(
+                        "fault plan key `{key}` is a datanode fault, which the job engine \
+                         cannot inject; install a `ReadFaults` on the DFS with \
+                         `DfsCluster::set_read_faults` instead"
+                    ))
                 }
                 other => return Err(format!("unknown fault plan key `{other}`")),
             }
@@ -146,8 +112,6 @@ impl FaultPlan {
         for (name, p) in [
             ("panic", self.map_panic_prob),
             ("io", self.map_io_error_prob),
-            ("read", self.replica_error_prob),
-            ("slow", self.slow_replica_prob),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!(
@@ -177,20 +141,6 @@ impl FaultPlan {
             return FaultDecision::IoError;
         }
         FaultDecision::None
-    }
-
-    /// The DFS read-path side of the plan, for
-    /// [`DfsCluster::set_read_faults`](approxhadoop_dfs::DfsCluster::set_read_faults).
-    /// `None` when the plan carries no read-path faults.
-    pub fn read_faults(&self) -> Option<ReadFaults> {
-        let faults = ReadFaults {
-            seed: self.seed,
-            dead_nodes: self.dead_datanodes.clone(),
-            replica_error_prob: self.replica_error_prob,
-            slow_replica_prob: self.slow_replica_prob,
-            slow_replica_delay: self.slow_replica_delay,
-        };
-        faults.is_active().then_some(faults)
     }
 }
 
@@ -268,14 +218,10 @@ mod tests {
 
     #[test]
     fn parse_full_spec() {
-        let p = FaultPlan::parse("seed=9,panic=0.1,io=0.2,read=0.3,slow=0.4:25,dead=1+3").unwrap();
+        let p = FaultPlan::parse("seed=9,panic=0.1,io=0.2").unwrap();
         assert_eq!(p.seed, 9);
         assert_eq!(p.map_panic_prob, 0.1);
         assert_eq!(p.map_io_error_prob, 0.2);
-        assert_eq!(p.replica_error_prob, 0.3);
-        assert_eq!(p.slow_replica_prob, 0.4);
-        assert_eq!(p.slow_replica_delay, Duration::from_millis(25));
-        assert_eq!(p.dead_datanodes, vec![1, 3]);
     }
 
     #[test]
@@ -284,7 +230,6 @@ mod tests {
         assert_eq!(p.map_io_error_prob, 0.5);
         assert_eq!(p.map_panic_prob, 0.0);
         assert!(p.injects_map_faults());
-        assert!(p.read_faults().is_none());
         let p = FaultPlan::parse("").unwrap();
         assert_eq!(p, FaultPlan::default());
         assert!(!p.injects_map_faults());
@@ -343,18 +288,18 @@ mod tests {
             seed: 1,
             map_panic_prob: 1.0,
             map_io_error_prob: 1.0,
-            ..Default::default()
         };
         assert_eq!(p.decide(0, 0), FaultDecision::MapPanic);
     }
 
+    /// The engine never read the datanode keys, so a plan carrying them
+    /// injected nothing; parsing them now fails and points at the DFS.
     #[test]
-    fn read_faults_carries_dfs_side() {
-        let p = FaultPlan::parse("seed=3,dead=2,read=0.1").unwrap();
-        let rf = p.read_faults().unwrap();
-        assert_eq!(rf.seed, 3);
-        assert_eq!(rf.dead_nodes, vec![2]);
-        assert_eq!(rf.replica_error_prob, 0.1);
+    fn parse_rejects_datanode_keys() {
+        for spec in ["dead=0", "read=0.2", "slow=0.1:25", "io=0.2,dead=0,seed=3"] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains("DfsCluster::set_read_faults"), "{spec}: {err}");
+        }
     }
 
     #[test]

@@ -3,8 +3,6 @@
 //! payloads — round-trips bit-exactly, and truncated or corrupted
 //! frames are rejected instead of mis-decoding.
 
-use std::time::Duration;
-
 use approxhadoop_ipc::{Wire, WireError};
 use approxhadoop_runtime::engine::process::wire::{
     FromWorker, ToWorker, WireJobError, WireWorkItem, WorkerJobSpec,
@@ -25,7 +23,6 @@ fn work_item(
     combining: bool,
     with_fault: bool,
     fault_seed: u64,
-    dead: Vec<usize>,
 ) -> WireWorkItem {
     WireWorkItem {
         task,
@@ -35,14 +32,10 @@ fn work_item(
         seed,
         combining,
         span: seed ^ task,
-        fault: with_fault.then(|| FaultPlan {
+        fault: with_fault.then_some(FaultPlan {
             seed: fault_seed,
             map_panic_prob: 0.125,
             map_io_error_prob: 0.25,
-            dead_datanodes: dead,
-            replica_error_prob: 0.0625,
-            slow_replica_prob: 0.5,
-            slow_replica_delay: Duration::from_millis(fault_seed % 500),
         }),
     }
 }
@@ -67,9 +60,8 @@ proptest! {
                              seed in 0u64..u64::MAX,
                              combining in 0u8..2,
                              with_fault in 0u8..2,
-                             fault_seed in 0u64..u64::MAX,
-                             dead in prop::collection::vec(0usize..64, 0..6)) {
-        let w = work_item(task, dataset, attempt, ratio, seed, combining == 1, with_fault == 1, fault_seed, dead);
+                             fault_seed in 0u64..u64::MAX) {
+        let w = work_item(task, dataset, attempt, ratio, seed, combining == 1, with_fault == 1, fault_seed);
         let frame = ToWorker::Work(w.clone()).to_bytes();
         let back = ToWorker::from_bytes(&frame).unwrap();
         match back {
@@ -91,9 +83,8 @@ proptest! {
     fn work_frame_truncations_are_rejected(task in 0u64..1000,
                                            dataset in 0u32..4,
                                            ratio in 0.001..1.0f64,
-                                           with_fault in 0u8..2,
-                                           dead in prop::collection::vec(0usize..8, 0..4)) {
-        let w = work_item(task, dataset, 1, ratio, 7, true, with_fault == 1, 42, dead);
+                                           with_fault in 0u8..2) {
+        let w = work_item(task, dataset, 1, ratio, 7, true, with_fault == 1, 42);
         let frame = ToWorker::Work(w).to_bytes();
         for cut in 0..frame.len() {
             prop_assert!(
@@ -257,7 +248,7 @@ proptest! {
         // Corrupt a valid Work frame at arbitrary bit positions; both
         // frame directions must fail structurally or decode to
         // something — never panic.
-        let w = work_item(seed % 100, (seed % 4) as u32, 0, 0.5, seed, true, true, seed, vec![1, 2]);
+        let w = work_item(seed % 100, (seed % 4) as u32, 0, 0.5, seed, true, true, seed);
         let mut frame = ToWorker::Work(w).to_bytes();
         for f in flip {
             let bit = f % (frame.len() * 8);

@@ -3,9 +3,10 @@
 //! The harness fires jobs at the service with exponentially distributed
 //! inter-arrival times (an *open loop*: arrivals do not wait for
 //! completions, so backlog builds exactly as it would under real
-//! tenant traffic). Every job is a project-popularity aggregation over
-//! a synthetic Wikipedia access log and declares an [`ApproxBudget`]
-//! the admission controller may spend.
+//! tenant traffic). Every job is a per-project byte total
+//! ([`PROJECT_BYTES`], submitted by [`submit_tenant`]) over a synthetic
+//! Wikipedia access log and declares an [`ApproxBudget`] the admission
+//! controller may spend.
 //!
 //! [`run`] executes the same arrival sequence twice — once with the
 //! controller disabled (every job admitted precise) and once enabled
@@ -25,19 +26,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use approxhadoop_core::multistage::{
-    Aggregation, BoundMonitor, MultiStageMapper, MultiStageReducer,
-};
+use approxhadoop_core::multistage::{BoundMonitor, MultiStageReducer};
 use approxhadoop_obs::{Obs, RegistrySnapshot};
 use approxhadoop_runtime::engine::WorkerSpec;
 use approxhadoop_runtime::metrics::BoundPoint;
+use approxhadoop_runtime::RuntimeError;
 use approxhadoop_stats::Interval;
-use approxhadoop_workloads::wikilog::{LogEntry, WikiLog};
+use approxhadoop_workloads::apps::PROJECT_BYTES;
+use approxhadoop_workloads::wikilog::WikiLog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::admission::{percentile, AdmissionConfig, ApproxBudget, DegradeDecision};
-use crate::service::{JobService, JobSpec};
+use crate::service::{JobHandle, JobService, JobSpec};
 
 /// Knobs of one load-generation run.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
@@ -212,6 +213,68 @@ fn worst_relative_bound(outputs: &[(u64, Interval)]) -> Option<f64> {
         .fold(None, |acc, b| Some(acc.map_or(b, |a: f64| a.max(b))))
 }
 
+/// Submits tenant `j` of the load `config` describes: a
+/// [`PROJECT_BYTES`] aggregation over the tenant's own synthetic access
+/// log. `base` supplies everything but the tenant's name, slots, seed,
+/// budget and worker count, which come from `config`. The job runs on
+/// the shared pool, or on `config.process_workers` `approx-worker`
+/// processes when that is positive. Its reducers stream their running
+/// bound ([`BoundMonitor::reporting`]), which feeds the `Wave` events,
+/// the bound series and the live bound gauges.
+pub fn submit_tenant(
+    service: &JobService,
+    config: &LoadConfig,
+    j: usize,
+    base: &JobSpec,
+) -> Result<JobHandle<(u64, Interval)>, RuntimeError> {
+    let log = WikiLog {
+        days: 1,
+        entries_per_block: config.entries_per_block,
+        blocks_per_day: config.blocks_per_job,
+        pages: 5_000,
+        projects: 12,
+        seed: config.seed.wrapping_add(1 + j as u64),
+    };
+    let spec = JobSpec {
+        name: format!("tenant-{j}"),
+        map_slots: config.slots.max(2),
+        seed: config.seed.wrapping_add(101 + j as u64),
+        budget: ApproxBudget::up_to(config.max_drop_ratio, config.min_sampling_ratio),
+        workers: config.process_workers.max(1),
+        ..base.clone()
+    };
+    let make_reducer = |_| {
+        MultiStageReducer::<u64>::new(PROJECT_BYTES.aggregation, 0.95)
+            .with_monitor(BoundMonitor::reporting())
+    };
+    if config.process_workers > 0 {
+        let worker = WorkerSpec::sibling("approx-worker", PROJECT_BYTES.name)?;
+        service.submit_process(spec, Arc::new(log.source()), worker, make_reducer)
+    } else {
+        let mapper = Arc::new(PROJECT_BYTES.mapper());
+        service.submit(spec, Arc::new(log.source()), mapper, make_reducer)
+    }
+}
+
+/// The service one phase runs against, publishing into `obs`.
+fn phase_service(config: &LoadConfig, controller_enabled: bool, obs: Arc<Obs>) -> JobService {
+    JobService::with_obs(
+        config.slots,
+        AdmissionConfig {
+            p99_target_secs: config.p99_target_secs,
+            max_relative_bound: config.max_relative_bound,
+            // A backlog deeper than one full round of slots means jobs
+            // are already waiting — react at admission, not first
+            // completion.
+            queue_threshold: config.slots,
+            increase_step: 0.35,
+            enabled: controller_enabled,
+            ..Default::default()
+        },
+        obs,
+    )
+}
+
 /// Runs one phase: the full arrival sequence against a fresh service
 /// with its own observability context.
 pub fn run_phase(config: &LoadConfig, controller_enabled: bool) -> PhaseReport {
@@ -226,30 +289,9 @@ pub fn run_phase_with_obs(
     controller_enabled: bool,
     obs: Arc<Obs>,
 ) -> PhaseReport {
-    let service = JobService::with_obs(
-        config.slots,
-        AdmissionConfig {
-            p99_target_secs: config.p99_target_secs,
-            max_relative_bound: config.max_relative_bound,
-            // A backlog deeper than one full round of slots means jobs
-            // are already waiting — react at admission, not first
-            // completion.
-            queue_threshold: config.slots,
-            increase_step: 0.35,
-            enabled: controller_enabled,
-            ..Default::default()
-        },
-        Arc::clone(&obs),
-    );
+    let service = phase_service(config, controller_enabled, Arc::clone(&obs));
     let arrivals = arrival_times(config.jobs, config.arrival_rate, config.seed);
-    let budget = ApproxBudget::up_to(config.max_drop_ratio, config.min_sampling_ratio);
-    // Resolved once per phase. Without the binary every process-backend
-    // submission fails the way a rejected one does.
-    let worker = if config.process_workers > 0 {
-        WorkerSpec::sibling("approx-worker", "wikilog-project-bytes").ok()
-    } else {
-        None
-    };
+    let base = JobSpec::default();
 
     let in_flight = Arc::new(AtomicUsize::new(0));
     let peak = Arc::new(AtomicUsize::new(0));
@@ -268,55 +310,10 @@ pub fn run_phase_with_obs(
         }
         let submit_lag = (start.elapsed().as_secs_f64() - arrival).max(0.0);
         lag_sum += submit_lag;
-        let log = WikiLog {
-            days: 1,
-            entries_per_block: config.entries_per_block,
-            blocks_per_day: config.blocks_per_job,
-            pages: 5_000,
-            projects: 12,
-            seed: config.seed.wrapping_add(1 + j as u64),
-        };
-        let spec = JobSpec {
-            name: format!("tenant-{j}"),
-            weight: 1.0,
-            map_slots: config.slots.max(2),
-            reduce_tasks: 1,
-            seed: config.seed.wrapping_add(101 + j as u64),
-            budget,
-            deadline: None,
-            workers: config.process_workers.max(1),
-            ..Default::default()
-        };
-        // A monitor (without a freeze target) makes the reducer stream
-        // its error bound to the JobTracker after every map output —
-        // that is what feeds the bound-convergence series and live
-        // bound gauges.
-        let make_reducer = |_| {
-            MultiStageReducer::<u64>::new(Aggregation::Sum, 0.95)
-                .with_monitor(BoundMonitor::reporting())
-        };
-        let handle = if config.process_workers > 0 {
-            worker.clone().and_then(|worker| {
-                service
-                    .submit_process(spec, Arc::new(log.source()), worker, make_reducer)
-                    .ok()
-            })
-        } else {
-            service
-                .submit(
-                    spec,
-                    Arc::new(log.source()),
-                    Arc::new(MultiStageMapper::new(
-                        |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
-                            emit(e.project, e.bytes as f64)
-                        },
-                    )),
-                    make_reducer,
-                )
-                .ok()
-        };
+        // A rejected submission (or, on the process backend, a missing
+        // worker binary) is a failed job, not a dead load test.
+        let handle = submit_tenant(&service, config, j, &base).ok();
         last_submit_secs = start.elapsed().as_secs_f64();
-        // A rejected submission is a failed job, not a dead load test.
         let Some(handle) = handle else { continue };
         let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         peak.fetch_max(now, Ordering::SeqCst);
@@ -848,20 +845,47 @@ mod tests {
         }
     }
 
+    /// The controlled phase's admissions, exactly. On the controlled
+    /// phase's service (p99 target 1 µs, no accuracy SLO) tenant 0 is
+    /// admitted at degrade 0: the controller starts at 0 and the pool
+    /// has no backlog. Its tracker feeds its outcome to the controller
+    /// before `wait` returns. The latency exceeds 1 µs, so the window's
+    /// p99 is over target and the update adds
+    /// `increase_step·(1 + severity) > 0` to the degrade factor. No
+    /// later update lowers it: every completion is over target, so
+    /// every update adds, and so does every backlog check at admission.
+    /// The ceiling stays 1 without an accuracy SLO. So tenants 1–3,
+    /// submitted after tenant 0 finished, are all admitted degraded.
     #[test]
     fn controlled_phase_degrades_under_impossible_target() {
+        let config = tiny();
+        let service = phase_service(&config, true, Obs::shared());
+        let base = JobSpec::default();
+        let first = submit_tenant(&service, &config, 0, &base).unwrap();
+        assert_eq!(first.degrade, 0.0);
+        first.wait().unwrap();
+        let later: Vec<_> = (1..4)
+            .map(|j| submit_tenant(&service, &config, j, &base).unwrap())
+            .collect();
+        for handle in later {
+            assert!(handle.degrade > 0.0, "{} admitted precise", handle.name);
+            assert!(handle.drop_ratio > 0.0 && handle.sampling_ratio < 1.0);
+            let result = handle.wait().unwrap();
+            // Degraded jobs report non-trivial bounds that stay finite.
+            if let Some(b) = worst_relative_bound(&result.outputs) {
+                assert!(b.is_finite());
+            }
+        }
+    }
+
+    #[test]
+    fn load_report_carries_both_phases() {
         let report = run(&tiny());
         assert!(!report.baseline.controller_enabled);
         assert!(report.controlled.controller_enabled);
-        // With a p99 target of 1µs every completion is over target, so
-        // at least the later jobs must be admitted degraded.
-        assert!(
-            report.controlled.jobs.iter().any(|o| o.degrade > 0.0),
-            "controller never degraded: {:?}",
-            report.controlled.decisions
-        );
-        // Degraded jobs report non-trivial bounds that stay finite.
-        for o in report.controlled.jobs.iter().filter(|o| o.degrade > 0.0) {
+        assert_eq!(report.baseline.jobs.len(), 4);
+        assert_eq!(report.controlled.jobs.len(), 4);
+        for o in &report.controlled.jobs {
             if let Some(b) = o.worst_relative_bound {
                 assert!(b.is_finite());
             }

@@ -4,12 +4,15 @@
 //! Every function takes the approximation [`ApproxSpec`] and engine
 //! [`JobConfig`] so benches can sweep ratios and target bounds.
 
+use std::path::Path;
+
 use approxhadoop_core::extreme::ExtremeOutput;
 use approxhadoop_core::job::{AggregationJob, ApproxResult, ExtremeJob};
+use approxhadoop_core::multistage::{Aggregation, MultiStageMapper};
 use approxhadoop_core::spec::ApproxSpec;
 use approxhadoop_core::userdef::UserDefinedMapper;
-use approxhadoop_core::CoreError;
 use approxhadoop_core::Result;
+use approxhadoop_runtime::engine::process::JobRegistry;
 use approxhadoop_runtime::engine::{run_job, JobConfig, WorkerSpec};
 use approxhadoop_runtime::input::VecSource;
 use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
@@ -63,16 +66,134 @@ pub fn wiki_page_rank(
 // Wikipedia access-log processing (Figures 5c/5d, 7, 9a/9b, 13)
 // ---------------------------------------------------------------------
 
+/// The user `map()` of a wikilog aggregation: the `(key, value)` pairs
+/// one log entry contributes.
+pub type WikilogMap = fn(&LogEntry, &mut dyn FnMut(u64, f64));
+
+/// One wikilog aggregation — its one definition, which the in-process
+/// and process runners, `approxhadoop run`/`serve`/`loadtest` and the
+/// `approx-worker` binary all read. A closure cannot cross a process
+/// boundary, so the worker registers each entry's `map` under its
+/// `name` ([`register_jobs`]) and the submitting side sends the name:
+/// both ends read the same row, so they cannot drift apart.
+#[derive(Debug, Clone, Copy)]
+pub struct WikilogJob {
+    /// Registry name: the `approxhadoop run` application and the job
+    /// the worker binary registers.
+    pub name: &'static str,
+    /// What the reducers estimate per key.
+    pub aggregation: Aggregation,
+    /// The map function.
+    pub map: WikilogMap,
+}
+
+/// Accesses per project (paper Figure 5(c)).
+pub const PROJECT_POPULARITY: WikilogJob = WikilogJob {
+    name: "project-popularity",
+    aggregation: Aggregation::Count,
+    map: |e, emit| emit(e.project, 1.0),
+};
+
+/// Accesses per page (paper Figure 5(d)).
+pub const PAGE_POPULARITY: WikilogJob = WikilogJob {
+    name: "page-popularity",
+    aggregation: Aggregation::Count,
+    map: |e, emit| emit(e.page, 1.0),
+};
+
+/// Accesses per hour of the log.
+pub const REQUEST_RATE: WikilogJob = WikilogJob {
+    name: "request-rate",
+    aggregation: Aggregation::Count,
+    map: |e, emit| emit(e.timestamp / 3_600, 1.0),
+};
+
+/// Bytes served per page.
+pub const PAGE_TRAFFIC: WikilogJob = WikilogJob {
+    name: "page-traffic",
+    aggregation: Aggregation::Sum,
+    map: |e, emit| emit(e.page, e.bytes as f64),
+};
+
+/// Bytes served per project: the job `serve` and `loadtest` submit for
+/// every tenant.
+pub const PROJECT_BYTES: WikilogJob = WikilogJob {
+    name: "wikilog-project-bytes",
+    aggregation: Aggregation::Sum,
+    map: |e, emit| emit(e.project, e.bytes as f64),
+};
+
+/// Every wikilog aggregation.
+pub const WIKILOG_JOBS: [WikilogJob; 5] = [
+    PROJECT_POPULARITY,
+    PAGE_POPULARITY,
+    REQUEST_RATE,
+    PAGE_TRAFFIC,
+    PROJECT_BYTES,
+];
+
+impl WikilogJob {
+    /// The entry registered as `name`, if any.
+    pub fn named(name: &str) -> Option<WikilogJob> {
+        WIKILOG_JOBS.into_iter().find(|job| job.name == name)
+    }
+
+    /// The map function wrapped for the multi-stage estimators.
+    pub fn mapper(self) -> MultiStageMapper<LogEntry, u64, WikilogMap> {
+        MultiStageMapper::new(self.map)
+    }
+
+    fn job(self, spec: ApproxSpec, config: JobConfig) -> AggregationJob<LogEntry, u64, WikilogMap> {
+        AggregationJob::new(self.aggregation, self.map)
+            .spec(spec)
+            .config(config)
+    }
+
+    /// Runs the aggregation over `log` on job-private scoped threads.
+    pub fn run(
+        self,
+        log: &WikiLog,
+        spec: ApproxSpec,
+        config: JobConfig,
+    ) -> Result<ApproxResult<(u64, Interval)>> {
+        self.job(spec, config).run(&log.source())
+    }
+
+    /// Runs the aggregation over `log` on the **process backend**: map
+    /// attempts execute in worker OS processes started from
+    /// `worker_bin`, which must register this table (the workspace's
+    /// `approx-worker` does, through [`register_jobs`]). Results are
+    /// identical to [`WikilogJob::run`] for the same spec, config and
+    /// seed.
+    pub fn run_on_workers(
+        self,
+        log: &WikiLog,
+        spec: ApproxSpec,
+        config: JobConfig,
+        worker_bin: &Path,
+    ) -> Result<ApproxResult<(u64, Interval)>> {
+        self.job(spec, config)
+            .run_on_workers(&log.source(), &WorkerSpec::new(worker_bin, self.name))
+    }
+}
+
+/// Registers every [`WIKILOG_JOBS`] entry under its name, and the
+/// two-input join under [`crate::join::JOIN_JOB`], in a worker binary's
+/// registry.
+pub fn register_jobs(registry: &mut JobRegistry) {
+    for job in WIKILOG_JOBS {
+        registry.register(job.name, move |_params: &[u8]| Ok(job.mapper()));
+    }
+    crate::join::register_join_job(registry);
+}
+
 /// **Project Popularity**: accesses per project. Paper Figure 5(c).
 pub fn project_popularity(
     log: &WikiLog,
     spec: ApproxSpec,
     config: JobConfig,
 ) -> Result<ApproxResult<(u64, Interval)>> {
-    AggregationJob::count(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.project, 1.0))
-        .spec(spec)
-        .config(config)
-        .run(&log.source())
+    PROJECT_POPULARITY.run(log, spec, config)
 }
 
 /// **Page Popularity**: accesses per page. Paper Figure 5(d).
@@ -81,10 +202,7 @@ pub fn page_popularity(
     spec: ApproxSpec,
     config: JobConfig,
 ) -> Result<ApproxResult<(u64, Interval)>> {
-    AggregationJob::count(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.page, 1.0))
-        .spec(spec)
-        .config(config)
-        .run(&log.source())
+    PAGE_POPULARITY.run(log, spec, config)
 }
 
 /// **Request Rate** (Wikipedia log): accesses per hour of the log.
@@ -93,12 +211,7 @@ pub fn wiki_request_rate(
     spec: ApproxSpec,
     config: JobConfig,
 ) -> Result<ApproxResult<(u64, Interval)>> {
-    AggregationJob::count(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
-        emit(e.timestamp / 3_600, 1.0)
-    })
-    .spec(spec)
-    .config(config)
-    .run(&log.source())
+    REQUEST_RATE.run(log, spec, config)
 }
 
 /// **Page Traffic**: bytes served per page.
@@ -107,62 +220,7 @@ pub fn page_traffic(
     spec: ApproxSpec,
     config: JobConfig,
 ) -> Result<ApproxResult<(u64, Interval)>> {
-    AggregationJob::sum(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.page, e.bytes as f64))
-        .spec(spec)
-        .config(config)
-        .run(&log.source())
-}
-
-/// The wikilog aggregations on the **process backend**: map attempts
-/// execute in worker OS processes started from `worker.bin`, which must
-/// be a binary registering these jobs under their app names (the
-/// workspace's `approx-worker` does). `worker.job` is ignored — the job
-/// dispatched is always `app`.
-///
-/// Supported apps: `project-popularity`, `page-popularity`,
-/// `request-rate`, `page-traffic`. Results are identical to the
-/// in-process variants above for the same spec, config and seed.
-pub fn wikilog_process(
-    app: &str,
-    log: &WikiLog,
-    spec: ApproxSpec,
-    config: JobConfig,
-    worker: &WorkerSpec,
-) -> Result<ApproxResult<(u64, Interval)>> {
-    let worker = WorkerSpec::new(&worker.bin, app);
-    let source = log.source();
-    match app {
-        "project-popularity" => {
-            AggregationJob::count(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
-                emit(e.project, 1.0)
-            })
-            .spec(spec)
-            .config(config)
-            .run_on_workers(&source, &worker)
-        }
-        "page-popularity" => {
-            AggregationJob::count(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.page, 1.0))
-                .spec(spec)
-                .config(config)
-                .run_on_workers(&source, &worker)
-        }
-        "request-rate" => AggregationJob::count(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
-            emit(e.timestamp / 3_600, 1.0)
-        })
-        .spec(spec)
-        .config(config)
-        .run_on_workers(&source, &worker),
-        "page-traffic" => AggregationJob::sum(|e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| {
-            emit(e.page, e.bytes as f64)
-        })
-        .spec(spec)
-        .config(config)
-        .run_on_workers(&source, &worker),
-        other => Err(CoreError::invalid(format!(
-            "application `{other}` is not available on the process backend (supported: \
-             project-popularity, page-popularity, request-rate, page-traffic)"
-        ))),
-    }
+    PAGE_TRAFFIC.run(log, spec, config)
 }
 
 /// **Bytes per Access** (ratio aggregate): mean response size per access

@@ -5,12 +5,13 @@
 //! and dispatches map attempts to them over the pipe protocol. Every
 //! job the process backend can run must be registered here by name —
 //! the worker is a separate address space, so closures cannot cross;
-//! only the job name and its `Wire`-encoded parameters do.
+//! only the job name and its `Wire`-encoded parameters do. The wikilog
+//! aggregations and the join come from `workloads::apps`, the table the
+//! submitting side reads too.
 
 use approxhadoop::core::multistage::MultiStageMapper;
 use approxhadoop::runtime::engine::process::{worker_main, JobRegistry};
-use approxhadoop::workloads::join;
-use approxhadoop::workloads::wikilog::LogEntry;
+use approxhadoop::workloads::apps;
 
 fn main() {
     let mut registry = JobRegistry::new();
@@ -23,41 +24,7 @@ fn main() {
         ))
     });
 
-    // Per-project byte totals over the synthetic Wikipedia access log —
-    // the job `serve`/`loadtest` submit for every tenant.
-    registry.register("wikilog-project-bytes", |_params: &[u8]| {
-        Ok(MultiStageMapper::new(
-            |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.project, e.bytes as f64),
-        ))
-    });
-
-    // The wikilog applications `approxhadoop run --backend process`
-    // dispatches (same map functions as `workloads::apps`).
-    registry.register("project-popularity", |_params: &[u8]| {
-        Ok(MultiStageMapper::new(
-            |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.project, 1.0),
-        ))
-    });
-    registry.register("page-popularity", |_params: &[u8]| {
-        Ok(MultiStageMapper::new(
-            |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.page, 1.0),
-        ))
-    });
-    registry.register("request-rate", |_params: &[u8]| {
-        Ok(MultiStageMapper::new(
-            |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.timestamp / 3_600, 1.0),
-        ))
-    });
-    registry.register("page-traffic", |_params: &[u8]| {
-        Ok(MultiStageMapper::new(
-            |e: &LogEntry, emit: &mut dyn FnMut(u64, f64)| emit(e.page, e.bytes as f64),
-        ))
-    });
-
-    // The two-input join: the params blob carries the Wire-encoded
-    // `PageCatalog`, from which the worker rebuilds a bit-identical
-    // Bloom filter on its side of the process boundary.
-    join::register_join_job(&mut registry);
+    apps::register_jobs(&mut registry);
 
     worker_main(registry);
 }

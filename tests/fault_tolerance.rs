@@ -4,7 +4,7 @@
 
 use approxhadoop::core::job::AggregationJob;
 use approxhadoop::core::spec::ApproxSpec;
-use approxhadoop::dfs::{DfsCluster, DfsConfig};
+use approxhadoop::dfs::{DfsCluster, DfsConfig, ReadFaults};
 use approxhadoop::runtime::engine::JobConfig;
 use approxhadoop::runtime::fault::{FaultPlan, FaultPolicy};
 use approxhadoop::runtime::input::VecSource;
@@ -151,8 +151,11 @@ fn dead_datanode_fails_over_to_replicas() {
     });
     dfs.write_lines("log", &lines).unwrap();
 
-    let plan = FaultPlan::parse("dead=0,seed=5").unwrap();
-    dfs.set_read_faults(plan.read_faults());
+    dfs.set_read_faults(Some(ReadFaults {
+        seed: 5,
+        dead_nodes: vec![0],
+        ..Default::default()
+    }));
     let input = TextSource::open(&dfs, "log").unwrap();
 
     let result = AggregationJob::count(|line: &String, emit: &mut dyn FnMut(String, f64)| {

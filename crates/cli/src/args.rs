@@ -82,9 +82,12 @@ impl Args {
     ///
     /// Precedence: `--target` selects target-error mode; otherwise any of
     /// `--drop`/`--sample` selects ratio mode; otherwise precise.
+    /// `--confidence`, `--pilot-tasks` and `--pilot-sample` are
+    /// target-mode options: without `--target` they are usage errors,
+    /// since ratio mode always reports 95% intervals.
     pub fn approx_spec(&self) -> Result<ApproxSpec, UsageError> {
-        let confidence: f64 = self.get_parsed("confidence", 0.95)?;
         if let Some(t) = self.get("target") {
+            let confidence: f64 = self.get_parsed("confidence", 0.95)?;
             let target: f64 = t
                 .trim_end_matches('%')
                 .parse()
@@ -107,6 +110,13 @@ impl Args {
                 });
             }
             return Ok(spec);
+        }
+        for key in ["confidence", "pilot-tasks", "pilot-sample"] {
+            if self.get(key).is_some() || self.flag(key) {
+                return Err(UsageError(format!(
+                    "--{key} applies in target mode only: give --target too"
+                )));
+            }
         }
         let drop: f64 = self.get_parsed("drop", 0.0)?;
         let sample: f64 = self.get_parsed("sample", 1.0)?;
@@ -204,6 +214,26 @@ mod tests {
                 assert!((p.sampling_ratio - 0.05).abs() < 1e-12);
             }
             _ => panic!("expected pilot"),
+        }
+    }
+
+    #[test]
+    fn target_mode_options_need_target() {
+        for opt in [
+            "--confidence 0.99",
+            "--pilot-tasks 6",
+            "--pilot-sample 0.05",
+        ] {
+            let key = opt.split_whitespace().next().unwrap();
+            for mode in ["", "--sample 0.5", "--drop 0.2"] {
+                let err = parse(&format!("run x {mode} {opt}"))
+                    .approx_spec()
+                    .unwrap_err();
+                assert!(err.0.contains(key), "{opt} {mode}: {err}");
+            }
+            assert!(parse(&format!("run x --target 1% {opt}"))
+                .approx_spec()
+                .is_ok());
         }
     }
 

@@ -31,9 +31,10 @@ USAGE:
         --drop R             fraction of map tasks to drop (0..1)
         --sample R           within-block sampling ratio (0..1]
         --target X[%]        target error bound (selects target mode)
-        --confidence C       confidence level (default 0.95)
-        --pilot-tasks N      pilot wave size (target mode)
-        --pilot-sample R     pilot sampling ratio (target mode)
+        --confidence C       confidence level (target mode only,
+                             default 0.95)
+        --pilot-tasks N      pilot wave size (target mode only)
+        --pilot-sample R     pilot sampling ratio (target mode only)
         --scale small|medium|large   dataset size (default small)
         --seed N             RNG seed (default 0)
         --reduce-tasks N     reduce tasks (default 2)

@@ -160,7 +160,11 @@ fn job_config(args: &Args) -> Result<JobConfig, UsageError> {
     };
     config.workers = args.get_parsed("workers", config.workers)?;
     let shuffle_mib: usize = args.get_parsed("shuffle-mem", config.shuffle_mem_bytes >> 20)?;
-    config.shuffle_mem_bytes = shuffle_mib << 20;
+    config.shuffle_mem_bytes = shuffle_mib.checked_mul(1 << 20).ok_or_else(|| {
+        UsageError(format!(
+            "--shuffle-mem {shuffle_mib} MiB overflows a byte count"
+        ))
+    })?;
     config.flight_dir = args.get("flight-dir").map(std::path::PathBuf::from);
     if let Some(spec) = args.get("fault-plan") {
         config.fault_plan = Some(FaultPlan::parse(spec).map_err(UsageError)?);

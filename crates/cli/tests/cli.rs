@@ -46,3 +46,21 @@ fn simulate_runs_and_validates() {
 fn bad_scale_is_reported() {
     assert!(run::run_app(&args("run total-size --scale enormous")).is_err());
 }
+
+#[test]
+fn out_of_range_approx_fraction_is_an_error() {
+    for bad in ["1.5", "-0.1", "NaN"] {
+        let e = run::run_app(&args(&format!(
+            "run video-encoding --approx-fraction {bad}"
+        )))
+        .unwrap_err();
+        assert!(e.to_string().contains("approx_fraction"), "{bad}: {e}");
+    }
+}
+
+#[test]
+fn overflowing_shuffle_mem_is_an_error() {
+    // 2^44 + 1 MiB: shifting it into bytes wraps to a 1 MiB budget.
+    let e = run::run_app(&args("run total-size --shuffle-mem 17592186044417")).unwrap_err();
+    assert!(e.to_string().contains("--shuffle-mem"), "{e}");
+}

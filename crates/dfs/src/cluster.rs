@@ -1,4 +1,4 @@
-//! A convenience façade wiring a namenode to block stores — the whole
+//! A convenience façade wiring a namenode to the block store — the whole
 //! "HDFS cluster" in one object.
 
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use crate::block::{BlockId, BlockMeta};
 use crate::error::DfsError;
 use crate::fault::{FaultStats, FaultStatsSnapshot, ReadFaults, ReplicaOutcome};
 use crate::namenode::{NameNode, NodeId};
-use crate::store::{BlockStore, CompositeStore, GeneratorStore, MemoryStore};
+use crate::store::MemoryStore;
 use crate::Result;
 
 /// Configuration of a [`DfsCluster`].
@@ -64,7 +64,6 @@ impl FileHandle {
 pub struct DfsCluster {
     namenode: Arc<Mutex<NameNode>>,
     memory: MemoryStore,
-    store: Arc<Mutex<CompositeStore>>,
     config: DfsConfig,
     faults: Arc<Mutex<Option<ReadFaults>>>,
     fault_stats: Arc<FaultStats>,
@@ -83,7 +82,6 @@ impl Clone for DfsCluster {
         DfsCluster {
             namenode: Arc::clone(&self.namenode),
             memory: self.memory.clone(),
-            store: Arc::clone(&self.store),
             config: self.config,
             faults: Arc::clone(&self.faults),
             fault_stats: Arc::clone(&self.fault_stats),
@@ -99,16 +97,12 @@ impl DfsCluster {
     /// Panics if `datanodes`, `replication` or `block_records` is zero.
     pub fn new(config: DfsConfig) -> Self {
         assert!(config.block_records > 0, "block_records must be positive");
-        let memory = MemoryStore::new();
-        let mut composite = CompositeStore::new();
-        composite.push(Arc::new(memory.clone()));
         DfsCluster {
             namenode: Arc::new(Mutex::new(NameNode::new(
                 config.datanodes,
                 config.replication,
             ))),
-            memory,
-            store: Arc::new(Mutex::new(composite)),
+            memory: MemoryStore::new(),
             config,
             faults: Arc::new(Mutex::new(None)),
             fault_stats: Arc::new(FaultStats::default()),
@@ -165,33 +159,6 @@ impl DfsCluster {
         self.open(path)
     }
 
-    /// Registers a *generated* file: `num_blocks` blocks whose contents
-    /// are produced on demand by `generator(block_index)`, with
-    /// `records(block_index)` records and `bytes(block_index)` bytes per
-    /// block. Nothing is materialised until a block is read.
-    pub fn write_generated(
-        &mut self,
-        path: &str,
-        num_blocks: u64,
-        records: impl Fn(u64) -> u64 + Send + Sync + 'static,
-        bytes: impl Fn(u64) -> u64 + Send + Sync + 'static,
-        generator: impl Fn(u64) -> Arc<[u8]> + Send + Sync + 'static,
-    ) -> Result<FileHandle> {
-        let blocks = self
-            .namenode
-            .lock()
-            .create_file(path, num_blocks, records, bytes)?;
-        let first = blocks[0].id.0;
-        let last = blocks[blocks.len() - 1].id.0;
-        let gen_store = GeneratorStore::new(move |id: BlockId| {
-            (first..=last)
-                .contains(&id.0)
-                .then(|| generator(id.0 - first))
-        });
-        self.store.lock().push(Arc::new(gen_store));
-        self.open(path)
-    }
-
     /// Opens a file, returning its blocks and replica locations.
     pub fn open(&self, path: &str) -> Result<FileHandle> {
         let nn = self.namenode.lock();
@@ -230,12 +197,12 @@ impl DfsCluster {
     pub fn read_block(&self, id: BlockId) -> Result<Arc<[u8]>> {
         let faults = self.faults.lock().clone();
         let Some(faults) = faults else {
-            return self.store.lock().read(id);
+            return self.memory.read(id);
         };
         // Blocks the namenode cannot locate (e.g. deleted files) keep
         // their fault-free error behaviour.
         let Ok(replicas) = self.namenode.lock().locate(id).map(<[NodeId]>::to_vec) else {
-            return self.store.lock().read(id);
+            return self.memory.read(id);
         };
         let total = replicas.len();
         for (i, node) in replicas.into_iter().enumerate() {
@@ -249,9 +216,9 @@ impl DfsCluster {
                 ReplicaOutcome::Slow(delay) => {
                     self.fault_stats.record_slow_read();
                     std::thread::sleep(delay);
-                    return self.store.lock().read(id);
+                    return self.memory.read(id);
                 }
-                ReplicaOutcome::Healthy => return self.store.lock().read(id),
+                ReplicaOutcome::Healthy => return self.memory.read(id),
             }
         }
         self.fault_stats.record_exhausted();
@@ -312,50 +279,6 @@ mod tests {
             .read_block_lines(handle.blocks[0].id)
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn generated_file_materialises_on_read() {
-        let mut dfs = DfsCluster::new(DfsConfig {
-            datanodes: 2,
-            replication: 1,
-            block_records: 100,
-        });
-        let handle = dfs
-            .write_generated(
-                "gen",
-                5,
-                |_| 100,
-                |_| 1000,
-                |i| {
-                    (0..100)
-                        .flat_map(|j| format!("g{i}:{j}\n").into_bytes())
-                        .collect()
-                },
-            )
-            .unwrap();
-        assert_eq!(handle.blocks.len(), 5);
-        let rec = dfs.read_block_lines(handle.blocks[3].id).unwrap();
-        assert_eq!(rec.len(), 100);
-        assert_eq!(rec[0], "g3:0");
-        // Deterministic regeneration.
-        let again = dfs.read_block_lines(handle.blocks[3].id).unwrap();
-        assert_eq!(rec, again);
-    }
-
-    #[test]
-    fn generated_and_memory_files_coexist() {
-        let mut dfs = DfsCluster::new(DfsConfig {
-            datanodes: 2,
-            replication: 1,
-            block_records: 4,
-        });
-        let mem = dfs.write_lines("mem", &lines(4)).unwrap();
-        let gen = dfs
-            .write_generated("gen", 1, |_| 1, |_| 2, |_| Arc::from(&b"x\n"[..]))
-            .unwrap();
-        assert_eq!(dfs.read_block_lines(mem.blocks[0].id).unwrap().len(), 4);
-        assert_eq!(dfs.read_block_lines(gen.blocks[0].id).unwrap(), vec!["x"]);
     }
 
     #[test]
@@ -480,6 +403,29 @@ mod tests {
         // An inactive plan is treated as no plan.
         dfs.set_read_faults(Some(ReadFaults::default()));
         assert!(clone.read_block(handle.blocks[0].id).is_ok());
+    }
+
+    #[test]
+    fn unknown_block_is_not_found_with_and_without_a_fault_plan() {
+        let mut dfs = DfsCluster::new(DfsConfig {
+            datanodes: 2,
+            replication: 2,
+            block_records: 5,
+        });
+        dfs.write_lines("f", &lines(5)).unwrap();
+        let unknown = BlockId(u64::MAX);
+        let not_found = |r: Result<Arc<[u8]>>| matches!(r, Err(DfsError::BlockNotFound { block }) if block == unknown);
+        assert!(not_found(dfs.read_block(unknown)));
+        // The namenode cannot place the block, so no replica is tried
+        // and the plan is not consulted: the store's own error comes
+        // back, even with every datanode dead.
+        dfs.set_read_faults(Some(ReadFaults {
+            dead_nodes: vec![0, 1],
+            ..Default::default()
+        }));
+        assert!(not_found(dfs.read_block(unknown)));
+        assert_eq!(dfs.fault_stats().exhausted_reads, 0);
+        assert_eq!(dfs.fault_stats().failed_replica_reads, 0);
     }
 
     #[test]

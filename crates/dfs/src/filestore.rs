@@ -26,12 +26,10 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use approxhadoop_ipc::Mmap;
 
 use crate::block::BlockId;
-use crate::store::BlockStore;
 use crate::{DfsError, Result};
 
 const MAGIC: &[u8; 8] = b"AHSPOOL1";
@@ -193,18 +191,6 @@ impl std::fmt::Debug for FileStore {
     }
 }
 
-impl BlockStore for FileStore {
-    fn read(&self, id: BlockId) -> Result<Arc<[u8]>> {
-        self.slice(id)
-            .map(Arc::from)
-            .ok_or(DfsError::BlockNotFound { block: id })
-    }
-
-    fn contains(&self, id: BlockId) -> bool {
-        self.index.contains_key(&id.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,13 +221,9 @@ mod tests {
         assert_eq!(store.slice(BlockId(2)).unwrap(), b"zzzz");
         assert_eq!(store.records(BlockId(0)), Some(3));
         assert_eq!(store.records(BlockId(2)), Some(1));
-        assert!(store.contains(BlockId(7)));
-        assert!(!store.contains(BlockId(9)));
-        assert_eq!(&*store.read(BlockId(2)).unwrap(), b"zzzz");
-        assert!(matches!(
-            store.read(BlockId(9)),
-            Err(DfsError::BlockNotFound { .. })
-        ));
+        assert_eq!(store.records(BlockId(7)), Some(0));
+        assert!(store.slice(BlockId(9)).is_none());
+        assert!(store.records(BlockId(9)).is_none());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -14,10 +14,11 @@
 //! * locality metadata — the JobTracker prefers local slots;
 //! * replication — block loss/recovery is out of scope.
 //!
-//! Storage is in-process. Two backends are provided: [`store::MemoryStore`]
-//! for real data and [`store::GeneratorStore`] for synthetic datasets that
-//! are far larger than RAM (blocks are regenerated deterministically from
-//! a seed on each read).
+//! Storage is in-process: a [`DfsCluster`] keeps its blocks in one
+//! [`store::MemoryStore`]. Synthetic datasets far larger than RAM are not
+//! stored at all; the runtime's input sources generate each block on
+//! demand. [`FileStore`] is the process backend's spool: the parent writes
+//! a job's blocks to one file and each worker maps it read-only.
 //!
 //! # Example
 //!

@@ -69,27 +69,4 @@ proptest! {
             prop_assert!(locs.iter().all(|n| n.0 < datanodes));
         }
     }
-
-    /// Generated files materialise identical content on repeated reads.
-    #[test]
-    fn generated_blocks_are_stable(blocks in 1u64..20, seed in 0u64..1000) {
-        let mut dfs = DfsCluster::new(DfsConfig::default());
-        let handle = dfs
-            .write_generated(
-                "gen",
-                blocks,
-                |_| 3,
-                |_| 30,
-                move |i| {
-                    format!("{}a\n{}b\n{}c\n", i ^ seed, i, seed).into_bytes().into()
-                },
-            )
-            .unwrap();
-        for b in &handle.blocks {
-            let first = dfs.read_block_lines(b.id).unwrap();
-            let second = dfs.read_block_lines(b.id).unwrap();
-            prop_assert_eq!(&first, &second);
-            prop_assert_eq!(first.len(), 3);
-        }
-    }
 }

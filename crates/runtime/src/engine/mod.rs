@@ -88,9 +88,11 @@ pub struct JobConfig {
     /// at least `1.0` (below that, every task is "slower than itself"
     /// and gets speculatively relaunched).
     pub straggler_factor: f64,
-    /// Deterministic fault injection (testing/chaos); `None` injects
-    /// nothing. DFS-level knobs additionally need the plan installed on
-    /// the cluster via
+    /// Deterministic fault injection into map attempts (panics and I/O
+    /// errors; testing/chaos); `None` injects nothing. Datanode faults
+    /// are not part of the plan: they are a
+    /// [`ReadFaults`](approxhadoop_dfs::ReadFaults) installed on the
+    /// cluster with
     /// [`DfsCluster::set_read_faults`](approxhadoop_dfs::DfsCluster::set_read_faults).
     pub fault_plan: Option<FaultPlan>,
     /// How the tracker reacts to failed map attempts: bounded retry with

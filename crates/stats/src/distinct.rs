@@ -8,12 +8,9 @@
 //! keys were seen once, twice, …), it estimates how many keys exist in
 //! the whole population, including the unseen ones.
 //!
-//! Two classic estimators are provided:
-//!
-//! * **Chao1** — a lower-bound-style estimator
-//!   `D̂ = d + f₁² / (2 f₂)`, robust when most unseen keys are rare;
-//! * **first-order jackknife** — `D̂ = d + f₁ · (n-1)/n`, less biased on
-//!   samples that cover a large fraction of the population.
+//! The estimator is **Chao1**, `D̂ = d + f₁² / (2 f₂)`, a lower-bound-style
+//! estimate that is robust when most unseen keys are rare; it is what the
+//! multi-stage reducer publishes.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -88,16 +85,6 @@ pub fn chao1(fc: &FrequencyCounts) -> Result<f64> {
     })
 }
 
-/// The first-order jackknife estimate:
-/// `D̂ = d + f₁ · (n - 1) / n`.
-pub fn jackknife1(fc: &FrequencyCounts) -> Result<f64> {
-    if fc.observed_distinct == 0 || fc.sample_size == 0 {
-        return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-    }
-    let n = fc.sample_size as f64;
-    Ok(fc.observed_distinct as f64 + fc.seen_exactly(1) as f64 * (n - 1.0) / n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,14 +113,12 @@ mod tests {
         // Every value seen many times → no singletons → D̂ = d.
         let fc = FrequencyCounts::from_counts(vec![10, 20, 30]);
         assert_eq!(chao1(&fc).unwrap(), 3.0);
-        assert_eq!(jackknife1(&fc).unwrap(), 3.0);
     }
 
     #[test]
     fn empty_sample_errors() {
         let fc = FrequencyCounts::default();
         assert!(chao1(&fc).is_err());
-        assert!(jackknife1(&fc).is_err());
     }
 
     #[test]
@@ -152,8 +137,6 @@ mod tests {
             "chao1 {chao} should approach 1000 (observed {observed})"
         );
         assert!(chao > observed);
-        let jk = jackknife1(&fc).unwrap();
-        assert!(jk > observed && jk < 1500.0);
     }
 
     #[test]

@@ -14,16 +14,16 @@
 //! * **Distributions** ([`dist`]) — Normal, Student-t and GEV with pdf,
 //!   cdf and quantile functions, built on from-scratch [`special`]
 //!   functions (ln-gamma, incomplete beta/gamma, error function).
-//! * **Numerical optimisation** ([`opt`]) — Nelder–Mead simplex (for the
-//!   GEV MLE), bisection and golden-section search (for the paper's
-//!   runtime-minimisation problem of Section 4.4).
-//! * **Sampling primitives** ([`sampling`]) — Bernoulli, systematic and
-//!   reservoir samplers plus a bounded Zipf generator used by the
-//!   synthetic workloads.
+//! * **Numerical optimisation** ([`opt`]) — Nelder–Mead simplex, for the
+//!   GEV MLE.
+//! * **Sampling primitives** ([`sampling`]) — the systematic sampler
+//!   (the paper's "1 out of every k items"), map-task selection, and a
+//!   bounded Zipf generator used by the synthetic workloads.
 //! * **Stratified estimation** ([`stratified`]) — per-stratum two-stage
-//!   estimators with quadrature interval combination, plus a
-//!   deterministic per-stratum systematic sampler; the statistics
+//!   estimators with quadrature interval combination; the statistics
 //!   behind approximate joins.
+//! * **Distinct-key extrapolation** ([`distinct`]) — the Chao1 estimate
+//!   of how many keys a sample missed.
 //! * **Bloom filters** ([`bloom`]) — seeded, bit-reproducible filters
 //!   for map-side join pre-filtering (ApproxJoin's filtering stage).
 //!

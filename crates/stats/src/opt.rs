@@ -1,10 +1,9 @@
-//! Numerical optimisation primitives.
+//! Numerical optimisation: [`nelder_mead`], derivative-free simplex
+//! minimisation, used for the GEV maximum-likelihood fit.
 //!
-//! * [`nelder_mead`] — derivative-free simplex minimisation, used for the
-//!   GEV maximum-likelihood fit.
-//! * [`bisect`] — root bracketing/bisection, used when inverting monotone
-//!   error-bound functions (paper Section 4.4's binary search).
-//! * [`golden_section`] — unimodal 1-D minimisation.
+//! The paper's Section 4.4 search for dropping and sampling ratios needs
+//! no root-finder from here: `approxhadoop_core::target::plan_with_margin`
+//! runs its own integer search.
 
 /// Options controlling [`nelder_mead`].
 #[derive(Debug, Clone, Copy)]
@@ -190,91 +189,6 @@ where
     }
 }
 
-/// Finds a root of `f` on `[lo, hi]` by bisection, assuming
-/// `f(lo)` and `f(hi)` have opposite signs.
-///
-/// Returns the midpoint after the interval shrinks below `tol` (or after
-/// 200 iterations). Returns `None` if the endpoints do not bracket a root.
-pub fn bisect<F>(mut f: F, mut lo: f64, mut hi: f64, tol: f64) -> Option<f64>
-where
-    F: FnMut(f64) -> f64,
-{
-    let mut flo = f(lo);
-    let fhi = f(hi);
-    if flo == 0.0 {
-        return Some(lo);
-    }
-    if fhi == 0.0 {
-        return Some(hi);
-    }
-    if flo.signum() == fhi.signum() {
-        return None;
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        let fm = f(mid);
-        if fm == 0.0 || (hi - lo).abs() < tol {
-            return Some(mid);
-        }
-        if fm.signum() == flo.signum() {
-            lo = mid;
-            flo = fm;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(0.5 * (lo + hi))
-}
-
-/// Minimises a unimodal function on `[lo, hi]` with golden-section search;
-/// returns the argmin.
-pub fn golden_section<F>(mut f: F, mut lo: f64, mut hi: f64, tol: f64) -> f64
-where
-    F: FnMut(f64) -> f64,
-{
-    let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
-    let mut c = hi - inv_phi * (hi - lo);
-    let mut d = lo + inv_phi * (hi - lo);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (hi - lo).abs() > tol {
-        if fc < fd {
-            hi = d;
-            d = c;
-            fd = fc;
-            c = hi - inv_phi * (hi - lo);
-            fc = f(c);
-        } else {
-            lo = c;
-            c = d;
-            fc = fd;
-            d = lo + inv_phi * (hi - lo);
-            fd = f(d);
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Minimises an integer-valued objective by exhaustive scan over
-/// `[lo, hi]`, returning `(argmin, min)`. Used for small discrete searches
-/// in the sampling-ratio optimiser.
-pub fn scan_min_i64<F>(mut f: F, lo: i64, hi: i64) -> Option<(i64, f64)>
-where
-    F: FnMut(i64) -> f64,
-{
-    if lo > hi {
-        return None;
-    }
-    let mut best = (lo, f(lo));
-    for x in (lo + 1)..=hi {
-        let fx = f(x);
-        if fx < best.1 {
-            best = (x, fx);
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,35 +222,5 @@ mod tests {
         };
         let r = nelder_mead(f, &[0.5, 0.0], NelderMeadOptions::default());
         assert!((r.x[0] - 2.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_rejects_non_bracketing() {
-        assert!(bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-9).is_none());
-    }
-
-    #[test]
-    fn bisect_exact_endpoint() {
-        assert_eq!(bisect(|x| x, 0.0, 5.0, 1e-9), Some(0.0));
-    }
-
-    #[test]
-    fn golden_section_minimises_parabola() {
-        let x = golden_section(|x| (x - 1.7).powi(2), -10.0, 10.0, 1e-10);
-        assert!((x - 1.7).abs() < 1e-8);
-    }
-
-    #[test]
-    fn scan_min_finds_discrete_min() {
-        let (x, fx) = scan_min_i64(|x| ((x - 7) * (x - 7)) as f64, 0, 20).unwrap();
-        assert_eq!(x, 7);
-        assert_eq!(fx, 0.0);
-        assert!(scan_min_i64(|_| 0.0, 5, 4).is_none());
     }
 }

@@ -1,50 +1,15 @@
-//! Sampling primitives: Bernoulli / systematic / reservoir samplers and a
-//! bounded Zipf generator.
+//! Sampling primitives: the systematic sampler, map-task selection and
+//! a bounded Zipf generator.
 //!
-//! The samplers implement the *input data sampling* mechanism
-//! (`ApproxTextInputFormat` in the paper): given a data block, return a
-//! random subset of its items together with the counts (`m_i`, `M_i`)
-//! needed by the multi-stage estimators. The Zipf generator drives the
-//! synthetic heavy-tailed workloads (page popularity, article sizes).
+//! [`SystematicSampler`] is the *input data sampling* mechanism
+//! (`ApproxTextInputFormat` in the paper, "1 out of every k items"):
+//! given a data block, it picks the kept items, and with them the counts
+//! (`m_i`, `M_i`) the multi-stage estimators need. [`choose_indices`]
+//! and [`random_order`] pick and order the map tasks the JobTracker
+//! executes. The Zipf generator drives the synthetic heavy-tailed
+//! workloads (page popularity, article sizes).
 
 use rand::Rng;
-
-/// Decides membership of each item in a sample independently with
-/// probability `ratio` (Bernoulli sampling).
-#[derive(Debug, Clone, Copy)]
-pub struct BernoulliSampler {
-    ratio: f64,
-}
-
-impl BernoulliSampler {
-    /// Creates a sampler keeping each item with probability `ratio`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < ratio <= 1`.
-    pub fn new(ratio: f64) -> Self {
-        assert!(
-            ratio > 0.0 && ratio <= 1.0,
-            "ratio must lie in (0, 1], got {ratio}"
-        );
-        BernoulliSampler { ratio }
-    }
-
-    /// The sampling ratio.
-    pub fn ratio(&self) -> f64 {
-        self.ratio
-    }
-
-    /// Whether the next item should be kept.
-    pub fn keep<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        self.ratio >= 1.0 || rng.gen::<f64>() < self.ratio
-    }
-
-    /// Returns the indices of the kept items among `total` items.
-    pub fn sample_indices<R: Rng + ?Sized>(&self, rng: &mut R, total: usize) -> Vec<usize> {
-        (0..total).filter(|_| self.keep(rng)).collect()
-    }
-}
 
 /// Keeps every `k`-th item starting from a random offset (systematic
 /// sampling) — the paper's "1 out of every 10 input data items".
@@ -92,58 +57,6 @@ impl SystematicSampler {
         }
         let offset = rng.gen_range(0..self.stride).min(total.saturating_sub(1));
         (offset..total).step_by(self.stride).collect()
-    }
-}
-
-/// Uniform fixed-size sample of a stream of unknown length (Algorithm R).
-#[derive(Debug, Clone)]
-pub struct Reservoir<T> {
-    capacity: usize,
-    seen: u64,
-    items: Vec<T>,
-}
-
-impl<T> Reservoir<T> {
-    /// Creates a reservoir holding at most `capacity` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        Reservoir {
-            capacity,
-            seen: 0,
-            items: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Offers one item to the reservoir.
-    pub fn offer<R: Rng + ?Sized>(&mut self, rng: &mut R, item: T) {
-        self.seen += 1;
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-        } else {
-            let j = rng.gen_range(0..self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
-            }
-        }
-    }
-
-    /// Number of items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The current sample.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-
-    /// Consumes the reservoir, returning the sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
     }
 }
 
@@ -284,27 +197,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn bernoulli_ratio_respected() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let s = BernoulliSampler::new(0.1);
-        let kept = s.sample_indices(&mut rng, 100_000).len();
-        assert!((kept as f64 / 100_000.0 - 0.1).abs() < 0.01, "kept {kept}");
-    }
-
-    #[test]
-    fn bernoulli_full_ratio_keeps_everything() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = BernoulliSampler::new(1.0);
-        assert_eq!(s.sample_indices(&mut rng, 500).len(), 500);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bernoulli_rejects_zero_ratio() {
-        BernoulliSampler::new(0.0);
-    }
-
-    #[test]
     fn systematic_stride_and_count() {
         let mut rng = StdRng::seed_from_u64(3);
         let s = SystematicSampler::new(10);
@@ -331,36 +223,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(s.sample_indices(&mut rng, 1), vec![0]);
         }
-    }
-
-    #[test]
-    fn reservoir_keeps_capacity_and_is_roughly_uniform() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut counts = vec![0u32; 100];
-        for _ in 0..2000 {
-            let mut r = Reservoir::new(10);
-            for i in 0..100 {
-                r.offer(&mut rng, i);
-            }
-            assert_eq!(r.items().len(), 10);
-            for &i in r.items() {
-                counts[i] += 1;
-            }
-        }
-        // Each item should be selected ~200 times (10% of 2000).
-        for (i, &c) in counts.iter().enumerate() {
-            assert!((100..320).contains(&c), "item {i} selected {c} times");
-        }
-    }
-
-    #[test]
-    fn reservoir_under_capacity_keeps_all() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut r = Reservoir::new(10);
-        for i in 0..5 {
-            r.offer(&mut rng, i);
-        }
-        assert_eq!(r.into_items(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -456,61 +318,6 @@ mod prop_tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Algorithm R invariant: after any stream, the reservoir holds
-        /// exactly `min(capacity, stream length)` items and every item
-        /// held came from the stream.
-        #[test]
-        fn reservoir_offer_size_invariant(capacity in 1usize..32,
-                                          stream in 0usize..200,
-                                          seed in 0u64..u64::MAX) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut r = Reservoir::new(capacity);
-            for i in 0..stream {
-                r.offer(&mut rng, i);
-            }
-            prop_assert_eq!(r.seen(), stream as u64);
-            prop_assert_eq!(r.items().len(), capacity.min(stream));
-            prop_assert!(r.items().iter().all(|&i| i < stream));
-            let mut sorted = r.items().to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(sorted.len(), capacity.min(stream), "reservoir held duplicates");
-        }
-
-        /// Inclusion probability of `offer` is uniform: over many seeds,
-        /// each stream position is retained close to `capacity/stream`
-        /// of the time. This is the property that makes the reservoir a
-        /// valid uniform sampler, not just a bounded buffer.
-        #[test]
-        fn reservoir_offer_inclusion_probability_is_uniform(base_seed in 0u64..1_000_000) {
-            let capacity = 8usize;
-            let stream = 64usize;
-            let trials = 600u32;
-            let mut counts = vec![0u32; stream];
-            for t in 0..trials {
-                let mut rng = StdRng::seed_from_u64(base_seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let mut r = Reservoir::new(capacity);
-                for i in 0..stream {
-                    r.offer(&mut rng, i);
-                }
-                for &i in r.items() {
-                    counts[i] += 1;
-                }
-            }
-            // Expected inclusion count per position: trials · k/n = 75.
-            // A 4-sigma band on Binomial(600, 1/8) is ±~33.
-            let expected = trials as f64 * capacity as f64 / stream as f64;
-            let sigma = (trials as f64 * (capacity as f64 / stream as f64)
-                * (1.0 - capacity as f64 / stream as f64)).sqrt();
-            for (i, &c) in counts.iter().enumerate() {
-                prop_assert!(
-                    (c as f64 - expected).abs() < 4.5 * sigma,
-                    "position {} included {} times, expected {} ± {}",
-                    i, c, expected, 4.5 * sigma
-                );
-            }
-        }
 
         /// `from_ratio` rounds `1/ratio` to the nearest stride, never
         /// yields stride 0, and is exact at the edges: ratio 1 keeps

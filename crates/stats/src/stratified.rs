@@ -19,10 +19,9 @@
 //! did not emit (Section 3.1). That keeps every stratum's `m_i`/`M_i`
 //! identical to the cluster's and Eq. 1–3 valid per stratum.
 //!
-//! [`StratifiedSampler`] is the matching sampling primitive: a
-//! deterministic per-stratum systematic sampler, so a rare stratum is
-//! sampled at the same ratio as a popular one instead of being starved
-//! by a global stream.
+//! Sampling itself is not done here: the join samples each dataset's
+//! blocks with the runtime's per-dataset ratios and the systematic
+//! sampler of [`crate::sampling`].
 
 use std::collections::BTreeMap;
 
@@ -108,105 +107,6 @@ impl<K: Ord + Clone> StratifiedEstimator<K> {
     }
 }
 
-/// FNV-1a over bytes; the stable hash behind the sampler's per-stratum
-/// offsets (the std hasher is not guaranteed stable across releases,
-/// and the offsets must reproduce bit-identically on every backend).
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    // Absorb the seed through the stream (not XORed into the basis, so
-    // nearby seeds still give unrelated offsets).
-    for &b in seed.to_le_bytes().iter().chain(bytes) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Deterministic per-stratum systematic sampler: within each stratum's
-/// own item stream, keeps one of every `stride` items starting at an
-/// offset derived from `(seed, stratum)`.
-///
-/// Two properties matter for approximate joins:
-///
-/// * **proportionality** — every stratum is sampled at ratio
-///   `1/stride`, so rare join keys keep the same expansion factor as
-///   popular ones;
-/// * **determinism** — the kept set is a pure function of
-///   `(seed, stride, offer order)`, so re-executed attempts and
-///   different backends select identical samples.
-#[derive(Debug, Clone)]
-pub struct StratifiedSampler<K: Ord + Clone> {
-    stride: u64,
-    seed: u64,
-    /// Per stratum: `(offset, offered so far)`.
-    state: BTreeMap<K, (u64, u64)>,
-}
-
-impl<K: Ord + Clone + AsRef<[u8]>> StratifiedSampler<K> {
-    /// A sampler keeping one of every `stride` items per stratum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    pub fn new(stride: u64, seed: u64) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        StratifiedSampler {
-            stride,
-            seed,
-            state: BTreeMap::new(),
-        }
-    }
-
-    /// Builds a sampler from a ratio, i.e. `stride = round(1/ratio)`
-    /// (clamped to at least 1, so `ratio = 1` keeps everything).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < ratio <= 1`.
-    pub fn from_ratio(ratio: f64, seed: u64) -> Self {
-        assert!(
-            ratio > 0.0 && ratio <= 1.0,
-            "ratio must lie in (0, 1], got {ratio}"
-        );
-        Self::new(((1.0 / ratio).round() as u64).max(1), seed)
-    }
-
-    /// The per-stratum stride `k`.
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// Offers one item of `stratum`; returns whether it is kept.
-    pub fn offer(&mut self, stratum: &K) -> bool {
-        let stride = self.stride;
-        let seed = self.seed;
-        let (offset, seen) = self
-            .state
-            .entry(stratum.clone())
-            .or_insert_with(|| (fnv1a(seed, stratum.as_ref()) % stride, 0));
-        let keep = *seen % stride == *offset;
-        *seen += 1;
-        keep
-    }
-
-    /// Per-stratum `(offered, kept)` counts in key order — the
-    /// `(M_i, m_i)`-style bookkeeping a caller feeds to
-    /// [`StratifiedEstimator`].
-    pub fn counts(&self) -> Vec<(K, u64, u64)> {
-        self.state
-            .iter()
-            .map(|(k, &(offset, seen))| {
-                let kept = if seen == 0 {
-                    0
-                } else {
-                    (seen + self.stride - 1 - offset) / self.stride
-                };
-                (k.clone(), seen, kept)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,47 +186,5 @@ mod tests {
     fn empty_estimator_errors() {
         let est: StratifiedEstimator<&str> = StratifiedEstimator::new(4);
         assert!(est.estimate_combined(0.95).is_err());
-    }
-
-    #[test]
-    fn sampler_keeps_one_in_stride_per_stratum() {
-        let mut s = StratifiedSampler::from_ratio(0.1, 42);
-        assert_eq!(s.stride(), 10);
-        let mut kept_a = 0u64;
-        let mut kept_b = 0u64;
-        for _ in 0..1000 {
-            if s.offer(&"a") {
-                kept_a += 1;
-            }
-        }
-        for _ in 0..50 {
-            if s.offer(&"b") {
-                kept_b += 1;
-            }
-        }
-        assert_eq!(kept_a, 100);
-        assert_eq!(kept_b, 5);
-        let counts = s.counts();
-        assert_eq!(counts, vec![("a", 1000, 100), ("b", 50, 5)]);
-    }
-
-    #[test]
-    fn sampler_is_deterministic_in_seed_and_order() {
-        let run = |seed| {
-            let mut s = StratifiedSampler::new(7, seed);
-            (0..100)
-                .map(|i| s.offer(if i % 3 == 0 { &"x" } else { &"y" }))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(1));
-        assert_ne!(run(1), run(2), "different seeds should shift offsets");
-    }
-
-    #[test]
-    fn ratio_one_keeps_everything() {
-        let mut s = StratifiedSampler::from_ratio(1.0, 9);
-        for _ in 0..20 {
-            assert!(s.offer(&"k"));
-        }
     }
 }

@@ -463,6 +463,9 @@ impl Mapper for EncoderMapper {
 /// **Video Encoding**: encodes `num_chunks × frames_per_chunk` synthetic
 /// frames; `approx_fraction` of the chunks use the coarse (approximate)
 /// encoder. Quality (PSNR) is the user-defined error metric.
+///
+/// An `approx_fraction` outside `[0, 1]` (NaN included) is an
+/// [`CoreError::InvalidSpec`](approxhadoop_core::CoreError::InvalidSpec).
 pub fn video_encoding(
     frame_size: usize,
     num_chunks: usize,
@@ -471,6 +474,11 @@ pub fn video_encoding(
     seed: u64,
     config: JobConfig,
 ) -> Result<VideoResult> {
+    if !(0.0..=1.0).contains(&approx_fraction) {
+        return Err(approxhadoop_core::CoreError::invalid(format!(
+            "approx_fraction must lie in [0, 1], got {approx_fraction}"
+        )));
+    }
     let blocks: Vec<Vec<u64>> = (0..num_chunks)
         .map(|c| {
             (0..frames_per_chunk)

@@ -19,6 +19,7 @@ use approxhadoop_runtime::combine::Combiner;
 use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
 use approxhadoop_runtime::reducer::MapOutputMeta;
 use approxhadoop_runtime::types::{Key, TaskId, Value};
+use approxhadoop_stats::multistage::ExecutedClusters;
 use approxhadoop_stats::Interval;
 
 /// A per-key per-cluster sufficient statistic, and how the map side
@@ -128,7 +129,7 @@ pub struct Run<S>(Vec<(u32, S)>);
 impl<S> Run<S> {
     /// The clusters the key appeared in, as `(index into
     /// [`ClusterTable::clusters`], statistic)` in arrival order.
-    pub fn present(&self) -> impl Iterator<Item = (usize, &S)> {
+    pub fn present(&self) -> impl Iterator<Item = (usize, &S)> + Clone {
         self.0.iter().map(|(ci, stat)| (*ci as usize, stat))
     }
 }
@@ -178,6 +179,19 @@ impl<K: Key, S: UnitStat> ClusterTable<K, S> {
     /// `(task, M_i, m_i)` of each executed cluster, in arrival order.
     pub fn clusters(&self) -> &[(TaskId, u64, u64)] {
         &self.clusters
+    }
+
+    /// What every key's Eq. 1–3 shares — `N = total_clusters`, `n`,
+    /// census, validity and the t critical value at `confidence` —
+    /// computed once from the executed clusters.
+    pub fn executed(&self, total_clusters: u64, confidence: f64) -> ExecutedClusters {
+        ExecutedClusters::new(
+            total_clusters,
+            self.clusters
+                .iter()
+                .map(|&(_, total, sampled)| (total, sampled)),
+            confidence,
+        )
     }
 
     /// Whether no key has been seen.

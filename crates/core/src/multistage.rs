@@ -24,9 +24,10 @@ use std::sync::Arc;
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
 use approxhadoop_runtime::types::Key;
 use approxhadoop_stats::multistage::{
-    ClusterObservation, MeanEstimator, TwoStageEstimator, WaveStatistics,
+    ClusterObservation, ExecutedClusters, MeanEstimator, TwoStageEstimator, TwoStageParts,
+    WaveStatistics,
 };
-use approxhadoop_stats::Interval;
+use approxhadoop_stats::{Interval, Result};
 
 use crate::clusters::{ClusterTable, Run, UnitMapper};
 use crate::keystat::KeyStat;
@@ -144,13 +145,31 @@ impl<K: Key> MultiStageReducer<K> {
         chao1(&fc).ok()
     }
 
-    /// One key's two-stage estimator: one observation per executed
-    /// cluster, all-zero where the key did not appear.
-    fn estimator_for(&self, run: &Run<KeyStat>, total_maps: u64) -> TwoStageEstimator {
-        let mut est = TwoStageEstimator::new(total_maps);
+    /// One key's Eq. 1–3 parts over the clusters it appeared in.
+    fn parts(&self, run: &Run<KeyStat>, executed: &ExecutedClusters) -> Result<TwoStageParts> {
+        let clusters = self.table.clusters();
+        TwoStageEstimator::from_present(
+            executed,
+            run.present().map(|(ci, stat)| {
+                let (task, total_units, sampled_units) = clusters[ci];
+                ClusterObservation {
+                    cluster_id: task.0 as u64,
+                    total_units,
+                    sampled_units,
+                    sum: stat.sum,
+                    sum_sq: stat.sum_sq,
+                }
+            }),
+        )
+    }
+
+    /// The mean per unit of one key. Not sparse: an absent cluster is not
+    /// zero in the denominator (`x ≡ 1` per unit).
+    fn mean_interval(&self, run: &Run<KeyStat>, total_maps: u64) -> Option<Interval> {
+        let mut mean = MeanEstimator::new(total_maps);
         for ((task, total_units, sampled_units), stat) in self.table.dense(run) {
             let stat = stat.copied().unwrap_or_default();
-            est.push(ClusterObservation {
+            mean.push(ClusterObservation {
                 cluster_id: task.0 as u64,
                 total_units,
                 sampled_units,
@@ -158,26 +177,17 @@ impl<K: Key> MultiStageReducer<K> {
                 sum_sq: stat.sum_sq,
             });
         }
-        est
-    }
-
-    /// The interval `self.agg` reports for one key's estimator.
-    fn interval(&self, est: &TwoStageEstimator) -> Option<Interval> {
-        match self.agg {
-            Aggregation::Sum | Aggregation::Count => est.estimate(self.confidence).ok(),
-            Aggregation::Mean => {
-                let mut mean = MeanEstimator::new(est.total_clusters());
-                for obs in est.observations() {
-                    mean.push(*obs);
-                }
-                mean.estimate(self.confidence).ok()
-            }
-        }
+        mean.estimate(self.confidence).ok()
     }
 
     /// Builds the interval for one key from the collected statistics.
-    fn estimate_key(&self, run: &Run<KeyStat>, total_maps: u64) -> Option<Interval> {
-        self.interval(&self.estimator_for(run, total_maps))
+    fn estimate_key(&self, run: &Run<KeyStat>, executed: &ExecutedClusters) -> Option<Interval> {
+        match self.agg {
+            Aggregation::Sum | Aggregation::Count => {
+                self.parts(run, executed).ok()?.interval().ok()
+            }
+            Aggregation::Mean => self.mean_interval(run, executed.total_clusters()),
+        }
     }
 
     /// Evaluates all keys, returning the worst (largest absolute
@@ -188,44 +198,29 @@ impl<K: Key> MultiStageReducer<K> {
     /// ranking by half-width without paying a Student-t inversion per
     /// key. (For `Mean`, the numerator variance is the ranking proxy;
     /// the reported interval is exact.)
-    fn evaluate_worst(&self, total_maps: u64) -> Option<(Interval, WaveStatistics)> {
-        let (_, worst) = self
+    fn evaluate_worst(&self, executed: &ExecutedClusters) -> Option<(Interval, WaveStatistics)> {
+        let (_, worst, run) = self
             .table
             .runs()
             .map(|run| {
-                let est = self.estimator_for(run, total_maps);
-                (est.variance().unwrap_or(f64::INFINITY), est)
+                let parts = self.parts(run, executed).ok();
+                (parts.map_or(f64::INFINITY, |p| p.variance), parts, run)
             })
             .max_by(|a, b| a.0.total_cmp(&b.0))?;
-        let iv = self.interval(&worst)?;
-        Some((iv, self.wave_statistics(&worst, &iv)))
-    }
-
-    /// Builds the [`WaveStatistics`] of one key for the planner.
-    fn wave_statistics(&self, est: &TwoStageEstimator, iv: &Interval) -> WaveStatistics {
+        let (worst, iv) = (worst?, self.estimate_key(run, executed)?);
         let clusters = self.table.clusters();
-        let n = clusters.len().max(1) as f64;
-        let mean_cluster_size = clusters.iter().map(|(_, m, _)| *m as f64).sum::<f64>() / n;
-        let mut mean_within = 0.0;
-        let mut completed_within = 0.0;
-        for obs in est.observations() {
-            let within = obs.within_variance();
-            mean_within += within / n;
-            let m = obs.sampled_units as f64;
-            let mm = obs.total_units as f64;
-            if m > 0.0 {
-                completed_within += mm * (mm - m) * within / m;
-            }
-        }
-        WaveStatistics {
-            total_clusters: est.total_clusters(),
-            completed_clusters: clusters.len() as u64,
-            inter_cluster_var: est.inter_cluster_variance(),
+        let mean_cluster_size =
+            clusters.iter().map(|(_, m, _)| *m as f64).sum::<f64>() / clusters.len().max(1) as f64;
+        let wave = WaveStatistics {
+            total_clusters: executed.total_clusters(),
+            completed_clusters: executed.executed(),
+            inter_cluster_var: worst.inter_cluster_var,
             mean_cluster_size,
-            mean_within_var: mean_within,
-            completed_within_term: completed_within,
+            mean_within_var: worst.mean_within_var,
+            completed_within_term: worst.within_term,
             estimate: iv.estimate,
-        }
+        };
+        Some((iv, wave))
     }
 
     fn monitor_tick(&mut self, ctx: &mut ReduceContext) {
@@ -236,7 +231,8 @@ impl<K: Key> MultiStageReducer<K> {
         }
         self.since_check = 0;
         let total_maps = ctx.total_maps() as u64;
-        if let Some((iv, wave)) = self.evaluate_worst(total_maps) {
+        let executed = self.table.executed(total_maps, self.confidence);
+        if let Some((iv, wave)) = self.evaluate_worst(&executed) {
             ctx.report_bound(iv, Some(wave));
             if let Some(target) = monitor.freeze_at {
                 if target.met(iv.half_width, iv.relative_error())
@@ -292,8 +288,10 @@ impl<K: Key> Reducer for MultiStageReducer<K> {
                 slots[p] = est;
             }
         }
-        let total_maps = ctx.total_maps() as u64;
-        self.table.finish(|run| self.estimate_key(run, total_maps))
+        let executed = self
+            .table
+            .executed(ctx.total_maps() as u64, self.confidence);
+        self.table.finish(|run| self.estimate_key(run, &executed))
     }
 }
 
@@ -512,6 +510,69 @@ mod tests {
         assert!(report.half_width > 0.0);
         assert!(wave.completed_clusters == 3);
         assert!(wave.estimate > 100.0, "worst key is the big one");
+    }
+
+    fn stat(sum: f64) -> KeyStat {
+        KeyStat {
+            sum,
+            sum_sq: sum * sum / 2.0,
+            emitting_units: 2,
+        }
+    }
+
+    #[test]
+    fn an_invalid_cluster_drops_every_key() {
+        // Cluster 1 sampled none of its 10 records. No key appears in it,
+        // yet it invalidates Eq. 1–3 for every key (each counts it as a
+        // cluster of zeros with no expansion factor), so the reducer
+        // outputs nothing and its monitor stops publishing.
+        let mut r = MultiStageReducer::<String>::new(Aggregation::Sum, 0.95)
+            .with_monitor(BoundMonitor::reporting());
+        let control = Arc::new(JobControl::new(1));
+        let mut c = ReduceContext::new(0, 6, Arc::clone(&control));
+        let outputs = [
+            (meta(0, 10, 5), vec![("a".to_string(), stat(4.0))]),
+            (meta(1, 10, 0), vec![]),
+            (meta(2, 10, 5), vec![("a".to_string(), stat(6.0))]),
+        ];
+        for (i, (m, pairs)) in outputs.into_iter().enumerate() {
+            c.note_map();
+            r.on_map_output(&m, pairs, &mut c);
+            let report = control.bound_reports()[0].expect("published after cluster 0");
+            assert_eq!(report.maps_processed, 1, "published after cluster {i}");
+        }
+        assert!(r.finish(&mut c).is_empty());
+    }
+
+    #[test]
+    fn a_key_in_one_cluster_of_six_gets_the_dense_interval() {
+        let mut r = MultiStageReducer::<String>::new(Aggregation::Sum, 0.95);
+        let mut c = ctx(9);
+        let mut dense = TwoStageEstimator::new(9);
+        for t in 0..6 {
+            let (total, sampled) = (40 + t as u64, 10 + t as u64);
+            let mut pairs = vec![("common".to_string(), stat(3.0 + t as f64))];
+            let rare = (t == 3).then(|| stat(17.5));
+            pairs.extend(rare.map(|s| ("rare".to_string(), s)));
+            r.on_map_output(&meta(t, total, sampled), pairs, &mut c);
+            let rare = rare.unwrap_or_default();
+            dense.push(ClusterObservation {
+                cluster_id: t as u64,
+                total_units: total,
+                sampled_units: sampled,
+                sum: rare.sum,
+                sum_sq: rare.sum_sq,
+            });
+        }
+        let out = r.finish(&mut c);
+        let rare = out.iter().find(|(k, _)| k == "rare").expect("rare key").1;
+        let expected = dense.estimate(0.95).unwrap();
+        assert_eq!(rare.estimate.to_bits(), expected.estimate.to_bits());
+        let drift = (rare.half_width - expected.half_width).abs();
+        assert!(
+            drift <= 1e-12 * expected.half_width,
+            "{rare:?} vs {expected:?}"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
 use approxhadoop_runtime::types::Key;
-use approxhadoop_stats::multistage::{PairedClusterObservation, RatioEstimator};
+use approxhadoop_stats::multistage::{ExecutedClusters, PairedClusterObservation, RatioEstimator};
 use approxhadoop_stats::Interval;
 
 use crate::clusters::{ClusterTable, Run, UnitMapper, UnitStat};
@@ -91,22 +91,26 @@ impl<K: Key> RatioReducer<K> {
         }
     }
 
-    fn estimate_key(&self, run: &Run<PairStat>, total_maps: u64) -> Option<Interval> {
-        let mut est = RatioEstimator::new(total_maps);
-        for ((task, total_units, sampled_units), stat) in self.table.dense(run) {
-            let s = stat.copied().unwrap_or_default();
-            est.push(PairedClusterObservation {
-                cluster_id: task.0 as u64,
-                total_units,
-                sampled_units,
-                sum_y: s.sum_y,
-                sum_y_sq: s.sum_y_sq,
-                sum_x: s.sum_x,
-                sum_x_sq: s.sum_x_sq,
-                sum_xy: s.sum_xy,
-            });
-        }
-        est.estimate(self.confidence).ok()
+    /// One key's ratio over the clusters it appeared in.
+    fn estimate_key(&self, run: &Run<PairStat>, executed: &ExecutedClusters) -> Option<Interval> {
+        let clusters = self.table.clusters();
+        RatioEstimator::from_present(
+            executed,
+            run.present().map(|(ci, s)| {
+                let (task, total_units, sampled_units) = clusters[ci];
+                PairedClusterObservation {
+                    cluster_id: task.0 as u64,
+                    total_units,
+                    sampled_units,
+                    sum_y: s.sum_y,
+                    sum_y_sq: s.sum_y_sq,
+                    sum_x: s.sum_x,
+                    sum_x_sq: s.sum_x_sq,
+                    sum_xy: s.sum_xy,
+                }
+            }),
+        )
+        .ok()
     }
 }
 
@@ -125,8 +129,10 @@ impl<K: Key> Reducer for RatioReducer<K> {
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<(K, Interval)> {
-        let total_maps = ctx.total_maps() as u64;
-        self.table.finish(|run| self.estimate_key(run, total_maps))
+        let executed = self
+            .table
+            .executed(ctx.total_maps() as u64, self.confidence);
+        self.table.finish(|run| self.estimate_key(run, &executed))
     }
 }
 

@@ -23,6 +23,30 @@
 //! that produced **no** value for an intermediate key is counted as a
 //! `0`-valued observation, so `sum`/`sum_sq` only accumulate emitted
 //! values while `sampled_units` counts every sampled item.
+//!
+//! # Per-key cost
+//!
+//! A reducer estimates every key of a job over the same executed
+//! clusters, but a key typically appears in a few of them. The
+//! `Vec`-of-observations estimators ([`TwoStageEstimator::new`] +
+//! [`TwoStageEstimator::push`]) take one observation per executed
+//! cluster, zeros included, so each key costs O(`n`). The reducers'
+//! path costs O(clusters the key appeared in):
+//!
+//! * [`ExecutedClusters`] holds what every key shares, computed once per
+//!   evaluation from the executed clusters' `(Mᵢ, mᵢ)`: `N`, `n`, whether
+//!   they form a census, whether one of them is invalid (`mᵢ = 0 < Mᵢ`
+//!   or `mᵢ > Mᵢ`, which fails every key, present in it or not), and the
+//!   one `t_{n−1}` lookup.
+//! * [`TwoStageEstimator::from_present`] and
+//!   [`RatioEstimator::from_present`] take only the clusters the key
+//!   appeared in. An absent cluster has `τ̂ᵢ = 0` and `sᵢ² = 0`: it adds
+//!   nothing to `τ̂` or to the within term, and exactly `τ̄²` to
+//!   `Σ(τ̂ᵢ − τ̄)²`, so the `n − p` absent clusters enter in closed form
+//!   as `(n − p)·τ̄²` (for a ratio, an absent cluster's residual is `0`).
+//!
+//! The mean per unit ([`MeanEstimator`]) stays dense: an absent cluster
+//! is not zero in its denominator (`x ≡ 1` per unit).
 
 use crate::dist::cached_two_sided_critical_value;
 use crate::interval::Interval;
@@ -141,19 +165,9 @@ impl TwoStageEstimator {
         self.observations.push(obs);
     }
 
-    /// `N` — total clusters in the population.
-    pub fn total_clusters(&self) -> u64 {
-        self.total_clusters
-    }
-
     /// `n` — executed (sampled) clusters so far.
     pub fn sampled_clusters(&self) -> usize {
         self.observations.len()
-    }
-
-    /// The executed-cluster observations.
-    pub fn observations(&self) -> &[ClusterObservation] {
-        &self.observations
     }
 
     /// The point estimate `τ̂` (paper Eq. 1). Errors if no clusters have
@@ -244,6 +258,204 @@ impl TwoStageEstimator {
         let t = cached_two_sided_critical_value((n - 1) as f64, confidence);
         Ok(Interval::new(total, t * var.sqrt(), confidence))
     }
+
+    /// One key's Eq. 1–3 from only the executed clusters it appeared in:
+    /// the same numbers [`TwoStageEstimator::estimate`] and
+    /// [`TwoStageEstimator::variance`] give for the dense observations
+    /// (one per executed cluster, all-zero where the key is absent), in
+    /// O(`present`) rather than O(`n`).
+    ///
+    /// An absent cluster has `τ̂ᵢ = 0` and `sᵢ² = 0`, so it adds nothing
+    /// to `τ̂` or to the within term, and exactly `τ̄²` to
+    /// `Σ(τ̂ᵢ − τ̄)²`. The present clusters are summed in the order given
+    /// (the dense path's order), so `τ̂` and the within term are
+    /// bit-identical to the dense path's. `Σ(τ̂ᵢ − τ̄)²` starts from the
+    /// `n − p` absent clusters' `(n − p)·τ̄²` and adds the present terms
+    /// in order, so `s_u²` differs from the dense sum, which interleaves
+    /// the absent `τ̄²`s, by rounding only, and only when `p < n`.
+    ///
+    /// Every present observation is checked as the dense path checks it.
+    /// What an absent cluster could fail — `mᵢ = 0 < Mᵢ` or `mᵢ > Mᵢ` —
+    /// is `clusters`' job-level validity, and fails every key alike.
+    pub fn from_present<I>(clusters: &ExecutedClusters, present: I) -> Result<TwoStageParts>
+    where
+        I: IntoIterator<Item = ClusterObservation>,
+        I::IntoIter: Clone,
+    {
+        clusters.check()?;
+        let present = present.into_iter();
+        let n = clusters.executed;
+        let nf = n as f64;
+        let nn = clusters.total_clusters as f64;
+        let mut sum = 0.0;
+        let mut within = 0.0;
+        let mut mean_within = 0.0;
+        let mut seen = 0u64;
+        for obs in present.clone() {
+            obs.validate()?;
+            seen += 1;
+            sum += obs.estimated_total();
+            let s2 = obs.within_variance();
+            mean_within += s2 / nf;
+            if obs.sampled_units > 0 {
+                let m = obs.sampled_units as f64;
+                let mm = obs.total_units as f64;
+                within += mm * (mm - m) * s2 / m;
+            }
+        }
+        debug_assert!(seen <= n, "{seen} present clusters of {n} executed");
+        let inter_cluster_var = if n < 2 {
+            0.0
+        } else {
+            let mean = sum / nf;
+            let mut squares = if seen < n {
+                (n - seen) as f64 * (mean * mean)
+            } else {
+                0.0
+            };
+            for obs in present {
+                let d = obs.estimated_total() - mean;
+                squares += d * d;
+            }
+            squares / (nf - 1.0)
+        };
+        let between = nn * (nn - nf) * inter_cluster_var / nf;
+        Ok(TwoStageParts {
+            estimate: nn / nf * sum,
+            inter_cluster_var,
+            within_term: within,
+            mean_within_var: mean_within,
+            variance: between + nn / nf * within,
+            clusters: *clusters,
+        })
+    }
+}
+
+/// What every key of one job shares in Eq. 1–3, computed once from the
+/// executed clusters' `(Mᵢ, mᵢ)` rather than once per key: `N`, `n`,
+/// whether the clusters form a census (`n = N` and every `mᵢ = Mᵢ`),
+/// whether one of them is invalid (`mᵢ = 0 < Mᵢ` or `mᵢ > Mᵢ`, which
+/// fails every key), and the critical value `t_{n−1, 1−α/2}`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExecutedClusters {
+    total_clusters: u64,
+    executed: u64,
+    census: bool,
+    invalid: bool,
+    confidence: f64,
+    critical: f64,
+}
+
+impl ExecutedClusters {
+    /// The facts of `total_clusters` (`N`) clusters of which `executed`
+    /// yields each executed one's `(Mᵢ, mᵢ)`, for intervals at
+    /// `confidence`.
+    pub fn new(
+        total_clusters: u64,
+        executed: impl IntoIterator<Item = (u64, u64)>,
+        confidence: f64,
+    ) -> Self {
+        let mut n = 0u64;
+        let mut all_units = true;
+        let mut invalid = false;
+        for (total_units, sampled_units) in executed {
+            n += 1;
+            all_units &= sampled_units == total_units;
+            invalid |= (sampled_units == 0 && total_units > 0) || sampled_units > total_units;
+        }
+        let census = n == total_clusters && all_units;
+        let critical = if valid_confidence(confidence) && n >= 2 && !census {
+            cached_two_sided_critical_value((n - 1) as f64, confidence)
+        } else {
+            f64::NAN
+        };
+        ExecutedClusters {
+            total_clusters,
+            executed: n,
+            census,
+            invalid,
+            confidence,
+            critical,
+        }
+    }
+
+    /// `N` — total clusters in the population.
+    pub fn total_clusters(&self) -> u64 {
+        self.total_clusters
+    }
+
+    /// `n` — executed clusters.
+    pub fn executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// The errors every key shares: no executed cluster, or an invalid
+    /// one.
+    fn check(&self) -> Result<()> {
+        if self.executed == 0 {
+            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
+        }
+        if self.invalid {
+            return Err(StatsError::invalid(
+                "sampled_units",
+                "every executed non-empty cluster must sample between one and all of its units",
+            ));
+        }
+        Ok(())
+    }
+
+    /// `estimate ± t·√variance`, with the census and `n < 2` cases of
+    /// Eq. 2 — the tail every interval of the job shares.
+    fn interval(&self, estimate: f64, variance: f64, context: &'static str) -> Result<Interval> {
+        if !valid_confidence(self.confidence) {
+            return Err(StatsError::invalid("confidence", "must lie in (0, 1)"));
+        }
+        if self.census {
+            return Ok(Interval::new(estimate, 0.0, self.confidence));
+        }
+        if self.executed < 2 {
+            return Ok(Interval::new(estimate, f64::INFINITY, self.confidence));
+        }
+        if variance < 0.0 || !variance.is_finite() {
+            return Err(StatsError::Numerical { context });
+        }
+        Ok(Interval::new(
+            estimate,
+            self.critical * variance.sqrt(),
+            self.confidence,
+        ))
+    }
+}
+
+fn valid_confidence(confidence: f64) -> bool {
+    0.0 < confidence && confidence < 1.0
+}
+
+/// One key's Eq. 1–3 quantities from [`TwoStageEstimator::from_present`]:
+/// the estimate, the parts of its variance, and what the planner's
+/// [`WaveStatistics`] reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TwoStageParts {
+    /// `τ̂` (Eq. 1).
+    pub estimate: f64,
+    /// `s_u²` over the `n` executed clusters' `τ̂ᵢ`, absent ones as `0`.
+    pub inter_cluster_var: f64,
+    /// `Σᵢ Mᵢ(Mᵢ−mᵢ)sᵢ²/mᵢ` — Eq. 3's within term before its `N/n`.
+    pub within_term: f64,
+    /// Mean `sᵢ²` over the `n` executed clusters.
+    pub mean_within_var: f64,
+    /// `Var(τ̂)` (Eq. 3).
+    pub variance: f64,
+    clusters: ExecutedClusters,
+}
+
+impl TwoStageParts {
+    /// `τ̂ ± ε` (Eq. 2) at the confidence the [`ExecutedClusters`] were
+    /// built for: what [`TwoStageEstimator::estimate`] returns.
+    pub fn interval(&self) -> Result<Interval> {
+        self.clusters
+            .interval(self.estimate, self.variance, "two-stage variance")
+    }
 }
 
 /// Paired per-cluster statistics for ratio/mean estimation.
@@ -268,6 +480,59 @@ pub struct PairedClusterObservation {
     pub sum_x_sq: f64,
     /// `Σ xᵢⱼ·yᵢⱼ`.
     pub sum_xy: f64,
+}
+
+impl PairedClusterObservation {
+    /// The residual `d = y − r·x` as a one-variable observation.
+    fn residual(&self, r: f64) -> ClusterObservation {
+        let sum_d = self.sum_y - r * self.sum_x;
+        let sum_d_sq = self.sum_y_sq - 2.0 * r * self.sum_xy + r * r * self.sum_x_sq;
+        ClusterObservation {
+            cluster_id: self.cluster_id,
+            total_units: self.total_units,
+            sampled_units: self.sampled_units,
+            sum: sum_d,
+            sum_sq: sum_d_sq.max(0.0),
+        }
+    }
+}
+
+/// `(τ̂_y, τ̂_x)` of `N` clusters of which `n` executed, summed over
+/// `observations`: every executed cluster, or only those a key appeared
+/// in (an absent one would add `0` to both sums).
+fn ratio_totals(
+    total_clusters: u64,
+    n: u64,
+    observations: impl IntoIterator<Item = PairedClusterObservation>,
+) -> Result<(f64, f64)> {
+    let mut ty = 0.0;
+    let mut tx = 0.0;
+    for o in observations {
+        if o.sampled_units == 0 {
+            // An entirely empty block (M_i = m_i = 0) is a legitimate
+            // zero-weight cluster, exactly as TwoStageEstimator (and
+            // ClusterObservation::validate) treats it — it still
+            // counts toward n below, just contributes nothing here.
+            if o.total_units == 0 && o.sum_y == 0.0 && o.sum_x == 0.0 {
+                continue;
+            }
+            return Err(StatsError::invalid(
+                "sampled_units",
+                "must sample at least one unit per executed non-empty cluster",
+            ));
+        }
+        if o.sampled_units > o.total_units {
+            return Err(StatsError::invalid(
+                "sampled_units",
+                "must be in [1, total_units]",
+            ));
+        }
+        let w = o.total_units as f64 / o.sampled_units as f64;
+        ty += w * o.sum_y;
+        tx += w * o.sum_x;
+    }
+    let scale = total_clusters as f64 / n as f64;
+    Ok((scale * ty, scale * tx))
 }
 
 /// Two-stage **ratio** estimator `r̂ = τ̂_y / τ̂_x` with a linearised
@@ -315,34 +580,11 @@ impl RatioEstimator {
         if n == 0 {
             return Err(StatsError::InsufficientData { needed: 1, got: 0 });
         }
-        let mut ty = 0.0;
-        let mut tx = 0.0;
-        for o in &self.observations {
-            if o.sampled_units == 0 {
-                // An entirely empty block (M_i = m_i = 0) is a legitimate
-                // zero-weight cluster, exactly as TwoStageEstimator (and
-                // ClusterObservation::validate) treats it — it still
-                // counts toward n below, just contributes nothing here.
-                if o.total_units == 0 && o.sum_y == 0.0 && o.sum_x == 0.0 {
-                    continue;
-                }
-                return Err(StatsError::invalid(
-                    "sampled_units",
-                    "must sample at least one unit per executed non-empty cluster",
-                ));
-            }
-            if o.sampled_units > o.total_units {
-                return Err(StatsError::invalid(
-                    "sampled_units",
-                    "must be in [1, total_units]",
-                ));
-            }
-            let w = o.total_units as f64 / o.sampled_units as f64;
-            ty += w * o.sum_y;
-            tx += w * o.sum_x;
-        }
-        let scale = self.total_clusters as f64 / n as f64;
-        Ok((scale * ty, scale * tx))
+        ratio_totals(
+            self.total_clusters,
+            n as u64,
+            self.observations.iter().copied(),
+        )
     }
 
     /// The point estimate `r̂ = τ̂_y / τ̂_x`.
@@ -387,15 +629,7 @@ impl RatioEstimator {
         // Residual statistics: d = y - r x.
         let mut d_est = TwoStageEstimator::new(self.total_clusters);
         for o in &self.observations {
-            let sum_d = o.sum_y - r * o.sum_x;
-            let sum_d_sq = o.sum_y_sq - 2.0 * r * o.sum_xy + r * r * o.sum_x_sq;
-            d_est.push(ClusterObservation {
-                cluster_id: o.cluster_id,
-                total_units: o.total_units,
-                sampled_units: o.sampled_units,
-                sum: sum_d,
-                sum_sq: sum_d_sq.max(0.0),
-            });
+            d_est.push(o.residual(r));
         }
         let var_d = d_est.variance()?;
         let var_r = var_d / (tx * tx);
@@ -406,6 +640,34 @@ impl RatioEstimator {
         }
         let t = cached_two_sided_critical_value((n - 1) as f64, confidence);
         Ok(Interval::new(r, t * var_r.sqrt(), confidence))
+    }
+
+    /// One key's `r̂ ± ε` from only the executed clusters it appeared
+    /// in: what [`RatioEstimator::estimate`] returns for the dense
+    /// observations. An absent cluster has `y = x = 0`, so it adds
+    /// nothing to `τ̂_y` or `τ̂_x` and its residual `d = y − r̂·x` is `0`:
+    /// the residuals' variance is [`TwoStageEstimator::from_present`]'s
+    /// closed form.
+    pub fn from_present<I>(clusters: &ExecutedClusters, present: I) -> Result<Interval>
+    where
+        I: IntoIterator<Item = PairedClusterObservation>,
+        I::IntoIter: Clone,
+    {
+        clusters.check()?;
+        let present = present.into_iter();
+        let (ty, tx) = ratio_totals(clusters.total_clusters, clusters.executed, present.clone())?;
+        if tx == 0.0 {
+            return Err(StatsError::Numerical {
+                context: "ratio estimator denominator",
+            });
+        }
+        let r = ty / tx;
+        if clusters.census || clusters.executed < 2 {
+            // No residuals needed: the interval is exact or unbounded.
+            return clusters.interval(r, 0.0, "ratio estimator variance");
+        }
+        let d = TwoStageEstimator::from_present(clusters, present.map(|o| o.residual(r)))?;
+        clusters.interval(r, d.variance / (tx * tx), "ratio estimator variance")
     }
 }
 

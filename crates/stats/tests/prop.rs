@@ -2,12 +2,191 @@
 
 use approxhadoop_stats::dist::{ContinuousDistribution, Gev, Normal, StudentT};
 use approxhadoop_stats::gev::{block_maxima, block_minima};
-use approxhadoop_stats::multistage::{ClusterObservation, TwoStageEstimator, WaveStatistics};
+use approxhadoop_stats::multistage::{
+    ClusterObservation, ExecutedClusters, PairedClusterObservation, RatioEstimator,
+    TwoStageEstimator, WaveStatistics,
+};
 use approxhadoop_stats::sampling::{choose_indices, random_order, SystematicSampler, Zipf};
 use approxhadoop_stats::special::{inv_reg_inc_beta, reg_inc_beta};
+use approxhadoop_stats::Interval;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// One key's statistics over a job's executed clusters: `(Mᵢ, mᵢ)` per
+/// executed cluster and, where the key appeared, its paired sums
+/// `(Σy, Σy², Σx, Σx², Σxy)` (`y` alone is the two-stage variable).
+struct KeyTable {
+    total_clusters: u64,
+    clusters: Vec<(u64, u64)>,
+    present: Vec<Option<[f64; 5]>>,
+    confidence: f64,
+}
+
+/// The table shapes the sparse path must agree with the dense one on.
+const SHAPES: u8 = 7;
+
+/// A random key table of one `shape`: 0 sparse (the key in few
+/// clusters), 1 census, 2 a single executed cluster, 3 every cluster
+/// executed but sampled, 4 an executed cluster with `mᵢ = 0 < Mᵢ` or
+/// `mᵢ > Mᵢ`, 5 a non-finite sum, 6 an invalid confidence. Every shape
+/// has some empty `(0, 0)` clusters and sometimes a key present in all
+/// or none of the clusters.
+fn key_table(seed: u64, shape: u8) -> KeyTable {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = if shape == 2 {
+        1
+    } else {
+        rng.gen_range(1..16usize)
+    };
+    let unexecuted = if matches!(shape, 1 | 3) {
+        0
+    } else {
+        rng.gen_range(0..4u64)
+    };
+    let mut clusters: Vec<(u64, u64)> = (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.15) {
+                return (0, 0);
+            }
+            let total = rng.gen_range(1..60u64);
+            let sampled = if shape == 1 {
+                total
+            } else {
+                rng.gen_range(1..=total)
+            };
+            (total, sampled)
+        })
+        .collect();
+    if shape == 4 {
+        let c = &mut clusters[rng.gen_range(0..n)];
+        let total = c.0.max(1);
+        *c = if rng.gen_bool(0.5) {
+            (total, 0)
+        } else {
+            (total, total + 1)
+        };
+    }
+    let share = [0.1, 0.3, 1.0][rng.gen_range(0..3usize)];
+    let mut present: Vec<Option<[f64; 5]>> = clusters
+        .iter()
+        .map(|&(_, sampled)| {
+            if !rng.gen_bool(share) {
+                return None;
+            }
+            // An empty cluster can only hold zero sums; now and then it
+            // holds a non-zero one, which both paths must reject.
+            let emitting = if sampled == 0 {
+                0
+            } else {
+                rng.gen_range(1..=sampled.min(20))
+            };
+            let mut sums = [0.0; 5];
+            for _ in 0..emitting {
+                let y = rng.gen_range(-100.0..100.0f64);
+                let x = rng.gen_range(0..3u32) as f64;
+                sums[0] += y;
+                sums[1] += y * y;
+                sums[2] += x;
+                sums[3] += x * x;
+                sums[4] += x * y;
+            }
+            if sampled == 0 && rng.gen_bool(0.1) {
+                sums[0] = 1.0;
+            }
+            Some(sums)
+        })
+        .collect();
+    if shape == 5 {
+        let at = rng.gen_range(0..n);
+        let sums = present[at].get_or_insert([1.0; 5]);
+        sums[rng.gen_range(0..2usize) * 2] = [f64::NAN, f64::INFINITY][rng.gen_range(0..2usize)];
+    }
+    let confidence = if shape == 6 {
+        1.0
+    } else {
+        [0.8, 0.95, 0.99][rng.gen_range(0..3usize)]
+    };
+    KeyTable {
+        total_clusters: n as u64 + unexecuted,
+        clusters,
+        present,
+        confidence,
+    }
+}
+
+impl KeyTable {
+    fn executed(&self) -> ExecutedClusters {
+        ExecutedClusters::new(
+            self.total_clusters,
+            self.clusters.iter().copied(),
+            self.confidence,
+        )
+    }
+
+    /// Cluster `i`'s observation, all-zero where the key is absent.
+    fn observation(&self, i: usize) -> ClusterObservation {
+        let sums = self.present[i].unwrap_or_default();
+        ClusterObservation {
+            cluster_id: i as u64,
+            total_units: self.clusters[i].0,
+            sampled_units: self.clusters[i].1,
+            sum: sums[0],
+            sum_sq: sums[1],
+        }
+    }
+
+    fn paired(&self, i: usize) -> PairedClusterObservation {
+        let s = self.present[i].unwrap_or_default();
+        PairedClusterObservation {
+            cluster_id: i as u64,
+            total_units: self.clusters[i].0,
+            sampled_units: self.clusters[i].1,
+            sum_y: s[0],
+            sum_y_sq: s[1],
+            sum_x: s[2],
+            sum_x_sq: s[3],
+            sum_xy: s[4],
+        }
+    }
+
+    fn present_indices(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        (0..self.clusters.len()).filter(|&i| self.present[i].is_some())
+    }
+
+    fn all_present(&self) -> bool {
+        self.present.iter().all(Option::is_some)
+    }
+}
+
+/// `a` and `b` agree to 1e-12 relative (or are the same infinity/zero).
+fn close(a: f64, b: f64) -> bool {
+    a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+}
+
+/// The sparse interval matches the dense one: the same `Ok`/`Err`, a
+/// bit-identical estimate, a half-width within 1e-12 relative — and
+/// bit-identical throughout when `exact`.
+fn same_interval(
+    dense: &approxhadoop_stats::Result<Interval>,
+    sparse: &approxhadoop_stats::Result<Interval>,
+    exact: bool,
+) -> std::result::Result<(), String> {
+    match (dense, sparse) {
+        (Err(_), Err(_)) => Ok(()),
+        (Ok(d), Ok(s))
+            if d.estimate.to_bits() == s.estimate.to_bits()
+                && if exact {
+                    d.half_width.to_bits() == s.half_width.to_bits()
+                } else {
+                    close(d.half_width, s.half_width)
+                } =>
+        {
+            Ok(())
+        }
+        _ => Err(format!("dense {dense:?} vs sparse {sparse:?}")),
+    }
+}
 
 /// Strategy: a population of blocks of values.
 fn blocks_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -258,5 +437,74 @@ proptest! {
             let k = z.sample(&mut rng);
             prop_assert!(k >= 1 && k <= n);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// `TwoStageEstimator::from_present` over the clusters a key
+    /// appeared in gives what the dense estimator gives over every
+    /// executed cluster with zeros where the key is absent: the same
+    /// `Ok`/`Err`, a bit-identical estimate and within term, `s_u²`,
+    /// variance and half-width within 1e-12 relative — all bit-identical
+    /// when the key is in every cluster.
+    #[test]
+    fn sparse_two_stage_matches_dense(seed in 0u64..u64::MAX, shape in 0u8..SHAPES) {
+        let table = key_table(seed, shape);
+        let mut dense = TwoStageEstimator::new(table.total_clusters);
+        for i in 0..table.clusters.len() {
+            dense.push(table.observation(i));
+        }
+        let sparse = TwoStageEstimator::from_present(
+            &table.executed(),
+            table.present_indices().map(|i| table.observation(i)),
+        );
+        let exact = table.all_present();
+        let interval = sparse.as_ref().map_err(Clone::clone).and_then(|p| p.interval());
+        let checked = same_interval(&dense.estimate(table.confidence), &interval, exact);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        prop_assert_eq!(dense.variance().is_ok(), sparse.is_ok());
+        if let (Ok(variance), Ok(parts)) = (dense.variance(), &sparse) {
+            let s_u2 = dense.inter_cluster_variance();
+            let n = table.clusters.len() as f64;
+            let mut within = 0.0;
+            let mut mean_within = 0.0;
+            for o in (0..table.clusters.len()).map(|i| table.observation(i)) {
+                mean_within += o.within_variance() / n;
+                if o.sampled_units > 0 {
+                    let (m, mm) = (o.sampled_units as f64, o.total_units as f64);
+                    within += mm * (mm - m) * o.within_variance() / m;
+                }
+            }
+            prop_assert_eq!(parts.estimate.to_bits(), dense.estimated_total().unwrap().to_bits());
+            prop_assert_eq!(parts.within_term.to_bits(), within.to_bits());
+            prop_assert_eq!(parts.mean_within_var.to_bits(), mean_within.to_bits());
+            if exact {
+                prop_assert_eq!(parts.inter_cluster_var.to_bits(), s_u2.to_bits());
+                prop_assert_eq!(parts.variance.to_bits(), variance.to_bits());
+            } else {
+                prop_assert!(close(parts.inter_cluster_var, s_u2), "s_u² {s_u2} vs {}", parts.inter_cluster_var);
+                prop_assert!(close(parts.variance, variance), "variance {variance} vs {}", parts.variance);
+            }
+        }
+    }
+
+    /// `RatioEstimator::from_present` matches the dense ratio estimator
+    /// the same way: an absent cluster has `y = x = 0`, so its residual
+    /// is zero.
+    #[test]
+    fn sparse_ratio_matches_dense(seed in 0u64..u64::MAX, shape in 0u8..SHAPES) {
+        let table = key_table(seed, shape);
+        let mut dense = RatioEstimator::new(table.total_clusters);
+        for i in 0..table.clusters.len() {
+            dense.push(table.paired(i));
+        }
+        let sparse = RatioEstimator::from_present(
+            &table.executed(),
+            table.present_indices().map(|i| table.paired(i)),
+        );
+        let checked = same_interval(&dense.estimate(table.confidence), &sparse, table.all_present());
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 }

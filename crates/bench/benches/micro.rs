@@ -13,7 +13,9 @@ use approxhadoop_runtime::engine::JobConfig;
 use approxhadoop_runtime::input::VecSource;
 use approxhadoop_stats::dist::{ContinuousDistribution, StudentT};
 use approxhadoop_stats::gev::fit_gev_maxima;
-use approxhadoop_stats::multistage::{ClusterObservation, TwoStageEstimator, WaveStatistics};
+use approxhadoop_stats::multistage::{
+    ClusterObservation, ExecutedClusters, TwoStageEstimator, WaveStatistics,
+};
 use approxhadoop_stats::sampling::Zipf;
 
 fn bench_two_stage_estimator(c: &mut Criterion) {
@@ -29,11 +31,13 @@ fn bench_two_stage_estimator(c: &mut Criterion) {
         .collect();
     c.bench_function("two_stage_estimate_1000_clusters", |b| {
         b.iter(|| {
-            let mut est = TwoStageEstimator::new(2_000);
-            for obs in &observations {
-                est.push(*obs);
-            }
-            black_box(est.estimate(0.95).unwrap())
+            let units = observations
+                .iter()
+                .map(|o| (o.total_units, o.sampled_units));
+            let executed = ExecutedClusters::new(2_000, units, 0.95);
+            let parts =
+                TwoStageEstimator::from_present(&executed, observations.iter().copied()).unwrap();
+            black_box(parts.interval().unwrap())
         })
     });
 }

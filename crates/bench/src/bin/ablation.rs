@@ -20,7 +20,7 @@ use approxhadoop_runtime::engine::{run_job_with_session, JobConfig};
 use approxhadoop_runtime::input::VecSource;
 use approxhadoop_runtime::{JobId, JobSession};
 use approxhadoop_stats::dist::{cached_two_sided_critical_value, ContinuousDistribution, Normal};
-use approxhadoop_stats::multistage::{ClusterObservation, TwoStageEstimator};
+use approxhadoop_stats::multistage::{ClusterObservation, ExecutedClusters, TwoStageEstimator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,7 +53,7 @@ fn ablate_quantile() {
         for _ in 0..reps {
             let blocks = population(40, 50, rng.gen());
             let truth: f64 = blocks.iter().flatten().sum();
-            let mut est = TwoStageEstimator::new(40);
+            let mut obs = Vec::new();
             // Sample n random blocks fully.
             let mut ids: Vec<usize> = (0..40).collect();
             for i in 0..n {
@@ -61,7 +61,7 @@ fn ablate_quantile() {
                 ids.swap(i, j);
             }
             for &b in ids.iter().take(n) {
-                est.push(ClusterObservation {
+                obs.push(ClusterObservation {
                     cluster_id: b as u64,
                     total_units: 50,
                     sampled_units: 50,
@@ -69,8 +69,10 @@ fn ablate_quantile() {
                     sum_sq: blocks[b].iter().map(|v| v * v).sum(),
                 });
             }
-            let var = est.variance().unwrap();
-            let tau = est.estimated_total().unwrap();
+            let units = obs.iter().map(|o| (o.total_units, o.sampled_units));
+            let executed = ExecutedClusters::new(40, units, 0.95);
+            let parts = TwoStageEstimator::from_present(&executed, obs).unwrap();
+            let (var, tau) = (parts.variance, parts.estimate);
             let t = cached_two_sided_critical_value((n - 1) as f64, 0.95);
             let z = Normal::standard().quantile(0.975);
             if (tau - truth).abs() <= t * var.sqrt() {

@@ -9,8 +9,8 @@
 use approxhadoop_bench::header;
 use approxhadoop_stats::gev::MinEstimator;
 use approxhadoop_stats::multistage::{
-    ClusterObservation, PairedClusterObservation, RatioEstimator, SecondaryObservation,
-    ThreeStageCluster, ThreeStageEstimator, TwoStageEstimator,
+    ClusterObservation, ExecutedClusters, PairedClusterObservation, RatioEstimator,
+    SecondaryObservation, ThreeStageCluster, ThreeStageEstimator, TwoStageEstimator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +26,11 @@ fn sample_indices(rng: &mut StdRng, n: usize, k: usize) -> Vec<usize> {
     }
     idx.truncate(k.min(n));
     idx
+}
+
+/// The sampled clusters' `(Mᵢ, mᵢ)` as the executed clusters of `total`.
+fn executed(total: u64, units: impl IntoIterator<Item = (u64, u64)>) -> ExecutedClusters {
+    ExecutedClusters::new(total, units, CONFIDENCE)
 }
 
 fn report(name: &str, covered: usize, width_rel: f64) {
@@ -51,11 +56,11 @@ fn two_stage_coverage(rng: &mut StdRng) {
     let mut covered = 0;
     let mut width = 0.0;
     for _ in 0..REPS {
-        let mut est = TwoStageEstimator::new(60);
+        let mut obs = Vec::new();
         for b in sample_indices(rng, 60, 20) {
             let items = sample_indices(rng, 150, 40);
             let vals: Vec<f64> = items.iter().map(|&i| blocks[b][i]).collect();
-            est.push(ClusterObservation {
+            obs.push(ClusterObservation {
                 cluster_id: b as u64,
                 total_units: 150,
                 sampled_units: 40,
@@ -63,7 +68,10 @@ fn two_stage_coverage(rng: &mut StdRng) {
                 sum_sq: vals.iter().map(|v| v * v).sum(),
             });
         }
-        let iv = est.estimate(CONFIDENCE).unwrap();
+        let executed = executed(60, obs.iter().map(|o| (o.total_units, o.sampled_units)));
+        let iv = TwoStageEstimator::from_present(&executed, obs)
+            .and_then(|parts| parts.interval())
+            .unwrap();
         if iv.contains(truth) {
             covered += 1;
         }
@@ -90,7 +98,7 @@ fn ratio_coverage(rng: &mut StdRng) {
     let mut covered = 0;
     let mut width = 0.0;
     for _ in 0..REPS {
-        let mut est = RatioEstimator::new(50);
+        let mut obs = Vec::new();
         for b in sample_indices(rng, 50, 15) {
             let items = sample_indices(rng, 100, 30);
             let mut o = PairedClusterObservation {
@@ -111,9 +119,10 @@ fn ratio_coverage(rng: &mut StdRng) {
                 o.sum_x_sq += x * x;
                 o.sum_xy += x * y;
             }
-            est.push(o);
+            obs.push(o);
         }
-        let iv = est.estimate(CONFIDENCE).unwrap();
+        let executed = executed(50, obs.iter().map(|o| (o.total_units, o.sampled_units)));
+        let iv = RatioEstimator::from_present(&executed, obs).unwrap();
         if iv.contains(truth) {
             covered += 1;
         }

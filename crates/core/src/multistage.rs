@@ -24,7 +24,7 @@ use std::sync::Arc;
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
 use approxhadoop_runtime::types::Key;
 use approxhadoop_stats::multistage::{
-    ClusterObservation, ExecutedClusters, MeanEstimator, TwoStageEstimator, TwoStageParts,
+    ClusterObservation, ExecutedClusters, RatioEstimator, TwoStageEstimator, TwoStageParts,
     WaveStatistics,
 };
 use approxhadoop_stats::{Interval, Result};
@@ -145,39 +145,28 @@ impl<K: Key> MultiStageReducer<K> {
         chao1(&fc).ok()
     }
 
-    /// One key's Eq. 1–3 parts over the clusters it appeared in.
-    fn parts(&self, run: &Run<KeyStat>, executed: &ExecutedClusters) -> Result<TwoStageParts> {
+    /// One key's statistics as observations of the clusters it appeared
+    /// in, in arrival order.
+    fn present<'a>(
+        &'a self,
+        run: &'a Run<KeyStat>,
+    ) -> impl Iterator<Item = ClusterObservation> + Clone + 'a {
         let clusters = self.table.clusters();
-        TwoStageEstimator::from_present(
-            executed,
-            run.present().map(|(ci, stat)| {
-                let (task, total_units, sampled_units) = clusters[ci];
-                ClusterObservation {
-                    cluster_id: task.0 as u64,
-                    total_units,
-                    sampled_units,
-                    sum: stat.sum,
-                    sum_sq: stat.sum_sq,
-                }
-            }),
-        )
-    }
-
-    /// The mean per unit of one key. Not sparse: an absent cluster is not
-    /// zero in the denominator (`x ≡ 1` per unit).
-    fn mean_interval(&self, run: &Run<KeyStat>, total_maps: u64) -> Option<Interval> {
-        let mut mean = MeanEstimator::new(total_maps);
-        for ((task, total_units, sampled_units), stat) in self.table.dense(run) {
-            let stat = stat.copied().unwrap_or_default();
-            mean.push(ClusterObservation {
+        run.present().map(|(ci, stat)| {
+            let (task, total_units, sampled_units) = clusters[ci];
+            ClusterObservation {
                 cluster_id: task.0 as u64,
                 total_units,
                 sampled_units,
                 sum: stat.sum,
                 sum_sq: stat.sum_sq,
-            });
-        }
-        mean.estimate(self.confidence).ok()
+            }
+        })
+    }
+
+    /// One key's Eq. 1–3 parts over the clusters it appeared in.
+    fn parts(&self, run: &Run<KeyStat>, executed: &ExecutedClusters) -> Result<TwoStageParts> {
+        TwoStageEstimator::from_present(executed, self.present(run))
     }
 
     /// Builds the interval for one key from the collected statistics.
@@ -186,7 +175,9 @@ impl<K: Key> MultiStageReducer<K> {
             Aggregation::Sum | Aggregation::Count => {
                 self.parts(run, executed).ok()?.interval().ok()
             }
-            Aggregation::Mean => self.mean_interval(run, executed.total_clusters()),
+            Aggregation::Mean => {
+                RatioEstimator::mean_from_present(executed, self.present(run)).ok()
+            }
         }
     }
 
@@ -544,18 +535,26 @@ mod tests {
         assert!(r.finish(&mut c).is_empty());
     }
 
-    #[test]
-    fn a_key_in_one_cluster_of_six_gets_the_dense_interval() {
-        let mut r = MultiStageReducer::<String>::new(Aggregation::Sum, 0.95);
+    /// Six executed clusters of nine, one key in every cluster and a
+    /// rare one where `rare` gives it a statistic: the reducer's output
+    /// for the rare key, and the same key's observations with zeros
+    /// where it is absent — the dense input.
+    fn six_clusters(
+        agg: Aggregation,
+        rare: impl Fn(usize) -> Option<KeyStat>,
+    ) -> (Interval, ExecutedClusters, Vec<ClusterObservation>) {
+        let mut r = MultiStageReducer::<String>::new(agg, 0.95);
         let mut c = ctx(9);
-        let mut dense = TwoStageEstimator::new(9);
+        let mut units = Vec::new();
+        let mut dense = Vec::new();
         for t in 0..6 {
             let (total, sampled) = (40 + t as u64, 10 + t as u64);
             let mut pairs = vec![("common".to_string(), stat(3.0 + t as f64))];
-            let rare = (t == 3).then(|| stat(17.5));
+            let rare = rare(t);
             pairs.extend(rare.map(|s| ("rare".to_string(), s)));
             r.on_map_output(&meta(t, total, sampled), pairs, &mut c);
             let rare = rare.unwrap_or_default();
+            units.push((total, sampled));
             dense.push(ClusterObservation {
                 cluster_id: t as u64,
                 total_units: total,
@@ -566,13 +565,42 @@ mod tests {
         }
         let out = r.finish(&mut c);
         let rare = out.iter().find(|(k, _)| k == "rare").expect("rare key").1;
-        let expected = dense.estimate(0.95).unwrap();
-        assert_eq!(rare.estimate.to_bits(), expected.estimate.to_bits());
-        let drift = (rare.half_width - expected.half_width).abs();
+        (rare, ExecutedClusters::new(9, units, 0.95), dense)
+    }
+
+    /// `reducer` agrees with `expected`: the same estimate, and a
+    /// half-width within 1e-12 relative.
+    fn assert_dense(reducer: Interval, expected: Interval) {
+        assert_eq!(reducer.estimate.to_bits(), expected.estimate.to_bits());
+        let drift = (reducer.half_width - expected.half_width).abs();
         assert!(
             drift <= 1e-12 * expected.half_width,
-            "{rare:?} vs {expected:?}"
+            "{reducer:?} vs {expected:?}"
         );
+    }
+
+    #[test]
+    fn a_key_in_one_cluster_of_six_gets_the_dense_interval() {
+        let (rare, executed, dense) =
+            six_clusters(Aggregation::Sum, |t| (t == 3).then(|| stat(17.5)));
+        // Every cluster passed as present, zeros included: the dense
+        // computation.
+        let expected = TwoStageEstimator::from_present(&executed, dense)
+            .and_then(|parts| parts.interval())
+            .unwrap();
+        assert_dense(rare, expected);
+    }
+
+    #[test]
+    fn a_mean_key_absent_from_two_clusters_of_six_gets_the_dense_interval() {
+        // An absent cluster's sampled units still count in the mean's
+        // denominator: the reducer must add them in closed form.
+        let (rare, executed, dense) = six_clusters(Aggregation::Mean, |t| {
+            (t != 1 && t != 4).then(|| stat(17.5 + t as f64))
+        });
+        let expected = RatioEstimator::mean_from_present(&executed, dense).unwrap();
+        assert!(expected.half_width.is_finite() && expected.half_width > 0.0);
+        assert_dense(rare, expected);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl FileHandle {
     pub fn total_records(&self) -> u64 {
         self.blocks.iter().map(|b| b.records).sum()
     }
-
-    /// Total bytes across all blocks.
-    pub fn total_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.bytes).sum()
-    }
 }
 
 /// An in-process DFS cluster: namenode + storage.

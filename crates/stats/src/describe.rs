@@ -111,11 +111,6 @@ impl Streaming {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Minimum observation; `+∞` if empty.
     pub fn min(&self) -> f64 {
         self.min

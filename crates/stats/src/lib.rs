@@ -30,21 +30,32 @@
 //! # Example: two-stage sampling with error bounds
 //!
 //! ```
-//! use approxhadoop_stats::multistage::{ClusterObservation, TwoStageEstimator};
+//! use approxhadoop_stats::multistage::{
+//!     ClusterObservation, ExecutedClusters, TwoStageEstimator,
+//! };
 //!
 //! // Population: 100 blocks; we executed 4 of them, each holding 1000
 //! // items of which 100 were sampled.
-//! let mut est = TwoStageEstimator::new(100);
-//! for (i, sum) in [5010.0f64, 4985.0, 5102.0, 4933.0].iter().enumerate() {
-//!     est.push(ClusterObservation {
+//! let observations: Vec<ClusterObservation> = [5010.0f64, 4985.0, 5102.0, 4933.0]
+//!     .iter()
+//!     .enumerate()
+//!     .map(|(i, sum)| ClusterObservation {
 //!         cluster_id: i as u64,
 //!         total_units: 1000,
 //!         sampled_units: 100,
 //!         sum: *sum,
 //!         sum_sq: sum * sum / 60.0, // toy second moment
-//!     });
-//! }
-//! let interval = est.estimate(0.95).unwrap();
+//!     })
+//!     .collect();
+//! // What every key of the job shares: N, n, census, the t lookup.
+//! let executed = ExecutedClusters::new(
+//!     100,
+//!     observations.iter().map(|o| (o.total_units, o.sampled_units)),
+//!     0.95,
+//! );
+//! // One key's interval from the clusters it appeared in (here: all).
+//! let parts = TwoStageEstimator::from_present(&executed, observations.iter().copied()).unwrap();
+//! let interval = parts.interval().unwrap();
 //! assert!(interval.half_width > 0.0);
 //! ```
 

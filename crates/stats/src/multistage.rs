@@ -27,26 +27,33 @@
 //! # Per-key cost
 //!
 //! A reducer estimates every key of a job over the same executed
-//! clusters, but a key typically appears in a few of them. The
-//! `Vec`-of-observations estimators ([`TwoStageEstimator::new`] +
-//! [`TwoStageEstimator::push`]) take one observation per executed
-//! cluster, zeros included, so each key costs O(`n`). The reducers'
-//! path costs O(clusters the key appeared in):
+//! clusters, but a key typically appears in a few of them. Every
+//! estimator here takes only the clusters a key appeared in and costs
+//! O(those clusters), not O(`n`):
 //!
 //! * [`ExecutedClusters`] holds what every key shares, computed once per
 //!   evaluation from the executed clusters' `(Mᵢ, mᵢ)`: `N`, `n`, whether
 //!   they form a census, whether one of them is invalid (`mᵢ = 0 < Mᵢ`
-//!   or `mᵢ > Mᵢ`, which fails every key, present in it or not), and the
-//!   one `t_{n−1}` lookup.
-//! * [`TwoStageEstimator::from_present`] and
-//!   [`RatioEstimator::from_present`] take only the clusters the key
-//!   appeared in. An absent cluster has `τ̂ᵢ = 0` and `sᵢ² = 0`: it adds
-//!   nothing to `τ̂` or to the within term, and exactly `τ̄²` to
-//!   `Σ(τ̂ᵢ − τ̄)²`, so the `n − p` absent clusters enter in closed form
-//!   as `(n − p)·τ̄²` (for a ratio, an absent cluster's residual is `0`).
+//!   or `mᵢ > Mᵢ`, which fails every key, present in it or not), the
+//!   one `t_{n−1}` lookup, and the sums of `Mᵢ`, `Mᵢ²` and `(Mᵢ/mᵢ)·mᵢ`
+//!   that the mean per unit needs.
+//! * [`TwoStageEstimator::from_present`] (sum, count) and
+//!   [`RatioEstimator::from_present`]: an absent cluster has `τ̂ᵢ = 0`
+//!   and `sᵢ² = 0`, so it adds nothing to `τ̂` or to the within term,
+//!   and exactly `τ̄²` to `Σ(τ̂ᵢ − τ̄)²`. The `n − p` absent clusters
+//!   enter in closed form as `(n − p)·τ̄²` (for a ratio, an absent
+//!   cluster's residual is `0`).
+//! * [`RatioEstimator::mean_from_present`]: the mean per unit is the
+//!   ratio with `x ≡ 1`, so an absent cluster is not zero in its
+//!   denominator. Its residual total is `−r̂·Mᵢ` and its within term
+//!   `0`, which the executed clusters' integer sums of `Mᵢ` and `Mᵢ²`
+//!   put in closed form.
 //!
-//! The mean per unit ([`MeanEstimator`]) stays dense: an absent cluster
-//! is not zero in its denominator (`x ≡ 1` per unit).
+//! A caller holding one observation per executed cluster (the join's
+//! strata, a simulation) passes them all as present. With `p = n` each
+//! function is bit-identical to the dense `Vec`-of-observation
+//! estimators, which `tests/reference` keeps as the property tests'
+//! model.
 
 use crate::dist::cached_two_sided_critical_value;
 use crate::interval::Interval;
@@ -103,6 +110,22 @@ impl ClusterObservation {
         var.max(0.0)
     }
 
+    /// The paired observation of the mean per unit: `y = v` and `x ≡ 1`
+    /// over the same sampled units.
+    fn per_unit(&self) -> PairedClusterObservation {
+        let m = self.sampled_units as f64;
+        PairedClusterObservation {
+            cluster_id: self.cluster_id,
+            total_units: self.total_units,
+            sampled_units: self.sampled_units,
+            sum_y: self.sum,
+            sum_y_sq: self.sum_sq,
+            sum_x: m,
+            sum_x_sq: m,
+            sum_xy: self.sum,
+        }
+    }
+
     fn validate(&self) -> Result<()> {
         if self.sampled_units == 0 {
             // An entirely empty block is a legitimate (zero) cluster.
@@ -136,134 +159,14 @@ impl ClusterObservation {
 ///
 /// Counts are sums of indicator values, so this estimator also covers the
 /// paper's `count` aggregate.
-#[derive(Debug, Clone)]
-pub struct TwoStageEstimator {
-    total_clusters: u64,
-    observations: Vec<ClusterObservation>,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct TwoStageEstimator;
 
 impl TwoStageEstimator {
-    /// Creates an estimator for a population partitioned into
-    /// `total_clusters` (`N`) clusters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_clusters == 0`.
-    pub fn new(total_clusters: u64) -> Self {
-        assert!(
-            total_clusters > 0,
-            "population must have at least one cluster"
-        );
-        TwoStageEstimator {
-            total_clusters,
-            observations: Vec::new(),
-        }
-    }
-
-    /// Adds the statistics of one executed cluster (map task).
-    pub fn push(&mut self, obs: ClusterObservation) {
-        self.observations.push(obs);
-    }
-
-    /// `n` — executed (sampled) clusters so far.
-    pub fn sampled_clusters(&self) -> usize {
-        self.observations.len()
-    }
-
-    /// The point estimate `τ̂` (paper Eq. 1). Errors if no clusters have
-    /// been observed or an observation is invalid.
-    pub fn estimated_total(&self) -> Result<f64> {
-        let n = self.observations.len();
-        if n == 0 {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        let mut sum = 0.0;
-        for obs in &self.observations {
-            obs.validate()?;
-            sum += obs.estimated_total();
-        }
-        Ok(self.total_clusters as f64 / n as f64 * sum)
-    }
-
-    /// Inter-cluster sample variance `s_u²` of the estimated cluster
-    /// totals; `0` with fewer than two clusters.
-    pub fn inter_cluster_variance(&self) -> f64 {
-        let n = self.observations.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let totals: Vec<f64> = self
-            .observations
-            .iter()
-            .map(|o| o.estimated_total())
-            .collect();
-        let mean = totals.iter().sum::<f64>() / n as f64;
-        totals.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / (n - 1) as f64
-    }
-
-    /// The estimated variance `Var(τ̂)` (paper Eq. 3).
-    pub fn variance(&self) -> Result<f64> {
-        let n = self.observations.len();
-        if n == 0 {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        for obs in &self.observations {
-            obs.validate()?;
-        }
-        let nf = n as f64;
-        let nn = self.total_clusters as f64;
-        let between = nn * (nn - nf) * self.inter_cluster_variance() / nf;
-        let mut within = 0.0;
-        for obs in &self.observations {
-            if obs.sampled_units == 0 {
-                continue; // empty block: no within-cluster contribution
-            }
-            let m = obs.sampled_units as f64;
-            let mm = obs.total_units as f64;
-            within += mm * (mm - m) * obs.within_variance() / m;
-        }
-        Ok(between + nn / nf * within)
-    }
-
-    /// The full estimate `τ̂ ± ε` at the given confidence level
-    /// (paper Eq. 1–3).
-    ///
-    /// * With a complete census (`n = N` and every `mᵢ = Mᵢ`) the interval
-    ///   is exact.
-    /// * With a single sampled cluster the half-width is `+∞` (the
-    ///   Student-t with 0 degrees of freedom is undefined).
-    pub fn estimate(&self, confidence: f64) -> Result<Interval> {
-        if !(0.0 < confidence && confidence < 1.0) {
-            return Err(StatsError::invalid("confidence", "must lie in (0, 1)"));
-        }
-        let total = self.estimated_total()?;
-        let n = self.observations.len();
-        let census = n as u64 == self.total_clusters
-            && self
-                .observations
-                .iter()
-                .all(|o| o.sampled_units == o.total_units);
-        if census {
-            return Ok(Interval::new(total, 0.0, confidence));
-        }
-        if n < 2 {
-            return Ok(Interval::new(total, f64::INFINITY, confidence));
-        }
-        let var = self.variance()?;
-        if var < 0.0 || !var.is_finite() {
-            return Err(StatsError::Numerical {
-                context: "two-stage variance",
-            });
-        }
-        let t = cached_two_sided_critical_value((n - 1) as f64, confidence);
-        Ok(Interval::new(total, t * var.sqrt(), confidence))
-    }
-
-    /// One key's Eq. 1–3 from only the executed clusters it appeared in:
-    /// the same numbers [`TwoStageEstimator::estimate`] and
-    /// [`TwoStageEstimator::variance`] give for the dense observations
-    /// (one per executed cluster, all-zero where the key is absent), in
-    /// O(`present`) rather than O(`n`).
+    /// One key's Eq. 1–3 from only the executed clusters it appeared in,
+    /// in O(`present`) rather than O(`n`): the numbers the dense
+    /// estimator gives for one observation per executed cluster, all-zero
+    /// where the key is absent.
     ///
     /// An absent cluster has `τ̂ᵢ = 0` and `sᵢ² = 0`, so it adds nothing
     /// to `τ̂` or to the within term, and exactly `τ̄²` to
@@ -282,60 +185,91 @@ impl TwoStageEstimator {
         I: IntoIterator<Item = ClusterObservation>,
         I::IntoIter: Clone,
     {
-        clusters.check()?;
-        let present = present.into_iter();
-        let n = clusters.executed;
-        let nf = n as f64;
-        let nn = clusters.total_clusters as f64;
-        let mut sum = 0.0;
-        let mut within = 0.0;
-        let mut mean_within = 0.0;
-        let mut seen = 0u64;
-        for obs in present.clone() {
-            obs.validate()?;
-            seen += 1;
-            sum += obs.estimated_total();
-            let s2 = obs.within_variance();
-            mean_within += s2 / nf;
-            if obs.sampled_units > 0 {
-                let m = obs.sampled_units as f64;
-                let mm = obs.total_units as f64;
-                within += mm * (mm - m) * s2 / m;
-            }
-        }
-        debug_assert!(seen <= n, "{seen} present clusters of {n} executed");
-        let inter_cluster_var = if n < 2 {
-            0.0
-        } else {
-            let mean = sum / nf;
-            let mut squares = if seen < n {
-                (n - seen) as f64 * (mean * mean)
-            } else {
-                0.0
-            };
-            for obs in present {
-                let d = obs.estimated_total() - mean;
-                squares += d * d;
-            }
-            squares / (nf - 1.0)
-        };
-        let between = nn * (nn - nf) * inter_cluster_var / nf;
-        Ok(TwoStageParts {
-            estimate: nn / nf * sum,
-            inter_cluster_var,
-            within_term: within,
-            mean_within_var: mean_within,
-            variance: between + nn / nf * within,
-            clusters: *clusters,
-        })
+        two_stage_parts(clusters, present.into_iter(), Absent::ZERO)
     }
+}
+
+/// `Στ̂ᵢ` and `Στ̂ᵢ²` over the executed clusters a key is absent from, each
+/// of which has `sᵢ² = 0`.
+#[derive(Debug, Clone, Copy)]
+struct Absent {
+    total: f64,
+    total_sq: f64,
+}
+
+impl Absent {
+    /// A sum or count: an absent cluster's total is `0`.
+    const ZERO: Absent = Absent {
+        total: 0.0,
+        total_sq: 0.0,
+    };
+}
+
+/// Eq. 1–3 over the `present` clusters plus the closed-form share of the
+/// `n − p` absent ones: they add `absent.total` to `Στ̂ᵢ` and
+/// `Σ(τ̂ᵢ − τ̄)² = Στ̂ᵢ² − 2τ̄·Στ̂ᵢ + (n − p)·τ̄²` over them.
+fn two_stage_parts(
+    clusters: &ExecutedClusters,
+    present: impl Iterator<Item = ClusterObservation> + Clone,
+    absent: Absent,
+) -> Result<TwoStageParts> {
+    clusters.check()?;
+    let n = clusters.executed;
+    let nf = n as f64;
+    let nn = clusters.total_clusters as f64;
+    let mut sum = 0.0;
+    let mut within = 0.0;
+    let mut mean_within = 0.0;
+    let mut seen = 0u64;
+    for obs in present.clone() {
+        obs.validate()?;
+        seen += 1;
+        sum += obs.estimated_total();
+        let s2 = obs.within_variance();
+        mean_within += s2 / nf;
+        if obs.sampled_units > 0 {
+            let m = obs.sampled_units as f64;
+            let mm = obs.total_units as f64;
+            within += mm * (mm - m) * s2 / m;
+        }
+    }
+    debug_assert!(seen <= n, "{seen} present clusters of {n} executed");
+    // `sum` starts at +0.0, so adding a sum's or count's +0.0 leaves its
+    // bits alone.
+    sum += absent.total;
+    let inter_cluster_var = if n < 2 {
+        0.0
+    } else {
+        let mean = sum / nf;
+        let mut squares = if seen < n {
+            (n - seen) as f64 * (mean * mean) + absent.total_sq - 2.0 * mean * absent.total
+        } else {
+            0.0
+        };
+        for obs in present {
+            let d = obs.estimated_total() - mean;
+            squares += d * d;
+        }
+        squares / (nf - 1.0)
+    };
+    let between = nn * (nn - nf) * inter_cluster_var / nf;
+    Ok(TwoStageParts {
+        estimate: nn / nf * sum,
+        inter_cluster_var,
+        within_term: within,
+        mean_within_var: mean_within,
+        variance: between + nn / nf * within,
+        clusters: *clusters,
+    })
 }
 
 /// What every key of one job shares in Eq. 1–3, computed once from the
 /// executed clusters' `(Mᵢ, mᵢ)` rather than once per key: `N`, `n`,
 /// whether the clusters form a census (`n = N` and every `mᵢ = Mᵢ`),
 /// whether one of them is invalid (`mᵢ = 0 < Mᵢ` or `mᵢ > Mᵢ`, which
-/// fails every key), and the critical value `t_{n−1, 1−α/2}`.
+/// fails every key), the critical value `t_{n−1, 1−α/2}`, and what the
+/// mean per unit needs of the clusters a key is absent from: `ΣMᵢ`,
+/// `ΣMᵢ²` and its denominator's `Σ(Mᵢ/mᵢ)·mᵢ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutedClusters {
     total_clusters: u64,
@@ -344,6 +278,13 @@ pub struct ExecutedClusters {
     invalid: bool,
     confidence: f64,
     critical: f64,
+    /// `Σ(Mᵢ/mᵢ)·mᵢ` over the non-empty clusters, in executed order: the
+    /// mean's `τ̂_x` before its `N/n`, rounded as the dense sum rounds it.
+    unit_total: f64,
+    /// `ΣMᵢ`, exact.
+    units: u64,
+    /// `ΣMᵢ²`, exact.
+    units_sq: u128,
 }
 
 impl ExecutedClusters {
@@ -358,10 +299,19 @@ impl ExecutedClusters {
         let mut n = 0u64;
         let mut all_units = true;
         let mut invalid = false;
+        let mut unit_total = 0.0;
+        let mut units = 0u64;
+        let mut units_sq = 0u128;
         for (total_units, sampled_units) in executed {
             n += 1;
             all_units &= sampled_units == total_units;
             invalid |= (sampled_units == 0 && total_units > 0) || sampled_units > total_units;
+            if sampled_units > 0 {
+                let m = sampled_units as f64;
+                unit_total += total_units as f64 / m * m;
+            }
+            units += total_units;
+            units_sq += u128::from(total_units) * u128::from(total_units);
         }
         let census = n == total_clusters && all_units;
         let critical = if valid_confidence(confidence) && n >= 2 && !census {
@@ -376,6 +326,9 @@ impl ExecutedClusters {
             invalid,
             confidence,
             critical,
+            unit_total,
+            units,
+            units_sq,
         }
     }
 
@@ -451,7 +404,9 @@ pub struct TwoStageParts {
 
 impl TwoStageParts {
     /// `τ̂ ± ε` (Eq. 2) at the confidence the [`ExecutedClusters`] were
-    /// built for: what [`TwoStageEstimator::estimate`] returns.
+    /// built for: with a census the interval is exact, and with a single
+    /// executed cluster its half-width is `+∞` (the Student-t with 0
+    /// degrees of freedom is undefined).
     pub fn interval(&self) -> Result<Interval> {
         self.clusters
             .interval(self.estimate, self.variance, "two-stage variance")
@@ -499,7 +454,7 @@ impl PairedClusterObservation {
 
 /// `(τ̂_y, τ̂_x)` of `N` clusters of which `n` executed, summed over
 /// `observations`: every executed cluster, or only those a key appeared
-/// in (an absent one would add `0` to both sums).
+/// in (an absent one would add `0` to both sums of a ratio).
 fn ratio_totals(
     total_clusters: u64,
     n: u64,
@@ -537,114 +492,18 @@ fn ratio_totals(
 
 /// Two-stage **ratio** estimator `r̂ = τ̂_y / τ̂_x` with a linearised
 /// variance (Lohr, Sampling: Design and Analysis, ratio estimation in
-/// cluster samples).
+/// cluster samples): with residuals `d = y − r̂·x`,
+/// `Var(r̂) ≈ Var(τ̂_d) / τ̂_x²`, where `Var(τ̂_d)` is Eq. 3 applied to
+/// `d`.
 ///
-/// The population **mean per unit** is the special case `x ≡ 1`; use
-/// [`MeanEstimator`] for that.
-#[derive(Debug, Clone)]
-pub struct RatioEstimator {
-    total_clusters: u64,
-    observations: Vec<PairedClusterObservation>,
-}
+/// The population **mean per unit** is the special case `x ≡ 1`
+/// ([`RatioEstimator::mean_from_present`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RatioEstimator;
 
 impl RatioEstimator {
-    /// Creates a ratio estimator for a population of `total_clusters`
-    /// clusters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_clusters == 0`.
-    pub fn new(total_clusters: u64) -> Self {
-        assert!(
-            total_clusters > 0,
-            "population must have at least one cluster"
-        );
-        RatioEstimator {
-            total_clusters,
-            observations: Vec::new(),
-        }
-    }
-
-    /// Adds one executed cluster's paired statistics.
-    pub fn push(&mut self, obs: PairedClusterObservation) {
-        self.observations.push(obs);
-    }
-
-    /// Executed clusters so far.
-    pub fn sampled_clusters(&self) -> usize {
-        self.observations.len()
-    }
-
-    fn totals(&self) -> Result<(f64, f64)> {
-        let n = self.observations.len();
-        if n == 0 {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        ratio_totals(
-            self.total_clusters,
-            n as u64,
-            self.observations.iter().copied(),
-        )
-    }
-
-    /// The point estimate `r̂ = τ̂_y / τ̂_x`.
-    pub fn estimated_ratio(&self) -> Result<f64> {
-        let (ty, tx) = self.totals()?;
-        if tx == 0.0 {
-            return Err(StatsError::Numerical {
-                context: "ratio estimator denominator",
-            });
-        }
-        Ok(ty / tx)
-    }
-
-    /// The estimate `r̂ ± ε` at the given confidence level.
-    ///
-    /// Variance via linearisation: with residuals `d = y - r̂·x`,
-    /// `Var(r̂) ≈ Var(τ̂_d) / τ̂_x²` where `τ̂_d` follows the two-stage
-    /// variance formula applied to `d`.
-    pub fn estimate(&self, confidence: f64) -> Result<Interval> {
-        if !(0.0 < confidence && confidence < 1.0) {
-            return Err(StatsError::invalid("confidence", "must lie in (0, 1)"));
-        }
-        let (ty, tx) = self.totals()?;
-        if tx == 0.0 {
-            return Err(StatsError::Numerical {
-                context: "ratio estimator denominator",
-            });
-        }
-        let r = ty / tx;
-        let n = self.observations.len();
-        let census = n as u64 == self.total_clusters
-            && self
-                .observations
-                .iter()
-                .all(|o| o.sampled_units == o.total_units);
-        if census {
-            return Ok(Interval::new(r, 0.0, confidence));
-        }
-        if n < 2 {
-            return Ok(Interval::new(r, f64::INFINITY, confidence));
-        }
-        // Residual statistics: d = y - r x.
-        let mut d_est = TwoStageEstimator::new(self.total_clusters);
-        for o in &self.observations {
-            d_est.push(o.residual(r));
-        }
-        let var_d = d_est.variance()?;
-        let var_r = var_d / (tx * tx);
-        if !var_r.is_finite() {
-            return Err(StatsError::Numerical {
-                context: "ratio estimator variance",
-            });
-        }
-        let t = cached_two_sided_critical_value((n - 1) as f64, confidence);
-        Ok(Interval::new(r, t * var_r.sqrt(), confidence))
-    }
-
     /// One key's `r̂ ± ε` from only the executed clusters it appeared
-    /// in: what [`RatioEstimator::estimate`] returns for the dense
-    /// observations. An absent cluster has `y = x = 0`, so it adds
+    /// in, in O(`present`). An absent cluster has `y = x = 0`, so it adds
     /// nothing to `τ̂_y` or `τ̂_x` and its residual `d = y − r̂·x` is `0`:
     /// the residuals' variance is [`TwoStageEstimator::from_present`]'s
     /// closed form.
@@ -656,62 +515,70 @@ impl RatioEstimator {
         clusters.check()?;
         let present = present.into_iter();
         let (ty, tx) = ratio_totals(clusters.total_clusters, clusters.executed, present.clone())?;
-        if tx == 0.0 {
-            return Err(StatsError::Numerical {
-                context: "ratio estimator denominator",
-            });
-        }
-        let r = ty / tx;
-        if clusters.census || clusters.executed < 2 {
-            // No residuals needed: the interval is exact or unbounded.
-            return clusters.interval(r, 0.0, "ratio estimator variance");
-        }
-        let d = TwoStageEstimator::from_present(clusters, present.map(|o| o.residual(r)))?;
-        clusters.interval(r, d.variance / (tx * tx), "ratio estimator variance")
+        ratio_interval(clusters, present, ty, tx, |_| Absent::ZERO)
+    }
+
+    /// One key's mean per unit `μ̂ ± ε` — the ratio with `x ≡ 1` for
+    /// every sampled unit — from only the executed clusters it appeared
+    /// in, in O(`present`).
+    ///
+    /// An absent cluster is not zero in the denominator: its `mᵢ` units
+    /// count there, so `τ̂_x` sums `(Mᵢ/mᵢ)·mᵢ` over every executed
+    /// cluster, in executed order ([`ExecutedClusters`] holds that sum).
+    /// Its residual total is `−r̂·Mᵢ` and its within term `0` (each of its
+    /// units has `d = −r̂`), so with `A₁ = Σ_absent Mᵢ` and
+    /// `A₂ = Σ_absent Mᵢ²` — the executed sums minus the present ones,
+    /// exact in integers — the absent clusters add `−r̂·A₁` to `Στ̂_d,i`
+    /// and `r̂²A₂ + 2r̂·d̄·A₁ + (n − p)·d̄²` to `Σ(τ̂_d,i − d̄)²`.
+    ///
+    /// When the key is in every executed cluster the result is
+    /// bit-identical to the dense estimator's. Otherwise it differs by
+    /// rounding, and by the dense path's rounding in the absent clusters'
+    /// within variances, which are exactly `0` here.
+    pub fn mean_from_present<I>(clusters: &ExecutedClusters, present: I) -> Result<Interval>
+    where
+        I: IntoIterator<Item = ClusterObservation>,
+        I::IntoIter: Clone,
+    {
+        clusters.check()?;
+        let present = present.into_iter();
+        let (units, units_sq) = present.clone().fold((0u64, 0u128), |(s, q), o| {
+            let mm = o.total_units;
+            (s + mm, q + u128::from(mm) * u128::from(mm))
+        });
+        let present = present.map(|o| o.per_unit());
+        let (ty, _) = ratio_totals(clusters.total_clusters, clusters.executed, present.clone())?;
+        let tx = clusters.total_clusters as f64 / clusters.executed as f64 * clusters.unit_total;
+        let absent_units = (clusters.units - units) as f64;
+        let absent_units_sq = (clusters.units_sq - units_sq) as f64;
+        ratio_interval(clusters, present, ty, tx, |r| Absent {
+            total: -r * absent_units,
+            total_sq: r * r * absent_units_sq,
+        })
     }
 }
 
-/// Two-stage estimator of the population **mean per unit** — the ratio
-/// estimator with denominator `x ≡ 1` for every unit.
-#[derive(Debug, Clone)]
-pub struct MeanEstimator {
-    inner: RatioEstimator,
-}
-
-impl MeanEstimator {
-    /// Creates a mean estimator for a population of `total_clusters`
-    /// clusters.
-    pub fn new(total_clusters: u64) -> Self {
-        MeanEstimator {
-            inner: RatioEstimator::new(total_clusters),
-        }
-    }
-
-    /// Adds one executed cluster's statistics (as for
-    /// [`TwoStageEstimator::push`]).
-    pub fn push(&mut self, obs: ClusterObservation) {
-        let m = obs.sampled_units as f64;
-        self.inner.push(PairedClusterObservation {
-            cluster_id: obs.cluster_id,
-            total_units: obs.total_units,
-            sampled_units: obs.sampled_units,
-            sum_y: obs.sum,
-            sum_y_sq: obs.sum_sq,
-            sum_x: m,
-            sum_x_sq: m,
-            sum_xy: obs.sum,
+/// `r̂ = τ̂_y / τ̂_x` with its linearised interval from the `present`
+/// clusters' residuals and the absent ones' closed-form share at `r̂`.
+fn ratio_interval(
+    clusters: &ExecutedClusters,
+    present: impl Iterator<Item = PairedClusterObservation> + Clone,
+    ty: f64,
+    tx: f64,
+    absent: impl FnOnce(f64) -> Absent,
+) -> Result<Interval> {
+    if tx == 0.0 {
+        return Err(StatsError::Numerical {
+            context: "ratio estimator denominator",
         });
     }
-
-    /// Executed clusters so far.
-    pub fn sampled_clusters(&self) -> usize {
-        self.inner.sampled_clusters()
+    let r = ty / tx;
+    if clusters.census || clusters.executed < 2 {
+        // No residuals needed: the interval is exact or unbounded.
+        return clusters.interval(r, 0.0, "ratio estimator variance");
     }
-
-    /// The estimate `μ̂ ± ε` at the given confidence level.
-    pub fn estimate(&self, confidence: f64) -> Result<Interval> {
-        self.inner.estimate(confidence)
-    }
+    let d = two_stage_parts(clusters, present.map(|o| o.residual(r)), absent(r))?;
+    clusters.interval(r, d.variance / (tx * tx), "ratio estimator variance")
 }
 
 /// One sampled secondary unit (e.g. an intermediate `<key, value>` group)
@@ -783,11 +650,6 @@ impl ThreeStageEstimator {
     /// Adds one executed cluster.
     pub fn push(&mut self, cluster: ThreeStageCluster) {
         self.clusters.push(cluster);
-    }
-
-    /// Executed clusters so far.
-    pub fn sampled_clusters(&self) -> usize {
-        self.clusters.len()
     }
 
     fn validate(&self) -> Result<()> {
@@ -1003,40 +865,73 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn full_census(values: &[Vec<f64>]) -> TwoStageEstimator {
-        let mut est = TwoStageEstimator::new(values.len() as u64);
-        for (i, block) in values.iter().enumerate() {
-            est.push(ClusterObservation {
+    fn sum_parts(total: u64, obs: &[ClusterObservation]) -> Result<TwoStageParts> {
+        let units = obs.iter().map(|o| (o.total_units, o.sampled_units));
+        TwoStageEstimator::from_present(
+            &ExecutedClusters::new(total, units, 0.95),
+            obs.iter().copied(),
+        )
+    }
+
+    /// The two-stage interval of `total` clusters of which `obs` are the
+    /// executed ones, the key present in each.
+    fn sum_of(total: u64, obs: &[ClusterObservation], confidence: f64) -> Result<Interval> {
+        let units = obs.iter().map(|o| (o.total_units, o.sampled_units));
+        TwoStageEstimator::from_present(
+            &ExecutedClusters::new(total, units, confidence),
+            obs.iter().copied(),
+        )?
+        .interval()
+    }
+
+    fn mean_of(total: u64, obs: &[ClusterObservation]) -> Result<Interval> {
+        let units = obs.iter().map(|o| (o.total_units, o.sampled_units));
+        RatioEstimator::mean_from_present(
+            &ExecutedClusters::new(total, units, 0.95),
+            obs.iter().copied(),
+        )
+    }
+
+    fn ratio_of(total: u64, obs: &[PairedClusterObservation]) -> Result<Interval> {
+        let units = obs.iter().map(|o| (o.total_units, o.sampled_units));
+        RatioEstimator::from_present(
+            &ExecutedClusters::new(total, units, 0.95),
+            obs.iter().copied(),
+        )
+    }
+
+    fn full_census(values: &[Vec<f64>]) -> Vec<ClusterObservation> {
+        values
+            .iter()
+            .enumerate()
+            .map(|(i, block)| ClusterObservation {
                 cluster_id: i as u64,
                 total_units: block.len() as u64,
                 sampled_units: block.len() as u64,
                 sum: block.iter().sum(),
                 sum_sq: block.iter().map(|v| v * v).sum(),
-            });
-        }
-        est
+            })
+            .collect()
     }
 
     #[test]
     fn census_is_exact() {
         let blocks = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0], vec![6.0]];
-        let est = full_census(&blocks);
-        let iv = est.estimate(0.95).unwrap();
+        let iv = sum_of(3, &full_census(&blocks), 0.95).unwrap();
         assert_eq!(iv.estimate, 21.0);
         assert_eq!(iv.half_width, 0.0);
     }
 
     #[test]
     fn single_cluster_has_infinite_bound() {
-        let mut est = TwoStageEstimator::new(10);
-        est.push(ClusterObservation {
+        let obs = ClusterObservation {
             cluster_id: 0,
             total_units: 100,
             sampled_units: 50,
             sum: 10.0,
             sum_sq: 4.0,
-        });
-        let iv = est.estimate(0.95).unwrap();
+        };
+        let iv = sum_of(10, &[obs], 0.95).unwrap();
         assert_eq!(iv.half_width, f64::INFINITY);
         // But the point estimate is still the unbiased expansion.
         assert!((iv.estimate - 10.0 * 2.0 * 10.0).abs() < 1e-12);
@@ -1044,43 +939,39 @@ mod tests {
 
     #[test]
     fn empty_estimator_errors() {
-        let est = TwoStageEstimator::new(5);
         assert!(matches!(
-            est.estimate(0.95),
+            sum_of(5, &[], 0.95),
             Err(StatsError::InsufficientData { .. })
         ));
     }
 
     #[test]
     fn invalid_observation_is_rejected() {
-        let mut est = TwoStageEstimator::new(5);
-        est.push(ClusterObservation {
+        let obs = ClusterObservation {
             cluster_id: 0,
             total_units: 10,
             sampled_units: 11, // > total
             sum: 1.0,
             sum_sq: 1.0,
-        });
-        assert!(est.estimate(0.95).is_err());
+        };
+        assert!(sum_of(5, &[obs], 0.95).is_err());
 
-        let mut est = TwoStageEstimator::new(5);
-        est.push(ClusterObservation {
+        let obs = ClusterObservation {
             cluster_id: 0,
             total_units: 10,
             sampled_units: 0,
             sum: 0.0,
             sum_sq: 0.0,
-        });
-        assert!(est.estimate(0.95).is_err());
+        };
+        assert!(sum_of(5, &[obs], 0.95).is_err());
     }
 
     #[test]
     fn bad_confidence_is_rejected() {
-        let blocks = vec![vec![1.0], vec![2.0]];
-        let est = full_census(&blocks);
-        assert!(est.estimate(0.0).is_err());
-        assert!(est.estimate(1.0).is_err());
-        assert!(est.estimate(-0.5).is_err());
+        let obs = full_census(&[vec![1.0], vec![2.0]]);
+        assert!(sum_of(2, &obs, 0.0).is_err());
+        assert!(sum_of(2, &obs, 1.0).is_err());
+        assert!(sum_of(2, &obs, -0.5).is_err());
     }
 
     /// Matches a hand-computed example: N=4 clusters, sample n=2 clusters
@@ -1092,19 +983,21 @@ mod tests {
         // s_u² = ((10-12)² + (14-12)²)/1 = 8.
         // Var = 4·(4-2)·8/2 = 32 (within term zero, fully enumerated).
         // ε = t₁,0.975 · √32 = 12.706 · 5.657 = 71.87.
-        let mut est = TwoStageEstimator::new(4);
-        for (i, &tot) in [10.0, 14.0].iter().enumerate() {
-            est.push(ClusterObservation {
+        let obs: Vec<ClusterObservation> = [10.0, 14.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &tot)| ClusterObservation {
                 cluster_id: i as u64,
                 total_units: 5,
                 sampled_units: 5,
                 sum: tot,
                 sum_sq: tot * tot / 5.0 + 1.0,
-            });
-        }
-        let iv = est.estimate(0.95).unwrap();
+            })
+            .collect();
+        let parts = sum_parts(4, &obs).unwrap();
+        let iv = parts.interval().unwrap();
         assert!((iv.estimate - 48.0).abs() < 1e-12);
-        assert!((est.variance().unwrap() - 32.0).abs() < 1e-12);
+        assert!((parts.variance - 32.0).abs() < 1e-12);
         assert!((iv.half_width - 12.706 * 32.0f64.sqrt()).abs() < 0.01);
     }
 
@@ -1127,7 +1020,7 @@ mod tests {
         let reps = 300;
         let mut covered = 0;
         for _ in 0..reps {
-            let mut est = TwoStageEstimator::new(blocks.len() as u64);
+            let mut obs = Vec::new();
             // Sample 15 random blocks, 40 random items each.
             let mut ids: Vec<usize> = (0..blocks.len()).collect();
             for i in 0..15 {
@@ -1142,7 +1035,7 @@ mod tests {
                     items.swap(i, j);
                 }
                 let vals: Vec<f64> = items.iter().take(40).map(|&i| block[i]).collect();
-                est.push(ClusterObservation {
+                obs.push(ClusterObservation {
                     cluster_id: b as u64,
                     total_units: block.len() as u64,
                     sampled_units: 40,
@@ -1150,7 +1043,10 @@ mod tests {
                     sum_sq: vals.iter().map(|v| v * v).sum(),
                 });
             }
-            if est.estimate(0.95).unwrap().contains(truth) {
+            if sum_of(blocks.len() as u64, &obs, 0.95)
+                .unwrap()
+                .contains(truth)
+            {
                 covered += 1;
             }
         }
@@ -1161,17 +1057,7 @@ mod tests {
     #[test]
     fn mean_estimator_census_matches_population_mean() {
         let blocks = [vec![2.0, 4.0], vec![6.0, 8.0, 10.0]];
-        let mut est = MeanEstimator::new(2);
-        for (i, b) in blocks.iter().enumerate() {
-            est.push(ClusterObservation {
-                cluster_id: i as u64,
-                total_units: b.len() as u64,
-                sampled_units: b.len() as u64,
-                sum: b.iter().sum(),
-                sum_sq: b.iter().map(|v| v * v).sum(),
-            });
-        }
-        let iv = est.estimate(0.95).unwrap();
+        let iv = mean_of(2, &full_census(&blocks)).unwrap();
         assert!((iv.estimate - 6.0).abs() < 1e-12);
         assert_eq!(iv.half_width, 0.0);
     }
@@ -1184,18 +1070,22 @@ mod tests {
             .collect();
         let all: Vec<f64> = blocks.iter().flatten().copied().collect();
         let truth = all.iter().sum::<f64>() / all.len() as f64;
-        let mut est = MeanEstimator::new(40);
-        for (i, b) in blocks.iter().take(10).enumerate() {
-            let vals = &b[..25];
-            est.push(ClusterObservation {
-                cluster_id: i as u64,
-                total_units: 100,
-                sampled_units: 25,
-                sum: vals.iter().sum(),
-                sum_sq: vals.iter().map(|v| v * v).sum(),
-            });
-        }
-        let iv = est.estimate(0.95).unwrap();
+        let obs: Vec<ClusterObservation> = blocks
+            .iter()
+            .take(10)
+            .enumerate()
+            .map(|(i, b)| {
+                let vals = &b[..25];
+                ClusterObservation {
+                    cluster_id: i as u64,
+                    total_units: 100,
+                    sampled_units: 25,
+                    sum: vals.iter().sum(),
+                    sum_sq: vals.iter().map(|v| v * v).sum(),
+                }
+            })
+            .collect();
+        let iv = mean_of(40, &obs).unwrap();
         assert!(
             (iv.estimate - truth).abs() < 1.0,
             "estimate {} vs truth {truth}",
@@ -1204,31 +1094,36 @@ mod tests {
         assert!(iv.half_width.is_finite());
     }
 
+    /// Two fully enumerated clusters of two units each: `y` = bytes,
+    /// `x` = requests; the ratio is the mean bytes per request, 8.
+    fn two_paired_clusters() -> [PairedClusterObservation; 2] {
+        [
+            PairedClusterObservation {
+                cluster_id: 0,
+                total_units: 2,
+                sampled_units: 2,
+                sum_y: 30.0,
+                sum_y_sq: 500.0,
+                sum_x: 3.0,
+                sum_x_sq: 5.0,
+                sum_xy: 38.0,
+            },
+            PairedClusterObservation {
+                cluster_id: 1,
+                total_units: 2,
+                sampled_units: 2,
+                sum_y: 10.0,
+                sum_y_sq: 60.0,
+                sum_x: 2.0,
+                sum_x_sq: 2.0,
+                sum_xy: 10.0,
+            },
+        ]
+    }
+
     #[test]
     fn ratio_estimator_census_exact() {
-        // y = bytes, x = requests; ratio = mean bytes per request.
-        let mut est = RatioEstimator::new(2);
-        est.push(PairedClusterObservation {
-            cluster_id: 0,
-            total_units: 2,
-            sampled_units: 2,
-            sum_y: 30.0,
-            sum_y_sq: 500.0,
-            sum_x: 3.0,
-            sum_x_sq: 5.0,
-            sum_xy: 38.0,
-        });
-        est.push(PairedClusterObservation {
-            cluster_id: 1,
-            total_units: 2,
-            sampled_units: 2,
-            sum_y: 10.0,
-            sum_y_sq: 60.0,
-            sum_x: 2.0,
-            sum_x_sq: 2.0,
-            sum_xy: 10.0,
-        });
-        let iv = est.estimate(0.95).unwrap();
+        let iv = ratio_of(2, &two_paired_clusters()).unwrap();
         assert!((iv.estimate - 8.0).abs() < 1e-12);
         assert_eq!(iv.half_width, 0.0);
     }
@@ -1237,29 +1132,9 @@ mod tests {
     fn ratio_and_mean_tolerate_empty_blocks() {
         // Regression: an input ending in an empty block used to make
         // avg/ratio jobs fail with InvalidInput while the same job's
-        // sum succeeded (TwoStageEstimator already skipped it).
-        let mut est = RatioEstimator::new(3);
-        est.push(PairedClusterObservation {
-            cluster_id: 0,
-            total_units: 2,
-            sampled_units: 2,
-            sum_y: 30.0,
-            sum_y_sq: 500.0,
-            sum_x: 3.0,
-            sum_x_sq: 5.0,
-            sum_xy: 38.0,
-        });
-        est.push(PairedClusterObservation {
-            cluster_id: 1,
-            total_units: 2,
-            sampled_units: 2,
-            sum_y: 10.0,
-            sum_y_sq: 60.0,
-            sum_x: 2.0,
-            sum_x_sq: 2.0,
-            sum_xy: 10.0,
-        });
-        est.push(PairedClusterObservation {
+        // sum succeeded (the two-stage sum already skipped it).
+        let [a, b] = two_paired_clusters();
+        let empty = PairedClusterObservation {
             cluster_id: 2,
             total_units: 0,
             sampled_units: 0,
@@ -1268,36 +1143,36 @@ mod tests {
             sum_x: 0.0,
             sum_x_sq: 0.0,
             sum_xy: 0.0,
-        });
-        let iv = est.estimate(0.95).unwrap();
+        };
+        let iv = ratio_of(3, &[a, b, empty]).unwrap();
         assert!((iv.estimate - 8.0).abs() < 1e-12);
         // All non-empty clusters fully enumerated and n = N: a census.
         assert_eq!(iv.half_width, 0.0);
 
-        let mut mean = MeanEstimator::new(2);
-        mean.push(ClusterObservation {
-            cluster_id: 0,
-            total_units: 3,
-            sampled_units: 3,
-            sum: 6.0,
-            sum_sq: 14.0,
-        });
-        mean.push(ClusterObservation {
-            cluster_id: 1,
-            total_units: 0,
-            sampled_units: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-        });
-        let iv = mean.estimate(0.95).unwrap();
+        let mean = [
+            ClusterObservation {
+                cluster_id: 0,
+                total_units: 3,
+                sampled_units: 3,
+                sum: 6.0,
+                sum_sq: 14.0,
+            },
+            ClusterObservation {
+                cluster_id: 1,
+                total_units: 0,
+                sampled_units: 0,
+                sum: 0.0,
+                sum_sq: 0.0,
+            },
+        ];
+        let iv = mean_of(2, &mean).unwrap();
         assert!((iv.estimate - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn ratio_estimator_still_rejects_invalid_observation() {
         // sampled == 0 with a non-empty block stays an error.
-        let mut est = RatioEstimator::new(2);
-        est.push(PairedClusterObservation {
+        let obs = PairedClusterObservation {
             cluster_id: 0,
             total_units: 10,
             sampled_units: 0,
@@ -1306,8 +1181,8 @@ mod tests {
             sum_x: 0.0,
             sum_x_sq: 0.0,
             sum_xy: 0.0,
-        });
-        assert!(est.estimate(0.95).is_err());
+        };
+        assert!(ratio_of(2, &[obs]).is_err());
     }
 
     #[cfg(debug_assertions)]
@@ -1328,8 +1203,7 @@ mod tests {
 
     #[test]
     fn ratio_estimator_zero_denominator_errors() {
-        let mut est = RatioEstimator::new(3);
-        est.push(PairedClusterObservation {
+        let obs = PairedClusterObservation {
             cluster_id: 0,
             total_units: 5,
             sampled_units: 5,
@@ -1338,8 +1212,11 @@ mod tests {
             sum_x: 0.0,
             sum_x_sq: 0.0,
             sum_xy: 0.0,
-        });
-        assert!(est.estimated_ratio().is_err());
+        };
+        assert!(matches!(
+            ratio_of(3, &[obs]),
+            Err(StatsError::Numerical { .. })
+        ));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! τ̂ = Σ_k τ̂_k        ε = sqrt(Σ_k ε_k²)
 //! ```
 //!
-//! Each stratum gets its own [`TwoStageEstimator`] fed with
+//! Each stratum is a two-stage total ([`TwoStageEstimator`]) over
 //! indicator-weighted cluster observations: a sampled unit that does
 //! not belong to stratum `k` counts as a zero-valued unit of stratum
 //! `k`'s estimator, exactly like the paper's treatment of keys a unit
@@ -26,8 +26,8 @@
 use std::collections::BTreeMap;
 
 use crate::interval::Interval;
-use crate::multistage::{ClusterObservation, TwoStageEstimator};
-use crate::{Result, StatsError};
+use crate::multistage::{ClusterObservation, ExecutedClusters, TwoStageEstimator};
+use crate::Result;
 
 /// Combines independent per-stratum intervals into one interval for
 /// the population total: estimates add, half-widths add in quadrature.
@@ -41,15 +41,15 @@ pub fn combine_strata(intervals: &[Interval], confidence: f64) -> Interval {
     Interval::new(estimate, var.sqrt(), confidence)
 }
 
-/// Stratified two-stage estimator: one [`TwoStageEstimator`] per
-/// stratum over a shared cluster population of `total_clusters`.
+/// Stratified two-stage estimator: one two-stage total per stratum
+/// over a shared cluster population of `total_clusters`.
 ///
 /// Strata are keyed by an ordered key type so iteration (and therefore
 /// output) is deterministic.
 #[derive(Debug, Clone)]
 pub struct StratifiedEstimator<K: Ord + Clone> {
     total_clusters: u64,
-    strata: BTreeMap<K, TwoStageEstimator>,
+    strata: BTreeMap<K, Vec<ClusterObservation>>,
 }
 
 impl<K: Ord + Clone> StratifiedEstimator<K> {
@@ -66,44 +66,25 @@ impl<K: Ord + Clone> StratifiedEstimator<K> {
     /// `total_units`/`sampled_units` must be the *cluster's* counts —
     /// units outside the stratum are zero-valued, not absent.
     pub fn push(&mut self, stratum: K, obs: ClusterObservation) {
-        let n = self.total_clusters;
-        self.strata
-            .entry(stratum)
-            .or_insert_with(|| TwoStageEstimator::new(n))
-            .push(obs);
+        self.strata.entry(stratum).or_default().push(obs);
     }
 
-    /// Number of strata observed so far.
-    pub fn num_strata(&self) -> usize {
-        self.strata.len()
-    }
-
-    /// The per-stratum estimators, in key order.
-    pub fn strata(&self) -> impl Iterator<Item = (&K, &TwoStageEstimator)> {
-        self.strata.iter()
-    }
-
-    /// Per-stratum intervals at `confidence`, in key order.
+    /// Per-stratum intervals at `confidence`, in key order: each
+    /// stratum's observations are its executed clusters, and it is
+    /// present in all of them.
     pub fn estimate_strata(&self, confidence: f64) -> Result<Vec<(K, Interval)>> {
         self.strata
             .iter()
-            .map(|(k, est)| Ok((k.clone(), est.estimate(confidence)?)))
+            .map(|(k, obs)| {
+                let executed = ExecutedClusters::new(
+                    self.total_clusters,
+                    obs.iter().map(|o| (o.total_units, o.sampled_units)),
+                    confidence,
+                );
+                let parts = TwoStageEstimator::from_present(&executed, obs.iter().copied())?;
+                Ok((k.clone(), parts.interval()?))
+            })
             .collect()
-    }
-
-    /// The combined interval for the sum over all strata: per-stratum
-    /// estimates added, half-widths added in quadrature. Errors when no
-    /// stratum has been observed.
-    pub fn estimate_combined(&self, confidence: f64) -> Result<Interval> {
-        if self.strata.is_empty() {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        let intervals: Vec<Interval> = self
-            .strata
-            .values()
-            .map(|est| est.estimate(confidence))
-            .collect::<Result<_>>()?;
-        Ok(combine_strata(&intervals, confidence))
     }
 }
 
@@ -144,6 +125,18 @@ mod tests {
         assert!(combine_strata(&[a, b], 0.95).half_width.is_infinite());
     }
 
+    /// The strata's intervals and their quadrature combination.
+    fn combined(est: &StratifiedEstimator<&str>) -> (Vec<Interval>, Interval) {
+        let strata: Vec<Interval> = est
+            .estimate_strata(0.95)
+            .unwrap()
+            .into_iter()
+            .map(|(_, i)| i)
+            .collect();
+        let combined = combine_strata(&strata, 0.95);
+        (strata, combined)
+    }
+
     #[test]
     fn stratified_census_is_exact_per_stratum_and_combined() {
         let mut est = StratifiedEstimator::new(2);
@@ -151,12 +144,11 @@ mod tests {
             est.push("a", obs(cluster, 10, 10, 100.0));
             est.push("b", obs(cluster, 10, 10, 30.0));
         }
-        let strata = est.estimate_strata(0.95).unwrap();
+        let (strata, combined) = combined(&est);
         assert_eq!(strata.len(), 2);
-        for (_, i) in &strata {
+        for i in &strata {
             assert_eq!(i.half_width, 0.0);
         }
-        let combined = est.estimate_combined(0.95).unwrap();
         assert_eq!(combined.estimate, 260.0);
         assert_eq!(combined.half_width, 0.0);
     }
@@ -171,7 +163,7 @@ mod tests {
             est.push("a", obs(cluster, 100, 50, 2.0 * 25.0));
             est.push("b", obs(cluster, 100, 50, 5.0 * 25.0));
         }
-        let combined = est.estimate_combined(0.95).unwrap();
+        let (_, combined) = combined(&est);
         let truth = 10.0 * (2.0 * 50.0 + 5.0 * 50.0);
         assert!(
             (combined.estimate - truth).abs() <= combined.half_width.max(1e-9),
@@ -180,11 +172,5 @@ mod tests {
             combined.half_width,
             truth
         );
-    }
-
-    #[test]
-    fn empty_estimator_errors() {
-        let est: StratifiedEstimator<&str> = StratifiedEstimator::new(4);
-        assert!(est.estimate_combined(0.95).is_err());
     }
 }

@@ -1,6 +1,10 @@
 //! Property-based tests for the statistical substrate.
 
-use approxhadoop_stats::dist::{ContinuousDistribution, Gev, Normal, StudentT};
+mod reference;
+
+use approxhadoop_stats::dist::{
+    cached_two_sided_critical_value, ContinuousDistribution, Gev, Normal, StudentT,
+};
 use approxhadoop_stats::gev::{block_maxima, block_minima};
 use approxhadoop_stats::multistage::{
     ClusterObservation, ExecutedClusters, PairedClusterObservation, RatioEstimator,
@@ -188,6 +192,42 @@ fn same_interval(
     }
 }
 
+/// The two-stage interval of `total` clusters of which `obs` are the
+/// executed ones, the key present in each: what a reducer computes.
+fn two_stage(total: u64, obs: &[ClusterObservation], confidence: f64) -> Interval {
+    let executed = ExecutedClusters::new(
+        total,
+        obs.iter().map(|o| (o.total_units, o.sampled_units)),
+        confidence,
+    );
+    TwoStageEstimator::from_present(&executed, obs.iter().copied())
+        .and_then(|parts| parts.interval())
+        .unwrap()
+}
+
+/// A bound on the rounding the dense mean estimator adds to its squared
+/// half-width in the clusters a key is absent from, at ratio `r`. Every
+/// sampled unit of such a cluster has the residual `d = −r`, so its
+/// within variance is exactly `0`; the dense path computes it as
+/// `(r²mᵢ − (r·mᵢ)²/mᵢ)/(mᵢ − 1)`, which cancels to a few ulps of
+/// `r²mᵢ/(mᵢ − 1)` (bounded here by 16ε). The sparse path adds the `0`.
+fn absent_rounding(table: &KeyTable, r: f64) -> f64 {
+    let n = table.clusters.len() as f64;
+    let nn = table.total_clusters as f64;
+    let mut units = 0.0;
+    let mut within = 0.0;
+    for (i, &(total, sampled)) in table.clusters.iter().enumerate() {
+        units += total as f64;
+        if table.present[i].is_none() && sampled >= 2 {
+            let (m, mm) = (sampled as f64, total as f64);
+            within += mm * (mm - m) / m * (16.0 * f64::EPSILON * r * r * m / (m - 1.0));
+        }
+    }
+    let tx = nn / n * units;
+    let t = cached_two_sided_critical_value(n - 1.0, table.confidence);
+    t * t * (nn / n * within) / (tx * tx)
+}
+
 /// Strategy: a population of blocks of values.
 fn blocks_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-100.0..100.0f64, 1..40), 2..12)
@@ -198,17 +238,18 @@ proptest! {
     #[test]
     fn census_is_always_exact(blocks in blocks_strategy()) {
         let truth: f64 = blocks.iter().flatten().sum();
-        let mut est = TwoStageEstimator::new(blocks.len() as u64);
-        for (i, b) in blocks.iter().enumerate() {
-            est.push(ClusterObservation {
+        let obs: Vec<ClusterObservation> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, b)| ClusterObservation {
                 cluster_id: i as u64,
                 total_units: b.len() as u64,
                 sampled_units: b.len() as u64,
                 sum: b.iter().sum(),
                 sum_sq: b.iter().map(|v| v * v).sum(),
-            });
-        }
-        let iv = est.estimate(0.95).unwrap();
+            })
+            .collect();
+        let iv = two_stage(blocks.len() as u64, &obs, 0.95);
         prop_assert!((iv.estimate - truth).abs() <= 1e-6 * (1.0 + truth.abs()));
         prop_assert_eq!(iv.half_width, 0.0);
     }
@@ -224,19 +265,23 @@ proptest! {
         prop_assume!(c.abs() > 1e-3);
         let n = blocks.len().min(keep);
         let build = |scale: f64| {
-            let mut est = TwoStageEstimator::new(blocks.len() as u64);
-            for (i, b) in blocks.iter().take(n).enumerate() {
-                let m = (b.len() / 2).max(1);
-                let vals: Vec<f64> = b[..m].iter().map(|v| v * scale).collect();
-                est.push(ClusterObservation {
-                    cluster_id: i as u64,
-                    total_units: b.len() as u64,
-                    sampled_units: m as u64,
-                    sum: vals.iter().sum(),
-                    sum_sq: vals.iter().map(|v| v * v).sum(),
-                });
-            }
-            est.estimate(0.95).unwrap()
+            let obs: Vec<ClusterObservation> = blocks
+                .iter()
+                .take(n)
+                .enumerate()
+                .map(|(i, b)| {
+                    let m = (b.len() / 2).max(1);
+                    let vals: Vec<f64> = b[..m].iter().map(|v| v * scale).collect();
+                    ClusterObservation {
+                        cluster_id: i as u64,
+                        total_units: b.len() as u64,
+                        sampled_units: m as u64,
+                        sum: vals.iter().sum(),
+                        sum_sq: vals.iter().map(|v| v * v).sum(),
+                    }
+                })
+                .collect();
+            two_stage(blocks.len() as u64, &obs, 0.95)
         };
         let base = build(1.0);
         let scaled = build(c);
@@ -269,18 +314,21 @@ proptest! {
         let c = 10f64.powi(3 * decade);
         let clusters = blocks.len() + unexecuted;
         let build = |shift: f64| {
-            let mut est = TwoStageEstimator::new(clusters as u64);
-            for (i, b) in blocks.iter().enumerate() {
-                let vals: Vec<f64> = b[..units / 2].iter().map(|v| v + shift).collect();
-                est.push(ClusterObservation {
-                    cluster_id: i as u64,
-                    total_units: units as u64,
-                    sampled_units: vals.len() as u64,
-                    sum: vals.iter().sum(),
-                    sum_sq: vals.iter().map(|v| v * v).sum(),
-                });
-            }
-            est.estimate(0.95).unwrap()
+            let obs: Vec<ClusterObservation> = blocks
+                .iter()
+                .enumerate()
+                .map(|(i, b)| {
+                    let vals: Vec<f64> = b[..units / 2].iter().map(|v| v + shift).collect();
+                    ClusterObservation {
+                        cluster_id: i as u64,
+                        total_units: units as u64,
+                        sampled_units: vals.len() as u64,
+                        sum: vals.iter().sum(),
+                        sum_sq: vals.iter().map(|v| v * v).sum(),
+                    }
+                })
+                .collect();
+            two_stage(clusters as u64, &obs, 0.95)
         };
         let base = build(0.0);
         let shifted = build(c);
@@ -302,19 +350,23 @@ proptest! {
     /// Higher confidence always widens the interval.
     #[test]
     fn interval_widens_with_confidence(blocks in blocks_strategy()) {
-        let mut est = TwoStageEstimator::new((blocks.len() + 2) as u64);
-        for (i, b) in blocks.iter().enumerate() {
-            let m = (b.len() / 2).max(1);
-            est.push(ClusterObservation {
-                cluster_id: i as u64,
-                total_units: b.len() as u64,
-                sampled_units: m as u64,
-                sum: b[..m].iter().sum(),
-                sum_sq: b[..m].iter().map(|v| v * v).sum(),
-            });
-        }
-        let lo = est.estimate(0.80).unwrap();
-        let hi = est.estimate(0.99).unwrap();
+        let obs: Vec<ClusterObservation> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                let m = (b.len() / 2).max(1);
+                ClusterObservation {
+                    cluster_id: i as u64,
+                    total_units: b.len() as u64,
+                    sampled_units: m as u64,
+                    sum: b[..m].iter().sum(),
+                    sum_sq: b[..m].iter().map(|v| v * v).sum(),
+                }
+            })
+            .collect();
+        let total = (blocks.len() + 2) as u64;
+        let lo = two_stage(total, &obs, 0.80);
+        let hi = two_stage(total, &obs, 0.99);
         prop_assert!(hi.half_width >= lo.half_width);
     }
 
@@ -452,7 +504,7 @@ proptest! {
     #[test]
     fn sparse_two_stage_matches_dense(seed in 0u64..u64::MAX, shape in 0u8..SHAPES) {
         let table = key_table(seed, shape);
-        let mut dense = TwoStageEstimator::new(table.total_clusters);
+        let mut dense = reference::TwoStageEstimator::new(table.total_clusters);
         for i in 0..table.clusters.len() {
             dense.push(table.observation(i));
         }
@@ -471,10 +523,10 @@ proptest! {
             let mut within = 0.0;
             let mut mean_within = 0.0;
             for o in (0..table.clusters.len()).map(|i| table.observation(i)) {
-                mean_within += o.within_variance() / n;
+                mean_within += reference::within_variance(&o) / n;
                 if o.sampled_units > 0 {
                     let (m, mm) = (o.sampled_units as f64, o.total_units as f64);
-                    within += mm * (mm - m) * o.within_variance() / m;
+                    within += mm * (mm - m) * reference::within_variance(&o) / m;
                 }
             }
             prop_assert_eq!(parts.estimate.to_bits(), dense.estimated_total().unwrap().to_bits());
@@ -496,7 +548,7 @@ proptest! {
     #[test]
     fn sparse_ratio_matches_dense(seed in 0u64..u64::MAX, shape in 0u8..SHAPES) {
         let table = key_table(seed, shape);
-        let mut dense = RatioEstimator::new(table.total_clusters);
+        let mut dense = reference::RatioEstimator::new(table.total_clusters);
         for i in 0..table.clusters.len() {
             dense.push(table.paired(i));
         }
@@ -505,6 +557,40 @@ proptest! {
             table.present_indices().map(|i| table.paired(i)),
         );
         let checked = same_interval(&dense.estimate(table.confidence), &sparse, table.all_present());
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    /// `RatioEstimator::mean_from_present` matches the dense mean
+    /// estimator the same way. An absent cluster is not zero in the
+    /// mean's denominator (`x ≡ 1`), so it enters in closed form: its
+    /// residual total is `−r̂·Mᵢ`, and its within variance is `0`.
+    #[test]
+    fn sparse_mean_matches_dense(seed in 0u64..u64::MAX, shape in 0u8..SHAPES) {
+        let table = key_table(seed, shape);
+        let mut dense = reference::MeanEstimator::new(table.total_clusters);
+        for i in 0..table.clusters.len() {
+            dense.push(table.observation(i));
+        }
+        let sparse = RatioEstimator::mean_from_present(
+            &table.executed(),
+            table.present_indices().map(|i| table.observation(i)),
+        );
+        let checked = match (dense.estimate(table.confidence), &sparse) {
+            (Ok(d), Ok(s)) if !table.all_present() && d.half_width != s.half_width => {
+                // Compared squared: the dense path's rounding in the
+                // absent clusters adds to the variance, not the width.
+                let (d2, s2) = (d.half_width * d.half_width, s.half_width * s.half_width);
+                let slack = absent_rounding(&table, d.estimate);
+                if d.estimate.to_bits() == s.estimate.to_bits()
+                    && (d2 - s2).abs() <= 2e-12 * d2.max(s2) + slack
+                {
+                    Ok(())
+                } else {
+                    Err(format!("dense {d:?} vs sparse {s:?} (slack {slack:e} on the squares)"))
+                }
+            }
+            (dense, _) => same_interval(&dense, &sparse, table.all_present()),
+        };
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 }

@@ -205,15 +205,6 @@ pub fn page_popularity(
     PAGE_POPULARITY.run(log, spec, config)
 }
 
-/// **Request Rate** (Wikipedia log): accesses per hour of the log.
-pub fn wiki_request_rate(
-    log: &WikiLog,
-    spec: ApproxSpec,
-    config: JobConfig,
-) -> Result<ApproxResult<(u64, Interval)>> {
-    REQUEST_RATE.run(log, spec, config)
-}
-
 /// **Page Traffic**: bytes served per page.
 pub fn page_traffic(
     log: &WikiLog,

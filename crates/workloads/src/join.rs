@@ -641,16 +641,11 @@ pub fn finish_join(
             est.push(*category, *obs);
         }
     }
-    let (categories, combined) = if est.num_strata() == 0 {
-        // Nothing joined (e.g. the filter discarded everything): the
-        // exact empty result.
-        (Vec::new(), combine_strata(&[], confidence))
-    } else {
-        (
-            est.estimate_strata(confidence)?,
-            est.estimate_combined(confidence)?,
-        )
-    };
+    // Nothing joined (e.g. the filter discarded everything) combines to
+    // the exact empty result.
+    let categories = est.estimate_strata(confidence)?;
+    let strata: Vec<Interval> = categories.iter().map(|&(_, iv)| iv).collect();
+    let combined = combine_strata(&strata, confidence);
     Ok(JoinOutcome {
         categories,
         combined,

@@ -86,7 +86,7 @@ impl UnitStat for KeyStat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KeyStatCombiner;
+    use crate::clusters::MergeCombiner;
     use approxhadoop_runtime::combine::Combiner;
 
     #[test]
@@ -119,7 +119,7 @@ mod tests {
     fn combiner_matches_merge() {
         let mut a = KeyStat::from_value(1.0);
         let b = KeyStat::from_value(4.0);
-        KeyStatCombiner.combine(&"k", &mut a, b);
+        MergeCombiner.combine(&"k", &mut a, b);
         assert_eq!(a.sum, 5.0);
         assert_eq!(a.sum_sq, 17.0);
         assert_eq!(a.emitting_units, 2);

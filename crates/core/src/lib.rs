@@ -83,7 +83,6 @@ pub mod target;
 pub mod threestage;
 pub mod userdef;
 
-pub use clusters::MergeCombiner as KeyStatCombiner;
 pub use error::CoreError;
 pub use keystat::KeyStat;
 pub use spec::{ApproxSpec, ErrorTarget, PilotSpec};

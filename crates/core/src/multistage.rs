@@ -135,50 +135,14 @@ impl<K: Key> MultiStageReducer<K> {
     /// including keys the sampling never observed, by extrapolating from
     /// the frequency of singleton/doubleton keys (Chao1 — the paper's
     /// §3.1 extension citing Haas et al.). `None` with no keys.
-    pub fn estimate_distinct_keys(&self) -> Option<f64> {
+    pub fn estimate_distinct_keys(&mut self) -> Option<f64> {
         use approxhadoop_stats::distinct::{chao1, FrequencyCounts};
         let fc = FrequencyCounts::from_counts(
             self.table
-                .runs()
-                .map(|run| run.present().map(|(_, s)| s.emitting_units).sum::<u64>()),
+                .grouped()
+                .map(|(_, run)| run.present().map(|(_, s)| s.emitting_units).sum::<u64>()),
         );
         chao1(&fc).ok()
-    }
-
-    /// One key's statistics as observations of the clusters it appeared
-    /// in, in arrival order.
-    fn present<'a>(
-        &'a self,
-        run: &'a Run<KeyStat>,
-    ) -> impl Iterator<Item = ClusterObservation> + Clone + 'a {
-        let clusters = self.table.clusters();
-        run.present().map(|(ci, stat)| {
-            let (task, total_units, sampled_units) = clusters[ci];
-            ClusterObservation {
-                cluster_id: task.0 as u64,
-                total_units,
-                sampled_units,
-                sum: stat.sum,
-                sum_sq: stat.sum_sq,
-            }
-        })
-    }
-
-    /// One key's Eq. 1–3 parts over the clusters it appeared in.
-    fn parts(&self, run: &Run<KeyStat>, executed: &ExecutedClusters) -> Result<TwoStageParts> {
-        TwoStageEstimator::from_present(executed, self.present(run))
-    }
-
-    /// Builds the interval for one key from the collected statistics.
-    fn estimate_key(&self, run: &Run<KeyStat>, executed: &ExecutedClusters) -> Option<Interval> {
-        match self.agg {
-            Aggregation::Sum | Aggregation::Count => {
-                self.parts(run, executed).ok()?.interval().ok()
-            }
-            Aggregation::Mean => {
-                RatioEstimator::mean_from_present(executed, self.present(run)).ok()
-            }
-        }
     }
 
     /// Evaluates all keys, returning the worst (largest absolute
@@ -188,18 +152,19 @@ impl<K: Key> MultiStageReducer<K> {
     /// keys share the cluster count `n`, so ranking by variance is
     /// ranking by half-width without paying a Student-t inversion per
     /// key. (For `Mean`, the numerator variance is the ranking proxy;
-    /// the reported interval is exact.)
-    fn evaluate_worst(&self, executed: &ExecutedClusters) -> Option<(Interval, WaveStatistics)> {
-        let (_, worst, run) = self
-            .table
-            .runs()
-            .map(|run| {
-                let parts = self.parts(run, executed).ok();
-                (parts.map_or(f64::INFINITY, |p| p.variance), parts, run)
-            })
-            .max_by(|a, b| a.0.total_cmp(&b.0))?;
-        let (worst, iv) = (worst?, self.estimate_key(run, executed)?);
-        let clusters = self.table.clusters();
+    /// the reported interval is exact.) Among keys of equal variance the
+    /// smallest key is the worst, whatever order the table holds them
+    /// in.
+    fn evaluate_worst(
+        &mut self,
+        executed: &ExecutedClusters,
+    ) -> Option<(Interval, WaveStatistics)> {
+        let (run, worst) = self.table.max_by_score(|run| {
+            let parts = parts(run, executed).ok();
+            (parts.map_or(f64::INFINITY, |p| p.variance), parts)
+        })?;
+        let (worst, iv) = (worst?, estimate_key(self.agg, run, executed)?);
+        let clusters = run.clusters();
         let mean_cluster_size =
             clusters.iter().map(|(_, m, _)| *m as f64).sum::<f64>() / clusters.len().max(1) as f64;
         let wave = WaveStatistics {
@@ -248,6 +213,39 @@ impl<K: Key> MultiStageReducer<K> {
     }
 }
 
+/// One key's statistics as observations of the clusters it appeared
+/// in, in arrival order.
+fn observations(run: Run<'_, KeyStat>) -> impl Iterator<Item = ClusterObservation> + Clone + '_ {
+    let clusters = run.clusters();
+    run.present().map(move |(ci, stat)| {
+        let (task, total_units, sampled_units) = clusters[ci];
+        ClusterObservation {
+            cluster_id: task.0 as u64,
+            total_units,
+            sampled_units,
+            sum: stat.sum,
+            sum_sq: stat.sum_sq,
+        }
+    })
+}
+
+/// One key's Eq. 1–3 parts over the clusters it appeared in.
+fn parts(run: Run<'_, KeyStat>, executed: &ExecutedClusters) -> Result<TwoStageParts> {
+    TwoStageEstimator::from_present(executed, observations(run))
+}
+
+/// Builds the interval for one key from the collected statistics.
+fn estimate_key(
+    agg: Aggregation,
+    run: Run<'_, KeyStat>,
+    executed: &ExecutedClusters,
+) -> Option<Interval> {
+    match agg {
+        Aggregation::Sum | Aggregation::Count => parts(run, executed).ok()?.interval().ok(),
+        Aggregation::Mean => RatioEstimator::mean_from_present(executed, observations(run)).ok(),
+    }
+}
+
 impl<K: Key> Reducer for MultiStageReducer<K> {
     type Key = K;
     type Value = KeyStat;
@@ -271,7 +269,7 @@ impl<K: Key> Reducer for MultiStageReducer<K> {
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<(K, Interval)> {
-        if let Some(sink) = &self.distinct_sink {
+        if let Some(sink) = self.distinct_sink.clone() {
             let est = self.estimate_distinct_keys();
             let mut slots = sink.lock();
             let p = ctx.partition();
@@ -282,7 +280,8 @@ impl<K: Key> Reducer for MultiStageReducer<K> {
         let executed = self
             .table
             .executed(ctx.total_maps() as u64, self.confidence);
-        self.table.finish(|run| self.estimate_key(run, &executed))
+        let agg = self.agg;
+        std::mem::take(&mut self.table).finish(|run| estimate_key(agg, run, &executed))
     }
 }
 
@@ -501,6 +500,67 @@ mod tests {
         assert!(report.half_width > 0.0);
         assert!(wave.completed_clusters == 3);
         assert!(wave.estimate > 100.0, "worst key is the big one");
+    }
+
+    #[test]
+    fn worst_key_ties_break_to_the_smallest_key() {
+        // A census of two clusters gives every key variance 0: the tie
+        // must go to "a" whichever order the keys arrive in.
+        for order in [["a", "b"], ["b", "a"]] {
+            let mut r = MultiStageReducer::<String>::new(Aggregation::Sum, 0.95)
+                .with_monitor(BoundMonitor::reporting());
+            let control = Arc::new(JobControl::new(1));
+            let mut c = ReduceContext::new(0, 2, Arc::clone(&control));
+            for t in 0..2 {
+                c.note_map();
+                let pairs = order
+                    .iter()
+                    .map(|&k| (k.to_string(), stat(if k == "a" { 5.0 } else { 9.0 })))
+                    .collect();
+                r.on_map_output(&meta(t, 2, 2), pairs, &mut c);
+            }
+            let report = control.bound_reports()[0].expect("monitor published");
+            assert_eq!(report.half_width, 0.0);
+            assert_eq!(report.wave.expect("wave").estimate, 10.0, "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn a_reporting_monitor_leaves_finish_bit_identical() {
+        // A check after every output groups the table between arrivals;
+        // repeated keys within an output still merge into their newest
+        // entry, so both reducers must finish with the same bits.
+        let outputs: Vec<(MapOutputMeta, Vec<(String, KeyStat)>)> = (0..9u64)
+            .map(|t| {
+                let pairs = (0..12u64)
+                    .filter(|k| (k * 7 + t * 3) % 5 != 0)
+                    .flat_map(|k| {
+                        let v = ((k * 31 + t * 17) % 23) as f64 + 0.125;
+                        let again = (k + t) % 4 == 0;
+                        let pair = (format!("k{k:02}"), stat(v));
+                        std::iter::once(pair.clone()).chain(again.then_some(pair))
+                    })
+                    .collect();
+                (meta(t as usize, 50 + t, 10 + t), pairs)
+            })
+            .collect();
+        for agg in [Aggregation::Sum, Aggregation::Mean] {
+            let finish = |monitor: Option<BoundMonitor>| {
+                let mut r = MultiStageReducer::<String>::new(agg, 0.95).with_monitor(monitor);
+                let mut c = ctx(12);
+                for (m, pairs) in &outputs {
+                    c.note_map();
+                    r.on_map_output(m, pairs.clone(), &mut c);
+                }
+                r.finish(&mut c)
+                    .into_iter()
+                    .map(|(k, iv)| (k, iv.estimate.to_bits(), iv.half_width.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let plain = finish(None);
+            assert_eq!(plain.len(), 12);
+            assert_eq!(finish(Some(BoundMonitor::reporting())), plain, "{agg:?}");
+        }
     }
 
     fn stat(sum: f64) -> KeyStat {

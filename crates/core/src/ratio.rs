@@ -92,8 +92,12 @@ impl<K: Key> RatioReducer<K> {
     }
 
     /// One key's ratio over the clusters it appeared in.
-    fn estimate_key(&self, run: &Run<PairStat>, executed: &ExecutedClusters) -> Option<Interval> {
-        let clusters = self.table.clusters();
+    fn estimate_key(
+        &self,
+        run: Run<'_, PairStat>,
+        executed: &ExecutedClusters,
+    ) -> Option<Interval> {
+        let clusters = run.clusters();
         RatioEstimator::from_present(
             executed,
             run.present().map(|(ci, s)| {
@@ -132,7 +136,7 @@ impl<K: Key> Reducer for RatioReducer<K> {
         let executed = self
             .table
             .executed(ctx.total_maps() as u64, self.confidence);
-        self.table.finish(|run| self.estimate_key(run, &executed))
+        std::mem::take(&mut self.table).finish(|run| self.estimate_key(run, &executed))
     }
 }
 

@@ -97,12 +97,12 @@ impl<K: Key> ThreeStageReducer<K> {
 
     fn build_estimator(
         &self,
-        run: &Run<GroupStat>,
+        run: Run<'_, GroupStat>,
         total_maps: u64,
         count_pairs: bool,
     ) -> ThreeStageEstimator {
         let mut est = ThreeStageEstimator::new(total_maps);
-        for ((task, total_units, sampled_units), stat) in self.table.dense(run) {
+        for ((task, total_units, sampled_units), stat) in run.dense() {
             if sampled_units == 0 {
                 continue;
             }
@@ -137,7 +137,7 @@ impl<K: Key> ThreeStageReducer<K> {
         est
     }
 
-    fn estimate_key(&self, run: &Run<GroupStat>, total_maps: u64) -> Option<Interval> {
+    fn estimate_key(&self, run: Run<'_, GroupStat>, total_maps: u64) -> Option<Interval> {
         match self.agg {
             ThreeStageAggregation::Total => self
                 .build_estimator(run, total_maps, false)
@@ -180,7 +180,7 @@ impl<K: Key> Reducer for ThreeStageReducer<K> {
 
     fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<(K, Interval)> {
         let total_maps = ctx.total_maps() as u64;
-        self.table.finish(|run| self.estimate_key(run, total_maps))
+        std::mem::take(&mut self.table).finish(|run| self.estimate_key(run, total_maps))
     }
 }
 

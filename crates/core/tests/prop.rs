@@ -26,7 +26,7 @@ fn population() -> impl Strategy<Value = Vec<Vec<f64>>> {
 /// merged out of order would show.
 type Arrival = (u64, u64, Vec<(u8, Vec<(u64, f64, f64)>)>);
 
-/// What [`ClusterTable::dense`] yields per executed cluster.
+/// What [`Run::dense`] yields per executed cluster.
 type DenseRow<'a> = ((TaskId, u64, u64), Option<&'a GroupStat>);
 
 fn arrival() -> impl Strategy<Value = Arrival> {
@@ -42,11 +42,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `ClusterTable` against the nested-map layout it replaced: for any
-    /// arrival sequence, `sorted`, `dense`, `present` and `finish` agree
-    /// with the model element for element.
+    /// arrival sequence, `grouped`, `dense`, `present` and `finish` agree
+    /// with the model element for element — whether the table is read
+    /// after every arrival, as the bound monitor reads it, after some, or
+    /// only by `finish`.
     #[test]
     fn cluster_table_matches_nested_map_model(arrivals in prop::collection::vec(arrival(), 0..12)) {
         let mut table = ClusterTable::<u8, GroupStat>::default();
+        let mut sometimes = ClusterTable::<u8, GroupStat>::default();
+        let mut unread = ClusterTable::<u8, GroupStat>::default();
         let mut clusters = Vec::new();
         let mut model: BTreeMap<u8, BTreeMap<usize, GroupStat>> = BTreeMap::new();
         for (t, (total, sampled, pairs)) in arrivals.into_iter().enumerate() {
@@ -67,11 +71,17 @@ proptest! {
             for (k, stat) in &pairs {
                 model.entry(*k).or_default().entry(t).or_default().merge(stat);
             }
+            sometimes.absorb(&meta, pairs.clone());
+            unread.absorb(&meta, pairs.clone());
             table.absorb(&meta, pairs);
+            prop_assert_eq!(table.grouped().count(), model.len());
+            if t % 3 == 1 {
+                prop_assert_eq!(sometimes.grouped().count(), model.len());
+            }
         }
         prop_assert_eq!(table.clusters(), &clusters[..]);
         prop_assert_eq!(table.is_empty(), model.is_empty());
-        prop_assert_eq!(table.runs().count(), model.len());
+        prop_assert_eq!(table.grouped().count(), model.len());
 
         // An arbitrary estimate reading everything `dense` yields, and
         // declining keys absent from the first cluster.
@@ -85,7 +95,9 @@ proptest! {
             Some(Interval::new(estimate, dense.len() as f64, 0.95))
         };
         let mut expected_out = Vec::new();
-        let mut rows = table.sorted();
+        let mut rows: Vec<_> = table.grouped().collect();
+        rows.sort_unstable_by_key(|(k, _)| **k);
+        let mut rows = rows.into_iter();
         for (key, per_cluster) in &model {
             let (k, run) = rows.next().expect("table has every model key");
             prop_assert_eq!(k, key);
@@ -94,7 +106,7 @@ proptest! {
                 .enumerate()
                 .map(|(ci, c)| (*c, per_cluster.get(&ci)))
                 .collect();
-            prop_assert_eq!(&table.dense(run).collect::<Vec<_>>(), &expected);
+            prop_assert_eq!(&run.dense().collect::<Vec<_>>(), &expected);
             prop_assert_eq!(
                 run.present().collect::<Vec<_>>(),
                 per_cluster.iter().map(|(ci, s)| (*ci, s)).collect::<Vec<_>>()
@@ -102,8 +114,10 @@ proptest! {
             expected_out.extend(digest(&expected).map(|iv| (*key, iv)));
         }
         prop_assert!(rows.next().is_none(), "table has a key the model lacks");
-        let out = table.finish(|run| digest(&table.dense(run).collect::<Vec<_>>()));
-        prop_assert_eq!(out, expected_out);
+        for table in [table, sometimes, unread] {
+            let out = table.finish(|run| digest(&run.dense().collect::<Vec<_>>()));
+            prop_assert_eq!(&out, &expected_out);
+        }
     }
 
     /// Precise aggregation equals the arithmetic ground truth for any

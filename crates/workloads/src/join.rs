@@ -467,11 +467,12 @@ impl Reducer for JoinReducer {
         // The join: fold each page's per-cluster stats into its
         // category, one slot per executed cluster. Pages ascend, so
         // every slot's additions happen in one deterministic order.
-        let clusters = self.table.clusters();
+        let table = std::mem::take(&mut self.table);
+        let clusters = table.clusters().to_vec();
         let mut cats: BTreeMap<u64, Vec<KeyStat>> = BTreeMap::new();
-        for (page, run) in self.table.sorted() {
-            let Some(&category) = self.page_category.get(page) else {
-                continue; // Bloom false positive or uncatalogued page.
+        table.for_each_sorted(|page, run| {
+            let Some(&category) = self.page_category.get(&page) else {
+                return; // Bloom false positive or uncatalogued page.
             };
             let slots = cats
                 .entry(category)
@@ -479,7 +480,7 @@ impl Reducer for JoinReducer {
             for (ci, stat) in run.present() {
                 slots[ci].merge(stat);
             }
-        }
+        });
         // Observations in cluster-id order, independent of the order
         // map outputs happened to arrive in.
         let mut order: Vec<usize> = (0..clusters.len()).collect();

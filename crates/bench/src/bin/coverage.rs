@@ -10,7 +10,7 @@ use approxhadoop_bench::header;
 use approxhadoop_stats::gev::MinEstimator;
 use approxhadoop_stats::multistage::{
     ClusterObservation, ExecutedClusters, PairedClusterObservation, RatioEstimator,
-    SecondaryObservation, ThreeStageCluster, ThreeStageEstimator, TwoStageEstimator,
+    SecondaryObservation, ThreeStageEstimator, ThreeStageObservation, TwoStageEstimator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,29 +144,33 @@ fn three_stage_coverage(rng: &mut StdRng) {
     let mut covered = 0;
     let mut width = 0.0;
     for _ in 0..REPS {
-        let mut est = ThreeStageEstimator::new(30);
-        for b in sample_indices(rng, 30, 10) {
-            let items = sample_indices(rng, 20, 8);
-            let secondaries = items
-                .iter()
-                .map(|&i| {
-                    let ters = sample_indices(rng, 10, 5);
-                    let vals: Vec<f64> = ters.iter().map(|&t| pop[b][i][t]).collect();
-                    SecondaryObservation {
-                        total_tertiary: 10,
-                        sampled_tertiary: 5,
-                        sum: vals.iter().sum(),
-                        sum_sq: vals.iter().map(|v| v * v).sum(),
-                    }
-                })
-                .collect();
-            est.push(ThreeStageCluster {
-                cluster_id: b as u64,
-                total_units: 20,
-                secondaries,
-            });
-        }
-        let iv = est.estimate(CONFIDENCE).unwrap();
+        let blocks: Vec<Vec<SecondaryObservation>> = sample_indices(rng, 30, 10)
+            .into_iter()
+            .map(|b| {
+                sample_indices(rng, 20, 8)
+                    .iter()
+                    .map(|&i| {
+                        let ters = sample_indices(rng, 10, 5);
+                        let vals: Vec<f64> = ters.iter().map(|&t| pop[b][i][t]).collect();
+                        SecondaryObservation {
+                            total_tertiary: 10,
+                            sampled_tertiary: 5,
+                            sum: vals.iter().sum(),
+                            sum_sq: vals.iter().map(|v| v * v).sum(),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let executed = executed(30, blocks.iter().map(|s| (20, s.len() as u64)));
+        let present = blocks.iter().map(|s| ThreeStageObservation {
+            total_units: 20,
+            sampled_units: s.len() as u64,
+            secondaries: s.iter().copied(),
+        });
+        let iv = ThreeStageEstimator::from_present(&executed, present)
+            .and_then(|parts| parts.interval())
+            .unwrap();
         if iv.contains(truth) {
             covered += 1;
         }

@@ -9,8 +9,9 @@
 //! add up, how two statistics merge), and an `estimate_key` turning one
 //! key's [`Run`] into an interval. Everything else — per-item
 //! pre-aggregation, the per-task flush, the combiner, the executed
-//! cluster list, zero-filling absent clusters, sorted output — is here,
-//! and the per-key layout is this module's private decision.
+//! cluster list that absent clusters' zeros are read from, sorted
+//! output — is here, and the per-key layout is this module's private
+//! decision.
 //!
 //! That layout is flat on both sides. A map task folds into one
 //! [`FxHashMap`] (the engine's deterministic hasher). The reduce side
@@ -150,7 +151,9 @@ const NO_CLUSTER: u32 = u32::MAX;
 
 /// One key's statistics over the clusters it appeared in: borrowed
 /// parts of its [`ClusterTable`]'s log. Read it through
-/// [`Run::present`] or [`Run::dense`].
+/// [`Run::present`], with [`Run::clusters`] for each cluster's
+/// `(task, M_i, m_i)`; an estimator puts the clusters the key is absent
+/// from in closed form from [`ClusterTable::executed`].
 pub struct Run<'a, S> {
     clusters: &'a [(TaskId, u64, u64)],
     /// The key's entries in arrival order: the older part's, the newer
@@ -184,17 +187,6 @@ impl<'a, S> Run<'a, S> {
             .chain(self.newer)
             .chain(self.arrived.iter().map(move |&i| &log[i as usize]))
             .map(|entry| (entry.cluster as usize, &entry.stat))
-    }
-
-    /// Expands the run to one entry per executed cluster, in arrival
-    /// order: the cluster's `(task, M_i, m_i)` and the key's statistic
-    /// there, `None` where the key did not appear.
-    pub fn dense(&self) -> impl Iterator<Item = ((TaskId, u64, u64), Option<&'a S>)> + 'a {
-        let mut present = self.present().peekable();
-        self.clusters.iter().enumerate().map(move |(ci, cluster)| {
-            let stat = present.next_if(|(at, _)| *at == ci);
-            (*cluster, stat.map(|(_, stat)| stat))
-        })
     }
 }
 

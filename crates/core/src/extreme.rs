@@ -102,10 +102,6 @@ pub struct ExtremeReducer {
     target_relative: Option<f64>,
     /// Minimum per-map samples before attempting a fit.
     min_samples: usize,
-    /// When set, incoming values are raw observations rather than
-    /// per-map extremes: the Block Minima/Maxima transform with this
-    /// many blocks is applied before fitting (paper Section 3.2).
-    block_transform: Option<usize>,
     values: Vec<f64>,
     /// Once the target is met the estimate is locked in; values racing
     /// the JobTracker's kill are discarded.
@@ -121,20 +117,9 @@ impl ExtremeReducer {
             percentile: approxhadoop_stats::gev::DEFAULT_EXTREME_PERCENTILE,
             target_relative: None,
             min_samples: 8,
-            block_transform: None,
             values: Vec::new(),
             frozen: false,
         }
-    }
-
-    /// Treats incoming values as *raw* observations and applies the
-    /// Block Minima/Maxima method with `blocks` blocks before fitting
-    /// (for maps that emit all their values rather than a per-task
-    /// extreme).
-    pub fn with_block_transform(mut self, blocks: usize) -> Self {
-        assert!(blocks > 0, "need at least one block");
-        self.block_transform = Some(blocks);
-        self
     }
 
     /// Sets the estimation percentile (default 1%).
@@ -155,26 +140,12 @@ impl ExtremeReducer {
         if self.values.len() < self.min_samples {
             return None;
         }
-        let transformed;
-        let sample: &[f64] = match self.block_transform {
-            Some(blocks) => {
-                transformed = match self.kind {
-                    Extreme::Min => approxhadoop_stats::gev::block_minima(&self.values, blocks),
-                    Extreme::Max => approxhadoop_stats::gev::block_maxima(&self.values, blocks),
-                };
-                if transformed.len() < 5 {
-                    return None;
-                }
-                &transformed
-            }
-            None => &self.values,
-        };
         let iv = match self.kind {
             Extreme::Min => MinEstimator::with_percentile(self.percentile)
-                .estimate(sample, self.confidence)
+                .estimate(&self.values, self.confidence)
                 .ok(),
             Extreme::Max => MaxEstimator::with_percentile(self.percentile)
-                .estimate(sample, self.confidence)
+                .estimate(&self.values, self.confidence)
                 .ok(),
         };
         iv.map(|iv| self.clamp_to_observed(iv))
@@ -364,29 +335,6 @@ mod tests {
         }
         assert!(fired_at.is_some(), "target should be reached");
         assert!(fired_at.unwrap() < 199, "should fire before all maps run");
-    }
-
-    #[test]
-    fn block_transform_fits_raw_values() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let control = Arc::new(JobControl::new(1));
-        let mut c = ctx(10, &control);
-        // Maps emit RAW values (not per-map minima): the reducer must
-        // apply Block Minima itself.
-        let mut r = ExtremeReducer::new(Extreme::Min, 0.95).with_block_transform(40);
-        for t in 0..10 {
-            let pairs: Vec<((), f64)> =
-                (0..200).map(|_| ((), rng.gen_range(50.0..150.0))).collect();
-            r.on_map_output(&meta(t), pairs, &mut c);
-        }
-        let out = r.finish(&mut c);
-        let iv = out[0].estimated.expect("fit from block minima");
-        assert!(
-            iv.estimate > 40.0 && iv.estimate < 55.0,
-            "estimate {}",
-            iv.estimate
-        );
-        assert_eq!(out[0].observed, out[0].observed.min(150.0));
     }
 
     #[test]

@@ -536,11 +536,11 @@ mod tests {
         assert!(p.additional_tasks < 192, "should not need everything");
         assert!(p.sampling_ratio > 0.0 && p.sampling_ratio <= 1.0);
         // The plan must actually satisfy the predicted bound.
-        let bound = w.predicted_relative_bound(
+        let bound = w.predicted_bound(
             p.additional_tasks,
             p.sampling_ratio * w.mean_cluster_size,
             0.95,
-        );
+        ) / w.estimate.abs();
         assert!(bound <= 0.05 + 1e-9, "plan violates target: {bound}");
     }
 

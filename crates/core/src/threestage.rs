@@ -17,7 +17,7 @@
 use approxhadoop_runtime::reducer::{MapOutputMeta, ReduceContext, Reducer};
 use approxhadoop_runtime::types::Key;
 use approxhadoop_stats::multistage::{
-    SecondaryObservation, ThreeStageCluster, ThreeStageEstimator,
+    ExecutedClusters, SecondaryObservation, ThreeStageEstimator, ThreeStageObservation,
 };
 use approxhadoop_stats::Interval;
 
@@ -95,63 +95,16 @@ impl<K: Key> ThreeStageReducer<K> {
         }
     }
 
-    fn build_estimator(
+    fn estimate_key(
         &self,
+        executed: &ExecutedClusters,
         run: Run<'_, GroupStat>,
-        total_maps: u64,
-        count_pairs: bool,
-    ) -> ThreeStageEstimator {
-        let mut est = ThreeStageEstimator::new(total_maps);
-        for ((task, total_units, sampled_units), stat) in run.dense() {
-            if sampled_units == 0 {
-                continue;
-            }
-            let items = stat.map_or(&[][..], |s| &s.items);
-            let mut secondaries: Vec<SecondaryObservation> = items
-                .iter()
-                .map(|&(pairs, sum, sum_sq)| SecondaryObservation {
-                    total_tertiary: pairs,
-                    sampled_tertiary: pairs,
-                    sum: if count_pairs { pairs as f64 } else { sum },
-                    sum_sq: if count_pairs { pairs as f64 } else { sum_sq },
-                })
-                .collect();
-            // Sampled items that emitted nothing are zero-pair groups:
-            // each contributes to the secondary stage as one secondary
-            // holding a single tertiary unit of value zero.
-            let silent = sampled_units.saturating_sub(items.len() as u64);
-            for _ in 0..silent {
-                secondaries.push(SecondaryObservation {
-                    total_tertiary: 1,
-                    sampled_tertiary: 1,
-                    sum: 0.0,
-                    sum_sq: 0.0,
-                });
-            }
-            est.push(ThreeStageCluster {
-                cluster_id: task.0 as u64,
-                total_units,
-                secondaries,
-            });
-        }
-        est
-    }
-
-    fn estimate_key(&self, run: Run<'_, GroupStat>, total_maps: u64) -> Option<Interval> {
+    ) -> Option<Interval> {
         match self.agg {
-            ThreeStageAggregation::Total => self
-                .build_estimator(run, total_maps, false)
-                .estimate(self.confidence)
-                .ok(),
+            ThreeStageAggregation::Total => three_stage(executed, run, false),
             ThreeStageAggregation::MeanPerPair => {
-                let total = self
-                    .build_estimator(run, total_maps, false)
-                    .estimate(self.confidence)
-                    .ok()?;
-                let pairs = self
-                    .build_estimator(run, total_maps, true)
-                    .estimate(self.confidence)
-                    .ok()?;
+                let total = three_stage(executed, run, false)?;
+                let pairs = three_stage(executed, run, true)?;
                 if pairs.estimate <= 0.0 {
                     return None;
                 }
@@ -162,6 +115,41 @@ impl<K: Key> ThreeStageReducer<K> {
             }
         }
     }
+}
+
+/// One key's three-stage interval from the clusters it appeared in: of
+/// its tertiary values, or with `count_pairs` of its pair counts. Each
+/// item that emitted for the key is one fully read secondary unit; the
+/// cluster's other sampled items are silent.
+fn three_stage(
+    executed: &ExecutedClusters,
+    run: Run<'_, GroupStat>,
+    count_pairs: bool,
+) -> Option<Interval> {
+    let clusters = run.clusters();
+    let present = run.present().map(move |(ci, stat)| {
+        let (_, total_units, sampled_units) = clusters[ci];
+        ThreeStageObservation {
+            total_units,
+            sampled_units,
+            secondaries: stat.items.iter().map(move |&(pairs, sum, sum_sq)| {
+                let (sum, sum_sq) = if count_pairs {
+                    (pairs as f64, pairs as f64)
+                } else {
+                    (sum, sum_sq)
+                };
+                SecondaryObservation {
+                    total_tertiary: pairs,
+                    sampled_tertiary: pairs,
+                    sum,
+                    sum_sq,
+                }
+            }),
+        }
+    });
+    ThreeStageEstimator::from_present(executed, present)
+        .and_then(|parts| parts.interval())
+        .ok()
 }
 
 impl<K: Key> Reducer for ThreeStageReducer<K> {
@@ -179,16 +167,22 @@ impl<K: Key> Reducer for ThreeStageReducer<K> {
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext) -> Vec<(K, Interval)> {
-        let total_maps = ctx.total_maps() as u64;
-        std::mem::take(&mut self.table).finish(|run| self.estimate_key(run, total_maps))
+        let executed = self
+            .table
+            .executed(ctx.total_maps() as u64, self.confidence);
+        std::mem::take(&mut self.table).finish(|run| self.estimate_key(&executed, run))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multistage::{Aggregation, MultiStageMapper, MultiStageReducer};
     use approxhadoop_runtime::control::JobControl;
+    use approxhadoop_runtime::engine::{run_job, JobConfig};
+    use approxhadoop_runtime::input::VecSource;
     use approxhadoop_runtime::mapper::{MapTaskContext, Mapper};
+    use approxhadoop_runtime::metrics::JobMetrics;
     use approxhadoop_runtime::types::TaskId;
     use std::sync::Arc;
 
@@ -303,5 +297,71 @@ mod tests {
         // Census of the block: total 6 regardless of silent items.
         assert_eq!(out[0].1.estimate, 6.0);
         assert_eq!(out[0].1.half_width, 0.0);
+    }
+
+    /// Blocks `[1, 2, 3], [], [4, 5], [6]`, each item one pair of its
+    /// value: 6 pairs totalling 21.
+    fn with_empty_block() -> VecSource<f64> {
+        VecSource::new(vec![vec![1.0, 2.0, 3.0], vec![], vec![4.0, 5.0], vec![6.0]])
+    }
+
+    /// The one output row of `agg` over [`with_empty_block`], and the
+    /// job's metrics.
+    fn three_stage_job(agg: ThreeStageAggregation, config: JobConfig) -> (Interval, JobMetrics) {
+        let mapper = ThreeStageMapper::new(|v: &f64, emit: &mut dyn FnMut(u8, f64)| emit(0, *v));
+        let job = run_job(
+            &with_empty_block(),
+            &mapper,
+            |_| ThreeStageReducer::<u8>::new(agg, 0.95),
+            config,
+        )
+        .unwrap();
+        assert_eq!(job.outputs.len(), 1);
+        (job.outputs[0].1, job.metrics)
+    }
+
+    /// The two-stage Sum of the same job.
+    fn sum_job(config: JobConfig) -> Interval {
+        let mapper = MultiStageMapper::new(|v: &f64, emit: &mut dyn FnMut(u8, f64)| emit(0, *v));
+        let job = run_job(
+            &with_empty_block(),
+            &mapper,
+            |_| MultiStageReducer::<u8>::new(Aggregation::Sum, 0.95),
+            config,
+        )
+        .unwrap();
+        job.outputs[0].1
+    }
+
+    fn one_slot(drop_ratio: f64) -> JobConfig {
+        JobConfig {
+            map_slots: 1,
+            drop_ratio,
+            seed: 1,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_precise_job_with_an_empty_block_is_exact() {
+        // The empty block is a zero cluster in `n`, as it is in `N`.
+        let (total, _) = three_stage_job(ThreeStageAggregation::Total, one_slot(0.0));
+        assert_eq!((total.estimate, total.half_width), (21.0, 0.0));
+        assert_eq!(total, sum_job(one_slot(0.0)));
+        let (mean, _) = three_stage_job(ThreeStageAggregation::MeanPerPair, one_slot(0.0));
+        assert_eq!((mean.estimate, mean.half_width), (3.5, 0.0));
+    }
+
+    #[test]
+    fn an_executed_empty_block_counts_in_n() {
+        // The seed drops `[6]` and executes the empty block: τ̂ =
+        // 4/3 · (6 + 0 + 9). With one pair per item the three-stage
+        // total is the two-stage sum, so both divide by the same `n`.
+        let (total, metrics) = three_stage_job(ThreeStageAggregation::Total, one_slot(0.25));
+        assert_eq!(metrics.dropped_maps, 1);
+        assert!(metrics.map_stats.iter().any(|m| m.total_records == 0));
+        assert_eq!(total.estimate, 20.0);
+        assert!(total.half_width.is_finite() && total.half_width > 0.0);
+        assert_eq!(total, sum_job(one_slot(0.25)));
     }
 }

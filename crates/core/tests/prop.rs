@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use approxhadoop_core::clusters::ClusterTable;
+use approxhadoop_core::clusters::{ClusterTable, Run};
 use approxhadoop_core::job::AggregationJob;
 use approxhadoop_core::spec::ApproxSpec;
 use approxhadoop_core::threestage::GroupStat;
@@ -26,8 +26,23 @@ fn population() -> impl Strategy<Value = Vec<Vec<f64>>> {
 /// merged out of order would show.
 type Arrival = (u64, u64, Vec<(u8, Vec<(u64, f64, f64)>)>);
 
-/// What [`Run::dense`] yields per executed cluster.
+/// One executed cluster of a run expanded against the table's clusters:
+/// the cluster's `(task, M_i, m_i)` and the key's statistic there.
 type DenseRow<'a> = ((TaskId, u64, u64), Option<&'a GroupStat>);
+
+/// `run` expanded to one row per executed cluster, in arrival order,
+/// `None` where the key did not appear.
+fn dense<'a>(run: Run<'a, GroupStat>) -> Vec<DenseRow<'a>> {
+    let mut present = run.present().peekable();
+    run.clusters()
+        .iter()
+        .enumerate()
+        .map(|(ci, cluster)| {
+            let stat = present.next_if(|(at, _)| *at == ci);
+            (*cluster, stat.map(|(_, stat)| stat))
+        })
+        .collect()
+}
 
 fn arrival() -> impl Strategy<Value = Arrival> {
     let items = prop::collection::vec((1u64..4, 0.0..9.0f64, 0.0..9.0f64), 0..3);
@@ -42,7 +57,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `ClusterTable` against the nested-map layout it replaced: for any
-    /// arrival sequence, `grouped`, `dense`, `present` and `finish` agree
+    /// arrival sequence, `grouped`, `present` (also expanded against
+    /// `clusters`) and `finish` agree
     /// with the model element for element — whether the table is read
     /// after every arrival, as the bound monitor reads it, after some, or
     /// only by `finish`.
@@ -83,16 +99,16 @@ proptest! {
         prop_assert_eq!(table.is_empty(), model.is_empty());
         prop_assert_eq!(table.grouped().count(), model.len());
 
-        // An arbitrary estimate reading everything `dense` yields, and
+        // An arbitrary estimate reading every expanded row, and
         // declining keys absent from the first cluster.
-        let digest = |dense: &[DenseRow]| {
-            dense.first()?.1?;
+        let digest = |rows: &[DenseRow]| {
+            rows.first()?.1?;
             let weigh = |(i, ((_, total, sampled), stat)): (usize, &DenseRow)| {
                 let v: f64 = stat.map_or(0.0, |s| s.items.iter().map(|it| it.1).sum());
                 (i + 1) as f64 * v + (total * 7 + sampled) as f64
             };
-            let estimate = dense.iter().enumerate().map(weigh).sum();
-            Some(Interval::new(estimate, dense.len() as f64, 0.95))
+            let estimate = rows.iter().enumerate().map(weigh).sum();
+            Some(Interval::new(estimate, rows.len() as f64, 0.95))
         };
         let mut expected_out = Vec::new();
         let mut rows: Vec<_> = table.grouped().collect();
@@ -106,7 +122,7 @@ proptest! {
                 .enumerate()
                 .map(|(ci, c)| (*c, per_cluster.get(&ci)))
                 .collect();
-            prop_assert_eq!(&run.dense().collect::<Vec<_>>(), &expected);
+            prop_assert_eq!(&dense(run), &expected);
             prop_assert_eq!(
                 run.present().collect::<Vec<_>>(),
                 per_cluster.iter().map(|(ci, s)| (*ci, s)).collect::<Vec<_>>()
@@ -115,7 +131,7 @@ proptest! {
         }
         prop_assert!(rows.next().is_none(), "table has a key the model lacks");
         for table in [table, sometimes, unread] {
-            let out = table.finish(|run| digest(&run.dense().collect::<Vec<_>>()));
+            let out = table.finish(|run| digest(&dense(run)));
             prop_assert_eq!(&out, &expected_out);
         }
     }

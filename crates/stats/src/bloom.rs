@@ -102,15 +102,6 @@ impl BloomFilter {
         self.inserted
     }
 
-    /// The expected false-positive rate at the current load:
-    /// `(1 - e^(-kn/m))^k`.
-    pub fn expected_fpr(&self) -> f64 {
-        let k = self.num_hashes as f64;
-        let n = self.inserted as f64;
-        let m = self.num_bits as f64;
-        (1.0 - (-k * n / m).exp()).powf(k)
-    }
-
     /// Serialises the filter to bytes (little-endian words after a
     /// small header), for shipping inside a job's params blob.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -179,7 +170,6 @@ mod tests {
             .count();
         let rate = fp as f64 / 100_000.0;
         assert!(rate < 0.03, "false-positive rate {rate} far above target");
-        assert!(f.expected_fpr() < 0.02);
     }
 
     #[test]
@@ -204,7 +194,6 @@ mod tests {
         let back = BloomFilter::from_bytes(&f.to_bytes()).unwrap();
         assert_eq!(back, f);
         assert!(back.contains(b"alpha"));
-        assert!(!back.contains(b"missing-key-zzz") || back.expected_fpr() > 0.0);
     }
 
     #[test]

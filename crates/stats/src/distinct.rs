@@ -13,7 +13,6 @@
 //! multi-stage reducer publishes.
 
 use std::collections::HashMap;
-use std::hash::Hash;
 
 use crate::{Result, StatsError};
 
@@ -39,15 +38,6 @@ impl FrequencyCounts {
             fc.sample_size += c;
         }
         fc
-    }
-
-    /// Builds the summary from a raw sample of values.
-    pub fn from_sample<T: Eq + Hash, I: IntoIterator<Item = T>>(sample: I) -> Self {
-        let mut per_value: HashMap<T, u64> = HashMap::new();
-        for v in sample {
-            *per_value.entry(v).or_default() += 1;
-        }
-        Self::from_counts(per_value.into_values())
     }
 
     /// Number of distinct values observed (`d`).
@@ -90,10 +80,20 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::hash::Hash;
+
+    /// The summary of a raw sample of values.
+    fn from_sample<T: Eq + Hash>(sample: impl IntoIterator<Item = T>) -> FrequencyCounts {
+        let mut per_value: HashMap<T, u64> = HashMap::new();
+        for v in sample {
+            *per_value.entry(v).or_default() += 1;
+        }
+        FrequencyCounts::from_counts(per_value.into_values())
+    }
 
     #[test]
     fn frequency_counts_from_sample() {
-        let fc = FrequencyCounts::from_sample(vec!["a", "b", "a", "c", "a", "b"]);
+        let fc = from_sample(vec!["a", "b", "a", "c", "a", "b"]);
         assert_eq!(fc.observed_distinct(), 3);
         assert_eq!(fc.sample_size(), 6);
         assert_eq!(fc.seen_exactly(1), 1); // c
@@ -128,7 +128,7 @@ mod tests {
         // to 1 000 than the observed count.
         let mut rng = StdRng::seed_from_u64(7);
         let sample: Vec<u32> = (0..1500).map(|_| rng.gen_range(0..1000)).collect();
-        let fc = FrequencyCounts::from_sample(sample);
+        let fc = from_sample(sample);
         let observed = fc.observed_distinct() as f64;
         assert!(observed < 900.0, "sample should miss values ({observed})");
         let chao = chao1(&fc).unwrap();

@@ -82,11 +82,6 @@ impl GevFit {
         self.n
     }
 
-    /// Covariance matrix of the `(μ, σ, ξ)` estimates.
-    pub fn covariance(&self) -> &[[f64; 3]; 3] {
-        &self.cov
-    }
-
     /// Standard errors of `(μ, σ, ξ)`.
     pub fn std_errors(&self) -> [f64; 3] {
         [

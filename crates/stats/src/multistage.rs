@@ -48,6 +48,16 @@
 //!   denominator. Its residual total is `−r̂·Mᵢ` and its within term
 //!   `0`, which the executed clusters' integer sums of `Mᵢ` and `Mᵢ²`
 //!   put in closed form.
+//! * [`ThreeStageEstimator::from_present`] (blocks → items → pairs): a
+//!   present cluster lists only the items that emitted for the key; its
+//!   `mᵢ − listed` silent items are zero secondaries, added one by one
+//!   (O(`mᵢ`) per present cluster). An absent cluster is all silent
+//!   items, so it adds exactly what an absent two-stage cluster adds and
+//!   enters in the same closed form.
+//!
+//! All of them share one assembly of Eq. 1–3 — the between-cluster sum,
+//! the census and `n < 2` rules, and the `t` lookup — over each present
+//! cluster's `τ̂ᵢ`, `sᵢ²` and within terms.
 //!
 //! A caller holding one observation per executed cluster (the join's
 //! strata, a simulation) passes them all as present. With `p = n` each
@@ -155,6 +165,27 @@ impl ClusterObservation {
     }
 }
 
+impl PresentCluster for ClusterObservation {
+    fn terms(&self, within: &mut f64) -> Result<ClusterTerms> {
+        self.validate()?;
+        let s2 = self.within_variance();
+        if self.sampled_units > 0 {
+            let m = self.sampled_units as f64;
+            let mm = self.total_units as f64;
+            *within += mm * (mm - m) * s2 / m;
+        }
+        Ok(ClusterTerms {
+            total: self.estimated_total(),
+            s2,
+            whole: true,
+        })
+    }
+
+    fn total(&self) -> f64 {
+        self.estimated_total()
+    }
+}
+
 /// Two-stage sampling estimator of a population **total** (sum).
 ///
 /// Counts are sums of indicator values, so this estimator also covers the
@@ -205,12 +236,36 @@ impl Absent {
     };
 }
 
+/// What one present cluster adds to Eq. 1–3 beside its within terms.
+#[derive(Debug, Clone, Copy)]
+struct ClusterTerms {
+    /// `τ̂ᵢ`.
+    total: f64,
+    /// `sᵢ²` among the cluster's sampled units.
+    s2: f64,
+    /// Whether every stage below the cluster's units was read in full,
+    /// which a census needs besides `n = N` and `mᵢ = Mᵢ`.
+    whole: bool,
+}
+
+/// One present cluster of [`two_stage_parts`]: a two- or three-stage
+/// observation of one key.
+trait PresentCluster {
+    /// Checks the cluster as the dense estimator checks it, adds its
+    /// within terms to `within` in the dense estimator's order, and
+    /// returns the rest of its share.
+    fn terms(&self, within: &mut f64) -> Result<ClusterTerms>;
+
+    /// `τ̂ᵢ` again, for the between-cluster pass.
+    fn total(&self) -> f64;
+}
+
 /// Eq. 1–3 over the `present` clusters plus the closed-form share of the
 /// `n − p` absent ones: they add `absent.total` to `Στ̂ᵢ` and
 /// `Σ(τ̂ᵢ − τ̄)² = Στ̂ᵢ² − 2τ̄·Στ̂ᵢ + (n − p)·τ̄²` over them.
-fn two_stage_parts(
+fn two_stage_parts<C: PresentCluster>(
     clusters: &ExecutedClusters,
-    present: impl Iterator<Item = ClusterObservation> + Clone,
+    present: impl Iterator<Item = C> + Clone,
     absent: Absent,
 ) -> Result<TwoStageParts> {
     clusters.check()?;
@@ -220,18 +275,14 @@ fn two_stage_parts(
     let mut sum = 0.0;
     let mut within = 0.0;
     let mut mean_within = 0.0;
+    let mut whole = true;
     let mut seen = 0u64;
-    for obs in present.clone() {
-        obs.validate()?;
+    for cluster in present.clone() {
+        let terms = cluster.terms(&mut within)?;
         seen += 1;
-        sum += obs.estimated_total();
-        let s2 = obs.within_variance();
-        mean_within += s2 / nf;
-        if obs.sampled_units > 0 {
-            let m = obs.sampled_units as f64;
-            let mm = obs.total_units as f64;
-            within += mm * (mm - m) * s2 / m;
-        }
+        sum += terms.total;
+        mean_within += terms.s2 / nf;
+        whole &= terms.whole;
     }
     debug_assert!(seen <= n, "{seen} present clusters of {n} executed");
     // `sum` starts at +0.0, so adding a sum's or count's +0.0 leaves its
@@ -246,8 +297,8 @@ fn two_stage_parts(
         } else {
             0.0
         };
-        for obs in present {
-            let d = obs.estimated_total() - mean;
+        for cluster in present {
+            let d = cluster.total() - mean;
             squares += d * d;
         }
         squares / (nf - 1.0)
@@ -259,7 +310,11 @@ fn two_stage_parts(
         within_term: within,
         mean_within_var: mean_within,
         variance: between + nn / nf * within,
-        clusters: *clusters,
+        clusters: if whole {
+            *clusters
+        } else {
+            clusters.sampled_below()
+        },
     })
 }
 
@@ -314,21 +369,34 @@ impl ExecutedClusters {
             units_sq += u128::from(total_units) * u128::from(total_units);
         }
         let census = n == total_clusters && all_units;
-        let critical = if valid_confidence(confidence) && n >= 2 && !census {
-            cached_two_sided_critical_value((n - 1) as f64, confidence)
-        } else {
-            f64::NAN
-        };
         ExecutedClusters {
             total_clusters,
             executed: n,
             census,
             invalid,
             confidence,
-            critical,
+            critical: if census {
+                f64::NAN
+            } else {
+                critical(n, confidence)
+            },
             unit_total,
             units,
             units_sq,
+        }
+    }
+
+    /// These clusters for a key that was sampled below its clusters'
+    /// units (a three-stage key with some `kᵢⱼ < Kᵢⱼ`): not a census,
+    /// even where every `mᵢ = Mᵢ`.
+    fn sampled_below(&self) -> Self {
+        if !self.census {
+            return *self;
+        }
+        ExecutedClusters {
+            census: false,
+            critical: critical(self.executed, self.confidence),
+            ..*self
         }
     }
 
@@ -384,16 +452,26 @@ fn valid_confidence(confidence: f64) -> bool {
     0.0 < confidence && confidence < 1.0
 }
 
-/// One key's Eq. 1–3 quantities from [`TwoStageEstimator::from_present`]:
-/// the estimate, the parts of its variance, and what the planner's
-/// [`WaveStatistics`] reads.
+/// `t_{n−1, 1−α/2}`, or NaN where Eq. 2 needs none.
+fn critical(n: u64, confidence: f64) -> f64 {
+    if valid_confidence(confidence) && n >= 2 {
+        cached_two_sided_critical_value((n - 1) as f64, confidence)
+    } else {
+        f64::NAN
+    }
+}
+
+/// One key's Eq. 1–3 quantities from [`TwoStageEstimator::from_present`]
+/// or [`ThreeStageEstimator::from_present`]: the estimate, the parts of
+/// its variance, and what the planner's [`WaveStatistics`] reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoStageParts {
     /// `τ̂` (Eq. 1).
     pub estimate: f64,
     /// `s_u²` over the `n` executed clusters' `τ̂ᵢ`, absent ones as `0`.
     pub inter_cluster_var: f64,
-    /// `Σᵢ Mᵢ(Mᵢ−mᵢ)sᵢ²/mᵢ` — Eq. 3's within term before its `N/n`.
+    /// `Σᵢ Mᵢ(Mᵢ−mᵢ)sᵢ²/mᵢ` — Eq. 3's within term before its `N/n`
+    /// (with three stages, plus each cluster's third-stage term).
     pub within_term: f64,
     /// Mean `sᵢ²` over the `n` executed clusters.
     pub mean_within_var: f64,
@@ -609,174 +687,152 @@ impl SecondaryObservation {
     }
 }
 
-/// One sampled cluster in three-stage sampling, holding its sampled
-/// secondary units (`m_i = secondaries.len()`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreeStageCluster {
-    /// Identifier of the cluster (map task / block id).
-    pub cluster_id: u64,
+/// One executed cluster in three-stage sampling, as one key saw it: the
+/// cluster's `Mᵢ` and `mᵢ`, and the sampled secondary units that held
+/// at least one of the key's tertiary units. The other `mᵢ − listed`
+/// sampled secondary units are silent: each is one tertiary unit of
+/// value `0`, fully read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ThreeStageObservation<J> {
     /// `M_i` — total secondary units in the cluster.
     pub total_units: u64,
-    /// The sampled secondary units.
-    pub secondaries: Vec<SecondaryObservation>,
+    /// `m_i` — sampled secondary units, silent ones included.
+    pub sampled_units: u64,
+    /// The listed secondary units, in the order their totals are summed.
+    pub secondaries: J,
+}
+
+impl<J> PresentCluster for ThreeStageObservation<J>
+where
+    J: IntoIterator<Item = SecondaryObservation> + Clone,
+{
+    fn terms(&self, within: &mut f64) -> Result<ClusterTerms> {
+        let mut listed = 0u64;
+        let mut whole = true;
+        for s in self.secondaries.clone() {
+            if s.sampled_tertiary == 0 || s.sampled_tertiary > s.total_tertiary {
+                return Err(StatsError::invalid(
+                    "sampled_tertiary",
+                    "must be in [1, total_tertiary]",
+                ));
+            }
+            if !s.sum.is_finite() || !s.sum_sq.is_finite() {
+                return Err(StatsError::Numerical {
+                    context: "secondary observation sums",
+                });
+            }
+            listed += 1;
+            whole &= s.sampled_tertiary == s.total_tertiary;
+        }
+        let sampled = self.sampled_units;
+        if listed > sampled || sampled > self.total_units || (sampled == 0 && self.total_units > 0)
+        {
+            return Err(StatsError::invalid(
+                "secondaries",
+                "must list at most the sampled units, and sample between one and all of a non-empty cluster's",
+            ));
+        }
+        if sampled == 0 {
+            // An empty block (M_i = m_i = 0) is a zero cluster.
+            return Ok(ClusterTerms {
+                total: 0.0,
+                s2: 0.0,
+                whole,
+            });
+        }
+        let m = sampled as f64;
+        let mm = self.total_units as f64;
+        let inner = self.inner_total();
+        // Variance among the estimated secondary totals, a silent one's
+        // being `0`. Its `τ̄ᵢ²` terms are added one by one after the
+        // listed ones, so the sum rounds as the reference model's does.
+        let s2 = if sampled < 2 {
+            0.0
+        } else {
+            let mean = inner / m;
+            let mut squares: f64 = self
+                .secondaries
+                .clone()
+                .into_iter()
+                .map(|s| {
+                    let d = s.estimated_total() - mean;
+                    d * d
+                })
+                .sum();
+            for _ in listed..sampled {
+                squares += mean * mean;
+            }
+            squares / (m - 1.0)
+        };
+        *within += mm * (mm - m) * s2 / m;
+        // Third stage; a silent item, fully read, adds nothing.
+        let mut third = 0.0;
+        for s in self.secondaries.clone() {
+            let k = s.sampled_tertiary as f64;
+            let kk = s.total_tertiary as f64;
+            third += kk * (kk - k) * s.within_variance() / k;
+        }
+        *within += mm / m * third;
+        Ok(ClusterTerms {
+            total: mm / m * inner,
+            s2,
+            whole,
+        })
+    }
+
+    fn total(&self) -> f64 {
+        if self.sampled_units == 0 {
+            return 0.0;
+        }
+        self.total_units as f64 / self.sampled_units as f64 * self.inner_total()
+    }
+}
+
+impl<J> ThreeStageObservation<J>
+where
+    J: IntoIterator<Item = SecondaryObservation> + Clone,
+{
+    /// `Σⱼ τ̂ᵢⱼ` over the listed secondary units (a silent one's is `0`).
+    fn inner_total(&self) -> f64 {
+        self.secondaries
+            .clone()
+            .into_iter()
+            .map(|s| s.estimated_total())
+            .sum()
+    }
 }
 
 /// Three-stage sampling estimator of a population total (paper
 /// Section 3.1, "Three-stage sampling"): clusters → secondary units →
 /// tertiary units, e.g. blocks → pages → paragraphs.
-#[derive(Debug, Clone)]
-pub struct ThreeStageEstimator {
-    total_clusters: u64,
-    clusters: Vec<ThreeStageCluster>,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct ThreeStageEstimator;
 
 impl ThreeStageEstimator {
-    /// Creates an estimator for `total_clusters` (`N`) clusters.
+    /// One key's three-stage Eq. 1–3 from only the executed clusters it
+    /// appeared in, in O(`Σ mᵢ` over them): the numbers the dense
+    /// estimator gives for one cluster per executed cluster, each holding
+    /// one secondary unit per sampled one, silent ones as zeros.
     ///
-    /// # Panics
+    /// `Var(τ̂) = N(N−n)·s_u²/n + (N/n)·Σᵢ [Mᵢ(Mᵢ−mᵢ)·sᵢ²/mᵢ +
+    /// (Mᵢ/mᵢ)·Σⱼ Kᵢⱼ(Kᵢⱼ−kᵢⱼ)·sᵢⱼ²/kᵢⱼ]`, where `sᵢ²` is the variance
+    /// among the cluster's estimated secondary totals. A cluster the key
+    /// is absent from has `τ̂ᵢ = 0` and no within terms, so it enters in
+    /// the closed form of [`TwoStageEstimator::from_present`], and `τ̂`,
+    /// the within term and (when `p = n`) `s_u²` are bit-identical to the
+    /// dense estimator's.
     ///
-    /// Panics if `total_clusters == 0`.
-    pub fn new(total_clusters: u64) -> Self {
-        assert!(
-            total_clusters > 0,
-            "population must have at least one cluster"
-        );
-        ThreeStageEstimator {
-            total_clusters,
-            clusters: Vec::new(),
-        }
-    }
-
-    /// Adds one executed cluster.
-    pub fn push(&mut self, cluster: ThreeStageCluster) {
-        self.clusters.push(cluster);
-    }
-
-    fn validate(&self) -> Result<()> {
-        for c in &self.clusters {
-            if c.secondaries.is_empty() {
-                return Err(StatsError::invalid(
-                    "secondaries",
-                    "each sampled cluster must contain at least one sampled secondary unit",
-                ));
-            }
-            if c.secondaries.len() as u64 > c.total_units {
-                return Err(StatsError::invalid(
-                    "secondaries",
-                    "sampled secondary units exceed cluster total",
-                ));
-            }
-            for s in &c.secondaries {
-                if s.sampled_tertiary == 0 || s.sampled_tertiary > s.total_tertiary {
-                    return Err(StatsError::invalid(
-                        "sampled_tertiary",
-                        "must be in [1, total_tertiary]",
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn cluster_estimated_total(c: &ThreeStageCluster) -> f64 {
-        let m = c.secondaries.len() as f64;
-        let inner: f64 = c.secondaries.iter().map(|s| s.estimated_total()).sum();
-        c.total_units as f64 / m * inner
-    }
-
-    /// The point estimate `τ̂`.
-    pub fn estimated_total(&self) -> Result<f64> {
-        self.validate()?;
-        let n = self.clusters.len();
-        if n == 0 {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        let sum: f64 = self
-            .clusters
-            .iter()
-            .map(Self::cluster_estimated_total)
-            .sum();
-        Ok(self.total_clusters as f64 / n as f64 * sum)
-    }
-
-    /// The estimated variance of `τ̂` (three-term extension of Eq. 3).
-    pub fn variance(&self) -> Result<f64> {
-        self.validate()?;
-        let n = self.clusters.len();
-        if n == 0 {
-            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-        }
-        let nf = n as f64;
-        let nn = self.total_clusters as f64;
-
-        // Between-cluster term.
-        let totals: Vec<f64> = self
-            .clusters
-            .iter()
-            .map(Self::cluster_estimated_total)
-            .collect();
-        let mean = totals.iter().sum::<f64>() / nf;
-        let s_u2 = if n < 2 {
-            0.0
-        } else {
-            totals.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / (nf - 1.0)
-        };
-        let mut var = nn * (nn - nf) * s_u2 / nf;
-
-        // Second- and third-stage terms.
-        let mut within = 0.0;
-        for c in &self.clusters {
-            let m = c.secondaries.len() as f64;
-            let mm = c.total_units as f64;
-            // Variance among estimated secondary totals within the cluster.
-            let sec_totals: Vec<f64> = c.secondaries.iter().map(|s| s.estimated_total()).collect();
-            let sec_mean = sec_totals.iter().sum::<f64>() / m;
-            let s_2i = if c.secondaries.len() < 2 {
-                0.0
-            } else {
-                sec_totals
-                    .iter()
-                    .map(|t| (t - sec_mean) * (t - sec_mean))
-                    .sum::<f64>()
-                    / (m - 1.0)
-            };
-            within += mm * (mm - m) * s_2i / m;
-            // Third-stage contribution.
-            let mut third = 0.0;
-            for s in &c.secondaries {
-                let k = s.sampled_tertiary as f64;
-                let kk = s.total_tertiary as f64;
-                third += kk * (kk - k) * s.within_variance() / k;
-            }
-            within += mm / m * third;
-        }
-        var += nn / nf * within;
-        Ok(var.max(0.0))
-    }
-
-    /// The full estimate `τ̂ ± ε` at the given confidence level.
-    pub fn estimate(&self, confidence: f64) -> Result<Interval> {
-        if !(0.0 < confidence && confidence < 1.0) {
-            return Err(StatsError::invalid("confidence", "must lie in (0, 1)"));
-        }
-        let total = self.estimated_total()?;
-        let n = self.clusters.len();
-        let census = n as u64 == self.total_clusters
-            && self.clusters.iter().all(|c| {
-                c.secondaries.len() as u64 == c.total_units
-                    && c.secondaries
-                        .iter()
-                        .all(|s| s.sampled_tertiary == s.total_tertiary)
-            });
-        if census {
-            return Ok(Interval::new(total, 0.0, confidence));
-        }
-        if n < 2 {
-            return Ok(Interval::new(total, f64::INFINITY, confidence));
-        }
-        let var = self.variance()?;
-        let t = cached_two_sided_critical_value((n - 1) as f64, confidence);
-        Ok(Interval::new(total, t * var.sqrt(), confidence))
+    /// A census also needs every listed `kᵢⱼ = Kᵢⱼ`; with one below, the
+    /// interval is sampled even where every `mᵢ = Mᵢ`. An empty executed
+    /// cluster (`Mᵢ = mᵢ = 0`) counts in `n` as a zero cluster, and one
+    /// with `mᵢ = 0 < Mᵢ` fails every key, as for two stages.
+    pub fn from_present<I, J>(clusters: &ExecutedClusters, present: I) -> Result<TwoStageParts>
+    where
+        I: IntoIterator<Item = ThreeStageObservation<J>>,
+        I::IntoIter: Clone,
+        J: IntoIterator<Item = SecondaryObservation> + Clone,
+    {
+        two_stage_parts(clusters, present.into_iter(), Absent::ZERO)
     }
 }
 
@@ -841,21 +897,6 @@ impl WaveStatistics {
         t * self
             .predicted_variance(additional_clusters, units_per_cluster)
             .sqrt()
-    }
-
-    /// Predicted **relative** error bound `ε / τ̂`; `+∞` when the estimate
-    /// is zero.
-    pub fn predicted_relative_bound(
-        &self,
-        additional_clusters: u64,
-        units_per_cluster: f64,
-        confidence: f64,
-    ) -> f64 {
-        if self.estimate == 0.0 {
-            return f64::INFINITY;
-        }
-        self.predicted_bound(additional_clusters, units_per_cluster, confidence)
-            / self.estimate.abs()
     }
 }
 
@@ -1219,30 +1260,38 @@ mod tests {
         ));
     }
 
+    /// The three-stage interval of `total` clusters of which `executed`
+    /// are the executed ones, each `(Mᵢ, mᵢ, listed secondaries)`.
+    fn three_stage_of(
+        total: u64,
+        executed: &[(u64, u64, Vec<SecondaryObservation>)],
+    ) -> Result<Interval> {
+        let clusters = ExecutedClusters::new(total, executed.iter().map(|c| (c.0, c.1)), 0.95);
+        let present = executed.iter().map(|(mm, m, s)| ThreeStageObservation {
+            total_units: *mm,
+            sampled_units: *m,
+            secondaries: s.iter().copied(),
+        });
+        ThreeStageEstimator::from_present(&clusters, present)?.interval()
+    }
+
+    fn secondary(k: u64, kk: u64, values: &[f64]) -> SecondaryObservation {
+        SecondaryObservation {
+            total_tertiary: kk,
+            sampled_tertiary: k,
+            sum: values.iter().sum(),
+            sum_sq: values.iter().map(|v| v * v).sum(),
+        }
+    }
+
     #[test]
     fn three_stage_census_is_exact() {
-        let mut est = ThreeStageEstimator::new(2);
-        for c in 0..2u64 {
-            est.push(ThreeStageCluster {
-                cluster_id: c,
-                total_units: 2,
-                secondaries: vec![
-                    SecondaryObservation {
-                        total_tertiary: 3,
-                        sampled_tertiary: 3,
-                        sum: 6.0,
-                        sum_sq: 14.0,
-                    },
-                    SecondaryObservation {
-                        total_tertiary: 2,
-                        sampled_tertiary: 2,
-                        sum: 5.0,
-                        sum_sq: 13.0,
-                    },
-                ],
-            });
-        }
-        let iv = est.estimate(0.95).unwrap();
+        let cluster = vec![
+            secondary(3, 3, &[1.0, 2.0, 3.0]),
+            secondary(2, 2, &[2.0, 3.0]),
+        ];
+        let executed = [(2, 2, cluster.clone()), (2, 2, cluster)];
+        let iv = three_stage_of(2, &executed).unwrap();
         assert!((iv.estimate - 22.0).abs() < 1e-12);
         assert_eq!(iv.half_width, 0.0);
     }
@@ -1259,28 +1308,15 @@ mod tests {
             })
             .collect();
         let truth: f64 = pop.iter().flatten().flatten().sum();
-        let mut est = ThreeStageEstimator::new(20);
-        for (ci, c) in pop.iter().take(8).enumerate() {
-            let secondaries = c
-                .iter()
-                .take(5)
-                .map(|s| {
-                    let vals = &s[..20];
-                    SecondaryObservation {
-                        total_tertiary: 50,
-                        sampled_tertiary: 20,
-                        sum: vals.iter().sum(),
-                        sum_sq: vals.iter().map(|v| v * v).sum(),
-                    }
-                })
-                .collect();
-            est.push(ThreeStageCluster {
-                cluster_id: ci as u64,
-                total_units: 10,
-                secondaries,
-            });
-        }
-        let iv = est.estimate(0.95).unwrap();
+        let executed: Vec<_> = pop
+            .iter()
+            .take(8)
+            .map(|c| {
+                let listed = c.iter().take(5).map(|s| secondary(20, 50, &s[..20]));
+                (10, 5, listed.collect())
+            })
+            .collect();
+        let iv = three_stage_of(20, &executed).unwrap();
         assert!(iv.half_width.is_finite() && iv.half_width > 0.0);
         assert!(
             (iv.estimate - truth).abs() / truth < 0.05,
@@ -1291,13 +1327,20 @@ mod tests {
 
     #[test]
     fn three_stage_invalid_rejected() {
-        let mut est = ThreeStageEstimator::new(2);
-        est.push(ThreeStageCluster {
-            cluster_id: 0,
-            total_units: 2,
-            secondaries: vec![],
-        });
-        assert!(est.estimate(0.95).is_err());
+        // No secondary sampled from a non-empty cluster.
+        assert!(three_stage_of(2, &[(2, 0, vec![])]).is_err());
+        // More listed secondaries than sampled, or sampled than total.
+        let two = vec![secondary(1, 1, &[1.0]), secondary(1, 1, &[2.0])];
+        assert!(three_stage_of(2, &[(3, 1, two.clone())]).is_err());
+        assert!(three_stage_of(2, &[(1, 2, two)]).is_err());
+        // A tertiary count outside [1, K], or a non-finite sum.
+        for bad in [
+            secondary(0, 2, &[]),
+            secondary(3, 2, &[1.0, 1.0, 1.0]),
+            secondary(1, 1, &[f64::NAN]),
+        ] {
+            assert!(three_stage_of(2, &[(2, 2, vec![bad])]).is_err());
+        }
     }
 
     #[test]
@@ -1340,20 +1383,6 @@ mod tests {
         // Var = N(N-n)s_u²/n with n = 10.
         let expected = 50.0 * 40.0 * 10.0 / 10.0;
         assert!((v - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn predicted_relative_bound_handles_zero_estimate() {
-        let w = WaveStatistics {
-            total_clusters: 10,
-            completed_clusters: 5,
-            inter_cluster_var: 1.0,
-            mean_cluster_size: 10.0,
-            mean_within_var: 1.0,
-            completed_within_term: 0.0,
-            estimate: 0.0,
-        };
-        assert_eq!(w.predicted_relative_bound(2, 5.0, 0.95), f64::INFINITY);
     }
 
     #[test]

@@ -8,7 +8,8 @@ use approxhadoop_stats::dist::{
 use approxhadoop_stats::gev::{block_maxima, block_minima};
 use approxhadoop_stats::multistage::{
     ClusterObservation, ExecutedClusters, PairedClusterObservation, RatioEstimator,
-    TwoStageEstimator, WaveStatistics,
+    SecondaryObservation, ThreeStageEstimator, ThreeStageObservation, TwoStageEstimator,
+    WaveStatistics,
 };
 use approxhadoop_stats::sampling::{choose_indices, random_order, SystematicSampler, Zipf};
 use approxhadoop_stats::special::{inv_reg_inc_beta, reg_inc_beta};
@@ -156,6 +157,151 @@ impl KeyTable {
 
     fn present_indices(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         (0..self.clusters.len()).filter(|&i| self.present[i].is_some())
+    }
+
+    fn all_present(&self) -> bool {
+        self.present.iter().all(Option::is_some)
+    }
+}
+
+/// One three-stage key over a job's executed clusters: `(Mᵢ, mᵢ)` per
+/// executed cluster and, where the key appeared, the secondary units
+/// that held its tertiary units (at most `mᵢ` of them; the rest of the
+/// `mᵢ` are silent).
+struct ThreeStageTable {
+    total_clusters: u64,
+    clusters: Vec<(u64, u64)>,
+    present: Vec<Option<Vec<SecondaryObservation>>>,
+    confidence: f64,
+}
+
+/// The three-stage table shapes: 0 sparse, 1 census, 2 a single
+/// executed cluster, 3 every cluster executed but sampled, 4 an executed
+/// cluster with `mᵢ = 0 < Mᵢ` or `mᵢ > Mᵢ`, 5 a census of clusters and
+/// items whose tertiary units are partly sampled (`kᵢⱼ < Kᵢⱼ`), 6 an
+/// invalid confidence. Shapes 0 and 3 sample tertiary units now and
+/// then too; every shape has present clusters with silent items, and
+/// sometimes a key present in all or none of the clusters.
+fn three_stage_table(seed: u64, shape: u8) -> ThreeStageTable {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = if shape == 2 {
+        1
+    } else {
+        rng.gen_range(1..12usize)
+    };
+    let unexecuted = if matches!(shape, 1 | 3 | 5) {
+        0
+    } else {
+        rng.gen_range(0..4u64)
+    };
+    let census = matches!(shape, 1 | 5);
+    let mut clusters: Vec<(u64, u64)> = (0..n)
+        .map(|_| {
+            let total = rng.gen_range(1..30u64);
+            let sampled = if census {
+                total
+            } else {
+                rng.gen_range(1..=total)
+            };
+            (total, sampled)
+        })
+        .collect();
+    if shape == 4 {
+        let c = &mut clusters[rng.gen_range(0..n)];
+        *c = if rng.gen_bool(0.5) {
+            (c.0, 0)
+        } else {
+            (c.0, c.0 + 1)
+        };
+    }
+    let tertiary_sampling = match shape {
+        5 => 0.5,
+        0 | 3 if rng.gen_bool(0.3) => 0.3,
+        _ => 0.0,
+    };
+    let share = [0.1, 0.3, 1.0][rng.gen_range(0..3usize)];
+    let present = clusters
+        .iter()
+        .map(|&(_, sampled)| {
+            if !rng.gen_bool(share) {
+                return None;
+            }
+            let listed = rng.gen_range(0..=sampled.min(8));
+            let secondaries = (0..listed)
+                .map(|_| {
+                    let total = rng.gen_range(1..6u64);
+                    let sampled = if rng.gen_bool(tertiary_sampling) {
+                        rng.gen_range(1..=total)
+                    } else {
+                        total
+                    };
+                    let values: Vec<f64> =
+                        (0..sampled).map(|_| rng.gen_range(-100.0..100.0)).collect();
+                    SecondaryObservation {
+                        total_tertiary: total,
+                        sampled_tertiary: sampled,
+                        sum: values.iter().sum(),
+                        sum_sq: values.iter().map(|v| v * v).sum(),
+                    }
+                })
+                .collect();
+            Some(secondaries)
+        })
+        .collect();
+    let confidence = if shape == 6 {
+        1.0
+    } else {
+        [0.8, 0.95, 0.99][rng.gen_range(0..3usize)]
+    };
+    ThreeStageTable {
+        total_clusters: n as u64 + unexecuted,
+        clusters,
+        present,
+        confidence,
+    }
+}
+
+impl ThreeStageTable {
+    /// The dense model: every executed cluster, each holding its listed
+    /// secondary units and then one zero secondary per silent item.
+    fn dense(&self) -> reference::ThreeStageEstimator {
+        let mut dense = reference::ThreeStageEstimator::new(self.total_clusters);
+        for (i, &(total_units, sampled_units)) in self.clusters.iter().enumerate() {
+            let mut secondaries = self.present[i].clone().unwrap_or_default();
+            let silent = sampled_units.saturating_sub(secondaries.len() as u64);
+            secondaries.extend((0..silent).map(|_| SecondaryObservation {
+                total_tertiary: 1,
+                sampled_tertiary: 1,
+                sum: 0.0,
+                sum_sq: 0.0,
+            }));
+            dense.push(reference::ThreeStageCluster {
+                cluster_id: i as u64,
+                total_units,
+                secondaries,
+            });
+        }
+        dense
+    }
+
+    fn sparse(&self) -> approxhadoop_stats::Result<approxhadoop_stats::multistage::TwoStageParts> {
+        let executed = ExecutedClusters::new(
+            self.total_clusters,
+            self.clusters.iter().copied(),
+            self.confidence,
+        );
+        let present = self
+            .clusters
+            .iter()
+            .zip(&self.present)
+            .filter_map(|(c, p)| {
+                Some(ThreeStageObservation {
+                    total_units: c.0,
+                    sampled_units: c.1,
+                    secondaries: p.as_ref()?.iter().copied(),
+                })
+            });
+        ThreeStageEstimator::from_present(&executed, present)
     }
 
     fn all_present(&self) -> bool {
@@ -592,5 +738,38 @@ proptest! {
             (dense, _) => same_interval(&dense, &sparse, table.all_present()),
         };
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+
+    /// `ThreeStageEstimator::from_present` over the clusters a key
+    /// appeared in, each listing only its emitting items, gives what the
+    /// dense estimator gives over every executed cluster with one
+    /// secondary unit per sampled item, silent ones as zeros: the same
+    /// `Ok`/`Err`, a bit-identical estimate and within term (third stage
+    /// included, `kᵢⱼ < Kᵢⱼ` or not), and `s_u²`, variance and
+    /// half-width within 1e-12 relative — bit-identical when the key is
+    /// in every cluster.
+    #[test]
+    fn sparse_three_stage_matches_dense(seed in 0u64..u64::MAX, shape in 0u8..SHAPES) {
+        let table = three_stage_table(seed, shape);
+        let dense = table.dense();
+        let sparse = table.sparse();
+        let exact = table.all_present();
+        let interval = sparse.as_ref().map_err(Clone::clone).and_then(|p| p.interval());
+        let checked = same_interval(&dense.estimate(table.confidence), &interval, exact);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+        prop_assert_eq!(dense.variance().is_ok(), sparse.is_ok());
+        if let (Ok(variance), Ok(parts)) = (dense.variance(), &sparse) {
+            let s_u2 = dense.inter_cluster_variance();
+            let within = dense.within_term();
+            prop_assert_eq!(parts.estimate.to_bits(), dense.estimated_total().unwrap().to_bits());
+            prop_assert_eq!(parts.within_term.to_bits(), within.to_bits());
+            if exact {
+                prop_assert_eq!(parts.inter_cluster_var.to_bits(), s_u2.to_bits());
+                prop_assert_eq!(parts.variance.to_bits(), variance.to_bits());
+            } else {
+                prop_assert!(close(parts.inter_cluster_var, s_u2), "s_u² {s_u2} vs {}", parts.inter_cluster_var);
+                prop_assert!(close(parts.variance, variance), "variance {variance} vs {}", parts.variance);
+            }
+        }
     }
 }

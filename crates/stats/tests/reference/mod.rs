@@ -1,19 +1,23 @@
-//! The dense `Vec`-of-observation two-stage estimators: one observation
-//! per executed cluster, zeros included, each key costing O(`n`). This
-//! is the model the library's closed forms (`from_present`,
-//! `mean_from_present`) are checked against.
+//! The dense `Vec`-of-observation two- and three-stage estimators: one
+//! observation per executed cluster, zeros included, each key costing
+//! O(`n`). This is the model the library's closed forms
+//! (`from_present`, `mean_from_present`) are checked against.
 //!
 //! It is self-contained on purpose: the per-cluster helpers
-//! (`estimated_total`, `within_variance`, `validate`, `residual`) are
-//! copies of the library's as they stood when the two paths were one,
-//! so a change to the library's arithmetic is measured against this
-//! model rather than edited into both.
+//! (`estimated_total`, `within_variance`, `validate`, `residual`, and
+//! the secondary units' `secondary_total` and
+//! `secondary_within_variance`) are copies of the library's as they
+//! stood when the two paths were one, so a change to the library's
+//! arithmetic is measured against this model rather than edited into
+//! both.
 
 // Kept whole; not every accessor is compared.
 #![allow(dead_code)]
 
 use approxhadoop_stats::dist::cached_two_sided_critical_value;
-use approxhadoop_stats::multistage::{ClusterObservation, PairedClusterObservation};
+use approxhadoop_stats::multistage::{
+    ClusterObservation, PairedClusterObservation, SecondaryObservation,
+};
 use approxhadoop_stats::{Interval, Result, StatsError};
 
 /// The unbiased estimate of a cluster's total: `(Mᵢ/mᵢ)·Σⱼ vᵢⱼ`; `0`
@@ -381,5 +385,196 @@ impl MeanEstimator {
     /// The estimate `μ̂ ± ε` at the given confidence level.
     pub fn estimate(&self, confidence: f64) -> Result<Interval> {
         self.inner.estimate(confidence)
+    }
+}
+
+fn secondary_total(s: &SecondaryObservation) -> f64 {
+    s.total_tertiary as f64 / s.sampled_tertiary as f64 * s.sum
+}
+
+fn secondary_within_variance(s: &SecondaryObservation) -> f64 {
+    let k = s.sampled_tertiary as f64;
+    if s.sampled_tertiary < 2 {
+        return 0.0;
+    }
+    ((s.sum_sq - s.sum * s.sum / k) / (k - 1.0)).max(0.0)
+}
+
+/// One sampled cluster in three-stage sampling, holding its sampled
+/// secondary units (`m_i = secondaries.len()`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreeStageCluster {
+    /// Identifier of the cluster (map task / block id).
+    pub cluster_id: u64,
+    /// `M_i` — total secondary units in the cluster.
+    pub total_units: u64,
+    /// The sampled secondary units.
+    pub secondaries: Vec<SecondaryObservation>,
+}
+
+/// Three-stage sampling estimator of a population total (paper
+/// Section 3.1, "Three-stage sampling"): clusters → secondary units →
+/// tertiary units, e.g. blocks → pages → paragraphs.
+#[derive(Debug, Clone)]
+pub struct ThreeStageEstimator {
+    total_clusters: u64,
+    clusters: Vec<ThreeStageCluster>,
+}
+
+impl ThreeStageEstimator {
+    /// Creates an estimator for `total_clusters` (`N`) clusters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_clusters == 0`.
+    pub fn new(total_clusters: u64) -> Self {
+        assert!(
+            total_clusters > 0,
+            "population must have at least one cluster"
+        );
+        ThreeStageEstimator {
+            total_clusters,
+            clusters: Vec::new(),
+        }
+    }
+
+    /// Adds one executed cluster.
+    pub fn push(&mut self, cluster: ThreeStageCluster) {
+        self.clusters.push(cluster);
+    }
+
+    fn validate(&self) -> Result<()> {
+        for c in &self.clusters {
+            if c.secondaries.is_empty() {
+                return Err(StatsError::invalid(
+                    "secondaries",
+                    "each sampled cluster must contain at least one sampled secondary unit",
+                ));
+            }
+            if c.secondaries.len() as u64 > c.total_units {
+                return Err(StatsError::invalid(
+                    "secondaries",
+                    "sampled secondary units exceed cluster total",
+                ));
+            }
+            for s in &c.secondaries {
+                if s.sampled_tertiary == 0 || s.sampled_tertiary > s.total_tertiary {
+                    return Err(StatsError::invalid(
+                        "sampled_tertiary",
+                        "must be in [1, total_tertiary]",
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn cluster_estimated_total(c: &ThreeStageCluster) -> f64 {
+        let m = c.secondaries.len() as f64;
+        let inner: f64 = c.secondaries.iter().map(secondary_total).sum();
+        c.total_units as f64 / m * inner
+    }
+
+    /// The point estimate `τ̂`.
+    pub fn estimated_total(&self) -> Result<f64> {
+        self.validate()?;
+        let n = self.clusters.len();
+        if n == 0 {
+            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
+        }
+        let sum: f64 = self
+            .clusters
+            .iter()
+            .map(Self::cluster_estimated_total)
+            .sum();
+        Ok(self.total_clusters as f64 / n as f64 * sum)
+    }
+
+    /// Inter-cluster sample variance `s_u²` of the estimated cluster
+    /// totals; `0` with fewer than two clusters.
+    pub fn inter_cluster_variance(&self) -> f64 {
+        let n = self.clusters.len();
+        let nf = n as f64;
+        let totals: Vec<f64> = self
+            .clusters
+            .iter()
+            .map(Self::cluster_estimated_total)
+            .collect();
+        let mean = totals.iter().sum::<f64>() / nf;
+        if n < 2 {
+            0.0
+        } else {
+            totals.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / (nf - 1.0)
+        }
+    }
+
+    /// The second- and third-stage terms before their `N/n`.
+    pub fn within_term(&self) -> f64 {
+        let mut within = 0.0;
+        for c in &self.clusters {
+            let m = c.secondaries.len() as f64;
+            let mm = c.total_units as f64;
+            // Variance among estimated secondary totals within the cluster.
+            let sec_totals: Vec<f64> = c.secondaries.iter().map(secondary_total).collect();
+            let sec_mean = sec_totals.iter().sum::<f64>() / m;
+            let s_2i = if c.secondaries.len() < 2 {
+                0.0
+            } else {
+                sec_totals
+                    .iter()
+                    .map(|t| (t - sec_mean) * (t - sec_mean))
+                    .sum::<f64>()
+                    / (m - 1.0)
+            };
+            within += mm * (mm - m) * s_2i / m;
+            // Third-stage contribution.
+            let mut third = 0.0;
+            for s in &c.secondaries {
+                let k = s.sampled_tertiary as f64;
+                let kk = s.total_tertiary as f64;
+                third += kk * (kk - k) * secondary_within_variance(s) / k;
+            }
+            within += mm / m * third;
+        }
+        within
+    }
+
+    /// The estimated variance of `τ̂` (three-term extension of Eq. 3).
+    pub fn variance(&self) -> Result<f64> {
+        self.validate()?;
+        let n = self.clusters.len();
+        if n == 0 {
+            return Err(StatsError::InsufficientData { needed: 1, got: 0 });
+        }
+        let nf = n as f64;
+        let nn = self.total_clusters as f64;
+        let mut var = nn * (nn - nf) * self.inter_cluster_variance() / nf;
+        var += nn / nf * self.within_term();
+        Ok(var.max(0.0))
+    }
+
+    /// The full estimate `τ̂ ± ε` at the given confidence level.
+    pub fn estimate(&self, confidence: f64) -> Result<Interval> {
+        if !(0.0 < confidence && confidence < 1.0) {
+            return Err(StatsError::invalid("confidence", "must lie in (0, 1)"));
+        }
+        let total = self.estimated_total()?;
+        let n = self.clusters.len();
+        let census = n as u64 == self.total_clusters
+            && self.clusters.iter().all(|c| {
+                c.secondaries.len() as u64 == c.total_units
+                    && c.secondaries
+                        .iter()
+                        .all(|s| s.sampled_tertiary == s.total_tertiary)
+            });
+        if census {
+            return Ok(Interval::new(total, 0.0, confidence));
+        }
+        if n < 2 {
+            return Ok(Interval::new(total, f64::INFINITY, confidence));
+        }
+        let var = self.variance()?;
+        let t = cached_two_sided_critical_value((n - 1) as f64, confidence);
+        Ok(Interval::new(total, t * var.sqrt(), confidence))
     }
 }
